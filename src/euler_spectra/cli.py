@@ -7,13 +7,12 @@ output (deterministic: sorted keys, 15 significant digits); ``--format csv``
 selects the lossy tabular view where one exists.
 
 Exit codes: 0 success, 1 usage error, 2 numerical failure,
-3 verification failure.  EULER_SPECTRA_THREADS caps the verify fan-out.
+3 verification failure.
 """
 
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 from dataclasses import dataclass, fields
 
@@ -41,9 +40,7 @@ class RunConfig:
     p: WaveVector | None = None
     khat: WaveVector | None = None
     gamma: complex = 1.0 + 0.0j
-    cf_tol: float = 1e-13
     root_tol: float = 1e-12
-    eig_residual: float = 1e-8
     N_matrix: int = 400
     n_window: int = 40
     K_cutoff: float = 5.0
@@ -57,9 +54,8 @@ class RunConfig:
     format: str = "json"
 
     def __post_init__(self):
-        for name in ("cf_tol", "root_tol", "eig_residual"):
-            if getattr(self, name) <= 0:
-                raise UsageError(f"tolerance {name} must be positive")
+        if self.root_tol <= 0:
+            raise UsageError("tolerance root_tol must be positive")
         if self.N_matrix < 5 or self.N_matrix > 2048:
             raise UsageError("sizes.N_matrix must lie in [5, 2048]")
         if self.format not in ("json", "csv"):
@@ -70,9 +66,7 @@ _CONFIG_KEYS = {
     "p": ("p", "vector"),
     "khat": ("khat", "vector"),
     "gamma": ("gamma", "complex"),
-    "tolerances.cf_tol": ("cf_tol", "float"),
     "tolerances.root_tol": ("root_tol", "float"),
-    "tolerances.eig_residual": ("eig_residual", "float"),
     "sizes.N_matrix": ("N_matrix", "int"),
     "sizes.n_window": ("n_window", "int"),
     "sizes.K_cutoff": ("K_cutoff", "float"),
@@ -149,9 +143,7 @@ def build_config(args: argparse.Namespace) -> RunConfig:
         "p": args.p,
         "khat": args.khat,
         "gamma": args.gamma,
-        "cf_tol": args.cf_tol,
         "root_tol": args.root_tol,
-        "eig_residual": args.eig_residual,
         "N_matrix": args.n_matrix,
         "n_window": args.n_window,
         "K_cutoff": args.k_cutoff,
@@ -332,16 +324,8 @@ def cmd_euler_sim(config: RunConfig) -> int:
     return 0
 
 
-def _worker_count() -> int:
-    raw = os.environ.get("EULER_SPECTRA_THREADS", "1")
-    try:
-        return max(1, min(16, int(raw)))
-    except ValueError:
-        raise UsageError(f"EULER_SPECTRA_THREADS must be an integer, got {raw!r}")
-
-
 def cmd_verify(config: RunConfig) -> int:
-    results = run_checks(workers=_worker_count())
+    results = run_checks()
     for r in results:
         print(f"[{'PASS' if r.passed else 'FAIL'}] {r.index}. {r.name}")
         print(f"        {r.detail}")
@@ -378,9 +362,7 @@ def _make_parser() -> _Parser:
     parser.add_argument("--p", type=_parse_vector, help="pump mode 'p1,p2'")
     parser.add_argument("--khat", type=_parse_vector, help="class member 'k1,k2'")
     parser.add_argument("--gamma", type=complex, help="pump amplitude (complex literal)")
-    parser.add_argument("--cf-tol", type=float)
     parser.add_argument("--root-tol", type=float)
-    parser.add_argument("--eig-residual", type=float)
     parser.add_argument("--n-matrix", type=int)
     parser.add_argument("--n-window", type=int)
     parser.add_argument("--k-cutoff", type=float)

@@ -16,6 +16,11 @@ constant-coefficient tail value as seed.  Zeros of the matching function
 are the point-spectrum values, reported as symmetry quadruples
 {+-lambda_tilde, +-conj(lambda_tilde)}.
 
+Every tail fraction, of the full chain and of the two half-chains of a
+class with a member on |k| = |p|, is one backward recurrence (minimal
+solutions: Gautschi, SIAM Rev. 9 (1967) 24), written once in _sweep,
+which also carries the derivative that the Newton search steps with.
+
 All search-facing entry points work in the scale-free variable
 lambda_tilde = lambda / a, which is invariant under rescaling |Gamma|.
 """
@@ -104,8 +109,9 @@ class EigenQuadruple:
     residual: float
 
 
-def _outside_band(a_t: complex) -> bool:
-    return a_t.real != 0.0 or abs(a_t) > 2.0
+def _outside_band(a_t):
+    """Elementwise: a_tilde lies off the essential band segment i*[-2, 2]."""
+    return (a_t.real != 0.0) | (abs(a_t) > 2.0)
 
 
 def band_distance_tilde(params: CFParams, lt: complex) -> float:
@@ -136,6 +142,14 @@ def a_tilde(params: CFParams, lam: complex) -> complex:
     return -lam * params.p.norm2 / params.a
 
 
+def _w_plus(a_t):
+    """Elementwise large root of w^2 - a_tilde w - 1 = 0 off the band: the
+    sign of the square root is chosen so that |w_plus| > 1."""
+    s = np.sqrt(a_t * a_t + 4.0)
+    delta = np.where(a_t.real != 0.0, np.sign(a_t.real) * np.sign(s.real), np.sign(a_t.imag))
+    return 0.5 * (a_t + delta * s)
+
+
 def asym_roots(a_t: complex) -> AsymRoots:
     """Solve w^2 - a_tilde w - 1 = 0 with the sign convention that makes
     w_plus the large root: |w_plus| > 1 > |w_minus|.
@@ -146,50 +160,111 @@ def asym_roots(a_t: complex) -> AsymRoots:
     a_t = complex(a_t)
     if not _outside_band(a_t):
         raise EssentialBandError(f"a_tilde = {a_t} lies on the essential band")
-    if a_t.real != 0.0:
-        s = np.sqrt(a_t * a_t + 4.0)
-        delta = np.sign(a_t.real) * np.sign(s.real)
-        w_plus = 0.5 * (a_t + delta * s)
+    w_plus = complex(_w_plus(a_t))
+    return AsymRoots(a_tilde=a_t, w_plus=w_plus, w_minus=-1.0 / w_plus)
+
+
+# ---------------------------------------------------------------------------
+# the recurrence kernel
+
+
+def _sweep(params: CFParams, lt, ns, start=None):
+    """Backward recurrence u <- lt/rho_n + 1/u over the indices ns, far end
+    first, carrying du/dlt in the same sweep; returns (u, du).
+
+    Without a start value the sweep is seeded with the constant-coefficient
+    tail value w_plus(a_tilde), a_tilde = -lt |p|^2, and its derivative.
+    Every tail fraction is this one recurrence: the lower tail runs over
+    n = -depth..0; the upper tail runs over n = depth..1 in the variable
+    u = -1/w, so its ratio is -1/u.  lt may be a scalar or an array.
+    """
+    if start is None:
+        a_t = -lt * params.p.norm2
+        u = _w_plus(a_t)
+        du = u * -params.p.norm2 / (2.0 * u - a_t)
     else:
-        xi = a_t.imag
-        s = np.sqrt(xi * xi - 4.0)
-        w_plus = 0.5j * (xi + np.sign(xi) * s)
-    return AsymRoots(a_tilde=a_t, w_plus=complex(w_plus), w_minus=complex(-1.0 / w_plus))
+        u, du = start
+    for n in ns:
+        r = params.rho_seq.value(n)
+        if r == 0.0:
+            raise OnCircleError(
+                f"rho_{n} = 0 (member on the circle |k| = |p|); use the half-chain solver"
+            )
+        u, du = lt / r + 1.0 / u, 1.0 / r - du / (u * u)
+    return u, du
 
 
-def _tail_once(params: CFParams, lam: complex, direction: str, depth: int) -> complex:
-    roots = asym_roots(a_tilde(params, lam))
-    if direction == "down":
-        # w_1 = a_0 + 1/(a_{-1} + 1/(a_{-2} + ...)), seeded with w_plus
-        w = roots.w_plus
-        for m in range(-depth, 1):
-            w = a_n(params, lam, m) + 1.0 / w
-        return w
-    if direction == "up":
-        # w_1 = -1/(a_1 + 1/(a_2 + ...)), seeded with w_minus at the far end
-        w = roots.w_minus
-        for n in range(depth, 0, -1):
-            w = 1.0 / (w - a_n(params, lam, n))
-        return w
-    raise DomainError(f"direction must be 'down' or 'up', got {direction!r}")
+def _match(params: CFParams, lt, side: int, depth: int):
+    """Matching function at a fixed truncation depth and its lt-derivative.
+
+        side  0:  f = K(-depth..0) + 1/K(depth..1)   (full chain)
+        side +1:  f = K(depth..1)                    (half-chain n >= 1)
+        side -1:  f = K(-depth..-1)                  (half-chain n <= -1)
+
+    Points on the essential band come back NaN.
+    """
+    with np.errstate(divide="ignore", invalid="ignore"):
+        if side > 0:
+            f, df = _sweep(params, lt, range(depth, 0, -1))
+        elif side < 0:
+            f, df = _sweep(params, lt, range(-depth, 0))
+        else:
+            down, ddown = _sweep(params, lt, range(-depth, 1))
+            up, dup = _sweep(params, lt, range(depth, 0, -1))
+            f, df = down + 1.0 / up, ddown - dup / (up * up)
+    off = _outside_band(-lt * params.p.norm2)
+    return np.where(off, f, np.nan), np.where(off, df, np.nan)
+
+
+def _deepen(evaluate, tol: float):
+    """Double the truncation depth from 64 until evaluate(depth) moves by
+    less than tol at every point where two successive values are finite
+    (at least one must be); return that depth and the value there."""
+    depth = 64
+    prev = np.atleast_1d(evaluate(depth))
+    while depth <= _MAX_DEPTH:
+        depth *= 2
+        cur = np.atleast_1d(evaluate(depth))
+        good = np.isfinite(prev) & np.isfinite(cur)
+        if good.any() and np.max(np.abs(cur[good] - prev[good])) < tol:
+            return depth, cur
+        prev = cur
+    raise NumericalError(f"continued fraction did not converge by depth {depth}")
+
+
+def _check_point(params: CFParams, lambda_tilde: complex) -> None:
+    if params.parallel:
+        raise DomainError("parallel class carries no point spectrum machinery")
+    if not _outside_band(-lambda_tilde * params.p.norm2):
+        raise EssentialBandError(f"lambda_tilde = {lambda_tilde} lies on the essential band")
+
+
+def _check_side(params: CFParams, side: int) -> None:
+    if side not in (+1, -1):
+        raise DomainError("side must be +1 or -1")
+    if params.khat.norm2 != params.p.norm2:
+        raise DomainError("half-chain solver applies only when |khat| = |p|")
 
 
 def cf_tail(params: CFParams, lam: complex, direction: str, tol: float) -> complex:
     """Evaluate one tail continued fraction at lambda, doubling the
-    truncation depth until successive values differ by less than tol."""
+    truncation depth until successive values differ by less than tol:
+    'down' is w_1 = a_0 + 1/(a_{-1} + ...), 'up' is w_1 = -1/(a_1 + ...)."""
     if tol <= 0:
         raise DomainError("tol must be positive")
-    depth = 32
-    prev = _tail_once(params, lam, direction, depth)
-    while depth <= _MAX_DEPTH:
-        depth *= 2
-        cur = _tail_once(params, lam, direction, depth)
-        if abs(cur - prev) < tol:
-            return cur
-        prev = cur
-    raise NumericalError(
-        f"continued fraction did not converge by depth {_MAX_DEPTH}; last iterates {prev}, {cur}"
-    )
+    if direction not in ("down", "up"):
+        raise DomainError(f"direction must be 'down' or 'up', got {direction!r}")
+    if params.parallel:
+        raise DomainError("parallel class: a = 0")
+    lt = complex(lam) / params.a
+    _check_point(params, lt)
+
+    def tail(depth):
+        if direction == "down":
+            return _sweep(params, lt, range(-depth, 1))[0]
+        return -1.0 / _sweep(params, lt, range(depth, 0, -1))[0]
+
+    return complex(_deepen(tail, tol)[1][0])
 
 
 def f_eigen(params: CFParams, lambda_tilde: complex, tol: float = 1e-13) -> complex:
@@ -200,14 +275,8 @@ def f_eigen(params: CFParams, lambda_tilde: complex, tol: float = 1e-13) -> comp
     evaluated at lambda = a * lambda_tilde; defined off the essential band
     only.
     """
-    if params.parallel:
-        raise DomainError("parallel class carries no point spectrum machinery")
-    lam = params.a * lambda_tilde
-    if not _outside_band(a_tilde(params, lam)):
-        raise EssentialBandError(f"lambda_tilde = {lambda_tilde} lies on the essential band")
-    down = cf_tail(params, lam, "down", tol)  # = a_0 + K(lower)
-    up = cf_tail(params, lam, "up", tol)  # = -K(upper)
-    return down - up
+    _check_point(params, lambda_tilde)
+    return complex(_deepen(lambda d: _match(params, lambda_tilde, 0, d)[0], tol)[1][0])
 
 
 def f_eigen_half(params: CFParams, lambda_tilde: complex, side: int, tol: float = 1e-13) -> complex:
@@ -218,82 +287,13 @@ def f_eigen_half(params: CFParams, lambda_tilde: complex, side: int, tol: float 
 
     The n = 0 mode is excluded (its outgoing couplings vanish there).
     """
-    if side not in (+1, -1):
-        raise DomainError("side must be +1 or -1")
-    if params.khat.norm2 != params.p.norm2:
-        raise DomainError("half-chain solver applies only when |khat| = |p|")
-    lam = params.a * lambda_tilde
-    if not _outside_band(a_tilde(params, lam)):
-        raise EssentialBandError(f"lambda_tilde = {lambda_tilde} lies on the essential band")
-    roots = asym_roots(a_tilde(params, lam))
-    depth = 32
-    prev = None
-    while depth <= _MAX_DEPTH:
-        if side > 0:
-            w = roots.w_minus
-            for n in range(depth, 1, -1):
-                w = 1.0 / (w - a_n(params, lam, n))
-            cur = a_n(params, lam, 1) - w
-        else:
-            w = roots.w_plus
-            for m in range(-depth, -1):
-                w = a_n(params, lam, m) + 1.0 / w
-            cur = a_n(params, lam, -1) + 1.0 / w
-        if prev is not None and abs(cur - prev) < tol:
-            return cur
-        prev = cur
-        depth *= 2
-    raise NumericalError("half-chain continued fraction did not converge")
+    _check_side(params, side)
+    _check_point(params, lambda_tilde)
+    return complex(_deepen(lambda d: _match(params, lambda_tilde, side, d)[0], tol)[1][0])
 
 
 # ---------------------------------------------------------------------------
-# vectorized evaluation + Newton search
-
-
-def _rho_array(params: CFParams, depth: int) -> tuple[np.ndarray, np.ndarray]:
-    lower = np.array([params.rho_seq.value(m) for m in range(-depth, 1)])  # m = -depth..0
-    upper = np.array([params.rho_seq.value(n) for n in range(1, depth + 1)])  # n = 1..depth
-    if np.any(lower == 0.0) or np.any(upper == 0.0):
-        raise OnCircleError("rho vanishes on a member; use the half-chain solver")
-    return lower, upper
-
-
-def _f_batch(params: CFParams, lts: np.ndarray, depth: int) -> np.ndarray:
-    """f at an array of lambda_tilde points, fixed truncation depth.
-    Points on the band come back NaN."""
-    lower, upper = _rho_array(params, depth)
-    lts = np.asarray(lts, dtype=complex)
-    at = -lts * params.p.norm2
-    ok = (at.real != 0.0) | (np.abs(at) > 2.0)
-    s = np.sqrt(at * at + 4.0)
-    delta = np.where(at.real != 0.0, np.sign(at.real) * np.sign(s.real), np.sign(at.imag))
-    wp = 0.5 * (at + delta * s)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        w = wp.copy()
-        for rho_m in lower:  # m = -depth .. 0
-            w = lts / rho_m + 1.0 / w
-        down = w
-        w = -1.0 / wp
-        for rho_n in upper[::-1]:  # n = depth .. 1
-            w = 1.0 / (w - lts / rho_n)
-        up = w
-    f = down - up
-    f[~ok] = np.nan
-    return f
-
-
-def _adaptive_depth(params: CFParams, probes: np.ndarray, tol: float) -> int:
-    """Smallest doubling depth at which f is tol-converged on the probes."""
-    depth = 64
-    prev = _f_batch(params, probes, depth)
-    while depth <= _MAX_DEPTH:
-        depth *= 2
-        cur = _f_batch(params, probes, depth)
-        good = np.isfinite(prev) & np.isfinite(cur)
-        if good.any() and np.max(np.abs(cur[good] - prev[good])) < tol:
-            return depth
-        prev = cur
-    raise NumericalError("continued fraction depth search did not converge")
+# Newton search
 
 
 def _quadruple_members(lt: complex, tol: float) -> tuple[complex, ...]:
@@ -314,6 +314,65 @@ def _representative(members: tuple[complex, ...]) -> complex:
     return members[0]
 
 
+def _search(
+    params: CFParams, side: int, search_box: tuple[float, float, float, float], grid: int, tol: float
+) -> list[EigenQuadruple]:
+    """Newton search for zeros of the matching function of `side` (see
+    _match) from a grid x grid seed lattice over the box, at the one
+    truncation depth that converges f on a sample of the seeds."""
+    if params.parallel:
+        raise DomainError("parallel class carries no point spectrum machinery")
+    if grid < 1:
+        raise DomainError(f"grid must be a positive integer, got {grid}")
+    re_min, re_max, im_min, im_max = search_box
+    if re_max <= re_min or im_max <= im_min:
+        raise DomainError("degenerate search box")
+
+    res = np.linspace(re_min, re_max, grid)
+    ims = np.linspace(im_min, im_max, grid)
+    seeds = (res[:, None] + 1j * ims[None, :]).ravel()
+    probes = seeds[:: max(1, len(seeds) // 16)]
+    depth, _ = _deepen(lambda d: _match(params, probes, side, d)[0], min(tol * 1e-2, 1e-13))
+
+    lt = seeds.copy()
+    active = np.ones(len(lt), dtype=bool)
+    bound = 4.0 * (abs(re_max) + abs(im_max) + 1.0)
+    for _ in range(60):
+        if not active.any():
+            break
+        cur = lt[active]
+        f, df = _match(params, cur, side, depth)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            step = f / df
+        nxt = cur - step
+        bad = (
+            ~np.isfinite(nxt)
+            | (np.abs(nxt) > bound)
+            | (np.array([band_distance_tilde(params, z) for z in nxt]) < BAND_TUBE)
+        )
+        conv = np.abs(step) < 1e-14 * (1.0 + np.abs(nxt))
+        nxt[bad] = np.nan
+        lt[active] = nxt
+        active[active] = ~(bad | conv)
+
+    finite = lt[np.isfinite(lt)]
+    if len(finite) == 0:
+        return []
+    roots = finite[np.abs(_match(params, finite, side, 2 * depth)[0]) < tol]
+
+    quads: list[EigenQuadruple] = []
+    for z in sorted(roots, key=lambda z: (abs(z), z.real, z.imag)):
+        members = _quadruple_members(complex(z), 10.0 * tol)
+        rep = _representative(members)
+        if any(min(abs(rep - m) for m in q.members) < 10.0 * tol for q in quads):
+            continue
+        residual = abs(_match(params, np.array([rep]), side, 2 * depth)[0][0])
+        if residual < tol:
+            quads.append(EigenQuadruple(lambda_tilde=rep, members=members, residual=float(residual)))
+    quads.sort(key=lambda q: (abs(q.lambda_tilde), q.lambda_tilde.real, q.lambda_tilde.imag))
+    return quads
+
+
 def find_eigenvalues(
     params: CFParams,
     search_box: tuple[float, float, float, float] = (BAND_TUBE, 4.0, BAND_TUBE, 4.0),
@@ -328,63 +387,7 @@ def find_eigenvalues(
     diverge are dropped.  Every returned root satisfies |f| < tol.  An
     empty list is a legitimate outcome (classes missing the disk).
     """
-    if params.parallel:
-        raise DomainError("parallel class carries no point spectrum machinery")
-    re_min, re_max, im_min, im_max = search_box
-    if re_max <= re_min or im_max <= im_min:
-        raise DomainError("degenerate search box")
-
-    res = np.linspace(re_min, re_max, grid)
-    ims = np.linspace(im_min, im_max, grid)
-    seeds = (res[:, None] + 1j * ims[None, :]).ravel()
-
-    cf_tol = min(tol * 1e-2, 1e-13)
-    depth = _adaptive_depth(params, seeds[:: max(1, len(seeds) // 16)], cf_tol)
-
-    lt = seeds.copy()
-    active = np.ones(len(lt), dtype=bool)
-    bound = 4.0 * (abs(re_max) + abs(im_max) + 1.0)
-    for _ in range(60):
-        if not active.any():
-            break
-        cur = lt[active]
-        h = 1e-7 * (1.0 + np.abs(cur))
-        f0 = _f_batch(params, cur, depth)
-        fp = _f_batch(params, cur + h, depth)
-        fm = _f_batch(params, cur - h, depth)
-        deriv = (fp - fm) / (2.0 * h)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            step = f0 / deriv
-        nxt = cur - step
-        bad = (
-            ~np.isfinite(nxt)
-            | (np.abs(nxt) > bound)
-            | (np.array([band_distance_tilde(params, z) for z in nxt]) < BAND_TUBE)
-        )
-        conv = np.abs(step) < 1e-14 * (1.0 + np.abs(nxt))
-        nxt[bad] = np.nan
-        lt[active] = nxt
-        still = np.zeros(len(lt), dtype=bool)
-        still[active] = ~(bad | conv)
-        active = still
-
-    finite = lt[np.isfinite(lt)]
-    if len(finite) == 0:
-        return []
-    fvals = _f_batch(params, finite, depth * 2)
-    roots = finite[np.abs(fvals) < tol]
-
-    quads: list[EigenQuadruple] = []
-    for z in sorted(roots, key=lambda z: (abs(z), z.real, z.imag)):
-        members = _quadruple_members(complex(z), 10.0 * tol)
-        rep = _representative(members)
-        if any(min(abs(rep - m) for m in q.members) < 10.0 * tol for q in quads):
-            continue
-        residual = abs(_f_batch(params, np.array([rep]), depth * 2)[0])
-        if residual < tol:
-            quads.append(EigenQuadruple(lambda_tilde=rep, members=members, residual=float(residual)))
-    quads.sort(key=lambda q: (abs(q.lambda_tilde), q.lambda_tilde.real, q.lambda_tilde.imag))
-    return quads
+    return _search(params, 0, search_box, grid, tol)
 
 
 def find_eigenvalues_half(
@@ -394,48 +397,11 @@ def find_eigenvalues_half(
     grid: int = 12,
     tol: float = 1e-12,
 ) -> list[EigenQuadruple]:
-    """Root search for one half-chain matching function (|khat| = |p|).
-    Scalar Newton per seed; same dedup/quadruple reporting as the full
-    solver."""
-    re_min, re_max, im_min, im_max = search_box
-    seeds = [
-        complex(r, i)
-        for r in np.linspace(re_min, re_max, grid)
-        for i in np.linspace(im_min, im_max, grid)
-    ]
-    roots = []
-    for z in seeds:
-        ok = True
-        for _ in range(50):
-            try:
-                h = 1e-7 * (1.0 + abs(z))
-                d = (f_eigen_half(params, z + h, side, tol=1e-13) - f_eigen_half(params, z - h, side, tol=1e-13)) / (2 * h)
-                step = f_eigen_half(params, z, side, tol=1e-13) / d
-            except (EssentialBandError, ZeroDivisionError):
-                ok = False
-                break
-            z = z - step
-            if not np.isfinite(z) or abs(z) > 50.0:
-                ok = False
-                break
-            if abs(step) < 1e-14 * (1 + abs(z)):
-                break
-        if ok and band_distance_tilde(params, z) > BAND_TUBE:
-            try:
-                if abs(f_eigen_half(params, z, side, tol=1e-14)) < tol:
-                    roots.append(z)
-            except EssentialBandError:
-                pass
-    quads: list[EigenQuadruple] = []
-    for z in sorted(roots, key=lambda z: (abs(z), z.real, z.imag)):
-        members = _quadruple_members(complex(z), 10.0 * tol)
-        rep = _representative(members)
-        if any(min(abs(rep - m) for m in q.members) < 10.0 * tol for q in quads):
-            continue
-        quads.append(
-            EigenQuadruple(rep, members, float(abs(f_eigen_half(params, rep, side, tol=1e-14))))
-        )
-    return quads
+    """Root search for one half-chain matching function (|khat| = |p|);
+    same seeds, Newton iteration, drops and quadruple reporting as the
+    full-chain search."""
+    _check_side(params, side)
+    return _search(params, side, search_box, grid, tol)
 
 
 # ---------------------------------------------------------------------------
@@ -455,56 +421,29 @@ def eigenvector_window(
     """
     if n_min > 0 or n_max < 1:
         raise DomainError("window must contain the matching indices 0 and 1")
-    lam = params.a * lambda_tilde
-    roots = asym_roots(a_tilde(params, lam))
-    depth = 64
-    # converge the deepest needed down-ratio
-    need = abs(n_min) + 8
-    while depth < need:
-        depth *= 2
+    _check_point(params, lambda_tilde)
 
-    def down_ratios(d: int) -> dict[int, complex]:
-        w = roots.w_plus
-        out = {}
-        for m in range(-d, 2):  # produces w_{m+1} after using a_m
-            w = a_n(params, lam, m) + 1.0 / w
-            out[m + 1] = w
-        return out
+    def kernel_values(window: range) -> np.ndarray:
+        # K(..n) for each n of the window: the kernel runs over the tail
+        # beyond the window edge, deepened until every value has converged,
+        # then continues one index at a time across the window
+        def evaluate(depth):
+            edge = window[0]
+            state = _sweep(params, lambda_tilde, range(edge - window.step * depth, edge, window.step))
+            values = []
+            for n in window:
+                state = _sweep(params, lambda_tilde, (n,), state)
+                values.append(state[0])
+            return np.array(values)
 
-    prev = down_ratios(depth)
-    while depth <= _MAX_DEPTH:
-        depth *= 2
-        cur = down_ratios(depth)
-        if abs(cur[1] - prev[1]) < tol:
-            break
-        prev = cur
-    w_down = cur  # w_n^{(lower)} for n in [-depth+1, 1]
+        return _deepen(evaluate, tol)[1]
 
-    def up_ratios(d: int) -> dict[int, complex]:
-        w = roots.w_minus
-        out = {d + 1: w}
-        for n in range(d, 1, -1):
-            w = 1.0 / (w - a_n(params, lam, n))
-            out[n] = w
-        return out
-
-    depth_u = max(64, n_max + 8)
-    prev = up_ratios(depth_u)
-    while depth_u <= _MAX_DEPTH:
-        depth_u *= 2
-        cur = up_ratios(depth_u)
-        if abs(cur[2] - prev[2]) < tol:
-            break
-        prev = cur
-    w_up = cur  # w_n^{(upper)} for n >= 2
-
-    z = {0: 1.0 + 0.0j}
-    for n in range(1, n_max + 1):
-        ratio = w_down[1] if n == 1 else w_up[n]
-        z[n] = z[n - 1] * ratio
-    for n in range(-1, n_min - 1, -1):
-        z[n] = z[n + 1] / w_down[n + 1]
-    return np.array([z[n] for n in range(n_min, n_max + 1)])
+    lower = kernel_values(range(n_min, 1))  # z_{m+1}/z_m, m = n_min..0
+    upper = -1.0 / kernel_values(range(n_max, 0, -1))  # z_n/z_{n-1}, n = n_max..1
+    # z_1/z_0 is the lower tail's w_1; the upper one at n = 1 goes unused
+    right = np.cumprod(np.concatenate([lower[-1:], upper[-2::-1]]))  # z_1..z_{n_max}
+    left = 1.0 / np.cumprod(lower[-2::-1])  # z_{-1}..z_{n_min}
+    return np.concatenate([left[::-1], [1.0 + 0.0j], right])
 
 
 def mode_amplitudes(

@@ -379,14 +379,7 @@ CHECKS = [
 ]
 
 
-def run_checks(workers: int = 1) -> list[CheckResult]:
-    """Run all acceptance checks, optionally fanning out over a thread
-    pool; results come back ordered by check index regardless."""
-    if workers <= 1:
-        results = [fn() for fn in CHECKS]
-    else:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(lambda fn: fn(), CHECKS))
-    return sorted(results, key=lambda r: r.index)
+def run_checks() -> list[CheckResult]:
+    """Run all acceptance checks in turn; results come back ordered by
+    check index."""
+    return sorted((fn() for fn in CHECKS), key=lambda r: r.index)

@@ -148,6 +148,13 @@ def test_usage_errors_exit_1(capsys):
     assert code == 1 and "N_matrix" in err
 
 
+def test_grid_below_one_is_a_usage_error(capsys):
+    for grid in ("0", "-3"):
+        code, out, err = run_cli(capsys, "eigs-cf", "--p", "1,1", "--khat", "1,0", "--grid", grid)
+        assert code == 1 and out == ""
+        assert "grid" in err
+
+
 def test_unknown_config_key_rejected(tmp_path, capsys):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text("sizes.bogus=1\n")
@@ -158,26 +165,12 @@ def test_unknown_config_key_rejected(tmp_path, capsys):
 
 def test_verify_exit_codes(monkeypatch, capsys):
     good = [CheckResult(1, "stub", True, "ok", 0.0)]
-    monkeypatch.setattr(cli, "run_checks", lambda workers=1: good)
+    monkeypatch.setattr(cli, "run_checks", lambda: good)
     assert run_cli(capsys, "verify")[0] == 0
 
     bad = [CheckResult(1, "stub", True, "ok", 0.0), CheckResult(2, "stub2", False, "no", 0.0)]
-    monkeypatch.setattr(cli, "run_checks", lambda workers=1: bad)
+    monkeypatch.setattr(cli, "run_checks", lambda: bad)
     code, out, _ = run_cli(capsys, "verify")
     assert code == 3
     assert "[FAIL] 2." in out
 
-
-def test_verify_thread_env(monkeypatch, capsys):
-    seen = {}
-
-    def fake(workers=1):
-        seen["workers"] = workers
-        return [CheckResult(1, "stub", True, "ok", 0.0)]
-
-    monkeypatch.setattr(cli, "run_checks", fake)
-    monkeypatch.setenv("EULER_SPECTRA_THREADS", "4")
-    assert run_cli(capsys, "verify")[0] == 0
-    assert seen["workers"] == 4
-    monkeypatch.setenv("EULER_SPECTRA_THREADS", "notanumber")
-    assert run_cli(capsys, "verify")[0] == 1

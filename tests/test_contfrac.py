@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from euler_spectra.contfrac import (
     CFParams,
+    _match,
     a_n,
     a_tilde,
     asym_roots,
@@ -18,7 +19,8 @@ from euler_spectra.contfrac import (
     mode_amplitudes,
 )
 from euler_spectra.errors import DomainError, EssentialBandError, OnCircleError
-from euler_spectra.lattice import WaveVector
+from euler_spectra.lattice import WaveVector, det
+from euler_spectra.matrixop import build, truncated_spectrum
 from euler_spectra.subsystem import ComplexSeq, SubsystemSpec, cle_rhs
 
 V = WaveVector
@@ -31,6 +33,8 @@ POLISHED_ROOT = 0.24822301804110669 + 0.35172076458544754j
 
 GOLDEN = CFParams.for_class(V(1, 0), V(1, 1), 1.0)
 STABLE = CFParams.for_class(V(2, -1), V(1, 1), 1.0)
+# |khat| = |p| with two different half-chains: side -1 has a real root pair
+CIRCLE = CFParams.for_class(V(2, -1), V(2, 1), 1.0)
 
 
 class _ConstRho:
@@ -244,3 +248,50 @@ def test_parallel_class_rejected():
         f_eigen(par, 0.3 + 0.3j)
     with pytest.raises(DomainError):
         find_eigenvalues(par)
+
+
+def test_kernel_derivative_matches_central_difference():
+    pts = np.array([0.3 + 0.5j, 1.2 + 0.1j, 0.05 + 1.5j, -0.7 + 0.2j, 0.25 + 0.35j])
+    h = 1e-5
+    for params, side in ((GOLDEN, 0), (STABLE, 0), (CIRCLE, +1), (CIRCLE, -1)):
+        _, df = _match(params, pts, side, 256)
+        fd = (_match(params, pts + h, side, 256)[0] - _match(params, pts - h, side, 256)[0]) / (2 * h)
+        assert np.all(np.abs(df - fd) < 1e-7 * np.abs(df)), (params.khat, side)
+
+
+def test_half_chain_default_box_finds_real_pair():
+    quads = find_eigenvalues_half(CIRCLE, -1)
+    assert len(quads) == 1
+    q = quads[0]
+    assert q.lambda_tilde == pytest.approx(0.0411649532416021, abs=1e-13)
+    assert abs(q.lambda_tilde.imag) < 1e-13
+    assert len(q.members) == 2
+    assert q.residual < 1e-12
+
+
+def _meets_disk_or_circle(khat, p):
+    # |khat + n p|^2 is minimal near n = -khat.p / |p|^2, well inside this range
+    norms = [khat.plus(n, p).norm2 for n in range(-8, 9)]
+    return min(norms) < p.norm2, p.norm2 in norms
+
+
+@given(
+    st.sampled_from([V(1, 1), V(2, 1), V(1, 0)]),
+    st.integers(-3, 3),
+    st.integers(-3, 3),
+)
+@settings(max_examples=8, deadline=None)
+def test_cf_roots_are_dense_section_eigenvalues(p, k1, k2):
+    khat = V(k1, k2)
+    assume(det(p, khat) != 0)
+    meets, circle = _meets_disk_or_circle(khat, p)
+    assume(not circle)
+    params = CFParams.for_class(khat, p, 1.0)
+    quads = find_eigenvalues(params, search_box=(0.05, 2.0, 0.05, 2.0), grid=6)
+    if not meets:
+        assert quads == []
+        return
+    ev = truncated_spectrum(build("A", params, 400))
+    for q in quads:
+        for m in q.members:
+            assert np.min(np.abs(ev - params.a * m)) < 1e-6 * abs(params.a)
