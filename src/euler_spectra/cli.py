@@ -16,12 +16,10 @@ import argparse
 import sys
 from dataclasses import dataclass, fields
 
-import numpy as np
-
 from . import reporting
 from .contfrac import CFParams, find_eigenvalues
 from .errors import DomainError, NumericalError, UsageError
-from .euler_core import ModeSet, fixed_point, integrate_euler
+from .euler_core import ModeSet, VorticityField, fixed_point, integrate_euler
 from .lattice import (
     WaveVector,
     canonical_label,
@@ -299,15 +297,10 @@ def cmd_euler_sim(config: RunConfig) -> int:
     field = fixed_point(config.p, config.gamma, modeset)
     if config.eps > 0.0:
         _require(config, "khat")
-        member = config.khat
-        if member not in modeset:
-            raise UsageError(f"perturbation mode {member} outside cutoff {config.K_cutoff}")
-        reps = modeset.representatives
-        pos = {k: i for i, k in enumerate(reps)}
-        if member in pos:
-            field.coeffs[pos[member]] += config.eps
-        else:
-            field.coeffs[pos[-member]] += np.conj(complex(config.eps))
+        if config.khat not in modeset:
+            raise UsageError(f"perturbation mode {config.khat} outside cutoff {config.K_cutoff}")
+        pert = VorticityField.from_dict(modeset, {config.khat: config.eps})
+        field = VorticityField(modeset, field.coeffs + pert.coeffs)
     traj = integrate_euler(field, dt=config.dt, steps=config.steps, sample_every=max(1, config.steps // 50))
     if config.format == "csv":
         final = traj.field(len(traj.times) - 1)
@@ -377,10 +370,25 @@ def _make_parser() -> _Parser:
     return parser
 
 
+_VALUE_FLAGS = ("--p", "--khat", "--box")
+
+
+def _attach_negative_values(argv: list[str]) -> list[str]:
+    """Rewrite '--khat -1,1' as '--khat=-1,1'; argparse would read the
+    value '-1,1' as an option."""
+    out: list[str] = []
+    for arg in argv:
+        if out and out[-1] in _VALUE_FLAGS and arg[:1] == "-" and (arg[1:2].isdigit() or arg[1:2] == "."):
+            out[-1] += "=" + arg
+        else:
+            out.append(arg)
+    return out
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = _make_parser()
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(_attach_negative_values(sys.argv[1:] if argv is None else argv))
         config = build_config(args)
         return _COMMANDS[args.command](config)
     except (UsageError, DomainError) as exc:

@@ -16,12 +16,14 @@ linearized coupling ties this module to the per-class chain dynamics.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-from .errors import DomainError, NumericalError, UsageError
-from .lattice import WaveVector, triad_coeff
+from .errors import DomainError, UsageError
+from .lattice import WaveVector, lattice_points_in_disk, triad_coeff
+from .subsystem import _rel_drift, _rk4
 
 __all__ = [
     "ModeSet",
@@ -42,31 +44,30 @@ def _is_representative(k: WaveVector) -> bool:
 
 @dataclass(frozen=True)
 class ModeSet:
-    """Nonzero lattice modes with |k| <= cutoff, closed under k -> -k."""
+    """Nonzero lattice modes with |k| <= cutoff, closed under k -> -k.
+
+    The index, the representatives, the triad table and the embedding are
+    derived once per instance, on first use.
+    """
 
     cutoff: float
     modes: tuple[WaveVector, ...]
-    _index: dict = field(default_factory=dict, repr=False, compare=False)
 
     @classmethod
     def disk(cls, cutoff: float) -> "ModeSet":
         if cutoff < 1.0:
             raise DomainError("cutoff below 1 leaves no modes")
-        r2 = cutoff * cutoff
-        modes = []
-        r = int(cutoff) + 1
-        for k1 in range(-r, r + 1):
-            for k2 in range(-r, r + 1):
-                if (k1, k2) != (0, 0) and k1 * k1 + k2 * k2 <= r2:
-                    modes.append(WaveVector(k1, k2))
-        return cls(cutoff=cutoff, modes=tuple(sorted(modes)))
+        # norms are integers, so |k|^2 <= cutoff^2 iff |k|^2 <= floor(cutoff^2)
+        return cls(cutoff=cutoff, modes=tuple(lattice_points_in_disk(int(cutoff * cutoff))))
 
     def __post_init__(self):
-        index = {k: i for i, k in enumerate(self.modes)}
-        object.__setattr__(self, "_index", index)
         for k in self.modes:
-            if k.is_zero or -k not in index:
+            if k.is_zero or -k not in self._index:
                 raise DomainError("mode set must exclude the origin and be negation-closed")
+
+    @cached_property
+    def _index(self) -> dict[WaveVector, int]:
+        return {k: i for i, k in enumerate(self.modes)}
 
     def __contains__(self, k: WaveVector) -> bool:
         return k in self._index
@@ -74,41 +75,42 @@ class ModeSet:
     def index(self, k: WaveVector) -> int:
         return self._index[k]
 
-    @property
+    @cached_property
     def representatives(self) -> tuple[WaveVector, ...]:
         return tuple(k for k in self.modes if _is_representative(k))
 
+    @cached_property
+    def triads(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """Flattened unordered-pair triad table (k_idx, p_idx, q_idx, coeff)
+        with every leg inside the mode set; pairs with zero coefficient are
+        dropped."""
+        ks, ps, qs, cs = [], [], [], []
+        n = len(self.modes)
+        for i in range(n):
+            p = self.modes[i]
+            for j in range(i, n):
+                q = self.modes[j]
+                k = p + q
+                if k.is_zero or k not in self:
+                    continue
+                coeff = triad_coeff(p, q)
+                if coeff == 0.0:
+                    continue
+                ks.append(self.index(k))
+                ps.append(i)
+                qs.append(j)
+                cs.append(coeff)
+        return np.array(ks), np.array(ps), np.array(qs), np.array(cs)
 
-_TRIAD_CACHE: dict[tuple, tuple] = {}
-
-
-def _triads(modeset: ModeSet):
-    """Flattened unordered-pair triad table (k_idx, p_idx, q_idx, coeff)
-    with every leg inside the mode set; pairs with zero coefficient are
-    dropped."""
-    key = (modeset.cutoff, modeset.modes)
-    hit = _TRIAD_CACHE.get(key)
-    if hit is not None:
-        return hit
-    ks, ps, qs, cs = [], [], [], []
-    n = len(modeset.modes)
-    for i in range(n):
-        p = modeset.modes[i]
-        for j in range(i, n):
-            q = modeset.modes[j]
-            k = p + q
-            if k.is_zero or k not in modeset:
-                continue
-            coeff = triad_coeff(p, q)
-            if coeff == 0.0:
-                continue
-            ks.append(modeset.index(k))
-            ps.append(i)
-            qs.append(j)
-            cs.append(coeff)
-    table = (np.array(ks), np.array(ps), np.array(qs), np.array(cs))
-    _TRIAD_CACHE[key] = table
-    return table
+    @cached_property
+    def embedding(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(src, conj, rep_idx): signed mode i takes representative src[i],
+        conjugated where conj[i]; representative r sits at mode rep_idx[r]."""
+        rep_pos = {k: i for i, k in enumerate(self.representatives)}
+        src = np.array([rep_pos[k] if k in rep_pos else rep_pos[-k] for k in self.modes], dtype=int)
+        conj = np.array([k not in rep_pos for k in self.modes], dtype=bool)
+        rep_idx = np.array([self.index(k) for k in self.representatives], dtype=int)
+        return src, conj, rep_idx
 
 
 @dataclass
@@ -131,23 +133,24 @@ class VorticityField:
     @classmethod
     def from_dict(cls, modeset: ModeSet, values: dict[WaveVector, complex]) -> "VorticityField":
         fld = cls.zero(modeset)
-        rep_pos = {k: i for i, k in enumerate(modeset.representatives)}
-        seen: dict[WaveVector, complex] = {}
+        src, conj, _ = modeset.embedding
+        seen: dict[int, complex] = {}
         for k, v in values.items():
             if k not in modeset:
                 raise DomainError(f"mode {k} outside the mode set")
-            rep, stored = (k, complex(v)) if k in rep_pos else (-k, np.conj(complex(v)))
+            i = modeset.index(k)
+            rep, stored = src[i], (np.conj(complex(v)) if conj[i] else complex(v))
             if rep in seen and abs(seen[rep] - stored) > 1e-12 * max(1.0, abs(stored)):
                 raise DomainError(f"conflicting values violate w(-k) = conj(w(k)) at {k}")
             seen[rep] = stored
-            fld.coeffs[rep_pos[rep]] = stored
+            fld.coeffs[rep] = stored
         return fld
 
     def value(self, k: WaveVector) -> complex:
-        reps = self.modeset.representatives
-        if _is_representative(k):
-            return complex(self.coeffs[reps.index(k)])
-        return complex(np.conj(self.coeffs[reps.index(-k)]))
+        src, conj, _ = self.modeset.embedding
+        i = self.modeset.index(k)
+        v = self.coeffs[src[i]]
+        return complex(np.conj(v) if conj[i] else v)
 
     def full_vector(self) -> np.ndarray:
         """Amplitudes over all signed modes, conjugates filled in."""
@@ -157,51 +160,32 @@ class VorticityField:
         return VorticityField(self.modeset, self.coeffs.copy())
 
 
-_EMBED_CACHE: dict[tuple, tuple] = {}
-
-
-def _embedding(modeset: ModeSet):
-    key = (modeset.cutoff, modeset.modes)
-    hit = _EMBED_CACHE.get(key)
-    if hit is not None:
-        return hit
-    reps = modeset.representatives
-    rep_pos = {k: i for i, k in enumerate(reps)}
-    src = np.empty(len(modeset.modes), dtype=int)
-    conj = np.empty(len(modeset.modes), dtype=bool)
-    for i, k in enumerate(modeset.modes):
-        if k in rep_pos:
-            src[i] = rep_pos[k]
-            conj[i] = False
-        else:
-            src[i] = rep_pos[-k]
-            conj[i] = True
-    rep_idx = np.array([modeset.index(k) for k in reps])
-    _EMBED_CACHE[key] = (src, conj, rep_idx)
-    return src, conj, rep_idx
-
-
 def _embed(modeset: ModeSet, coeffs: np.ndarray) -> np.ndarray:
-    src, conj, _ = _embedding(modeset)
-    full = coeffs[src]
-    full[conj] = np.conj(full[conj])
+    """Amplitudes over all signed modes from representative amplitudes along
+    the last axis of coeffs.  Rows come back C-contiguous, so a row sum
+    rounds as the sum of that sample alone does."""
+    src, conj, _ = modeset.embedding
+    full = np.ascontiguousarray(coeffs[..., src])
+    full[..., conj] = np.conj(full[..., conj])
     return full
 
 
 def _rhs_full(modeset: ModeSet, full: np.ndarray) -> np.ndarray:
-    ks, ps, qs, cs = _triads(modeset)
+    ks, ps, qs, cs = modeset.triads
     prod = cs * full[ps] * full[qs]
     out_re = np.bincount(ks, weights=prod.real, minlength=len(full))
     out_im = np.bincount(ks, weights=prod.imag, minlength=len(full))
     return out_re + 1j * out_im
 
 
+def _rep_rhs(modeset: ModeSet, coeffs: np.ndarray) -> np.ndarray:
+    """Right-hand side on representative amplitudes, representatives out."""
+    return _rhs_full(modeset, _embed(modeset, coeffs))[modeset.embedding[2]]
+
+
 def euler_rhs(field: VorticityField) -> VorticityField:
     """Quadratic mode-coupling right-hand side; preserves reality."""
-    full = field.full_vector()
-    out = _rhs_full(field.modeset, full)
-    _, _, rep_idx = _embedding(field.modeset)
-    return VorticityField(field.modeset, out[rep_idx])
+    return VorticityField(field.modeset, _rep_rhs(field.modeset, field.coeffs))
 
 
 def fixed_point(p: WaveVector, gamma: complex, modeset: ModeSet) -> VorticityField:
@@ -211,14 +195,17 @@ def fixed_point(p: WaveVector, gamma: complex, modeset: ModeSet) -> VorticityFie
     return VorticityField.from_dict(modeset, {p: gamma})
 
 
+def _energy_enstrophy(modeset: ModeSet, full: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(E, J) of the signed-mode amplitudes along the last axis of full."""
+    norms = np.array([k.norm2 for k in modeset.modes], dtype=float)
+    amps2 = np.abs(full) ** 2
+    return 0.5 * np.sum(amps2 / norms, axis=-1), np.sum(amps2, axis=-1)
+
+
 def conserved(field: VorticityField, p: WaveVector | None = None) -> tuple[float, float, float | None]:
     """(E, J, I): kinetic energy, enstrophy, and the pump-weighted
     combination I = 2E - |p|^-2 J when a pump direction is supplied."""
-    full = field.full_vector()
-    norms = np.array([k.norm2 for k in field.modeset.modes], dtype=float)
-    amps2 = np.abs(full) ** 2
-    E = float(0.5 * np.sum(amps2 / norms))
-    J = float(np.sum(amps2))
+    E, J = (float(x) for x in _energy_enstrophy(field.modeset, field.full_vector()))
     I = (2.0 * E - J / p.norm2) if p is not None else None
     return E, J, I
 
@@ -292,6 +279,7 @@ class EulerTrajectory:
         return VorticityField(self.modeset, self.coeffs[i].copy())
 
 
+@np.errstate(over="ignore", invalid="ignore")  # an overflow raises NumericalError
 def integrate_euler(
     field0: VorticityField,
     dt: float,
@@ -299,46 +287,13 @@ def integrate_euler(
     sample_every: int = 1,
 ) -> EulerTrajectory:
     """Classical fixed-step 4th-order integration with E/J drift report."""
-    if dt <= 0 or steps < 1:
-        raise DomainError("need dt > 0 and steps >= 1")
     modeset = field0.modeset
-    _, _, rep_idx = _embedding(modeset)
-
-    def rhs(coeffs: np.ndarray) -> np.ndarray:
-        return _rhs_full(modeset, _embed(modeset, coeffs))[rep_idx]
-
-    w = field0.coeffs.astype(complex).copy()
-    samples = [w.copy()]
-    times = [0.0]
-    for step in range(1, steps + 1):
-        k1 = rhs(w)
-        k2 = rhs(w + 0.5 * dt * k1)
-        k3 = rhs(w + 0.5 * dt * k2)
-        k4 = rhs(w + dt * k3)
-        w = w + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        if not np.all(np.isfinite(w)):
-            raise NumericalError(f"non-finite amplitude at step {step}")
-        if step % sample_every == 0 or step == steps:
-            samples.append(w.copy())
-            times.append(step * dt)
-
-    coeffs = np.array(samples)
-    e_series, j_series = [], []
-    for row in coeffs:
-        E, J, _ = conserved(VorticityField(modeset, row))
-        e_series.append(E)
-        j_series.append(J)
-    e_series = np.array(e_series)
-    j_series = np.array(j_series)
-
-    def drift(series):
-        scale = max(abs(series[0]), 1e-300)
-        return float(np.max(np.abs(series - series[0])) / scale)
-
+    times, coeffs = _rk4(lambda w: _rep_rhs(modeset, w), field0.coeffs, dt, steps, sample_every)
+    E, J = _energy_enstrophy(modeset, _embed(modeset, coeffs))
     return EulerTrajectory(
         modeset=modeset,
-        times=np.array(times),
+        times=times,
         coeffs=coeffs,
-        e_drift=drift(e_series),
-        j_drift=drift(j_series),
+        e_drift=_rel_drift("E", E),
+        j_drift=_rel_drift("J", J),
     )

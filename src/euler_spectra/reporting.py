@@ -7,8 +7,6 @@ and nothing time- or path-dependent enters the documents.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .contfrac import CFParams, EigenQuadruple
@@ -20,7 +18,6 @@ from .subsystem import StabilityVerdict, Trajectory
 __all__ = [
     "format_float",
     "to_canonical_json",
-    "SpectrumReport",
     "cf_report",
     "matrix_spectrum_report",
     "trajectory_csv",
@@ -74,18 +71,6 @@ def _class_dict(label: ClassLabel) -> dict:
 
 def verdict_dict(verdict: StabilityVerdict) -> dict:
     return {"kind": verdict.kind.value, "sigma": verdict.sigma, "detail": verdict.detail}
-
-
-@dataclass
-class SpectrumReport:
-    """Band endpoints, point-spectrum quadruples, and which method
-    produced them."""
-
-    label: ClassLabel
-    a: float
-    band: BandSpec
-    quadruples: list[EigenQuadruple]
-    method: str  # "continued-fraction" | "matrix-oracle"
 
 
 def cf_report(params: CFParams, label: ClassLabel, band: BandSpec, quads: list[EigenQuadruple]) -> dict:

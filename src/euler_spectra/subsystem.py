@@ -14,12 +14,13 @@ here.
 from __future__ import annotations
 
 import enum
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DomainError, NumericalError, UsageError
-from .lattice import ClassLabel, WaveVector, canonical_label, class_members, det, triad_coeff
+from .lattice import ClassLabel, WaveVector, canonical_label, class_members, det, rho, triad_coeff
 
 __all__ = [
     "SubsystemSpec",
@@ -78,12 +79,7 @@ class SubsystemSpec:
     def rho_window(self) -> np.ndarray:
         """rho_n over the window; the hole slot (if any) is set to 0 and
         never used (its couplings vanish identically)."""
-        out = np.zeros(self.width)
-        for j, n in enumerate(self.indices()):
-            k = self.member(n)
-            if not k.is_zero:
-                out[j] = 1.0 / k.norm2 - 1.0 / self.p.norm2
-        return out
+        return np.array([0.0 if self.member(n).is_zero else rho(self.khat, self.p, n) for n in self.indices()])
 
 
 @dataclass
@@ -131,8 +127,9 @@ def _require_match(spec: SubsystemSpec, state: ComplexSeq) -> None:
         )
 
 
-def _coupling_arrays(spec: SubsystemSpec) -> tuple[np.ndarray, np.ndarray]:
-    """Per-slot coefficients (cm, cp): d/dt w_n = cm[n] w_{n-1} + cp[n] w_{n+1}.
+def _chain_rhs(spec: SubsystemSpec) -> Callable[[np.ndarray], np.ndarray]:
+    """The chain's right-hand side d/dt w_n = cm[n] w_{n-1} + cp[n] w_{n+1}
+    on window arrays.
 
     cm multiplies the lower neighbor, cp the upper one; slots whose neighbor
     is the excluded origin get a zero coefficient, and the hole slot itself
@@ -149,7 +146,14 @@ def _coupling_arrays(spec: SubsystemSpec) -> tuple[np.ndarray, np.ndarray]:
         upper = spec.member(n + 1)
         if not upper.is_zero:
             cp[j] = triad_coeff(-spec.p, upper) * np.conj(spec.gamma)
-    return cm, cp
+
+    def rhs(w: np.ndarray) -> np.ndarray:
+        out = np.zeros_like(w)
+        out[1:] += cm[1:] * w[:-1]
+        out[:-1] += cp[:-1] * w[1:]
+        return out
+
+    return rhs
 
 
 def cle_rhs(spec: SubsystemSpec, state: ComplexSeq) -> ComplexSeq:
@@ -161,12 +165,18 @@ def cle_rhs(spec: SubsystemSpec, state: ComplexSeq) -> ComplexSeq:
     decouple on their own.
     """
     _require_match(spec, state)
-    cm, cp = _coupling_arrays(spec)
-    w = state.values
-    out = np.zeros_like(w)
-    out[1:] += cm[1:] * w[:-1]
-    out[:-1] += cp[:-1] * w[1:]
-    return ComplexSeq(state.offset, out)
+    return ComplexSeq(state.offset, _chain_rhs(spec)(state.values))
+
+
+def _h_series(spec: SubsystemSpec, rho_w: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Hamiltonian of each state along the last axis of w."""
+    pair_sum = np.sum(spec.gamma * rho_w[1:] * rho_w[:-1] * w[..., :-1] * np.conj(w[..., 1:]), axis=-1)
+    return -det(spec.p, spec.khat) * np.imag(pair_sum)
+
+
+def _i_series(rho_w: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Weighted enstrophy of each state along the last axis of w."""
+    return np.sum(rho_w * np.abs(w) ** 2, axis=-1)
 
 
 def hamiltonian(spec: SubsystemSpec, state: ComplexSeq) -> float:
@@ -178,17 +188,13 @@ def hamiltonian(spec: SubsystemSpec, state: ComplexSeq) -> float:
     summed over neighbor pairs wholly inside the window.
     """
     _require_match(spec, state)
-    rho_w = spec.rho_window()
-    w = state.values
-    pair_sum = np.sum(spec.gamma * rho_w[1:] * rho_w[:-1] * w[:-1] * np.conj(w[1:]))
-    d = det(spec.p, spec.khat)
-    return float(-d * np.imag(pair_sum))
+    return float(_h_series(spec, spec.rho_window(), state.values))
 
 
 def invariant_I(spec: SubsystemSpec, state: ComplexSeq) -> float:
     """Conserved weighted enstrophy sum_n rho_n |w_n|^2."""
     _require_match(spec, state)
-    return float(np.sum(spec.rho_window() * np.abs(state.values) ** 2))
+    return float(_i_series(spec.rho_window(), state.values))
 
 
 def half_invariants(spec: SubsystemSpec, state: ComplexSeq) -> tuple[float, float]:
@@ -224,12 +230,51 @@ class Trajectory:
         return ComplexSeq(self.spec.n_min, self.states[i].copy())
 
 
-def _rel_drift(series: np.ndarray) -> float:
+def _finite(name: str, value) -> float:
+    if not np.isfinite(value):
+        raise NumericalError(f"{name} is not finite (the run overflowed); reduce dt, steps or the amplitudes")
+    return float(value)
+
+
+def _rel_drift(name: str, series: np.ndarray) -> float:
+    """max_t |q(t) - q(0)| / |q(0)| of an invariant's sample series."""
     ref = series[0]
     scale = max(abs(ref), 1e-300)
-    return float(np.max(np.abs(series - ref)) / scale)
+    return _finite(f"{name} drift", np.max(np.abs(series - ref)) / scale)
 
 
+def _rk4(
+    rhs: Callable[[np.ndarray], np.ndarray],
+    w0: np.ndarray,
+    dt: float,
+    steps: int,
+    sample_every: int,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Classical fixed-step 4th-order Runge-Kutta from w0.
+
+    Returns (times, samples): t = 0 and every sample_every-th step, plus
+    the last step; samples has shape (len(times),) + w0.shape.
+    """
+    if dt <= 0 or steps < 1 or sample_every < 1:
+        raise DomainError("need dt > 0, steps >= 1 and sample_every >= 1")
+    w = np.array(w0, dtype=complex)
+    samples = [w]
+    times = [0.0]
+    for step in range(1, steps + 1):
+        k1 = rhs(w)
+        k2 = rhs(w + 0.5 * dt * k1)
+        k3 = rhs(w + 0.5 * dt * k2)
+        k4 = rhs(w + dt * k3)
+        w = w + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        if not np.all(np.isfinite(w)):
+            raise NumericalError(f"non-finite state at step {step}")
+        if step % sample_every == 0 or step == steps:
+            samples.append(w)
+            times.append(step * dt)
+    return np.array(times), np.array(samples)
+
+
+@np.errstate(over="ignore", invalid="ignore")  # an overflow raises NumericalError
 def integrate(
     spec: SubsystemSpec,
     state0: ComplexSeq,
@@ -241,47 +286,21 @@ def integrate(
 
     Returns sampled states together with the relative drifts of the
     Hamiltonian and of the weighted enstrophy, and the peak enstrophy
-    ratio max_t ||w(t)||^2 / ||w(0)||^2.
+    ratio max_t ||w(t)||^2 / ||w(0)||^2.  Raises NumericalError when the
+    state or an invariant series stops being finite.
     """
     _require_match(spec, state0)
-    if dt <= 0 or steps < 1:
-        raise DomainError("need dt > 0 and steps >= 1")
-    cm, cp = _coupling_arrays(spec)
-
-    def rhs(w: np.ndarray) -> np.ndarray:
-        out = np.zeros_like(w)
-        out[1:] += cm[1:] * w[:-1]
-        out[:-1] += cp[:-1] * w[1:]
-        return out
-
-    w = state0.values.astype(complex).copy()
-    samples = [w.copy()]
-    times = [0.0]
-    for step in range(1, steps + 1):
-        k1 = rhs(w)
-        k2 = rhs(w + 0.5 * dt * k1)
-        k3 = rhs(w + 0.5 * dt * k2)
-        k4 = rhs(w + dt * k3)
-        w = w + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        if not np.all(np.isfinite(w)):
-            raise NumericalError(f"non-finite state at step {step}")
-        if step % sample_every == 0 or step == steps:
-            samples.append(w.copy())
-            times.append(step * dt)
-
-    states = np.array(samples)
-    seqs = [ComplexSeq(spec.n_min, s) for s in states]
-    h_series = np.array([hamiltonian(spec, s) for s in seqs])
-    i_series = np.array([invariant_I(spec, s) for s in seqs])
+    times, states = _rk4(_chain_rhs(spec), state0.values, dt, steps, sample_every)
+    rho_w = spec.rho_window()
     enstrophy = np.sum(np.abs(states) ** 2, axis=1)
-    ratio = float(np.max(enstrophy) / enstrophy[0]) if enstrophy[0] > 0 else 1.0
+    ratio = np.max(enstrophy) / enstrophy[0] if enstrophy[0] > 0 else 1.0
     return Trajectory(
         spec=spec,
-        times=np.array(times),
+        times=times,
         states=states,
-        h_drift=_rel_drift(h_series),
-        i_drift=_rel_drift(i_series),
-        enstrophy_ratio=ratio,
+        h_drift=_rel_drift("H", _h_series(spec, rho_w, states)),
+        i_drift=_rel_drift("I", _i_series(rho_w, states)),
+        enstrophy_ratio=_finite("enstrophy ratio", ratio),
     )
 
 

@@ -310,16 +310,8 @@ def check_8_linearization() -> CheckResult:
 
     eps = 1e-6
     base = fixed_point(p, 1.0, modeset)
-    fld = base.copy()
-    reps = modeset.representatives
-    rep_pos = {k: i for i, k in enumerate(reps)}
-    for j, n in enumerate(range(n_min, n_max + 1)):
-        k = V(1 + n, n)
-        v = eps * amps[j]
-        if k in rep_pos:
-            fld.coeffs[rep_pos[k]] += v
-        else:
-            fld.coeffs[rep_pos[-k]] += np.conj(v)
+    pert = {V(1 + n, n): eps * amps[j] for j, n in enumerate(range(n_min, n_max + 1))}
+    fld = VorticityField(modeset, base.coeffs + VorticityField.from_dict(modeset, pert).coeffs)
 
     traj = integrate_euler(fld, dt=0.02, steps=3000, sample_every=30)
     base_full = base.full_vector()

@@ -174,3 +174,29 @@ def test_verify_exit_codes(monkeypatch, capsys):
     assert code == 3
     assert "[FAIL] 2." in out
 
+
+
+def test_blowups_exit_2(capsys):
+    # finite state, overflowing invariant series
+    code, out, err = run_cli(capsys, "simulate", "--p", "1,1", "--khat", "1,0", "--dt", "100", "--steps", "30")
+    assert code == 2 and out == "" and "drift is not finite" in err
+    # non-finite state
+    code, out, err = run_cli(capsys, "simulate", "--p", "1,1", "--khat", "1,0", "--dt", "100", "--steps", "1000")
+    assert code == 2 and out == "" and "non-finite state" in err
+    code, out, err = run_cli(capsys, "euler-sim", "--p", "1,1", "--gamma", "1e160", "--k-cutoff", "4", "--steps", "5")
+    assert code == 2 and out == "" and "E drift is not finite" in err
+
+
+def test_negative_vectors_without_equals_sign(capsys):
+    code, out, _ = run_cli(capsys, "band", "--p", "1,1", "--khat", "-1,1")
+    assert code == 0
+    assert json.loads(out)["class"]["khat"] == [-1, 1]
+    code, plain, _ = run_cli(capsys, "band", "--p", "-1,-1", "--khat", "-1,0")
+    assert code == 0
+    assert plain == run_cli(capsys, "band", "--p=-1,-1", "--khat=-1,0")[1]
+    box = ("eigs-cf", "--p", "1,1", "--khat", "1,0", "--grid", "4")
+    code, plain, _ = run_cli(capsys, *box, "--box", "-0.5,1,0.05,1")
+    assert code == 0
+    assert plain == run_cli(capsys, *box, "--box=-0.5,1,0.05,1")[1]
+    # a missing value is still a usage error
+    assert run_cli(capsys, "band", "--p", "1,1", "--khat", "--gamma", "1")[0] == 1

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from euler_spectra.errors import DomainError, UsageError
+from euler_spectra.errors import DomainError, NumericalError, UsageError
 from euler_spectra.euler_core import (
     ModeSet,
     VorticityField,
@@ -153,6 +153,32 @@ def test_integrate_euler_conservation():
     traj = integrate_euler(fld, dt=1e-3, steps=1000, sample_every=100)
     assert traj.e_drift < 1e-8
     assert traj.j_drift < 1e-8
+
+
+def test_integrate_euler_drifts_match_conserved():
+    # E and J come from one embedding of all samples; each row must round
+    # as the per-sample conserved() does, bit for bit
+    for cutoff, seed in ((5.0, 3), (8.0, 4)):
+        modeset = ModeSet.disk(cutoff)
+        traj = integrate_euler(random_field(modeset, seed=seed, scale=0.2), dt=1e-3, steps=300, sample_every=30)
+        series = np.array([conserved(traj.field(i))[:2] for i in range(len(traj.times))])
+        drift = np.max(np.abs(series - series[0]), axis=0) / np.abs(series[0])
+        assert (traj.e_drift, traj.j_drift) == (drift[0], drift[1])
+
+
+def test_integrate_euler_overflow_is_numerical_failure():
+    # the pump alone is a fixed point, so the state stays finite while
+    # E and J overflow
+    with pytest.raises(NumericalError, match="E drift is not finite"):
+        integrate_euler(fixed_point(V(1, 1), 1e160, K5), dt=1e-2, steps=5)
+
+
+def test_modeset_tables_are_per_instance():
+    fresh = ModeSet.disk(5.0)
+    assert fresh == K5 and fresh.triads is not K5.triads
+    assert fresh.triads is fresh.triads
+    for a, b in zip(fresh.triads + fresh.embedding, K5.triads + K5.embedding):
+        assert np.array_equal(a, b)
 
 
 def test_perturbed_pump_tracks_linearized_chain():

@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from euler_spectra.errors import DomainError, UsageError
-from euler_spectra.lattice import WaveVector, canonical_label
+from euler_spectra.errors import DomainError, NumericalError, UsageError
+from euler_spectra.lattice import WaveVector, canonical_label, det
 from euler_spectra.subsystem import (
     ComplexSeq,
     StabilityKind,
@@ -145,6 +147,45 @@ def test_integrate_conserves_on_stable_class():
     traj = integrate(spec, state, dt=1e-3, steps=1000, sample_every=100)
     assert traj.i_drift < 1e-8
     assert traj.h_drift < 1e-8
+
+
+small_vecs = st.builds(V, st.integers(-3, 3), st.integers(-3, 3))
+
+
+def _drift(series):
+    return np.max(np.abs(series - series[0])) / abs(series[0])
+
+
+@given(p=small_vecs, khat=small_vecs)
+@settings(max_examples=10, deadline=None)
+def test_integrate_drifts_match_public_invariants(p, khat):
+    # the vectorized H and I series are the per-sample public invariants,
+    # bit for bit, on random non-parallel classes
+    assume(det(p, khat) != 0)
+    spec = SubsystemSpec(khat=khat, p=p, gamma=0.8 - 0.6j, n_min=-8, n_max=8)
+    traj = integrate(spec, random_state(spec, seed=4), dt=1e-3, steps=200, sample_every=20)
+    samples = [traj.state(i) for i in range(len(traj.times))]
+    h_series = np.array([hamiltonian(spec, s) for s in samples])
+    i_series = np.array([invariant_I(spec, s) for s in samples])
+    assert traj.h_drift == _drift(h_series)
+    assert traj.i_drift == _drift(i_series)
+    assert traj.h_drift < 1e-8
+    assert traj.i_drift < 1e-8
+
+
+def test_overflowing_invariants_are_numerical_failures():
+    # the state is still finite after 30 steps of dt=100, but the
+    # invariant series overflow
+    with pytest.raises(NumericalError, match="drift is not finite"):
+        integrate(GOLDEN, ComplexSeq.unit(GOLDEN, 0), dt=100.0, steps=30)
+    with pytest.raises(NumericalError, match="non-finite state"):
+        integrate(GOLDEN, ComplexSeq.unit(GOLDEN, 0), dt=100.0, steps=1000)
+
+
+def test_integrate_rejects_bad_steps():
+    for dt, steps, every in ((0.0, 5, 1), (1e-2, 0, 1), (1e-2, 5, 0)):
+        with pytest.raises(DomainError):
+            integrate(GOLDEN, ComplexSeq.unit(GOLDEN, 0), dt=dt, steps=steps, sample_every=every)
 
 
 def test_integrator_order_visible_above_rounding_floor():
