@@ -17,7 +17,7 @@ import sys
 from dataclasses import dataclass, fields
 
 from . import reporting
-from .contfrac import CFParams, find_eigenvalues
+from .contfrac import CFParams, find_eigenvalues, find_eigenvalues_half
 from .errors import DomainError, NumericalError, UsageError
 from .euler_core import ModeSet, VorticityField, fixed_point, integrate_euler
 from .lattice import (
@@ -127,7 +127,10 @@ def load_config_file(path: str) -> dict:
                 if key not in _CONFIG_KEYS:
                     raise UsageError(f"{path}:{lineno}: unknown key {key!r}")
                 field_name, kind = _CONFIG_KEYS[key]
-                values[field_name] = _coerce(kind, raw)
+                try:
+                    values[field_name] = _coerce(kind, raw)
+                except ValueError as exc:
+                    raise UsageError(f"{path}:{lineno}: bad value for {key}: {exc}") from exc
     except OSError as exc:
         raise UsageError(f"cannot read config file {path}: {exc}") from exc
     return values
@@ -177,6 +180,8 @@ def _emit(config: RunConfig, text: str) -> None:
 
 def _params(config: RunConfig) -> CFParams:
     _require(config, "p", "khat")
+    if config.gamma == 0:
+        raise UsageError("gamma is zero: the operator is zero, no spectral data; give a nonzero --gamma")
     params = CFParams.for_class(config.khat, config.p, config.gamma)
     if params.parallel:
         raise UsageError("khat is parallel to p: trivial class, no spectral data")
@@ -216,19 +221,40 @@ def cmd_classes(config: RunConfig) -> int:
     return 0
 
 
+def _circle_member(khat: WaveVector, p: WaveVector) -> WaveVector | None:
+    """The member of khat's class on |k| = |p|, if any.  Members with
+    |k| <= |p| lie within 1 of the real minimizer n* of |khat + n p|, and a
+    non-parallel class has at most one on the circle (two would make an
+    equilateral lattice triangle with p)."""
+    n_star = round(-khat.dot(p) / p.norm2)
+    near = (khat.plus(n, p) for n in range(n_star - 2, n_star + 3))
+    return next((k for k in near if k.norm2 == p.norm2), None)
+
+
 def cmd_eigs_cf(config: RunConfig) -> int:
     params = _params(config)
     label = canonical_label(config.khat, config.p)
-    quads = find_eigenvalues(params, search_box=config.box, grid=config.grid, tol=config.root_tol)
+    member = _circle_member(config.khat, config.p)
+    search = dict(search_box=config.box, grid=config.grid, tol=config.root_tol)
+    if member is None:
+        found = [(None, q) for q in find_eigenvalues(params, **search)]
+    else:
+        # rho vanishes at the member, so the chain splits into two half-chains
+        params = CFParams.for_class(member, config.p, config.gamma)
+        found = [(side, q) for side in (+1, -1) for q in find_eigenvalues_half(params, side, **search)]
     band = essential_band(params)
-    doc = reporting.cf_report(params, label, band, quads)
+    doc = reporting.cf_report(params, label, band, [q for _, q in found])
+    if member is not None:
+        doc["circle_member"] = member
+        for entry, (side, _) in zip(doc["quadruples"], found):
+            entry["side"] = side
     if config.format == "csv":
-        lines = ["re,im,residual"]
-        for q in quads:
+        lines = ["re,im,residual" + ("" if member is None else ",side")]
+        for side, q in found:
             lines.append(
                 f"{reporting.format_float(q.lambda_tilde.real)},"
                 f"{reporting.format_float(q.lambda_tilde.imag)},"
-                f"{reporting.format_float(q.residual)}"
+                f"{reporting.format_float(q.residual)}" + ("" if side is None else f",{side}")
             )
         _emit(config, "\n".join(lines) + "\n")
     else:
@@ -295,7 +321,7 @@ def cmd_euler_sim(config: RunConfig) -> int:
     _require(config, "p")
     modeset = ModeSet.disk(config.K_cutoff)
     field = fixed_point(config.p, config.gamma, modeset)
-    if config.eps > 0.0:
+    if config.eps != 0.0:
         _require(config, "khat")
         if config.khat not in modeset:
             raise UsageError(f"perturbation mode {config.khat} outside cutoff {config.K_cutoff}")

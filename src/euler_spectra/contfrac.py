@@ -32,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, EssentialBandError, NumericalError, OnCircleError
-from .lattice import RhoSequence, WaveVector, det
+from .lattice import RhoSequence, WaveVector, det, rho
 
 __all__ = [
     "CFParams",
@@ -41,6 +41,7 @@ __all__ = [
     "a_n",
     "a_tilde",
     "asym_roots",
+    "band_distance",
     "cf_tail",
     "f_eigen",
     "f_eigen_half",
@@ -114,13 +115,14 @@ def _outside_band(a_t):
     return (a_t.real != 0.0) | (abs(a_t) > 2.0)
 
 
+def band_distance(z, half):
+    """Elementwise distance from z to the segment i*[-half, half]."""
+    return np.abs(z - 1j * np.clip(np.imag(z), -half, half))
+
+
 def band_distance_tilde(params: CFParams, lt: complex) -> float:
     """Distance from lt to the essential band segment i*[-2/|p|^2, 2/|p|^2]."""
-    half = params.band_halfwidth_tilde()
-    im = lt.imag
-    if abs(im) <= half:
-        return abs(lt.real)
-    return abs(lt - 1j * np.sign(im) * half)
+    return float(band_distance(lt, params.band_halfwidth_tilde()))
 
 
 def a_n(params: CFParams, lam: complex, n: int) -> complex:
@@ -348,7 +350,7 @@ def _search(
         bad = (
             ~np.isfinite(nxt)
             | (np.abs(nxt) > bound)
-            | (np.array([band_distance_tilde(params, z) for z in nxt]) < BAND_TUBE)
+            | (band_distance(nxt, params.band_halfwidth_tilde()) < BAND_TUBE)
         )
         conv = np.abs(step) < 1e-14 * (1.0 + np.abs(nxt))
         nxt[bad] = np.nan
@@ -455,5 +457,4 @@ def mode_amplitudes(
     z = eigenvector_window(params, lambda_tilde, n_min, n_max)
     theta = 0.5 * np.pi - np.angle(gamma)
     ns = np.arange(n_min, n_max + 1)
-    rho_vals = np.array([params.rho_seq.value(int(n)) for n in ns])
-    return z / (rho_vals * np.exp(1j * ns * (theta + 0.5 * np.pi)))
+    return z / (rho(params.khat, params.p, ns) * np.exp(1j * ns * (theta + 0.5 * np.pi)))

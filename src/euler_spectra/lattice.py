@@ -11,6 +11,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .errors import DomainError
 
 __all__ = [
@@ -83,12 +85,19 @@ def triad_coeff(p: WaveVector, q: WaveVector) -> float:
     return 0.5 * (1.0 / q.norm2 - 1.0 / p.norm2) * det(p, q)
 
 
-def rho(khat: WaveVector, p: WaveVector, n: int) -> float:
-    """rho_n = |khat + n p|^-2 - |p|^-2 for the class member khat + n p."""
-    member = khat.plus(n, p)
-    if member.is_zero:
-        raise DomainError(f"khat + n p = 0 at n={n}; the origin carries no mode")
-    return 1.0 / member.norm2 - 1.0 / p.norm2
+def rho(khat: WaveVector, p: WaveVector, n):
+    """rho_n = |khat + n p|^-2 - |p|^-2 for the class member khat + n p.
+
+    n is an int or an integer array (then rho is taken elementwise); a
+    member at the origin raises DomainError either way.
+    """
+    norm2 = (khat.k1 + n * p.k1) ** 2 + (khat.k2 + n * p.k2) ** 2
+    # a plain int skips numpy: RhoSequence.value calls this once per index
+    at_origin = norm2 == 0 if isinstance(norm2, int) else not norm2.all()
+    if at_origin:
+        at = np.atleast_1d(n)[np.atleast_1d(norm2) == 0][0]
+        raise DomainError(f"khat + n p = 0 at n={at}; the origin carries no mode")
+    return 1.0 / norm2 - 1.0 / p.norm2
 
 
 @dataclass(frozen=True)

@@ -4,12 +4,14 @@ Relabeling the two-sided chain index onto the positive integers
 (n >= 1 -> 2n, n <= 0 -> 2|n| + 1) turns the chain operator into a
 one-sided pentadiagonal ("2x2+1"-banded) infinite matrix
 
-    A = i a * [rho pattern],
+    A = i a P diag(rho),
 
-a compact perturbation of the constant-coefficient matrix B = i b * P
-(b = a * rho_limit, P the 0/1 pattern).  Finite top-left sections serve as
-a spectrum oracle; B's spectral curve, resolvent Green's function, and the
-decaying-solution determinant test are implemented in closed form.
+P the 0/1 pattern of chain neighbors |n_i - n_j| = 1 and rho_n taken at
+each column's chain index: a compact perturbation of the
+constant-coefficient matrix B = i b P (b = a * rho_limit).  Finite top-left
+sections serve as a spectrum oracle; B's spectral curve, resolvent Green's
+function, and the decaying-solution determinant test are implemented in
+closed form.
 
 Scalings used here (lam = physical eigenvalue):
     lambda_b   = lam / (i b)   -- B-normalized; spectral curve = [-2, 2]
@@ -22,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .contfrac import CFParams
+from .contfrac import CFParams, band_distance
 from .errors import (
     DomainError,
     NumericalError,
@@ -30,11 +32,14 @@ from .errors import (
     OnSpectralCurveError,
     SpectralPointSetError,
 )
+from .lattice import rho
 
 __all__ = [
     "TruncatedOperator",
     "BandSpec",
     "relabel",
+    "unrelabel",
+    "pattern",
     "build",
     "truncated_spectrum",
     "char_roots",
@@ -51,17 +56,34 @@ CURVE_TOL = 1e-12
 ISOLATION_THRESHOLD = float(np.sqrt(np.finfo(float).eps))  # band distance / |b|; see classify_band_distance
 
 
-def relabel(n: int) -> int:
+def relabel(n):
     """Two-sided chain index -> positive matrix index: n>=1 -> 2n,
-    n<=0 -> 2|n|+1.  Bijective onto {1, 2, 3, ...}."""
-    return 2 * n if n >= 1 else 2 * (-n) + 1
+    n<=0 -> 2|n|+1.  Bijective onto {1, 2, 3, ...}; n is an int or an
+    integer array."""
+    return 2 * abs(n) + (n <= 0)
 
 
-def unrelabel(m: int) -> int:
-    """Inverse of relabel."""
-    if m < 1:
+def unrelabel(m):
+    """Inverse of relabel; m is an int or an integer array."""
+    if np.min(m) < 1:
         raise DomainError("matrix indices start at 1")
-    return m // 2 if m % 2 == 0 else -(m - 1) // 2
+    return m // 2 * (1 - 2 * (m % 2))  # even m -> m/2, odd m -> -(m-1)/2
+
+
+def _coupled(N: int) -> tuple[np.ndarray, np.ndarray]:
+    """0-based (rows, cols) of the pattern's nonzeros in the top-left N x N
+    section: chain index n couples to n - 1 and n + 1."""
+    n = unrelabel(np.arange(1, N + 1))
+    rows = np.tile(np.arange(N), 2)
+    cols = relabel(np.concatenate([n - 1, n + 1])) - 1
+    return rows[cols < N], cols[cols < N]
+
+
+def pattern(N: int) -> np.ndarray:
+    """0/1 pattern P of the top-left N x N section."""
+    P = np.zeros((N, N))
+    P[_coupled(N)] = 1.0
+    return P
 
 
 @dataclass
@@ -83,41 +105,25 @@ class BandSpec:
     width: float
 
 
-def _pattern_positions(N: int):
-    """Nonzero positions (row, col, chain index whose rho enters), 1-based,
-    of the infinite matrices' top-left N x N section.
-
-    Rows 1..3 are the printed coupling rows; even rows continue the n >= 1
-    chain, odd rows the n <= 0 chain.
-    """
-    pos = [(1, 2, 1), (1, 3, -1), (2, 1, 0), (2, 4, 2), (3, 1, 0), (3, 5, -2)]
-    for n in range(2, (N + 2) // 2 + 1):
-        pos.append((2 * n, 2 * (n - 1), n - 1))
-        pos.append((2 * n, 2 * (n + 1), n + 1))
-    for n in range(1, (N + 1) // 2 + 1):
-        pos.append((2 * n + 1, 2 * n - 1, -n + 1))
-        pos.append((2 * n + 1, 2 * n + 3, -n - 1))
-    return [(r, c, idx) for r, c, idx in pos if r <= N and c <= N]
-
-
 def build(kind: str, params: CFParams, N: int) -> TruncatedOperator:
-    """Assemble the N x N section of A (rho coefficients), B (constant
-    limit coefficient) or C = A - B (decaying difference)."""
+    """Assemble the N x N section i a P diag(coeff) of A (coeff = rho_n),
+    B (the limit rho_limit) or C = A - B (rho_n - rho_limit), n the chain
+    index of each column."""
     if kind not in ("A", "B", "C"):
         raise DomainError(f"kind must be 'A', 'B' or 'C', got {kind!r}")
     if N < 5:
         raise DomainError("N >= 5 required to include the coupling rows")
     rho_lim = params.rho_seq.limit
-    ia = 1j * params.a
+    rows, cols = _coupled(N)
+    coeff = rho_lim
+    if kind != "B":
+        coeff = rho(params.khat, params.p, unrelabel(cols + 1))
+        if kind == "C":
+            coeff = coeff - rho_lim
+    # scattered into zeros rather than broadcast over the section, so the
+    # memory pages that hold no entry are never touched (peak memory at large N)
     M = np.zeros((N, N), dtype=complex)
-    for r, c, idx in _pattern_positions(N):
-        if kind == "A":
-            coeff = params.rho_seq.value(idx)
-        elif kind == "B":
-            coeff = rho_lim
-        else:
-            coeff = params.rho_seq.value(idx) - rho_lim
-        M[r - 1, c - 1] = ia * coeff
+    M[rows, cols] = 1j * params.a * coeff
     return TruncatedOperator(kind=kind, size=N, entries=M, params=params, b=params.a * rho_lim)
 
 
@@ -201,24 +207,19 @@ def green_kernel(lambda_b: complex, n_max: int, j_max: int) -> np.ndarray:
 
     # 4x4 Wronskian-style determinant of the characteristic solutions,
     # constant in the translation index
-    rows = []
-    for e in (1, 2, 3, 4):
-        rows.append([w**e, (-w) ** e, w**-e, (-w) ** -e])
-    W0 = complex(np.linalg.det(np.array(rows, dtype=complex)))
+    e = np.arange(1, 5)[:, None]
+    W0 = complex(np.linalg.det(np.hstack([w**e, (-w) ** e, w**-e, (-w) ** -e])))
     if W0 == 0.0:
         raise SpectralPointSetError(f"degenerate characteristic system at lambda_b = {lam}")
 
     cminus = 2.0 * (1.0 - w**-4) / W0  # weights the forward-decaying part
     cplus = 2.0 * (1.0 - w**4) / W0  # weights the backward sum
 
-    def g(n: int, j: int) -> complex:
-        if j == 1:
-            return 0.0
-        if 2 <= j <= n + 1:
-            e = n - j + 2
-            return cminus * (w**e + (-w) ** e)
-        e = j - n - 2
-        return -cplus * (w**e + (-w) ** e)
+    def g(n, j):
+        """Translation kernel g(n, j) over broadcast index arrays."""
+        forward = j <= n + 1
+        e = np.where(forward, n - j + 2, j - n - 2)
+        return np.where(j == 1, 0j, np.where(forward, cminus, -cplus) * (w**e + (-w) ** e))
 
     M = _matching_matrix(lam, w)
     det_m = M[0, 0] * M[1, 1] - M[0, 1] * M[1, 0]
@@ -226,19 +227,13 @@ def green_kernel(lambda_b: complex, n_max: int, j_max: int) -> np.ndarray:
         raise SpectralPointSetError(f"matching matrix singular at lambda_b = {lam}")
     Minv = np.array([[M[1, 1], -M[0, 1]], [-M[1, 0], M[0, 0]]], dtype=complex) / det_m
 
-    G = np.zeros((n_max, j_max), dtype=complex)
-    for j in range(1, j_max + 1):
-        gj = np.array(
-            [
-                (1.0 if j == 1 else 0.0) + lam * g(1, j) - g(2, j) - g(3, j),
-                (1.0 if j == 2 else 0.0) - g(1, j) + lam * g(2, j) - g(4, j),
-            ],
-            dtype=complex,
-        )
-        ab = Minv @ gj
-        for n in range(1, n_max + 1):
-            G[n - 1, j - 1] = ab[0] * w**n + ab[1] * (-w) ** n + g(n, j)
-    return G
+    j = np.arange(1, j_max + 1)
+    n = np.arange(1, n_max + 1)[:, None]
+    # (2, j_max): the weights of w^n and (-w)^n in each column
+    ab = Minv @ np.array(
+        [(j == 1) + lam * g(1, j) - g(2, j) - g(3, j), (j == 2) - g(1, j) + lam * g(2, j) - g(4, j)]
+    )
+    return ab[0] * w**n + ab[1] * (-w) ** n + g(n, j)
 
 
 def resolvent_apply(lambda_b: complex, y: np.ndarray, n_out: int | None = None) -> np.ndarray:
@@ -277,9 +272,7 @@ def classify_band_distance(op: TruncatedOperator, eigenvalues: np.ndarray) -> np
     rest of the spectrum.
     """
     b = abs(op.b)
-    im = np.clip(eigenvalues.imag, -2.0 * b, 2.0 * b)
-    dist = np.abs(eigenvalues - 1j * im)
-    return dist > ISOLATION_THRESHOLD * b
+    return band_distance(eigenvalues, 2.0 * b) > ISOLATION_THRESHOLD * b
 
 
 def detM_eigentest(params: CFParams, lambda_hat: complex, N_tail: int | None = None) -> complex:

@@ -16,11 +16,12 @@ from __future__ import annotations
 import enum
 from collections.abc import Callable
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .errors import DomainError, NumericalError, UsageError
-from .lattice import ClassLabel, WaveVector, canonical_label, class_members, det, rho, triad_coeff
+from .lattice import ClassLabel, WaveVector, canonical_label, det, rho
 
 __all__ = [
     "SubsystemSpec",
@@ -64,7 +65,8 @@ class SubsystemSpec:
     @property
     def hole(self) -> int | None:
         """Window index with khat + n p = 0, if any (parallel classes only)."""
-        return class_members(self.label, self.n_min, self.n_max).excluded
+        n = -self.khat.dot(self.p) // self.p.norm2  # the only candidate
+        return n if self.member(n).is_zero and self.n_min <= n <= self.n_max else None
 
     @property
     def label(self) -> ClassLabel:
@@ -76,10 +78,31 @@ class SubsystemSpec:
     def indices(self) -> np.ndarray:
         return np.arange(self.n_min, self.n_max + 1)
 
+    @cached_property
+    def tables(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Read-only (rho, cm, cp) over the window, built once per spec.
+
+        rho is rho_n with 0 at the hole.  The chain reads
+        d/dt w_n = cm[n] w_{n-1} + cp[n] w_{n+1}: since det(p, k_m) =
+        det(p, khat) on the whole class, A(p, k_{n-1}) = rho_{n-1} det / 2
+        and A(-p, k_{n+1}) = -rho_{n+1} det / 2, so the couplings are the
+        rho window shifted by one slot.  The hole's rho of 0 cuts the
+        couplings into it (a hole implies det = 0, so every coupling is 0).
+        """
+        idx = self.indices()
+        rho_w = np.zeros(self.width)
+        live = idx != self.hole  # all True when there is no hole
+        rho_w[live] = rho(self.khat, self.p, idx[live])
+        half = 0.5 * rho_w * det(self.p, self.khat)  # triad_coeff's rounding order
+        cm = np.append(0j, half[:-1] * self.gamma)
+        cp = np.append(-half[1:] * np.conj(self.gamma), 0j)
+        for table in (rho_w, cm, cp):
+            table.flags.writeable = False
+        return rho_w, cm, cp
+
     def rho_window(self) -> np.ndarray:
-        """rho_n over the window; the hole slot (if any) is set to 0 and
-        never used (its couplings vanish identically)."""
-        return np.array([0.0 if self.member(n).is_zero else rho(self.khat, self.p, n) for n in self.indices()])
+        """rho_n over the window (read-only); the hole slot (if any) is 0."""
+        return self.tables[0]
 
 
 @dataclass
@@ -129,23 +152,8 @@ def _require_match(spec: SubsystemSpec, state: ComplexSeq) -> None:
 
 def _chain_rhs(spec: SubsystemSpec) -> Callable[[np.ndarray], np.ndarray]:
     """The chain's right-hand side d/dt w_n = cm[n] w_{n-1} + cp[n] w_{n+1}
-    on window arrays.
-
-    cm multiplies the lower neighbor, cp the upper one; slots whose neighbor
-    is the excluded origin get a zero coefficient, and the hole slot itself
-    stays inert.
-    """
-    cm = np.zeros(spec.width, dtype=complex)
-    cp = np.zeros(spec.width, dtype=complex)
-    for j, n in enumerate(spec.indices()):
-        if spec.member(n).is_zero:
-            continue
-        lower = spec.member(n - 1)
-        if not lower.is_zero:
-            cm[j] = triad_coeff(spec.p, lower) * spec.gamma
-        upper = spec.member(n + 1)
-        if not upper.is_zero:
-            cp[j] = triad_coeff(-spec.p, upper) * np.conj(spec.gamma)
+    on window arrays (see SubsystemSpec.tables)."""
+    _, cm, cp = spec.tables
 
     def rhs(w: np.ndarray) -> np.ndarray:
         out = np.zeros_like(w)

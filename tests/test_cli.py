@@ -200,3 +200,51 @@ def test_negative_vectors_without_equals_sign(capsys):
     assert plain == run_cli(capsys, *box, "--box=-0.5,1,0.05,1")[1]
     # a missing value is still a usage error
     assert run_cli(capsys, "band", "--p", "1,1", "--khat", "--gamma", "1")[0] == 1
+
+
+def test_eigs_cf_routes_circle_classes_to_the_half_chains(capsys):
+    # p=2,1: the class of khat=2,-1 has its member (2,-1) on |k| = |p|
+    args = ("eigs-cf", "--p", "2,1", "--khat", "2,-1", "--box", "0.05,2,0.05,2", "--grid", "3")
+    code, out, _ = run_cli(capsys, *args)
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["circle_member"] == [2, -1]
+    assert doc["class"]["khat"] == [0, -2]
+    [quad] = doc["quadruples"]  # nothing on side +1
+    assert quad["side"] == -1
+    assert (quad["re"], quad["im"]) == (0.0411649532416021, 0)
+    assert sorted(m["re"] for m in quad["members"]) == [-0.0411649532416021, 0.0411649532416021]
+    code, out, _ = run_cli(capsys, *args, "--format", "csv")
+    assert code == 0
+    assert out.splitlines() == ["re,im,residual,side", "0.0411649532416021,0,0,-1"]
+    # a class without a circle member keeps its columns
+    code, out, _ = run_cli(capsys, "eigs-cf", "--p", "1,1", "--khat", "1,0", "--box", "0.05,1,0.05,1", "--grid", "4", "--format", "csv")
+    assert code == 0 and out.splitlines()[0] == "re,im,residual"
+
+
+def test_euler_sim_negative_eps_perturbs(capsys):
+    code, _, err = run_cli(
+        capsys, "euler-sim", "--p", "1,1", "--khat", "9,9", "--eps", "-0.05",
+        "--k-cutoff", "4", "--dt", "0.01", "--steps", "5",
+    )
+    assert code == 1 and "outside cutoff" in err
+    base = ("euler-sim", "--p", "1,1", "--khat", "1,0", "--k-cutoff", "4", "--dt", "0.01", "--steps", "20", "--format", "csv")
+    unperturbed = run_cli(capsys, *base)[1]
+    code, out, _ = run_cli(capsys, *base, "--eps", "-0.05")
+    assert code == 0 and out != unperturbed
+
+
+def test_malformed_config_number_is_a_usage_error(tmp_path, capsys):
+    for line, key in (("sizes.grid=abc", "sizes.grid"), ("integration.dt=fast", "integration.dt")):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(f"p=1,1\n{line}\n")
+        code, out, err = run_cli(capsys, "classes", "--config", str(cfg))
+        assert code == 1 and out == ""
+        assert err.startswith("usage error: ") and f"{cfg}:2" in err and key in err
+
+
+def test_zero_gamma_is_not_reported_as_parallel(capsys):
+    for command in ("eigs-cf", "eigs-matrix", "band"):
+        code, out, err = run_cli(capsys, command, "--p", "1,1", "--khat", "1,0", "--gamma", "0")
+        assert code == 1 and out == ""
+        assert "gamma is zero" in err and "parallel" not in err

@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -65,6 +66,18 @@ def test_rho_rejects_origin_member():
     # (2,2) - 2*(1,1) = 0
     with pytest.raises(DomainError):
         rho(V(2, 2), V(1, 1), -2)
+
+
+@pytest.mark.parametrize("khat, p", [((1, 0), (1, 1)), ((2, -1), (2, 1)), ((-3, 5), (1, -2)), ((1, 1), (2, 2))])
+def test_rho_over_an_index_array_is_the_scalar_formula(khat, p):
+    ns = np.arange(-200, 201)
+    scalar = [rho(V(*khat), V(*p), int(n)) for n in ns]
+    assert rho(V(*khat), V(*p), ns).tobytes() == np.array(scalar).tobytes()
+
+
+def test_rho_over_an_index_array_rejects_origin_member():
+    with pytest.raises(DomainError, match="n=-2"):
+        rho(V(2, 2), V(1, 1), np.arange(-5, 5))
 
 
 def test_class_members_windows():

@@ -9,7 +9,7 @@ from euler_spectra.errors import (
     OnSpectralCurveError,
     SpectralPointSetError,
 )
-from euler_spectra.lattice import WaveVector
+from euler_spectra.lattice import WaveVector, rho
 from euler_spectra.matrixop import (
     build,
     char_roots,
@@ -17,12 +17,12 @@ from euler_spectra.matrixop import (
     detM_eigentest,
     essential_band,
     green_kernel,
+    pattern,
     relabel,
     resolvent_apply,
     root_count_S,
     truncated_spectrum,
     unrelabel,
-    _pattern_positions,
 )
 
 V = WaveVector
@@ -32,9 +32,12 @@ POLISHED_ROOT = 0.24822301804110669 + 0.35172076458544754j
 
 
 def pattern_matrix(N):
+    # chain index n sits at matrix index relabel(n) and couples to n - 1 and n + 1
     P = np.zeros((N, N), dtype=complex)
-    for r, c, _ in _pattern_positions(N):
-        P[r - 1, c - 1] = 1.0
+    for m in range(1, N + 1):
+        for nb in (unrelabel(m) - 1, unrelabel(m) + 1):
+            if relabel(nb) <= N:
+                P[m - 1, relabel(nb) - 1] = 1.0
     return P
 
 
@@ -50,6 +53,27 @@ def test_relabel_bijective(n):
     m = relabel(n)
     assert m >= 1
     assert unrelabel(m) == n
+
+
+def test_relabel_maps_accept_arrays():
+    m = np.arange(1, 300)
+    assert np.array_equal(unrelabel(m), [unrelabel(int(x)) for x in m])
+    assert np.array_equal(relabel(unrelabel(m)), m)
+    with pytest.raises(DomainError):
+        unrelabel(np.array([3, 0, 5]))
+
+
+@pytest.mark.parametrize("N", [5, 6, 7, 40, 41])
+@pytest.mark.parametrize("params", [GOLDEN, STABLE, CFParams.for_class(V(1, 0), V(2, 1), 0.6 - 1.3j)])
+def test_build_is_i_a_pattern_times_diagonal(N, params):
+    P = pattern_matrix(N)
+    assert np.array_equal(pattern(N), P.real)
+    chain = [unrelabel(m) for m in range(1, N + 1)]
+    rho_cols = np.array([rho(params.khat, params.p, n) for n in chain])
+    lim = params.rho_seq.limit
+    for kind, coeff in (("A", rho_cols), ("B", np.full(N, lim)), ("C", rho_cols - lim)):
+        expected = 1j * params.a * (P @ np.diag(coeff))
+        assert np.array_equal(build(kind, params, N).entries, expected)
 
 
 def test_build_B_structure():
@@ -258,6 +282,16 @@ def test_resolvent_row_sum_bound_finite():
     K = np.max(np.sum(np.abs(G), axis=1))
     assert np.isfinite(K)
     assert K < 10.0
+
+
+@pytest.mark.parametrize("lam", [3.0, 3.0 + 1.0j, 0.5 - 4.0j, -2.5 + 0.3j])
+def test_green_kernel_inverts_the_section(lam):
+    # columns of G solve (P - lam I) G = I on the one-sided section; a
+    # dense inverse of a much larger section agrees up to truncation
+    N = 240
+    dense = np.linalg.inv(pattern_matrix(N) - lam * np.eye(N))
+    G = green_kernel(lam, 60, 80)
+    assert np.max(np.abs(G - dense[:60, :80])) < 1e-12 * np.max(np.abs(G))
 
 
 def test_resolvent_errors_on_curve_and_point_set():

@@ -4,7 +4,8 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from euler_spectra.errors import DomainError, NumericalError, UsageError
-from euler_spectra.lattice import WaveVector, canonical_label, det
+from euler_spectra import subsystem
+from euler_spectra.lattice import WaveVector, canonical_label, det, triad_coeff
 from euler_spectra.subsystem import (
     ComplexSeq,
     StabilityKind,
@@ -274,3 +275,63 @@ def test_unstable_class_enstrophy_growth_rate():
     enstrophy = np.sum(np.abs(traj.states) ** 2, axis=1)
     rate = fit_growth_rate(traj.times, enstrophy)
     assert rate == pytest.approx(0.24822301804110669, rel=0.05)
+
+
+def test_hole_is_in_the_specs_own_indexing():
+    # (2,2) - 2*(1,1) = 0 and (-1,-1) + 1*(1,1) = 0; the canonical label of
+    # both classes is (1,1), whose own hole is at -1
+    assert SubsystemSpec(V(2, 2), V(1, 1), 1.0, -6, 6).hole == -2
+    assert SubsystemSpec(V(-1, -1), V(1, 1), 1.0, -6, 6).hole == 1
+    assert SubsystemSpec(V(2, 2), V(1, 1), 1.0, -1, 6).hole is None  # outside the window
+    assert SubsystemSpec(V(1, 1), V(2, 2), 1.0, -6, 6).hole is None  # (1,1) + n(2,2) never vanishes
+    assert GOLDEN.hole is None
+
+
+def _loop_couplings(spec):
+    """cm, cp entry by entry from triad_coeff: the oracle for spec.tables."""
+    cm = np.zeros(spec.width, dtype=complex)
+    cp = np.zeros(spec.width, dtype=complex)
+    for j, n in enumerate(spec.indices()):
+        if spec.member(n).is_zero:
+            continue
+        lower, upper = spec.member(n - 1), spec.member(n + 1)
+        if j > 0 and not lower.is_zero:
+            cm[j] = triad_coeff(spec.p, lower) * spec.gamma
+        if j < spec.width - 1 and not upper.is_zero:
+            cp[j] = triad_coeff(-spec.p, upper) * np.conj(spec.gamma)
+    return cm, cp
+
+
+nonzero_vecs = st.builds(V, st.integers(-4, 4), st.integers(-4, 4)).filter(lambda v: not v.is_zero)
+gammas = st.sampled_from([1.0, -2.0, 0.8 - 0.6j, 1.5j, 0.3 + 1.7j])
+
+
+@given(p=nonzero_vecs, khat=nonzero_vecs, gamma=gammas, n_min=st.integers(-8, 0), n_max=st.integers(0, 8))
+@settings(max_examples=200, deadline=None)
+def test_spec_couplings_equal_triad_coefficients(p, khat, gamma, n_min, n_max):
+    # random classes, parallel ones with their hole and non-canonical khat
+    # included; a hole slot may hold -0.0 where the loop leaves 0.0
+    spec = SubsystemSpec(khat=khat, p=p, gamma=gamma, n_min=n_min, n_max=n_max)
+    rho_w, cm, cp = spec.tables
+    cm_loop, cp_loop = _loop_couplings(spec)
+    assert np.array_equal(cm, cm_loop)
+    assert np.array_equal(cp, cp_loop)
+    if spec.hole is not None:
+        assert rho_w[spec.hole - n_min] == 0.0
+
+
+def test_spec_tables_are_read_only_and_built_once(monkeypatch):
+    spec = SubsystemSpec(khat=V(1, 0), p=V(1, 1), gamma=0.7 + 0.2j, n_min=-10, n_max=10)
+    calls = []
+    real_rho = subsystem.rho
+    monkeypatch.setattr(subsystem, "rho", lambda *args: calls.append(args) or real_rho(*args))
+    state = random_state(spec, seed=9)
+    cle_rhs(spec, state)
+    hamiltonian(spec, state)
+    invariant_I(spec, state)
+    integrate(spec, state, dt=1e-2, steps=3)
+    assert len(calls) == 1
+    assert spec.rho_window() is spec.tables[0]
+    for table in spec.tables:
+        with pytest.raises(ValueError):
+            table[0] = 1.0
