@@ -53,6 +53,8 @@ __all__ = [
 
 BAND_TUBE = 1e-3  # exclusion radius around the essential band segment
 _MAX_DEPTH = 1 << 17
+# relative accuracy of f that a Newton step of the root search asks for
+_DEPTH_REL_TOL = 1e-2
 
 
 @dataclass
@@ -218,20 +220,52 @@ def _match(params: CFParams, lt, side: int, depth: int):
     return np.where(off, f, np.nan), np.where(off, df, np.nan)
 
 
-def _deepen(evaluate, tol: float):
-    """Double the truncation depth from 64 until evaluate(depth) moves by
-    less than tol at every point where two successive values are finite
-    (at least one must be); return that depth and the value there."""
+def _deepen(evaluate, count: int, tol: float, rel: float = 0.0):
+    """Give each of `count` points its own truncation depth.
+
+    evaluate(idx, depth) returns a tuple of arrays whose first axis runs
+    over the points idx; the first array is the one that must converge.
+    Each point starts at depth 64 and doubles on its own until that value
+    moves by less than max(tol, rel * |value|) from depth d to 2d (the
+    largest entry of a point's row counts), and then settles at 2d with
+    every array taken there.  The points still moving share one evaluate
+    call per depth.  A point whose two values are not both finite settles
+    as it is; one still moving past _MAX_DEPTH comes back NaN.  Returns
+    (depths, *arrays).
+    """
+
+    def rowmax(x):
+        return np.abs(x).reshape(len(x), -1).max(axis=1)
+
+    idx = np.arange(count)
     depth = 64
-    prev = np.atleast_1d(evaluate(depth))
-    while depth <= _MAX_DEPTH:
+    prev = evaluate(idx, depth)
+    out = [np.array(a, dtype=complex) for a in prev]
+    depths = np.full(count, depth)
+    while len(idx) and depth <= _MAX_DEPTH:
         depth *= 2
-        cur = np.atleast_1d(evaluate(depth))
-        good = np.isfinite(prev) & np.isfinite(cur)
-        if good.any() and np.max(np.abs(cur[good] - prev[good])) < tol:
-            return depth, cur
-        prev = cur
-    raise NumericalError(f"continued fraction did not converge by depth {depth}")
+        cur = evaluate(idx, depth)
+        with np.errstate(invalid="ignore"):
+            gap = rowmax(cur[0] - prev[0])
+            moving = np.isfinite(gap) & (gap >= np.maximum(tol, rel * rowmax(cur[0])))
+        done = idx[~moving]
+        depths[done] = depth
+        for a, c in zip(out, cur):
+            a[done] = c[~moving]
+        idx = idx[moving]
+        prev = tuple(c[moving] for c in cur)
+    depths[idx] = depth
+    out[0][idx] = np.nan
+    return (depths, *out)
+
+
+def _settled_value(evaluate, tol: float):
+    """evaluate(depth) at one point, taken as one row of values and deepened
+    by _deepen until it settles; raises NumericalError unless it is finite."""
+    value = _deepen(lambda idx, depth: (np.reshape(evaluate(depth), (1, -1)),), 1, tol)[1][0]
+    if not np.all(np.isfinite(value)):
+        raise NumericalError("continued fraction did not converge to a finite value")
+    return value
 
 
 def _check_point(params: CFParams, lambda_tilde: complex) -> None:
@@ -266,7 +300,7 @@ def cf_tail(params: CFParams, lam: complex, direction: str, tol: float) -> compl
             return _sweep(params, lt, range(-depth, 1))[0]
         return -1.0 / _sweep(params, lt, range(depth, 0, -1))[0]
 
-    return complex(_deepen(tail, tol)[1][0])
+    return complex(_settled_value(tail, tol)[0])
 
 
 def f_eigen(params: CFParams, lambda_tilde: complex, tol: float = 1e-13) -> complex:
@@ -278,7 +312,7 @@ def f_eigen(params: CFParams, lambda_tilde: complex, tol: float = 1e-13) -> comp
     only.
     """
     _check_point(params, lambda_tilde)
-    return complex(_deepen(lambda d: _match(params, lambda_tilde, 0, d)[0], tol)[1][0])
+    return complex(_settled_value(lambda d: _match(params, lambda_tilde, 0, d)[0], tol)[0])
 
 
 def f_eigen_half(params: CFParams, lambda_tilde: complex, side: int, tol: float = 1e-13) -> complex:
@@ -291,11 +325,17 @@ def f_eigen_half(params: CFParams, lambda_tilde: complex, side: int, tol: float 
     """
     _check_side(params, side)
     _check_point(params, lambda_tilde)
-    return complex(_deepen(lambda d: _match(params, lambda_tilde, side, d)[0], tol)[1][0])
+    return complex(_settled_value(lambda d: _match(params, lambda_tilde, side, d)[0], tol)[0])
 
 
 # ---------------------------------------------------------------------------
 # Newton search
+
+
+def _snap_axes(z: complex, eps: float) -> complex:
+    """z with a real or imaginary part of size <= eps set to zero, so that a
+    root on an axis is reported there and not as rounding noise off it."""
+    return complex(0.0 if abs(z.real) <= eps else z.real, 0.0 if abs(z.imag) <= eps else z.imag)
 
 
 def _quadruple_members(lt: complex, tol: float) -> tuple[complex, ...]:
@@ -309,19 +349,35 @@ def _quadruple_members(lt: complex, tol: float) -> tuple[complex, ...]:
 
 
 def _representative(members: tuple[complex, ...]) -> complex:
-    # the orbit {+-z, +-conj z} always meets the closed first quadrant
-    for z in members:
-        if z.real >= 0 and z.imag >= 0:
-            return z
-    return members[0]
+    # the orbit {+-z, +-conj z} of a point snapped onto the axes always
+    # meets the closed first quadrant
+    return next(z for z in members if z.real >= 0 and z.imag >= 0)
+
+
+def _match_at(params: CFParams, lt, side: int, depths):
+    """_match at each point's own truncation depth, one call per depth."""
+    f = np.empty(len(lt), dtype=complex)
+    # a set, not np.unique, which imports numpy.ma on first use (~1 MB)
+    for depth in set(depths.tolist()):
+        at = depths == depth
+        f[at] = _match(params, lt[at], side, depth)[0]
+    return f
 
 
 def _search(
     params: CFParams, side: int, search_box: tuple[float, float, float, float], grid: int, tol: float
 ) -> list[EigenQuadruple]:
     """Newton search for zeros of the matching function of `side` (see
-    _match) from a grid x grid seed lattice over the box, at the one
-    truncation depth that converges f on a sample of the seeds."""
+    _match) from a grid x grid seed lattice over the box.
+
+    Each iterate gets its own truncation depth at every Newton step
+    (_deepen): f must settle to max(dtol, _DEPTH_REL_TOL * |f|), which only
+    next to a root tightens to the absolute dtol.  A step far from a root
+    needs only a few correct digits of f (inexact Newton: Dembo, Eisenstat
+    & Steihaug, SIAM J. Numer. Anal. 19 (1982) 400), and only iterates near
+    the essential band need deep tails.  The root filter and each
+    residual are taken at twice the depth the point last settled at.
+    """
     if params.parallel:
         raise DomainError("parallel class carries no point spectrum machinery")
     if grid < 1:
@@ -332,18 +388,20 @@ def _search(
 
     res = np.linspace(re_min, re_max, grid)
     ims = np.linspace(im_min, im_max, grid)
-    seeds = (res[:, None] + 1j * ims[None, :]).ravel()
-    probes = seeds[:: max(1, len(seeds) // 16)]
-    depth, _ = _deepen(lambda d: _match(params, probes, side, d)[0], min(tol * 1e-2, 1e-13))
+    lt = (res[:, None] + 1j * ims[None, :]).ravel()
+    depths = np.zeros(len(lt), dtype=int)
+    dtol = min(tol * 1e-2, 1e-13)
 
-    lt = seeds.copy()
     active = np.ones(len(lt), dtype=bool)
     bound = 4.0 * (abs(re_max) + abs(im_max) + 1.0)
     for _ in range(60):
         if not active.any():
             break
         cur = lt[active]
-        f, df = _match(params, cur, side, depth)
+        depth, f, df = _deepen(
+            lambda idx, d: _match(params, cur[idx], side, d), len(cur), dtol, _DEPTH_REL_TOL
+        )
+        depths[active] = depth
         with np.errstate(divide="ignore", invalid="ignore"):
             step = f / df
         nxt = cur - step
@@ -357,18 +415,18 @@ def _search(
         lt[active] = nxt
         active[active] = ~(bad | conv)
 
-    finite = lt[np.isfinite(lt)]
-    if len(finite) == 0:
-        return []
-    roots = finite[np.abs(_match(params, finite, side, 2 * depth)[0]) < tol]
+    finite = np.isfinite(lt)
+    lt, depths = lt[finite], 2 * depths[finite]
+    keep = np.abs(_match_at(params, lt, side, depths)) < tol
+    roots = sorted(zip(lt[keep], depths[keep]), key=lambda r: (abs(r[0]), r[0].real, r[0].imag))
 
     quads: list[EigenQuadruple] = []
-    for z in sorted(roots, key=lambda z: (abs(z), z.real, z.imag)):
-        members = _quadruple_members(complex(z), 10.0 * tol)
+    for z, depth in roots:
+        members = _quadruple_members(_snap_axes(complex(z), 10.0 * tol), 10.0 * tol)
         rep = _representative(members)
         if any(min(abs(rep - m) for m in q.members) < 10.0 * tol for q in quads):
             continue
-        residual = abs(_match(params, np.array([rep]), side, 2 * depth)[0][0])
+        residual = abs(_match(params, np.array([rep]), side, int(depth))[0][0])
         if residual < tol:
             quads.append(EigenQuadruple(lambda_tilde=rep, members=members, residual=float(residual)))
     quads.sort(key=lambda q: (abs(q.lambda_tilde), q.lambda_tilde.real, q.lambda_tilde.imag))
@@ -438,7 +496,7 @@ def eigenvector_window(
                 values.append(state[0])
             return np.array(values)
 
-        return _deepen(evaluate, tol)[1]
+        return _settled_value(evaluate, tol)
 
     lower = kernel_values(range(n_min, 1))  # z_{m+1}/z_m, m = n_min..0
     upper = -1.0 / kernel_values(range(n_max, 0, -1))  # z_n/z_{n-1}, n = n_max..1

@@ -19,10 +19,8 @@ __all__ = [
     "WaveVector",
     "ClassLabel",
     "RhoSequence",
-    "WindowMembers",
     "triad_coeff",
     "rho",
-    "class_members",
     "canonical_label",
     "classes_meeting_disk",
 ]
@@ -134,31 +132,6 @@ class RhoSequence:
             got = rho(self.khat, self.p, n)
             self.values[n] = got
         return got
-
-
-@dataclass(frozen=True)
-class WindowMembers:
-    """Members (n, khat + n p) of a class over a finite index window, plus
-    the excluded index where khat + n p = 0 (recorded, never silently
-    skipped)."""
-
-    members: tuple[tuple[int, WaveVector], ...]
-    excluded: int | None
-
-
-def class_members(label: ClassLabel, n_min: int, n_max: int) -> WindowMembers:
-    """All (n, khat + n p) with n in [n_min, n_max] and khat + n p != 0."""
-    if n_min > n_max:
-        raise DomainError(f"empty window: n_min={n_min} > n_max={n_max}")
-    members = []
-    excluded = None
-    for n in range(n_min, n_max + 1):
-        k = label.member(n)
-        if k.is_zero:
-            excluded = n
-        else:
-            members.append((n, k))
-    return WindowMembers(tuple(members), excluded)
 
 
 def _min_norm_members(k: WaveVector, p: WaveVector) -> list[WaveVector]:

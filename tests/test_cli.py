@@ -222,6 +222,18 @@ def test_eigs_cf_routes_circle_classes_to_the_half_chains(capsys):
     assert code == 0 and out.splitlines()[0] == "re,im,residual"
 
 
+def test_eigs_cf_real_root_representative_is_on_the_axis(capsys):
+    # p=2,1 khat=-1,1: side -1 has a real pair whose Newton iterates keep an
+    # imaginary part of ~5e-29 rounding noise
+    args = ("eigs-cf", "--p", "2,1", "--khat=-1,1", "--box", "0.05,2,0.05,2", "--grid", "12")
+    code, out, _ = run_cli(capsys, *args)
+    assert code == 0
+    [quad] = json.loads(out)["quadruples"]
+    assert quad["side"] == -1
+    assert (quad["re"], quad["im"]) == (0.136886017330697, 0)
+    assert [(m["re"], m["im"]) for m in quad["members"]] == [(0.136886017330697, 0), (-0.136886017330697, 0)]
+
+
 def test_euler_sim_negative_eps_perturbs(capsys):
     code, _, err = run_cli(
         capsys, "euler-sim", "--p", "1,1", "--khat", "9,9", "--eps", "-0.05",

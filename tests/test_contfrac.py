@@ -3,8 +3,12 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from euler_spectra import contfrac
+from euler_spectra.cli import _circle_member
 from euler_spectra.contfrac import (
+    _DEPTH_REL_TOL,
     CFParams,
+    _deepen,
     _match,
     a_n,
     a_tilde,
@@ -259,14 +263,57 @@ def test_kernel_derivative_matches_central_difference():
         assert np.all(np.abs(df - fd) < 1e-7 * np.abs(df)), (params.khat, side)
 
 
+def test_deepen_gives_each_point_its_own_depth():
+    # v(d) = 1 + r**d settles once r**d is below the tolerance; a NaN point
+    # settles at once, and v(d) = d never settles and comes back NaN
+    calls = {}
+
+    def evaluate(idx, depth):
+        calls[depth] = idx.tolist()
+        v = np.array([1 + 0.5**depth, 1 + 0.99**depth, np.nan, depth], dtype=complex)[idx]
+        return v, np.full(len(idx), depth, dtype=complex)
+
+    depth, v, seen = _deepen(evaluate, 4, 1e-14)
+    assert depth.tolist() == [128, 8192, 128, 1 << 18]
+    assert seen[:2].tolist() == [128, 8192]
+    assert v[0] == 1 + 0.5**128 and np.isnan(v[2]) and np.isnan(v[3])
+    assert calls[256] == [1, 3]
+    # a relative tolerance stops the slowly converging point early
+    assert _deepen(evaluate, 2, 1e-14, 1e-2)[0].tolist() == [128, 1024]
+
+
 def test_half_chain_default_box_finds_real_pair():
     quads = find_eigenvalues_half(CIRCLE, -1)
     assert len(quads) == 1
     q = quads[0]
-    assert q.lambda_tilde == pytest.approx(0.0411649532416021, abs=1e-13)
-    assert abs(q.lambda_tilde.imag) < 1e-13
+    assert q.lambda_tilde == 0.04116495324160208
     assert len(q.members) == 2
     assert q.residual < 1e-12
+    assert find_eigenvalues_half(CIRCLE, +1) == []
+
+
+def test_find_eigenvalues_default_box_golden_literals():
+    [q] = find_eigenvalues(GOLDEN)
+    assert q.lambda_tilde == 0.24822301804110672 + 0.3517207645854475j
+    assert q.residual == 1.2412670766236366e-16
+
+
+# indices visited by _sweep in one default-box golden search when every seed
+# ran at the one depth (16384) that converged a sample of 16 seeds
+SINGLE_DEPTH_SWEEP_INDICES = 819102
+
+
+def test_per_point_depth_sweeps_a_twentieth_of_the_single_depth_search(monkeypatch):
+    visited = []
+    sweep = contfrac._sweep
+
+    def counting(params, lt, ns, start=None):
+        visited.append(len(ns))
+        return sweep(params, lt, ns, start)
+
+    monkeypatch.setattr(contfrac, "_sweep", counting)
+    assert len(find_eigenvalues(GOLDEN)) == 1
+    assert sum(visited) <= SINGLE_DEPTH_SWEEP_INDICES / 20
 
 
 def _meets_disk_or_circle(khat, p):
@@ -295,3 +342,35 @@ def test_cf_roots_are_dense_section_eigenvalues(p, k1, k2):
     for q in quads:
         for m in q.members:
             assert np.min(np.abs(ev - params.a * m)) < 1e-6 * abs(params.a)
+
+
+@given(
+    st.sampled_from([V(1, 1), V(2, 1), V(1, 0), V(2, 2), V(3, 1)]),
+    st.integers(-3, 3),
+    st.integers(-3, 3),
+)
+@settings(max_examples=10, deadline=None)
+def test_search_roots_hold_at_depth_16384(p, k1, k2):
+    # every root is a root of the deeply truncated fraction, and the depth
+    # the search settled at gives the same value as depth 1 << 14
+    khat = V(k1, k2)
+    assume(det(p, khat) != 0)
+    member = _circle_member(khat, p)
+    box = dict(search_box=(0.05, 2.0, 0.05, 2.0), grid=8, tol=1e-12)
+    if member is None:
+        params = CFParams.for_class(khat, p, 1.0)
+        runs = [(0, find_eigenvalues(params, **box))]
+    else:
+        params = CFParams.for_class(member, p, 1.0)
+        runs = [(side, find_eigenvalues_half(params, side, **box)) for side in (+1, -1)]
+    for side, quads in runs:
+        for q in quads:
+            rep = np.array([q.lambda_tilde])
+            deep = _match(params, rep, side, 1 << 14)[0][0]
+            assert abs(deep) < 1e-12
+            # the search's own rule: dtol = min(tol / 100, 1e-13) = 1e-14
+            depth, own, _ = _deepen(
+                lambda idx, d: _match(params, rep[idx], side, d), 1, 1e-14, _DEPTH_REL_TOL
+            )
+            for value in (own[0], _match(params, rep, side, 2 * int(depth[0]))[0][0]):
+                assert abs(value - deep) < 1e-13

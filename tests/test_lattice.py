@@ -8,7 +8,6 @@ from euler_spectra.lattice import (
     RhoSequence,
     WaveVector,
     canonical_label,
-    class_members,
     classes_meeting_disk,
     lattice_points_in_disk,
     rho,
@@ -78,32 +77,6 @@ def test_rho_over_an_index_array_is_the_scalar_formula(khat, p):
 def test_rho_over_an_index_array_rejects_origin_member():
     with pytest.raises(DomainError, match="n=-2"):
         rho(V(2, 2), V(1, 1), np.arange(-5, 5))
-
-
-def test_class_members_windows():
-    lab = canonical_label(V(1, 0), V(1, 1))
-    win = class_members(lab, -1, 1)
-    assert win.excluded is None
-    assert [(n, k.as_tuple()) for n, k in win.members] == [
-        (-1, (0, -1)),
-        (0, (1, 0)),
-        (1, (2, 1)),
-    ]
-
-    single = class_members(lab, 0, 0)
-    assert [(n, k.as_tuple()) for n, k in single.members] == [(0, (1, 0))]
-
-
-def test_class_members_reports_excluded_origin():
-    # parallel class through (2,2): the n with khat + n p = 0 is a hole
-    lab = canonical_label(V(2, 2), V(1, 1))
-    full = class_members(lab, -4, 4)
-    assert full.excluded is not None
-    assert all(not k.is_zero for _, k in full.members)
-    # restricting the window to the hole alone gives an empty member list
-    hole = class_members(lab, full.excluded, full.excluded)
-    assert hole.members == ()
-    assert hole.excluded == full.excluded
 
 
 def test_canonical_label_examples():
