@@ -14,7 +14,9 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
+
+import numpy as np
 
 from . import reporting
 from .contfrac import CFParams, find_eigenvalues, find_eigenvalues_half
@@ -30,7 +32,7 @@ from .matrixop import build, classify_band_distance, essential_band, truncated_s
 from .subsystem import ComplexSeq, SubsystemSpec, classify_stability, integrate
 from .verification import run_checks
 
-__all__ = ["main", "RunConfig"]
+__all__ = ["main"]
 
 
 @dataclass
@@ -60,56 +62,67 @@ class RunConfig:
             raise UsageError(f"unknown output format {self.format!r}")
 
 
-_CONFIG_KEYS = {
-    "p": ("p", "vector"),
-    "khat": ("khat", "vector"),
-    "gamma": ("gamma", "complex"),
-    "tolerances.root_tol": ("root_tol", "float"),
-    "sizes.N_matrix": ("N_matrix", "int"),
-    "sizes.n_window": ("n_window", "int"),
-    "sizes.K_cutoff": ("K_cutoff", "float"),
-    "sizes.grid": ("grid", "int"),
-    "sizes.scan_radius": ("scan_radius", "float"),
-    "integration.dt": ("dt", "float"),
-    "integration.steps": ("steps", "int"),
-    "integration.eps": ("eps", "float"),
-    "search.box": ("box", "box"),
-    "output.path": ("output", "str"),
-    "output.format": ("format", "str"),
-}
+def _finite(value, text: str):
+    if not np.isfinite(value).all():
+        raise ValueError(f"{text!r} is not finite")
+    return value
 
 
-def _parse_vector(text: str) -> WaveVector:
+def _vector(text: str) -> WaveVector:
     try:
         k1, k2 = (int(part) for part in text.split(","))
-    except ValueError as exc:
-        raise UsageError(f"expected 'k1,k2' integers, got {text!r}") from exc
+    except ValueError:
+        raise ValueError(f"expected 'k1,k2' integers, got {text!r}") from None
     return WaveVector(k1, k2)
 
 
-def _parse_box(text: str) -> tuple[float, float, float, float]:
+def _real(text: str) -> float:
+    return _finite(float(text), text)
+
+
+def _complex(text: str) -> complex:
+    return _finite(complex(text), text)
+
+
+def _box(text: str) -> tuple[float, float, float, float]:
     try:
         a, b, c, d = (float(part) for part in text.split(","))
+    except ValueError:
+        raise ValueError(f"expected 're0,re1,im0,im1', got {text!r}") from None
+    return _finite((a, b, c, d), text)
+
+
+# RunConfig field -> (config-file key, parser).  The field's flag is
+# --field in lower case with '_' -> '-'; a flag overrides its config key.
+_OPTIONS = {
+    "p": ("p", _vector),
+    "khat": ("khat", _vector),
+    "gamma": ("gamma", _complex),
+    "root_tol": ("tolerances.root_tol", _real),
+    "N_matrix": ("sizes.N_matrix", int),
+    "n_window": ("sizes.n_window", int),
+    "K_cutoff": ("sizes.K_cutoff", _real),
+    "grid": ("sizes.grid", int),
+    "scan_radius": ("sizes.scan_radius", _real),
+    "dt": ("integration.dt", _real),
+    "steps": ("integration.steps", int),
+    "eps": ("integration.eps", _real),
+    "box": ("search.box", _box),
+    "output": ("output.path", str),
+    "format": ("output.format", str),
+}
+_BY_KEY = {key: (name, parse) for name, (key, parse) in _OPTIONS.items()}
+
+
+def _flag(name: str) -> str:
+    return "--" + name.lower().replace("_", "-")
+
+
+def _parse(parse, raw: str, where: str):
+    try:
+        return parse(raw)
     except ValueError as exc:
-        raise UsageError(f"expected 're0,re1,im0,im1', got {text!r}") from exc
-    return (a, b, c, d)
-
-
-def _coerce(kind: str, raw: str):
-    if kind == "vector":
-        return _parse_vector(raw)
-    if kind == "complex":
-        try:
-            return complex(raw)
-        except ValueError as exc:
-            raise UsageError(f"bad complex literal {raw!r}") from exc
-    if kind == "float":
-        return float(raw)
-    if kind == "int":
-        return int(raw)
-    if kind == "box":
-        return _parse_box(raw)
-    return raw
+        raise UsageError(f"{where}: {exc}") from exc
 
 
 def load_config_file(path: str) -> dict:
@@ -124,44 +137,22 @@ def load_config_file(path: str) -> dict:
                 if "=" not in line:
                     raise UsageError(f"{path}:{lineno}: expected key=value")
                 key, raw = (part.strip() for part in line.split("=", 1))
-                if key not in _CONFIG_KEYS:
+                if key not in _BY_KEY:
                     raise UsageError(f"{path}:{lineno}: unknown key {key!r}")
-                field_name, kind = _CONFIG_KEYS[key]
-                try:
-                    values[field_name] = _coerce(kind, raw)
-                except ValueError as exc:
-                    raise UsageError(f"{path}:{lineno}: bad value for {key}: {exc}") from exc
+                name, parse = _BY_KEY[key]
+                values[name] = _parse(parse, raw, f"{path}:{lineno}: bad value for {key}")
     except OSError as exc:
         raise UsageError(f"cannot read config file {path}: {exc}") from exc
     return values
 
 
 def build_config(args: argparse.Namespace) -> RunConfig:
-    values: dict = {}
-    if args.config:
-        values.update(load_config_file(args.config))
-    overrides = {
-        "p": args.p,
-        "khat": args.khat,
-        "gamma": args.gamma,
-        "root_tol": args.root_tol,
-        "N_matrix": args.n_matrix,
-        "n_window": args.n_window,
-        "K_cutoff": args.k_cutoff,
-        "grid": args.grid,
-        "scan_radius": args.scan_radius,
-        "dt": args.dt,
-        "steps": args.steps,
-        "eps": args.eps,
-        "box": args.box,
-        "output": args.output,
-        "format": args.format,
-    }
-    for name, value in overrides.items():
-        if value is not None:
-            values[name] = value
-    valid = {f.name for f in fields(RunConfig)}
-    return RunConfig(**{k: v for k, v in values.items() if k in valid})
+    values = load_config_file(args.config) if args.config else {}
+    for name, (_, parse) in _OPTIONS.items():
+        raw = getattr(args, name)
+        if raw is not None:
+            values[name] = _parse(parse, raw, f"bad value for {_flag(name)}")
+    return RunConfig(**values)
 
 
 def _require(config: RunConfig, *names: str) -> None:
@@ -237,6 +228,11 @@ def cmd_eigs_cf(config: RunConfig) -> int:
     member = _circle_member(config.khat, config.p)
     search = dict(search_box=config.box, grid=config.grid, tol=config.root_tol)
     if member is None:
+        if config.khat.norm2 > label.khat.norm2:
+            # counted from a far member the chain has the same roots, but the
+            # seeds can miss them (p=2,1: khat=-6,-2 finds none at grid 8,
+            # its minimal member 0,1 finds one); minimal members all agree
+            params = CFParams.for_class(label.khat, config.p, config.gamma)
         found = [(None, q) for q in find_eigenvalues(params, **search)]
     else:
         # rho vanishes at the member, so the chain splits into two half-chains
@@ -286,7 +282,7 @@ def cmd_band(config: RunConfig) -> int:
         _emit(config, "\n".join(lines) + "\n")
     else:
         doc = {
-            "class": {"khat": label.khat, "p": label.p, "parallel": label.parallel},
+            "class": reporting._class_dict(label),
             "a": params.a,
             "endpoints": list(band.endpoints),
             "width": band.width,
@@ -378,33 +374,20 @@ def _make_parser() -> _Parser:
     parser = _Parser(prog="euler-spectra", description=__doc__)
     parser.add_argument("command", choices=sorted(_COMMANDS))
     parser.add_argument("--config", help="flat dotted-key config file")
-    parser.add_argument("--p", type=_parse_vector, help="pump mode 'p1,p2'")
-    parser.add_argument("--khat", type=_parse_vector, help="class member 'k1,k2'")
-    parser.add_argument("--gamma", type=complex, help="pump amplitude (complex literal)")
-    parser.add_argument("--root-tol", type=float)
-    parser.add_argument("--n-matrix", type=int)
-    parser.add_argument("--n-window", type=int)
-    parser.add_argument("--k-cutoff", type=float)
-    parser.add_argument("--grid", type=int)
-    parser.add_argument("--scan-radius", type=float)
-    parser.add_argument("--dt", type=float)
-    parser.add_argument("--steps", type=int)
-    parser.add_argument("--eps", type=float)
-    parser.add_argument("--box", type=_parse_box, help="search box 're0,re1,im0,im1'")
-    parser.add_argument("--output", help="write result to this path instead of stdout")
-    parser.add_argument("--format", choices=["json", "csv"])
+    for name, (key, _) in _OPTIONS.items():
+        parser.add_argument(_flag(name), dest=name, help=f"config key {key}")
     return parser
-
-
-_VALUE_FLAGS = ("--p", "--khat", "--box")
 
 
 def _attach_negative_values(argv: list[str]) -> list[str]:
     """Rewrite '--khat -1,1' as '--khat=-1,1'; argparse would read the
-    value '-1,1' as an option."""
+    value '-1,1' as an option.  Every flag takes a value, so this holds for
+    each of them."""
     out: list[str] = []
     for arg in argv:
-        if out and out[-1] in _VALUE_FLAGS and arg[:1] == "-" and (arg[1:2].isdigit() or arg[1:2] == "."):
+        flag = out[-1] if out else ""
+        negative = arg[:1] == "-" and (arg[1:2].isdigit() or arg[1:2] == ".")
+        if negative and flag.startswith("--") and "=" not in flag:
             out[-1] += "=" + arg
         else:
             out.append(arg)

@@ -36,15 +36,10 @@ from .lattice import RhoSequence, WaveVector, det, rho
 
 __all__ = [
     "CFParams",
-    "AsymRoots",
     "EigenQuadruple",
     "a_n",
-    "a_tilde",
-    "asym_roots",
     "band_distance",
-    "cf_tail",
     "f_eigen",
-    "f_eigen_half",
     "find_eigenvalues",
     "find_eigenvalues_half",
     "eigenvector_window",
@@ -78,24 +73,10 @@ class CFParams:
     def parallel(self) -> bool:
         return self.a == 0.0
 
-    @property
-    def rho_limit(self) -> float:
-        return self.rho_seq.limit
-
     def band_halfwidth_tilde(self) -> float:
         """Half-length of the essential band segment on the imaginary axis
         of the lambda_tilde plane: 2 / |p|^2."""
         return 2.0 / self.p.norm2
-
-
-@dataclass(frozen=True)
-class AsymRoots:
-    """Roots of w^2 - a_tilde w - 1 = 0 governing the tail behavior;
-    w_plus * w_minus = -1 and |w_plus| > 1 > |w_minus| off the band."""
-
-    a_tilde: complex
-    w_plus: complex
-    w_minus: complex
 
 
 @dataclass(frozen=True)
@@ -122,13 +103,12 @@ def band_distance(z, half):
     return np.abs(z - 1j * np.clip(np.imag(z), -half, half))
 
 
-def band_distance_tilde(params: CFParams, lt: complex) -> float:
-    """Distance from lt to the essential band segment i*[-2/|p|^2, 2/|p|^2]."""
-    return float(band_distance(lt, params.band_halfwidth_tilde()))
-
-
 def a_n(params: CFParams, lam: complex, n: int) -> complex:
-    """Recurrence coefficient a_n = lambda / (a * rho_n)."""
+    """Recurrence coefficient a_n = lambda / (a * rho_n).
+
+    Kept public as a test oracle: _sweep inlines it, and the tests check
+    reconstructed eigenvectors against the recurrence written with it.
+    """
     if params.parallel:
         raise DomainError("parallel class: a = 0, no spectral recurrence")
     r = params.rho_seq.value(n)
@@ -139,33 +119,12 @@ def a_n(params: CFParams, lam: complex, n: int) -> complex:
     return lam / (params.a * r)
 
 
-def a_tilde(params: CFParams, lam: complex) -> complex:
-    """Limit of a_n as |n| -> infinity: -lambda |p|^2 / a."""
-    if params.parallel:
-        raise DomainError("parallel class: a = 0")
-    return -lam * params.p.norm2 / params.a
-
-
 def _w_plus(a_t):
     """Elementwise large root of w^2 - a_tilde w - 1 = 0 off the band: the
     sign of the square root is chosen so that |w_plus| > 1."""
     s = np.sqrt(a_t * a_t + 4.0)
     delta = np.where(a_t.real != 0.0, np.sign(a_t.real) * np.sign(s.real), np.sign(a_t.imag))
     return 0.5 * (a_t + delta * s)
-
-
-def asym_roots(a_t: complex) -> AsymRoots:
-    """Solve w^2 - a_tilde w - 1 = 0 with the sign convention that makes
-    w_plus the large root: |w_plus| > 1 > |w_minus|.
-
-    Requires Re(a_tilde) != 0, or Re(a_tilde) = 0 with |a_tilde| > 2;
-    anything else sits on the essential band and is rejected.
-    """
-    a_t = complex(a_t)
-    if not _outside_band(a_t):
-        raise EssentialBandError(f"a_tilde = {a_t} lies on the essential band")
-    w_plus = complex(_w_plus(a_t))
-    return AsymRoots(a_tilde=a_t, w_plus=w_plus, w_minus=-1.0 / w_plus)
 
 
 # ---------------------------------------------------------------------------
@@ -282,50 +241,17 @@ def _check_side(params: CFParams, side: int) -> None:
         raise DomainError("half-chain solver applies only when |khat| = |p|")
 
 
-def cf_tail(params: CFParams, lam: complex, direction: str, tol: float) -> complex:
-    """Evaluate one tail continued fraction at lambda, doubling the
-    truncation depth until successive values differ by less than tol:
-    'down' is w_1 = a_0 + 1/(a_{-1} + ...), 'up' is w_1 = -1/(a_1 + ...)."""
-    if tol <= 0:
-        raise DomainError("tol must be positive")
-    if direction not in ("down", "up"):
-        raise DomainError(f"direction must be 'down' or 'up', got {direction!r}")
-    if params.parallel:
-        raise DomainError("parallel class: a = 0")
-    lt = complex(lam) / params.a
-    _check_point(params, lt)
-
-    def tail(depth):
-        if direction == "down":
-            return _sweep(params, lt, range(-depth, 1))[0]
-        return -1.0 / _sweep(params, lt, range(depth, 0, -1))[0]
-
-    return complex(_settled_value(tail, tol)[0])
-
-
 def f_eigen(params: CFParams, lambda_tilde: complex, tol: float = 1e-13) -> complex:
     """Matching function whose zeros are the point-spectrum values:
 
         f = a_0 + [lower-tail fraction] + [upper-tail fraction]
 
     evaluated at lambda = a * lambda_tilde; defined off the essential band
-    only.
+    only.  Kept public as a test oracle: the search steps with _match at
+    fixed depths, and the tests hold its roots to this settled value.
     """
     _check_point(params, lambda_tilde)
     return complex(_settled_value(lambda d: _match(params, lambda_tilde, 0, d)[0], tol)[0])
-
-
-def f_eigen_half(params: CFParams, lambda_tilde: complex, side: int, tol: float = 1e-13) -> complex:
-    """Matching function for one decoupled half-chain (|khat| = |p| case):
-
-        side=+1:  f = a_1 + 1/(a_2 + 1/(a_3 + ...))   (chain n >= 1)
-        side=-1:  f = a_{-1} + 1/(a_{-2} + ...)        (chain n <= -1)
-
-    The n = 0 mode is excluded (its outgoing couplings vanish there).
-    """
-    _check_side(params, side)
-    _check_point(params, lambda_tilde)
-    return complex(_settled_value(lambda d: _match(params, lambda_tilde, side, d)[0], tol)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -477,7 +403,8 @@ def eigenvector_window(
     Below the matching index the ratios come from the lower-tail fraction,
     above it from the upper one; at a true root of f the two agree and the
     assembled z solves a_n z_n + z_{n-1} - z_{n+1} = 0 on the whole window,
-    decaying in both directions.
+    decaying in both directions.  Kept public as a test oracle: the tests
+    check that recurrence on z, before mode_amplitudes rescales it.
     """
     if n_min > 0 or n_max < 1:
         raise DomainError("window must contain the matching indices 0 and 1")

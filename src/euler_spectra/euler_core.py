@@ -33,8 +33,6 @@ __all__ = [
     "conserved",
     "jacobian_check",
     "integrate_euler",
-    "EulerTrajectory",
-    "JacobianReport",
 ]
 
 
@@ -204,7 +202,9 @@ def _energy_enstrophy(modeset: ModeSet, full: np.ndarray) -> tuple[np.ndarray, n
 
 def conserved(field: VorticityField, p: WaveVector | None = None) -> tuple[float, float, float | None]:
     """(E, J, I): kinetic energy, enstrophy, and the pump-weighted
-    combination I = 2E - |p|^-2 J when a pump direction is supplied."""
+    combination I = 2E - |p|^-2 J when a pump direction is supplied.
+    Kept public as the per-field oracle that the tests hold
+    integrate_euler's batched drift series to."""
     E, J = (float(x) for x in _energy_enstrophy(field.modeset, field.full_vector()))
     I = (2.0 * E - J / p.norm2) if p is not None else None
     return E, J, I

@@ -116,7 +116,8 @@ class ClassLabel:
 @dataclass
 class RhoSequence:
     """Memoized rho_n values for one class, with the |n| -> infinity limit
-    rho = -|p|^-2 held alongside."""
+    rho = -|p|^-2 held alongside.  The memo stays a dict: perfbench reports
+    len(values) as the deepest index contfrac reached."""
 
     khat: WaveVector
     p: WaveVector

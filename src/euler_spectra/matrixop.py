@@ -43,7 +43,6 @@ __all__ = [
     "build",
     "truncated_spectrum",
     "char_roots",
-    "root_count_S",
     "essential_band",
     "resolvent_apply",
     "green_kernel",
@@ -140,19 +139,14 @@ def truncated_spectrum(op: TruncatedOperator) -> np.ndarray:
 def char_roots(lambda_b: complex) -> tuple[complex, complex, complex, complex]:
     """Roots {w, -w, 1/w, -1/w} of the characteristic polynomial
     1 - lambda_b w^2 + w^4 of the constant-coefficient difference equation;
-    their product is 1."""
+    their product is 1.  Kept public as a test oracle for the roots that the
+    resolvent and the det-M test build on."""
     lam = complex(lambda_b)
     w2 = 0.5 * (lam + np.sqrt(lam * lam - 4.0))
     w = np.sqrt(w2)
     if w == 0.0:  # cannot happen for finite lambda; guard the division
         raise NumericalError("degenerate characteristic root")
     return (complex(w), complex(-w), complex(1.0 / w), complex(-1.0 / w))
-
-
-def root_count_S(lambda_b: complex) -> int:
-    """Number of characteristic roots of modulus < 1: 0 on the spectral
-    curve (all moduli exactly 1 there, boundary points included), 2 off it."""
-    return sum(1 for w in char_roots(lambda_b) if abs(w) < 1.0 - CURVE_TOL)
 
 
 def essential_band(params: CFParams) -> BandSpec:
@@ -282,6 +276,8 @@ def detM_eigentest(params: CFParams, lambda_hat: complex, N_tail: int | None = N
     characteristic rate builds the minimal (square-summable) solution of
     each decoupled half-recurrence; the two are normalized and substituted
     into the coupling constraints.  det M = 0 exactly at eigenvalues.
+    Kept as the independent oracle for continued-fraction roots: its
+    recurrence shares no code with contfrac's kernel.
     """
     if params.parallel:
         raise DomainError("parallel class: zero operator")

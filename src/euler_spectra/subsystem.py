@@ -210,6 +210,7 @@ def half_invariants(spec: SubsystemSpec, state: ComplexSeq) -> tuple[float, floa
 
     Individually conserved exactly when |khat| = |p| (the half-chains
     decouple there); restricted to that case to keep the contract honest.
+    Kept public as a test oracle for that split of I.
     """
     _require_match(spec, state)
     if spec.khat.norm2 != spec.p.norm2:

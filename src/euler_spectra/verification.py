@@ -51,7 +51,7 @@ from .subsystem import (
     udt_bound_check,
 )
 
-__all__ = ["CheckResult", "CHECKS", "run_checks", "REFERENCE_ROOT", "GOLDEN_ROOT", "GOLDEN_ROOT_DIGITS"]
+__all__ = ["CHECKS", "run_checks", "REFERENCE_ROOT", "GOLDEN_ROOT", "GOLDEN_ROOT_DIGITS"]
 
 V = WaveVector
 

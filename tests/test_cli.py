@@ -1,7 +1,16 @@
+import contextlib
+import io
 import json
+
+import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import euler_spectra.cli as cli
 from euler_spectra.cli import main
+from euler_spectra.lattice import WaveVector, canonical_label, det
+from euler_spectra.reporting import verdict_dict
+from euler_spectra.subsystem import classify_stability
 from euler_spectra.verification import CheckResult
 
 
@@ -260,3 +269,71 @@ def test_zero_gamma_is_not_reported_as_parallel(capsys):
         code, out, err = run_cli(capsys, command, "--p", "1,1", "--khat", "1,0", "--gamma", "0")
         assert code == 1 and out == ""
         assert "gamma is zero" in err and "parallel" not in err
+
+
+@pytest.mark.parametrize(
+    "argv, flag, key, value",
+    [
+        (("euler-sim", "--p", "1,1"), "--k-cutoff", "sizes.K_cutoff", "nan"),
+        (("classes", "--p", "1,1"), "--scan-radius", "sizes.scan_radius", "nan"),
+        (("eigs-matrix", "--p", "1,1", "--khat", "1,0", "--n-matrix", "5"), "--gamma", "gamma", "nan"),
+        (("eigs-cf", "--p", "1,1", "--khat", "1,0"), "--root-tol", "tolerances.root_tol", "nan"),
+        (("eigs-cf", "--p", "1,1", "--khat", "1,0"), "--box", "search.box", "0.1,inf,0.1,1"),
+        (("simulate", "--p", "1,1", "--khat", "3,0", "--steps", "5"), "--dt", "integration.dt", "nan"),
+    ],
+)
+def test_non_finite_values_are_usage_errors(tmp_path, capsys, argv, flag, key, value):
+    code, out, err = run_cli(capsys, *argv, flag, value)
+    assert code == 1 and out == ""
+    assert err.startswith("usage error: ") and flag in err and "not finite" in err
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"{key}={value}\n")
+    code, out, err = run_cli(capsys, *argv, "--config", str(cfg))
+    assert code == 1 and out == ""
+    assert f"{cfg}:1" in err and key in err and "not finite" in err
+
+
+def test_eigs_cf_searches_from_a_minimal_member(capsys):
+    # khat=-6,-2 is the member 0,1 shifted by -3 p; searched from there the
+    # grid-8 seeds miss the quadruple
+    args = ("eigs-cf", "--p=2,1", "--box", "0.05,2,0.05,2", "--grid", "8")
+    code, far, _ = run_cli(capsys, *args, "--khat=-6,-2")
+    assert code == 0
+    assert far == run_cli(capsys, *args, "--khat=0,1")[1]
+    [quad] = json.loads(far)["quadruples"]
+    assert (quad["re"], quad["im"]) == (0.111547350886948, 0.0929885972226853)
+
+
+def _json_of(*argv):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(list(argv)) == 0
+    return json.loads(out.getvalue())
+
+
+@given(
+    st.sampled_from([(1, 1), (2, 1), (1, 0), (2, 2), (3, 1)]).map(lambda p: WaveVector(*p)),
+    st.integers(-3, 3),
+    st.integers(-3, 3),
+    st.sampled_from([-3, -2, -1, 1, 2, 3]),
+)
+@settings(max_examples=10, deadline=None)
+def test_class_answers_do_not_depend_on_the_member(p, k1, k2, n):
+    khat = WaveVector(k1, k2)
+    assume(det(p, khat) != 0)
+    shifted = khat.plus(n, p)
+    verdicts = [verdict_dict(classify_stability(canonical_label(k, p))) for k in (khat, shifted)]
+    assert verdicts[0] == verdicts[1]
+    box = ("--box", "0.05,2,0.05,2", "--grid", "8")
+    docs = [_json_of("eigs-cf", f"--p={p.k1},{p.k2}", f"--khat={k.k1},{k.k2}", *box) for k in (khat, shifted)]
+    quads, moved = docs[0]["quadruples"], docs[1]["quadruples"]
+    assert len(quads) == len(moved)
+    for q, m in zip(quads, moved):
+        assert q.get("side") == m.get("side")
+        assert abs(complex(q["re"], q["im"]) - complex(m["re"], m["im"])) < 1e-12
+    for q in quads + moved:
+        assert q["re"] >= 0 and q["im"] >= 0
+        members = [complex(z["re"], z["im"]) for z in q["members"]]
+        for z in members:
+            for image in (-z, z.conjugate()):
+                assert min(abs(image - u) for u in members) < 1e-11

@@ -10,14 +10,12 @@ from euler_spectra.contfrac import (
     CFParams,
     _deepen,
     _match,
+    _outside_band,
+    _w_plus,
     a_n,
-    a_tilde,
-    asym_roots,
-    band_distance_tilde,
-    cf_tail,
+    band_distance,
     eigenvector_window,
     f_eigen,
-    f_eigen_half,
     find_eigenvalues,
     find_eigenvalues_half,
     mode_amplitudes,
@@ -68,9 +66,9 @@ def test_a_n_values():
     # n = 0 slot of the golden class: rho_0 = 1/2
     lam = GOLDEN.a * 1.0
     assert a_n(GOLDEN, lam, 0) == pytest.approx(2.0, abs=1e-15)
-    # large |n| approaches the limit coefficient
+    # large |n| approaches the limit coefficient -lambda |p|^2 / a
     lam = GOLDEN.a * (0.3 + 0.4j)
-    at = a_tilde(GOLDEN, lam)
+    at = -lam * GOLDEN.p.norm2 / GOLDEN.a
     assert a_n(GOLDEN, lam, 4000) == pytest.approx(at, rel=1e-6)
     assert a_n(GOLDEN, lam, -4000) == pytest.approx(at, rel=1e-6)
 
@@ -82,17 +80,15 @@ def test_a_n_flags_circle_member():
 
 
 def test_asym_roots_frozen_values():
-    r = asym_roots(3.0)
-    assert r.w_plus == pytest.approx((3 + np.sqrt(13)) / 2, abs=1e-14)
-    assert r.w_minus == pytest.approx((3 - np.sqrt(13)) / 2, abs=1e-14)
-    assert r.w_plus * r.w_minus == pytest.approx(-1.0, abs=1e-14)
+    # w_minus = -1 / w_plus is the other root of w^2 - a_tilde w - 1 = 0
+    w = _w_plus(np.array([3.0, 3.0j]))
+    assert w[0] == pytest.approx((3 + np.sqrt(13)) / 2, abs=1e-14)
+    assert -1.0 / w[0] == pytest.approx((3 - np.sqrt(13)) / 2, abs=1e-14)
+    assert w[1] == pytest.approx(1j * (3 + np.sqrt(5)) / 2, abs=1e-14)
+    assert -1.0 / w[1] == pytest.approx(1j * (3 - np.sqrt(5)) / 2, abs=1e-14)
 
-    ri = asym_roots(3.0j)
-    assert ri.w_plus == pytest.approx(1j * (3 + np.sqrt(5)) / 2, abs=1e-14)
-    assert ri.w_minus == pytest.approx(1j * (3 - np.sqrt(5)) / 2, abs=1e-14)
-
-    with pytest.raises(EssentialBandError):
-        asym_roots(1.0j)
+    assert _outside_band(np.array([3.0, 3.0j, 2.5j])).all()
+    assert not _outside_band(np.array([1.0j, -2.0j, 0j])).any()
 
 
 @given(
@@ -104,39 +100,41 @@ def test_asym_roots_invariants(at):
     # strict inequality degenerates to |w| = 1
     if abs(at.real) < 1e-6 and abs(at) <= 2.0 + 1e-6:
         return
-    r = asym_roots(at)
-    assert abs(r.w_plus * r.w_minus + 1.0) < 1e-12 * max(1.0, abs(r.w_plus))
-    assert abs(r.w_plus) > 1.0 > abs(r.w_minus)
+    w = complex(_w_plus(np.array(at)))
+    assert abs(w * w - at * w - 1.0) < 1e-12 * max(1.0, abs(w)) ** 2
+    assert abs(w) > 1.0 > abs(-1.0 / w)
 
 
 def test_cf_tail_constant_chain_hits_exact_roots():
     params = constant_params()
-    # a_tilde = -lam |p|^2 / a = 4 lam; pick lam so a_tilde = 3
-    lam = 0.75
-    roots = asym_roots(3.0)
-    assert cf_tail(params, lam, "down", 1e-14) == pytest.approx(roots.w_plus, abs=1e-13)
-    assert cf_tail(params, lam, "up", 1e-14) == pytest.approx(roots.w_minus, abs=1e-13)
+    # a_tilde = -lt |p|^2 = -2 lt; pick lt so a_tilde = 3
+    lt = np.array([-1.5])
+    w_plus = (3 + np.sqrt(13)) / 2
+    # each tail is seeded at its fixed point w_plus, so it stays there
+    for side in (+1, -1):
+        assert _match(params, lt, side, 64)[0][0] == pytest.approx(w_plus, abs=1e-13)
+    # lower tail w_plus plus 1/(upper tail) 1/w_plus: w_plus - w_minus
+    assert _match(params, lt, 0, 64)[0][0] == pytest.approx(np.sqrt(13), abs=1e-13)
     # K(1/3) as the positive fixed point of x = 1/(3 + x)
-    k = roots.w_plus - 3.0
+    k = w_plus - 3.0
     assert k == pytest.approx((np.sqrt(13) - 3) / 2, abs=1e-13)
-    assert k == pytest.approx(1 / roots.w_plus, abs=1e-13)
+    assert k == pytest.approx(1 / w_plus, abs=1e-13)
 
 
 def test_cf_tail_cauchy_in_tol():
-    lam = GOLDEN.a * (0.3 + 0.5j)
     for tolerance in (1e-8, 1e-10, 1e-12):
-        coarse = cf_tail(GOLDEN, lam, "down", tolerance)
-        fine = cf_tail(GOLDEN, lam, "down", tolerance / 2)
+        coarse = f_eigen(GOLDEN, 0.3 + 0.5j, tolerance)
+        fine = f_eigen(GOLDEN, 0.3 + 0.5j, tolerance / 2)
         assert abs(coarse - fine) < tolerance
 
 
 def test_cf_tail_converges_in_both_corollary_regimes():
     # off-axis lambda (Re a_tilde != 0) and imaginary lambda beyond the band
-    for lt in (0.3 + 0.5j, -0.7 + 0.1j, 1.5j, -2.5j):
-        lam = GOLDEN.a * lt
-        down = cf_tail(GOLDEN, lam, "down", 1e-12)
-        up = cf_tail(GOLDEN, lam, "up", 1e-12)
-        assert np.isfinite(down) and np.isfinite(up)
+    lt = np.array([0.3 + 0.5j, -0.7 + 0.1j, 1.5j, -2.5j])
+    for side in (0, +1, -1):
+        assert np.isfinite(_match(GOLDEN, lt, side, 4096)[0]).all()
+    for z in lt:
+        assert np.isfinite(f_eigen(GOLDEN, z, 1e-12))
 
 
 def test_f_eigen_at_published_value():
@@ -202,9 +200,10 @@ def test_find_eigenvalues_gamma_invariant():
 
 
 def test_band_distance():
-    assert band_distance_tilde(GOLDEN, 0.3 + 0.2j) == pytest.approx(0.3)
-    assert band_distance_tilde(GOLDEN, 1.5j) == pytest.approx(0.5)
-    assert band_distance_tilde(GOLDEN, 0.1 + 1.0j) == pytest.approx(0.1)
+    half = GOLDEN.band_halfwidth_tilde()
+    assert band_distance(0.3 + 0.2j, half) == pytest.approx(0.3)
+    assert band_distance(1.5j, half) == pytest.approx(0.5)
+    assert band_distance(0.1 + 1.0j, half) == pytest.approx(0.1)
 
 
 def test_eigenvector_recurrence_and_decay():
@@ -237,13 +236,12 @@ def test_half_chain_solver_on_circle_class():
     circle = CFParams.for_class(V(-1, 1), V(1, 1), 1.0)
     # matching functions evaluate off the band...
     for side in (+1, -1):
-        val = f_eigen_half(circle, 0.4 + 0.6j, side)
-        assert np.isfinite(val)
+        assert np.isfinite(_match(circle, np.array([0.4 + 0.6j]), side, 4096)[0]).all()
     # ...and find no roots: both half-chains are stable
     for side in (+1, -1):
         assert find_eigenvalues_half(circle, side, search_box=(0.05, 2.0, 0.05, 2.0), grid=6) == []
     with pytest.raises(DomainError):
-        f_eigen_half(GOLDEN, 0.4 + 0.6j, +1)
+        find_eigenvalues_half(GOLDEN, +1)
 
 
 def test_parallel_class_rejected():

@@ -11,6 +11,7 @@ from euler_spectra.errors import (
 )
 from euler_spectra.lattice import WaveVector, rho
 from euler_spectra.matrixop import (
+    CURVE_TOL,
     build,
     char_roots,
     classify_band_distance,
@@ -20,7 +21,6 @@ from euler_spectra.matrixop import (
     pattern,
     relabel,
     resolvent_apply,
-    root_count_S,
     truncated_spectrum,
     unrelabel,
 )
@@ -205,13 +205,10 @@ def test_char_roots_product_and_closure(lam):
 
 
 def test_root_count_on_and_off_curve():
-    assert root_count_S(0.0) == 0
-    assert root_count_S(1.3) == 0
-    assert root_count_S(2.0) == 0
-    assert root_count_S(-2.0) == 0
-    assert root_count_S(3.0) == 2
-    assert root_count_S(5.0j) == 2
-    assert root_count_S(-2.5 + 0.3j) == 2
+    # all four moduli are 1 on the spectral curve [-2, 2] (boundary points
+    # included); off it two roots lie inside the unit circle
+    for lam, inside in ((0.0, 0), (1.3, 0), (2.0, 0), (-2.0, 0), (3.0, 2), (5.0j, 2), (-2.5 + 0.3j, 2)):
+        assert sum(abs(w) < 1.0 - CURVE_TOL for w in char_roots(lam)) == inside
 
 
 def test_essential_band_values():
