@@ -31,14 +31,14 @@ def parse_vec(text):
     return WaveVector(k1, k2)
 
 
-def main():
+def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--p", type=parse_vec, default=WaveVector(1, 1))
     ap.add_argument("--khat", type=parse_vec, default=WaveVector(1, 0))
     ap.add_argument("--gamma", type=complex, default=1.0 + 0.0j)
     ap.add_argument("--n-matrix", type=int, default=400)
     ap.add_argument("--outdir", type=pathlib.Path, default=pathlib.Path("out_golden"))
-    args = ap.parse_args()
+    args = ap.parse_args(argv)
 
     args.outdir.mkdir(parents=True, exist_ok=True)
     label = canonical_label(args.khat, args.p)
@@ -58,13 +58,19 @@ def main():
     op = build("A", params, args.n_matrix)
     ev = truncated_spectrum(op)
     iso = classify_band_distance(op, ev)
-    (args.outdir / "spectrum_matrix.csv").write_text(reporting.spectrum_csv(ev, iso))
-    (args.outdir / "operator_A.csv").write_text(reporting.operator_triplets_csv(build("A", params, 60)))
+    tagged = reporting.matrix_spectrum_report(op, label, ev, iso)["eigenvalues"]
+    spectrum = ((e["re"], e["im"], e["kind"]) for e in tagged)
+    (args.outdir / "spectrum_matrix.csv").write_text(reporting.to_csv(("re", "im", "kind"), spectrum))
+    entries = build("A", params, 60).entries
+    triplets = ((r + 1, c + 1, entries[r, c].real, entries[r, c].imag) for r, c in zip(*np.nonzero(entries)))
+    (args.outdir / "operator_A.csv").write_text(reporting.to_csv(("row", "col", "re", "im"), triplets))
     print(f"  matrix oracle: N={args.n_matrix}, {int(iso.sum())} isolated eigenvalue(s)")
 
     spec = SubsystemSpec(khat=args.khat, p=args.p, gamma=args.gamma, n_min=-40, n_max=40)
     traj = integrate(spec, ComplexSeq.unit(spec, 0), dt=1e-3, steps=2000, sample_every=50)
-    (args.outdir / "trajectory.csv").write_text(reporting.trajectory_csv(traj))
+    ns = spec.indices()
+    samples = ((t, n, w.real, w.imag) for t, row in zip(traj.times, traj.states) for n, w in zip(ns, row))
+    (args.outdir / "trajectory.csv").write_text(reporting.to_csv(("t", "n", "re", "im"), samples))
     (args.outdir / "trajectory_summary.json").write_text(
         reporting.to_canonical_json(reporting.trajectory_summary(traj))
     )

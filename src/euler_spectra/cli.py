@@ -25,6 +25,7 @@ from .euler_core import ModeSet, VorticityField, fixed_point, integrate_euler
 from .lattice import (
     WaveVector,
     canonical_label,
+    circle_member,
     classes_meeting_disk,
     lattice_points_in_disk,
 )
@@ -161,12 +162,19 @@ def _require(config: RunConfig, *names: str) -> None:
             raise UsageError(f"this command requires --{name}")
 
 
-def _emit(config: RunConfig, text: str) -> None:
+def _emit(config: RunConfig, doc: dict, header: tuple[str, ...], rows) -> int:
+    """Write doc as canonical JSON, or with --format csv the table of header
+    and rows (an iterable read only then), to --output or stdout."""
+    if config.format == "csv":
+        text = reporting.to_csv(header, rows)
+    else:
+        text = reporting.to_canonical_json(doc)
     if config.output:
         with open(config.output, "w", encoding="utf-8") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
+    return 0
 
 
 def _params(config: RunConfig) -> CFParams:
@@ -186,46 +194,27 @@ def cmd_classes(config: RunConfig) -> int:
     for k in lattice_points_in_disk(int(config.scan_radius**2)):
         lab = canonical_label(k, config.p)
         scanned.setdefault(lab.khat.as_tuple(), lab)
-    rows = []
-    for key in sorted(scanned, key=lambda t: (WaveVector(*t).norm2, t)):
-        lab = scanned[key]
-        verdict = classify_stability(lab)
-        rows.append(
-            {
-                "khat": lab.khat,
-                "parallel": lab.parallel,
-                "meets_disk": key in disk,
-                "verdict": reporting.verdict_dict(verdict),
-            }
-        )
-    if config.format == "csv":
-        lines = ["khat1,khat2,parallel,meets_disk,kind,sigma"]
-        for r in rows:
-            sigma = "" if r["verdict"]["sigma"] is None else reporting.format_float(r["verdict"]["sigma"])
-            lines.append(
-                f"{r['khat'].k1},{r['khat'].k2},{str(r['parallel']).lower()},"
-                f"{str(r['meets_disk']).lower()},{r['verdict']['kind']},{sigma}"
-            )
-        _emit(config, "\n".join(lines) + "\n")
-    else:
-        _emit(config, reporting.to_canonical_json({"p": config.p, "classes": rows}))
-    return 0
-
-
-def _circle_member(khat: WaveVector, p: WaveVector) -> WaveVector | None:
-    """The member of khat's class on |k| = |p|, if any.  Members with
-    |k| <= |p| lie within 1 of the real minimizer n* of |khat + n p|, and a
-    non-parallel class has at most one on the circle (two would make an
-    equilateral lattice triangle with p)."""
-    n_star = round(-khat.dot(p) / p.norm2)
-    near = (khat.plus(n, p) for n in range(n_star - 2, n_star + 3))
-    return next((k for k in near if k.norm2 == p.norm2), None)
+    classes = [
+        {
+            "khat": scanned[key].khat,
+            "parallel": scanned[key].parallel,
+            "meets_disk": key in disk,
+            "verdict": reporting.verdict_dict(classify_stability(scanned[key])),
+        }
+        for key in sorted(scanned, key=lambda t: (WaveVector(*t).norm2, t))
+    ]
+    rows = (
+        (*c["khat"].as_tuple(), c["parallel"], c["meets_disk"], c["verdict"]["kind"], c["verdict"]["sigma"])
+        for c in classes
+    )
+    header = ("khat1", "khat2", "parallel", "meets_disk", "kind", "sigma")
+    return _emit(config, {"p": config.p, "classes": classes}, header, rows)
 
 
 def cmd_eigs_cf(config: RunConfig) -> int:
     params = _params(config)
     label = canonical_label(config.khat, config.p)
-    member = _circle_member(config.khat, config.p)
+    member = circle_member(config.khat, config.p)
     search = dict(search_box=config.box, grid=config.grid, tol=config.root_tol)
     if member is None:
         if config.khat.norm2 > label.khat.norm2:
@@ -240,22 +229,14 @@ def cmd_eigs_cf(config: RunConfig) -> int:
         found = [(side, q) for side in (+1, -1) for q in find_eigenvalues_half(params, side, **search)]
     band = essential_band(params)
     doc = reporting.cf_report(params, label, band, [q for _, q in found])
+    header = ("re", "im", "residual")
     if member is not None:
         doc["circle_member"] = member
         for entry, (side, _) in zip(doc["quadruples"], found):
             entry["side"] = side
-    if config.format == "csv":
-        lines = ["re,im,residual" + ("" if member is None else ",side")]
-        for side, q in found:
-            lines.append(
-                f"{reporting.format_float(q.lambda_tilde.real)},"
-                f"{reporting.format_float(q.lambda_tilde.imag)},"
-                f"{reporting.format_float(q.residual)}" + ("" if side is None else f",{side}")
-            )
-        _emit(config, "\n".join(lines) + "\n")
-    else:
-        _emit(config, reporting.to_canonical_json(doc))
-    return 0
+        header += ("side",)
+    rows = ([entry[column] for column in header] for entry in doc["quadruples"])
+    return _emit(config, doc, header, rows)
 
 
 def cmd_eigs_matrix(config: RunConfig) -> int:
@@ -264,31 +245,23 @@ def cmd_eigs_matrix(config: RunConfig) -> int:
     op = build("A", params, config.N_matrix)
     ev = truncated_spectrum(op)
     iso = classify_band_distance(op, ev)
-    if config.format == "csv":
-        _emit(config, reporting.spectrum_csv(ev, iso))
-    else:
-        _emit(config, reporting.to_canonical_json(reporting.matrix_spectrum_report(op, label, ev, iso)))
-    return 0
+    doc = reporting.matrix_spectrum_report(op, label, ev, iso)
+    header = ("re", "im", "kind")
+    rows = ([entry[column] for column in header] for entry in doc["eigenvalues"])
+    return _emit(config, doc, header, rows)
 
 
 def cmd_band(config: RunConfig) -> int:
     params = _params(config)
     label = canonical_label(config.khat, config.p)
     band = essential_band(params)
-    if config.format == "csv":
-        lines = ["re,im"]
-        for e in band.endpoints:
-            lines.append(f"{reporting.format_float(e.real)},{reporting.format_float(e.imag)}")
-        _emit(config, "\n".join(lines) + "\n")
-    else:
-        doc = {
-            "class": reporting._class_dict(label),
-            "a": params.a,
-            "endpoints": list(band.endpoints),
-            "width": band.width,
-        }
-        _emit(config, reporting.to_canonical_json(doc))
-    return 0
+    doc = {
+        "class": reporting._class_dict(label),
+        "a": params.a,
+        "endpoints": list(band.endpoints),
+        "width": band.width,
+    }
+    return _emit(config, doc, ("re", "im"), ((e.real, e.imag) for e in band.endpoints))
 
 
 def cmd_simulate(config: RunConfig) -> int:
@@ -302,15 +275,13 @@ def cmd_simulate(config: RunConfig) -> int:
     )
     state = ComplexSeq.unit(spec, 0)  # n = 0 is never the excluded origin
     traj = integrate(spec, state, dt=config.dt, steps=config.steps, sample_every=max(1, config.steps // 100))
-    if config.format == "csv":
-        _emit(config, reporting.trajectory_csv(traj))
-    else:
-        doc = {
-            "class": {"khat": config.khat, "p": config.p},
-            "summary": reporting.trajectory_summary(traj),
-        }
-        _emit(config, reporting.to_canonical_json(doc))
-    return 0
+    doc = {
+        "class": {"khat": config.khat, "p": config.p},
+        "summary": reporting.trajectory_summary(traj),
+    }
+    ns = spec.indices()
+    rows = ((t, n, w.real, w.imag) for t, states in zip(traj.times, traj.states) for n, w in zip(ns, states))
+    return _emit(config, doc, ("t", "n", "re", "im"), rows)
 
 
 def cmd_euler_sim(config: RunConfig) -> int:
@@ -324,19 +295,16 @@ def cmd_euler_sim(config: RunConfig) -> int:
         pert = VorticityField.from_dict(modeset, {config.khat: config.eps})
         field = VorticityField(modeset, field.coeffs + pert.coeffs)
     traj = integrate_euler(field, dt=config.dt, steps=config.steps, sample_every=max(1, config.steps // 50))
-    if config.format == "csv":
-        final = traj.field(len(traj.times) - 1)
-        _emit(config, reporting.field_csv(modeset.modes, final.full_vector()))
-    else:
-        doc = {
-            "p": config.p,
-            "K_cutoff": config.K_cutoff,
-            "eps": config.eps,
-            "E_drift": traj.e_drift,
-            "J_drift": traj.j_drift,
-        }
-        _emit(config, reporting.to_canonical_json(doc))
-    return 0
+    doc = {
+        "p": config.p,
+        "K_cutoff": config.K_cutoff,
+        "eps": config.eps,
+        "E_drift": traj.e_drift,
+        "J_drift": traj.j_drift,
+    }
+    final = traj.field(len(traj.times) - 1)
+    rows = ((k.k1, k.k2, w.real, w.imag) for k, w in zip(modeset.modes, final.full_vector()))
+    return _emit(config, doc, ("k1", "k2", "re", "im"), rows)
 
 
 def cmd_verify(config: RunConfig) -> int:

@@ -44,8 +44,8 @@ def _is_representative(k: WaveVector) -> bool:
 class ModeSet:
     """Nonzero lattice modes with |k| <= cutoff, closed under k -> -k.
 
-    The index, the representatives, the triad table and the embedding are
-    derived once per instance, on first use.
+    The index, the representatives, the triad table, its product buffers
+    and the embedding are derived once per instance, on first use.
     """
 
     cutoff: float
@@ -99,6 +99,15 @@ class ModeSet:
                 qs.append(j)
                 cs.append(coeff)
         return np.array(ks), np.array(ps), np.array(qs), np.array(cs)
+
+    @cached_property
+    def _products(self) -> np.ndarray:
+        """The triad-length buffer every right-hand side writes its products
+        into, so one mode set serves one call at a time.  Fresh products,
+        freed on each call, let the C heap shrink and fault the pages in
+        again on the next call (about 1.6 MB per call at cutoff 12),
+        depending on the heap layout."""
+        return np.empty(len(self.triads[0]), dtype=complex)
 
     @cached_property
     def embedding(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -170,7 +179,8 @@ def _embed(modeset: ModeSet, coeffs: np.ndarray) -> np.ndarray:
 
 def _rhs_full(modeset: ModeSet, full: np.ndarray) -> np.ndarray:
     ks, ps, qs, cs = modeset.triads
-    prod = cs * full[ps] * full[qs]
+    prod = np.multiply(cs, full[ps], out=modeset._products)
+    prod *= full[qs]
     out_re = np.bincount(ks, weights=prod.real, minlength=len(full))
     out_im = np.bincount(ks, weights=prod.imag, minlength=len(full))
     return out_re + 1j * out_im
@@ -216,7 +226,7 @@ class JacobianReport:
     entries_checked: int
 
 
-def jacobian_check(p: WaveVector, gamma: complex, modeset: ModeSet, h: float = 1e-6) -> JacobianReport:
+def jacobian_check(p: WaveVector, gamma: complex, modeset: ModeSet) -> JacobianReport:
     """Compare the finite-difference Jacobian of euler_rhs at the pump
     fixed point against the exact linearized coupling:
 
@@ -226,10 +236,10 @@ def jacobian_check(p: WaveVector, gamma: complex, modeset: ModeSet, h: float = 1
 
     Columns for k' and -k' are both recovered from one pair of real /
     imaginary probes (the linearized operator is complex-linear), so every
-    matrix entry over the full signed mode list gets checked.
+    matrix entry over the full signed mode list gets checked.  The probes
+    are central differences of step 1e-6.
     """
-    if h <= 0:
-        raise DomainError("h must be positive")
+    h = 1e-6
     base = fixed_point(p, gamma, modeset)
     reps = modeset.representatives
     modes = modeset.modes

@@ -22,6 +22,7 @@ __all__ = [
     "triad_coeff",
     "rho",
     "canonical_label",
+    "circle_member",
     "classes_meeting_disk",
 ]
 
@@ -135,19 +136,28 @@ class RhoSequence:
         return got
 
 
-def _min_norm_members(k: WaveVector, p: WaveVector) -> list[WaveVector]:
-    """Members of k's class attaining the minimal squared norm.
+def _near_members(k: WaveVector, p: WaveVector) -> list[WaveVector]:
+    """The members k + n p with n within 2 of round(n*), n* = -k.p / |p|^2
+    the real minimizer of the strictly convex |k + n p|^2.  They hold the
+    members of minimal norm (at floor/ceil of n*, or next to the origin when
+    that is the nearest site) and every member with |k + n p| <= |p|
+    (|n - n*| <= 1)."""
+    n_star = round(-k.dot(p) / p.norm2)
+    return [k.plus(n, p) for n in range(n_star - 2, n_star + 3)]
 
-    |k + n p|^2 is a strictly convex quadratic in n, so the minimum over
-    integers lies at floor/ceil of the real minimizer; a couple of extra
-    neighbors cover the case where the nearest site is the excluded origin.
-    """
-    n_star = -k.dot(p) / p.norm2
-    lo = int(n_star) - 2
-    candidates = [k.plus(n, p) for n in range(lo, lo + 6)]
-    candidates = [c for c in candidates if not c.is_zero]
+
+def _min_norm_members(k: WaveVector, p: WaveVector) -> list[WaveVector]:
+    """Members of k's class attaining the minimal squared norm."""
+    candidates = [c for c in _near_members(k, p) if not c.is_zero]
     best = min(c.norm2 for c in candidates)
     return sorted(c for c in candidates if c.norm2 == best)
+
+
+def circle_member(k: WaveVector, p: WaveVector) -> WaveVector | None:
+    """The member of k's class on the circle |k| = |p|, if any.  A
+    non-parallel class has at most one (two would make an equilateral
+    lattice triangle with p)."""
+    return next((c for c in _near_members(k, p) if c.norm2 == p.norm2), None)
 
 
 def canonical_label(k: WaveVector, p: WaveVector) -> ClassLabel:

@@ -230,21 +230,20 @@ def green_kernel(lambda_b: complex, n_max: int, j_max: int) -> np.ndarray:
     return ab[0] * w**n + ab[1] * (-w) ** n + g(n, j)
 
 
-def resolvent_apply(lambda_b: complex, y: np.ndarray, n_out: int | None = None) -> np.ndarray:
+def resolvent_apply(lambda_b: complex, y: np.ndarray) -> np.ndarray:
     """Solve (B_pattern - lambda_b I) z = y for finitely supported y
     (y[0] is the j = 1 slot), via the explicit Green's function.
 
-    Returns z over 1..n_out, sized so the geometric tail has decayed
-    below rounding unless overridden.
+    Returns z over 1..n_out, n_out sized so that the geometric tail has
+    decayed below rounding.
     """
     y = np.asarray(y, dtype=complex)
     if y.ndim != 1:
         raise DomainError("y must be a one-dimensional sequence")
     lam = complex(lambda_b)
     w = _small_root(lam)  # raises on the curve
-    if n_out is None:
-        decay = max(abs(w), 1e-6)
-        n_out = len(y) + max(8, int(np.ceil(np.log(1e-16) / np.log(decay))))
+    decay = max(abs(w), 1e-6)
+    n_out = len(y) + max(8, int(np.ceil(np.log(1e-16) / np.log(decay))))
     G = green_kernel(lam, n_out, len(y))
     return G @ y
 
@@ -269,7 +268,7 @@ def classify_band_distance(op: TruncatedOperator, eigenvalues: np.ndarray) -> np
     return band_distance(eigenvalues, 2.0 * b) > ISOLATION_THRESHOLD * b
 
 
-def detM_eigentest(params: CFParams, lambda_hat: complex, N_tail: int | None = None) -> complex:
+def detM_eigentest(params: CFParams, lambda_hat: complex) -> complex:
     """Determinant test for point-spectrum membership at lam = i a lambda_hat.
 
     Backward recurrence from a far tail seeded with the decaying
@@ -286,32 +285,26 @@ def detM_eigentest(params: CFParams, lambda_hat: complex, N_tail: int | None = N
     lam_b = lam_hat / params.rho_seq.limit  # lam/(i b)
     w = _small_root(lam_b)  # raises on the essential band
     r = w * w  # Poincare-Perron decay ratio of both half-recurrences
-
-    if N_tail is None:
-        N_tail = max(64, int(np.ceil(np.log(1e-14) / np.log(max(abs(r), 1e-12)))) + 16)
+    n_tail = max(64, int(np.ceil(np.log(1e-14) / np.log(max(abs(r), 1e-12)))) + 16)
 
     def backward(chain_rho, n_stop: int) -> list[complex]:
         """Run u_{n-1} = (lam_hat u_n - rho(n+1) u_{n+1}) / rho(n-1) from
-        the seed (1, r) at the tail down to n_stop; renormalize on overflow
-        (only ratios matter until the final normalization)."""
-        u_next, u_cur = complex(r), 1.0 + 0.0j
-        out = {N_tail: u_cur, N_tail + 1: u_next}
-        for n in range(N_tail, n_stop, -1):
+        the seed (1, r) at the tail down to n_stop and return u at n_stop,
+        n_stop + 1 and n_stop + 2; renormalize on overflow (only ratios
+        matter until the final normalization)."""
+        u_after, u_next, u_cur = None, complex(r), 1.0 + 0.0j
+        for n in range(n_tail, n_stop, -1):
             denom = chain_rho(n - 1)
             if denom == 0.0:
                 raise OnCircleError("rho vanishes on a member; half-chain treatment required")
             u_prev = (lam_hat * u_cur - chain_rho(n + 1) * u_next) / denom
             if not np.isfinite(u_prev):
                 raise NumericalError(f"backward recurrence overflowed at n = {n}")
-            u_next, u_cur = u_cur, u_prev
+            u_after, u_next, u_cur = u_next, u_cur, u_prev
             scale = abs(u_cur)
             if scale > 1e200:
-                u_cur /= scale
-                u_next /= scale
-                for key in out:
-                    out[key] /= scale
-            out[n - 1] = u_cur
-        return [out[n] for n in range(n_stop, n_stop + 3)]
+                u_after, u_next, u_cur = u_after / scale, u_next / scale, u_cur / scale
+        return [u_cur, u_next, u_after]
 
     # even chain u_n = z_{2n}: coefficients rho(n); need z_2 = u_1, z_4 = u_2
     u1, u2, _ = backward(lambda n: rho(n), 1)

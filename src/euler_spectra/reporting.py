@@ -1,4 +1,4 @@
-"""Deterministic serialization: canonical JSON and CSV views.
+"""Deterministic serialization: canonical JSON and one CSV writer.
 
 Identical inputs must produce byte-identical output, so floats are
 formatted at a fixed 15 significant digits, dict keys are emitted sorted,
@@ -16,15 +16,11 @@ from .matrixop import BandSpec, TruncatedOperator
 from .subsystem import StabilityVerdict, Trajectory
 
 __all__ = [
-    "format_float",
     "to_canonical_json",
+    "to_csv",
     "cf_report",
     "matrix_spectrum_report",
-    "trajectory_csv",
     "trajectory_summary",
-    "spectrum_csv",
-    "field_csv",
-    "operator_triplets_csv",
     "verdict_dict",
 ]
 
@@ -63,6 +59,21 @@ def _emit(obj) -> str:
 
 def to_canonical_json(obj) -> str:
     return _emit(obj) + "\n"
+
+
+def _cell(value) -> str:
+    if value is None:
+        return ""
+    return value if isinstance(value, str) else _emit(value)
+
+
+def to_csv(header, rows) -> str:
+    """A header line of column names, then one line per row.  A cell is
+    written as in JSON (floats at 15 significant digits, bools as
+    true/false, ints as digits), except that None is an empty cell and a
+    str goes in as is."""
+    lines = [",".join(header)] + [",".join(map(_cell, row)) for row in rows]
+    return "\n".join(lines) + "\n"
 
 
 def _class_dict(label: ClassLabel) -> dict:
@@ -107,17 +118,6 @@ def matrix_spectrum_report(
     }
 
 
-def trajectory_csv(traj: Trajectory) -> str:
-    lines = ["t,n,re,im"]
-    ns = traj.spec.indices()
-    for t, row in zip(traj.times, traj.states):
-        for n, w in zip(ns, row):
-            lines.append(
-                f"{format_float(float(t))},{int(n)},{format_float(w.real)},{format_float(w.imag)}"
-            )
-    return "\n".join(lines) + "\n"
-
-
 def trajectory_summary(traj: Trajectory) -> dict:
     return {
         "H_drift": traj.h_drift,
@@ -125,25 +125,3 @@ def trajectory_summary(traj: Trajectory) -> dict:
         "enstrophy_ratio": traj.enstrophy_ratio,
     }
 
-
-def spectrum_csv(eigenvalues: np.ndarray, isolated: np.ndarray) -> str:
-    lines = ["re,im,kind"]
-    for ev, iso in zip(eigenvalues, isolated):
-        lines.append(f"{format_float(ev.real)},{format_float(ev.imag)},{'isolated' if iso else 'band'}")
-    return "\n".join(lines) + "\n"
-
-
-def field_csv(modes, values) -> str:
-    lines = ["k1,k2,re,im"]
-    for k, w in zip(modes, values):
-        lines.append(f"{k.k1},{k.k2},{format_float(w.real)},{format_float(w.imag)}")
-    return "\n".join(lines) + "\n"
-
-
-def operator_triplets_csv(op: TruncatedOperator) -> str:
-    lines = ["row,col,re,im"]
-    rows, cols = np.nonzero(op.entries)
-    for r, c in zip(rows, cols):
-        v = op.entries[r, c]
-        lines.append(f"{r + 1},{c + 1},{format_float(v.real)},{format_float(v.imag)}")
-    return "\n".join(lines) + "\n"

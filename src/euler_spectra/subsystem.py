@@ -392,27 +392,24 @@ class UdtBoundReport:
     ok: bool
 
 
-def udt_bound_check(spec: SubsystemSpec, trajectory: Trajectory, slack: float = 1e-6) -> UdtBoundReport:
-    """Check the enstrophy bound ||w(t)||^2 <= sigma ||w(0)||^2 along a
-    trajectory of a disk-avoiding class."""
+def udt_bound_check(spec: SubsystemSpec, trajectory: Trajectory) -> UdtBoundReport:
+    """Check the enstrophy bound ||w(t)||^2 <= sigma ||w(0)||^2, with a
+    relative slack of 1e-6, along a trajectory of a disk-avoiding class."""
     verdict = classify_stability(spec.label)
     if verdict.kind is not StabilityKind.STABLE_UDT or verdict.sigma is None:
         raise UsageError("udt_bound_check applies to StableUDT classes only")
-    enstrophy = np.sum(np.abs(trajectory.states) ** 2, axis=1)
-    if enstrophy[0] == 0.0:
-        return UdtBoundReport(verdict.sigma, 1.0, True)
-    max_ratio = float(np.max(enstrophy) / enstrophy[0])
-    return UdtBoundReport(verdict.sigma, max_ratio, max_ratio <= verdict.sigma * (1.0 + slack))
+    ratio = trajectory.enstrophy_ratio
+    return UdtBoundReport(verdict.sigma, ratio, ratio <= verdict.sigma * (1.0 + 1e-6))
 
 
-def fit_growth_rate(times: np.ndarray, series: np.ndarray, window_frac: float = 1.0 / 3.0) -> float:
-    """Least-squares slope of log(series) over the trailing window_frac of
-    the samples (transients decay out of the fit window)."""
+def fit_growth_rate(times: np.ndarray, series: np.ndarray) -> float:
+    """Least-squares slope of log(series) over the trailing third of the
+    samples (transients decay out of the fit window)."""
     times = np.asarray(times, dtype=float)
     series = np.asarray(series, dtype=float)
     if np.any(series <= 0):
         raise DomainError("growth-rate fit needs a positive series")
-    start = int(len(times) * (1.0 - window_frac))
+    start = 2 * len(times) // 3
     t = times[start:]
     y = np.log(series[start:])
     slope = np.polyfit(t, y, 1)[0]

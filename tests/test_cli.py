@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import re
 
 import pytest
 from hypothesis import assume, given, settings
@@ -97,7 +98,9 @@ def test_simulate_csv(capsys):
         "--n-window", "5", "--dt", "0.01", "--steps", "10", "--format", "csv",
     )
     assert code == 0
-    assert out.splitlines()[0] == "t,n,re,im"
+    lines = out.splitlines()
+    assert lines[0] == "t,n,re,im"
+    assert len(lines) == 1 + 11 * 11  # steps + 1 samples of the 11-member window
 
 
 def test_euler_sim(capsys):
@@ -337,3 +340,76 @@ def test_class_answers_do_not_depend_on_the_member(p, k1, k2, n):
         for z in members:
             for image in (-z, z.conjugate()):
                 assert min(abs(image - u) for u in members) < 1e-11
+
+
+# Exact stdout of the output path, taken from the JSON and CSV views of
+# three commands.  classes and band print only exact rational arithmetic.
+_CLASSES_JSON = (
+    '{"classes":['
+    '{"khat":[0,1],"meets_disk":true,"parallel":false,"verdict":{"detail":"class meets the open disk","kind":"Undetermined","sigma":null}},'
+    '{"khat":[1,0],"meets_disk":true,"parallel":false,"verdict":{"detail":"class meets the open disk","kind":"Undetermined","sigma":null}},'
+    '{"khat":[-1,1],"meets_disk":true,"parallel":false,"verdict":{"detail":"both half-chains stable; n=0 only driven","kind":"StableHalfClassBoth","sigma":2}},'
+    '{"khat":[1,-1],"meets_disk":true,"parallel":false,"verdict":{"detail":"both half-chains stable; n=0 only driven","kind":"StableHalfClassBoth","sigma":2}},'
+    '{"khat":[1,1],"meets_disk":true,"parallel":true,"verdict":{"detail":"khat parallel to p: zero dynamics","kind":"ParallelTrivial","sigma":null}},'
+    '{"khat":[-1,2],"meets_disk":false,"parallel":false,"verdict":{"detail":"class misses closed disk; enstrophy bound sigma=1.6666666666666667","kind":"StableUDT","sigma":1.66666666666667}},'
+    '{"khat":[2,-1],"meets_disk":false,"parallel":false,"verdict":{"detail":"class misses closed disk; enstrophy bound sigma=1.6666666666666667","kind":"StableUDT","sigma":1.66666666666667}},'
+    '{"khat":[-2,2],"meets_disk":false,"parallel":false,"verdict":{"detail":"class misses closed disk; enstrophy bound sigma=1.3333333333333333","kind":"StableUDT","sigma":1.33333333333333}},'
+    '{"khat":[2,-2],"meets_disk":false,"parallel":false,"verdict":{"detail":"class misses closed disk; enstrophy bound sigma=1.3333333333333333","kind":"StableUDT","sigma":1.33333333333333}}'
+    '],"p":[1,1]}\n'
+)
+_CLASSES_CSV = (
+    "khat1,khat2,parallel,meets_disk,kind,sigma\n"
+    "0,1,false,true,Undetermined,\n"
+    "1,0,false,true,Undetermined,\n"
+    "-1,1,false,true,StableHalfClassBoth,2\n"
+    "1,-1,false,true,StableHalfClassBoth,2\n"
+    "1,1,true,true,ParallelTrivial,\n"
+    "-1,2,false,false,StableUDT,1.66666666666667\n"
+    "2,-1,false,false,StableUDT,1.66666666666667\n"
+    "-2,2,false,false,StableUDT,1.33333333333333\n"
+    "2,-2,false,false,StableUDT,1.33333333333333\n"
+)
+_BAND_JSON = (
+    '{"a":-0.5,"class":{"khat":[1,0],"p":[1,1],"parallel":false},'
+    '"endpoints":[{"im":-0.5,"re":0},{"im":0.5,"re":0}],"width":1}\n'
+)
+_BAND_CSV = "re,im\n0,-0.5\n0,0.5\n"
+
+
+@pytest.mark.parametrize(
+    "argv, expected",
+    [
+        (("classes", "--p", "1,1"), _CLASSES_JSON),
+        (("classes", "--p", "1,1", "--format", "csv"), _CLASSES_CSV),
+        (("band", "--p", "1,1", "--khat", "1,0"), _BAND_JSON),
+        (("band", "--p", "1,1", "--khat", "1,0", "--format", "csv"), _BAND_CSV),
+    ],
+)
+def test_output_bytes(capsys, argv, expected):
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0 and out == expected
+
+
+# eigs-cf's root digits and residual come out of floating-point Newton
+# steps; each is masked to '#' and compared to within 1e-14, the rest of
+# the text byte for byte
+_ROUNDED = re.compile(r"-?\d\.\d{10,}(?:e-\d+)?")
+_EIGS_CF_JSON = (
+    '{"a":-0.5,"band_endpoints":[{"im":-0.5,"re":0},{"im":0.5,"re":0}],"band_width":1,'
+    '"class":{"khat":[1,0],"p":[1,1],"parallel":false},"method":"continued-fraction",'
+    '"quadruples":[{"im":0.351720764585447,"members":['
+    '{"im":0.351720764585447,"re":0.248223018041107},{"im":-0.351720764585447,"re":0.248223018041107},'
+    '{"im":0.351720764585447,"re":-0.248223018041107},{"im":-0.351720764585447,"re":-0.248223018041107}'
+    '],"re":0.248223018041107,"residual":1.24126707662364e-16}]}\n'
+)
+_EIGS_CF_CSV = "re,im,residual\n0.248223018041107,0.351720764585447,1.24126707662364e-16\n"
+
+
+@pytest.mark.parametrize("fmt, expected", [("json", _EIGS_CF_JSON), ("csv", _EIGS_CF_CSV)])
+def test_eigs_cf_output_bytes(capsys, fmt, expected):
+    argv = ("eigs-cf", "--p", "1,1", "--khat", "1,0", "--box", "0.05,1,0.05,1", "--grid", "6")
+    code, out, _ = run_cli(capsys, *argv, "--format", fmt)
+    assert code == 0
+    assert _ROUNDED.sub("#", out) == _ROUNDED.sub("#", expected)
+    got, want = ([float(x) for x in _ROUNDED.findall(text)] for text in (out, expected))
+    assert got == pytest.approx(want, abs=1e-14)

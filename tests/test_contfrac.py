@@ -1,10 +1,9 @@
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from euler_spectra import contfrac
-from euler_spectra.cli import _circle_member
 from euler_spectra.contfrac import (
     _DEPTH_REL_TOL,
     CFParams,
@@ -21,7 +20,7 @@ from euler_spectra.contfrac import (
     mode_amplitudes,
 )
 from euler_spectra.errors import DomainError, EssentialBandError, OnCircleError
-from euler_spectra.lattice import WaveVector, det
+from euler_spectra.lattice import WaveVector, circle_member, det, rho
 from euler_spectra.matrixop import build, truncated_spectrum
 from euler_spectra.subsystem import ComplexSeq, SubsystemSpec, cle_rhs
 
@@ -342,6 +341,35 @@ def test_cf_roots_are_dense_section_eigenvalues(p, k1, k2):
             assert np.min(np.abs(ev - params.a * m)) < 1e-6 * abs(params.a)
 
 
+@st.composite
+def _pump_and_circle_member(draw):
+    p = draw(st.tuples(st.integers(-3, 3), st.integers(-3, 3)).filter(any).map(lambda t: V(*t)))
+    r = int(p.norm2**0.5)
+    ring = [V(k1, k2) for k1 in range(-r, r + 1) for k2 in range(-r, r + 1) if k1 * k1 + k2 * k2 == p.norm2]
+    # never empty: p rotated by 90 degrees is on the circle and not parallel
+    return p, draw(st.sampled_from([k for k in ring if det(p, k) != 0]))
+
+
+@given(_pump_and_circle_member())
+@example((V(2, 1), V(2, -1)))
+@example((V(3, 1), V(1, 3)))
+@settings(max_examples=10, deadline=None)
+def test_half_chain_roots_are_dense_section_eigenvalues(pump_and_member):
+    # rho vanishes at a member on |k| = |p|, so the chain splits there into
+    # the half-chains n >= 1 and n <= -1; each is a one-sided tridiagonal
+    # i a P diag(rho), solved densely here as the oracle
+    p, k = pump_and_member
+    params = CFParams.for_class(k, p, 1.0)
+    N = 300
+    for side in (+1, -1):
+        quads = find_eigenvalues_half(params, side, search_box=(0.05, 2.0, 0.05, 2.0), grid=6)
+        section = 1j * params.a * (np.eye(N, k=1) + np.eye(N, k=-1)) * rho(k, p, side * np.arange(1, N + 1))
+        ev = np.linalg.eigvals(section)
+        for q in quads:
+            for m in q.members:
+                assert np.min(np.abs(ev - params.a * m)) < 1e-8
+
+
 @given(
     st.sampled_from([V(1, 1), V(2, 1), V(1, 0), V(2, 2), V(3, 1)]),
     st.integers(-3, 3),
@@ -353,7 +381,7 @@ def test_search_roots_hold_at_depth_16384(p, k1, k2):
     # the search settled at gives the same value as depth 1 << 14
     khat = V(k1, k2)
     assume(det(p, khat) != 0)
-    member = _circle_member(khat, p)
+    member = circle_member(khat, p)
     box = dict(search_box=(0.05, 2.0, 0.05, 2.0), grid=8, tol=1e-12)
     if member is None:
         params = CFParams.for_class(khat, p, 1.0)

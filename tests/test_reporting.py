@@ -1,26 +1,33 @@
+import importlib.util
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from euler_spectra.cli import main
 from euler_spectra.contfrac import CFParams, find_eigenvalues
 from euler_spectra.errors import UsageError
+from euler_spectra.euler_core import ModeSet
 from euler_spectra.lattice import WaveVector, canonical_label
 from euler_spectra.matrixop import build, classify_band_distance, essential_band, truncated_spectrum
 from euler_spectra.reporting import (
     cf_report,
-    field_csv,
     format_float,
     matrix_spectrum_report,
-    operator_triplets_csv,
-    spectrum_csv,
     to_canonical_json,
-    trajectory_csv,
+    to_csv,
     trajectory_summary,
 )
 from euler_spectra.subsystem import ComplexSeq, SubsystemSpec, integrate
 
 V = WaveVector
+SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "golden_class_report.py"
+
+
+def csv_lines(capsys, *argv):
+    assert main(list(argv)) == 0
+    return capsys.readouterr().out.splitlines()
 
 
 def test_format_float_fixed_precision():
@@ -40,18 +47,31 @@ def test_canonical_json_sorted_and_parseable():
     assert parsed["vec"] == [3, -4]
 
 
+def test_csv_cell_rules():
+    row = (True, False, None, -0.0, 0.1, 7, np.int64(-3), "band")
+    assert to_csv(("a", "b", "c", "d", "e", "f", "g", "h"), [row]) == "a,b,c,d,e,f,g,h\ntrue,false,,0,0.1,7,-3,band\n"
+    assert to_csv(("re", "im"), iter([])) == "re,im\n"
+    with pytest.raises(UsageError):
+        to_csv(("x",), [(float("nan"),)])
+
+
 def test_canonical_json_deterministic():
     doc = {"x": np.float64(0.123456789012345678), "y": np.arange(3)}
     assert to_canonical_json(doc) == to_canonical_json(doc)
 
 
-def test_trajectory_exports():
+def test_trajectory_exports(capsys):
+    # simulate's table: one row per sample time and chain index
+    lines = csv_lines(
+        capsys, "simulate", "--p", "1,1", "--khat", "1,0", "--n-window", "3",
+        "--dt", "1e-2", "--steps", "10", "--format", "csv",
+    )
+    assert lines[0] == "t,n,re,im"
+    assert len(lines) == 1 + 11 * 7
+    assert [line.split(",")[:2] for line in lines[1:8]] == [["0", str(n)] for n in range(-3, 4)]
+    assert lines[4] == "0,0,1,0"  # the unit initial state at n = 0
     spec = SubsystemSpec(khat=V(1, 0), p=V(1, 1), gamma=1.0, n_min=-3, n_max=3)
     traj = integrate(spec, ComplexSeq.unit(spec, 0), dt=1e-2, steps=10, sample_every=5)
-    csv = trajectory_csv(traj)
-    lines = csv.strip().splitlines()
-    assert lines[0] == "t,n,re,im"
-    assert len(lines) == 1 + len(traj.times) * spec.width
     summary = trajectory_summary(traj)
     assert set(summary) == {"H_drift", "I_drift", "enstrophy_ratio"}
 
@@ -70,7 +90,7 @@ def test_cf_report_contract():
     json.loads(to_canonical_json(doc))
 
 
-def test_matrix_report_and_csv():
+def test_matrix_report_and_csv(capsys):
     params = CFParams.for_class(V(1, 0), V(1, 1), 1.0)
     label = canonical_label(V(1, 0), V(1, 1))
     op = build("A", params, 80)
@@ -79,27 +99,35 @@ def test_matrix_report_and_csv():
     doc = matrix_spectrum_report(op, label, ev, iso)
     assert doc["method"] == "matrix-oracle"
     assert len(doc["eigenvalues"]) == 80
-    csv = spectrum_csv(ev, iso)
-    lines = csv.strip().splitlines()
+    # eigs-matrix's table: one row per eigenvalue, tagged as in the report
+    lines = csv_lines(capsys, "eigs-matrix", "--p", "1,1", "--khat", "1,0", "--n-matrix", "80", "--format", "csv")
     assert lines[0] == "re,im,kind"
-    kinds = {line.split(",")[2] for line in lines[1:]}
-    assert kinds <= {"isolated", "band"}
+    assert [line.split(",")[2] for line in lines[1:]] == [e["kind"] for e in doc["eigenvalues"]]
+    assert {e["kind"] for e in doc["eigenvalues"]} == {"isolated", "band"}
 
 
-def test_operator_triplets_roundtrip():
-    params = CFParams.for_class(V(1, 0), V(1, 1), 1.0)
-    op = build("B", params, 12)
-    csv = operator_triplets_csv(op)
-    lines = csv.strip().splitlines()[1:]
-    rebuilt = np.zeros((12, 12), dtype=complex)
-    for line in lines:
+def test_operator_triplets_roundtrip(tmp_path, capsys):
+    # the golden class report writes the nonzeros of the 60 x 60 section of A
+    spec = importlib.util.spec_from_file_location("golden_class_report", SCRIPT)
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    script.main(["--n-matrix", "60", "--outdir", str(tmp_path)])
+    assert f"wrote {tmp_path}/" in capsys.readouterr().out
+    lines = (tmp_path / "operator_A.csv").read_text().splitlines()
+    assert lines[0] == "row,col,re,im"
+    op = build("A", CFParams.for_class(V(1, 0), V(1, 1), 1.0), 60)
+    assert len(lines) - 1 == np.count_nonzero(op.entries)
+    rebuilt = np.zeros((60, 60), dtype=complex)
+    for line in lines[1:]:
         r, c, re, im = line.split(",")
         rebuilt[int(r) - 1, int(c) - 1] = float(re) + 1j * float(im)
     assert np.allclose(rebuilt, op.entries, atol=1e-15)
 
 
-def test_field_csv_header():
-    csv = field_csv([V(1, 0), V(0, 1)], np.array([1 + 2j, -0.5j]))
-    lines = csv.strip().splitlines()
+def test_field_csv_header(capsys):
+    # euler-sim's table: the final amplitude of every mode; the pump fixed
+    # point is exactly stationary, so it reads Gamma at +-p and 0 elsewhere
+    lines = csv_lines(capsys, "euler-sim", "--p", "1,1", "--k-cutoff", "2", "--steps", "3", "--format", "csv")
     assert lines[0] == "k1,k2,re,im"
-    assert lines[1] == "1,0,1,2"
+    assert [tuple(map(int, line.split(",")[:2])) for line in lines[1:]] == [k.as_tuple() for k in ModeSet.disk(2).modes]
+    assert {line for line in lines[1:] if not line.endswith(",0,0")} == {"-1,-1,1,0", "1,1,1,0"}
