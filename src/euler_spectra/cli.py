@@ -162,9 +162,15 @@ def _require(config: RunConfig, *names: str) -> None:
             raise UsageError(f"this command requires --{name}")
 
 
-def _emit(config: RunConfig, doc: dict, header: tuple[str, ...], rows) -> int:
+def _emit(config: RunConfig, doc: dict, header: tuple[str, ...], rows, stdout: bool = True) -> int:
     """Write doc as canonical JSON, or with --format csv the table of header
-    and rows (an iterable read only then), to --output or stdout."""
+    and rows (an iterable read only then), to --output or stdout.  A command
+    whose stdout is a text report passes stdout=False: its document goes
+    only to --output, and --format csv without --output is a usage error."""
+    if not config.output and not stdout:
+        if config.format == "csv":
+            raise UsageError("this command prints a text report; --format csv needs --output PATH")
+        return 0
     if config.format == "csv":
         text = reporting.to_csv(header, rows)
     else:
@@ -309,17 +315,16 @@ def cmd_euler_sim(config: RunConfig) -> int:
 
 def cmd_verify(config: RunConfig) -> int:
     results = run_checks()
+    doc = {
+        "criteria": [{"index": r.index, "name": r.name, "passed": r.passed} for r in results],
+        "all_passed": all(r.passed for r in results),
+    }
+    header = ("index", "name", "passed")
+    _emit(config, doc, header, ([c[column] for column in header] for c in doc["criteria"]), stdout=False)
     for r in results:
         print(f"[{'PASS' if r.passed else 'FAIL'}] {r.index}. {r.name}")
         print(f"        {r.detail}")
-    if config.output:
-        doc = {
-            "criteria": [{"index": r.index, "name": r.name, "passed": r.passed} for r in results],
-            "all_passed": all(r.passed for r in results),
-        }
-        with open(config.output, "w", encoding="utf-8") as fh:
-            fh.write(reporting.to_canonical_json(doc))
-    return 0 if all(r.passed for r in results) else 3
+    return 0 if doc["all_passed"] else 3
 
 
 _COMMANDS = {

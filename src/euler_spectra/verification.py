@@ -157,19 +157,26 @@ def check_3_essential_band() -> CheckResult:
     gaps = {}
     ok_imag = True
     ok_range = True
+    closed_err = 0.0
     for N in (400, 800):
-        ev = truncated_spectrum(build("B", params, N))
+        op = build("B", params, N)
+        ev = truncated_spectrum(op)
         ok_imag &= bool(np.max(np.abs(ev.real)) < 1e-10)
         ok_range &= bool(np.max(np.abs(ev.imag)) <= 0.5 + 1e-3)
         im = np.sort(ev.imag)
         gaps[N] = float(np.max(np.diff(im)))
+        # B = i b P and P is the path graph's adjacency in relabelled order
+        exact = np.sort(2.0 * op.b * np.cos(np.arange(1, N + 1) * np.pi / (N + 1)))
+        closed_err = max(closed_err, float(np.max(np.abs(ev - 1j * exact))) / abs(op.b))
     ok_gap = gaps[800] <= gaps[400] / 1.5
+    ok_closed = closed_err < 1e-12
 
     elapsed = time.monotonic() - t0
-    passed = ok_endpoints and ok_imag and ok_range and ok_gap
+    passed = ok_endpoints and ok_imag and ok_range and ok_gap and ok_closed
     detail = (
         f"endpoints +-0.5i: {ok_endpoints}, spectra imaginary/in-range: {ok_imag and ok_range}, "
-        f"gap {gaps[400]:.2e} -> {gaps[800]:.2e} (shrink x{gaps[400] / gaps[800]:.2f})"
+        f"gap {gaps[400]:.2e} -> {gaps[800]:.2e} (shrink x{gaps[400] / gaps[800]:.2f}), "
+        f"max |ev - 2ib cos(k pi/(N+1))|/|b|={closed_err:.1e} (tolerance 1e-12)"
     )
     return CheckResult(3, "essential band and finite-section densification", passed, detail, elapsed)
 

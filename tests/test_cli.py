@@ -187,6 +187,26 @@ def test_verify_exit_codes(monkeypatch, capsys):
     assert "[FAIL] 2." in out
 
 
+def test_verify_output_follows_format(monkeypatch, capsys, tmp_path):
+    results = [CheckResult(1, "stub", True, "ok", 0.0), CheckResult(2, "stub2", False, "no", 0.0)]
+    monkeypatch.setattr(cli, "run_checks", lambda: results)
+    path = tmp_path / "criteria.csv"
+    code, out, _ = run_cli(capsys, "verify", "--format", "csv", "--output", str(path))
+    assert code == 3
+    assert "[FAIL] 2." in out
+    assert path.read_text() == "index,name,passed\n1,stub,true\n2,stub2,false\n"
+
+    path = tmp_path / "criteria.json"
+    assert run_cli(capsys, "verify", "--output", str(path))[0] == 3
+    doc = json.loads(path.read_text())
+    assert doc["all_passed"] is False and [c["passed"] for c in doc["criteria"]] == [True, False]
+
+    # the text report owns stdout, so a CSV table needs a file
+    code, out, err = run_cli(capsys, "verify", "--format", "csv")
+    assert code == 1 and out == ""
+    assert "--output" in err
+
+
 
 def test_blowups_exit_2(capsys):
     # finite state, overflowing invariant series

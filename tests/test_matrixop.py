@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from euler_spectra.contfrac import CFParams, find_eigenvalues
@@ -9,7 +9,7 @@ from euler_spectra.errors import (
     OnSpectralCurveError,
     SpectralPointSetError,
 )
-from euler_spectra.lattice import WaveVector, rho
+from euler_spectra.lattice import WaveVector, canonical_label, det, rho
 from euler_spectra.matrixop import (
     CURVE_TOL,
     build,
@@ -382,3 +382,59 @@ def test_oracle_equivalence_both_directions():
     assert len(isolated) == len(members)
     for lam in isolated:
         assert min(abs(lam - m) for m in members) < 1e-6
+
+
+def _sweep_classes():
+    """Every non-parallel class with |khat_i| <= 3 of pumps (1,1), (2,1),
+    (1,0), each once, by its canonical khat."""
+    found = set()
+    for p in ((1, 1), (2, 1), (1, 0)):
+        for k1 in range(-3, 4):
+            for k2 in range(-3, 4):
+                if det(V(*p), V(k1, k2)) != 0:
+                    found.add((p, canonical_label(V(k1, k2), V(*p)).khat.as_tuple()))
+    return sorted(found)
+
+
+def _assert_same_spectrum_as_complex_eigvals(op):
+    # the real-arithmetic solver against complex LAPACK on the entries:
+    # each eigenvalue of one lies within 1e-12 |b| of one of the other, and
+    # the isolated/band split counts the same
+    ev = truncated_spectrum(op)
+    ref = np.linalg.eigvals(op.entries)
+    gap = np.abs(ev[:, None] - ref[None, :])
+    tol = 1e-12 * abs(op.b)
+    assert np.max(gap.min(axis=1)) < tol and np.max(gap.min(axis=0)) < tol
+    assert int(classify_band_distance(op, ev).sum()) == int(classify_band_distance(op, ref).sum())
+
+
+@pytest.mark.parametrize("p, khat", _sweep_classes())
+def test_truncated_spectrum_matches_complex_eigvals(p, khat):
+    _assert_same_spectrum_as_complex_eigvals(build("A", CFParams.for_class(V(*khat), V(*p), 1.0), 160))
+
+
+@pytest.mark.parametrize(
+    "kind, p, khat",
+    [("B", (1, 1), (1, 0)), ("C", (1, 1), (1, 0)), ("A", (1, 1), (-1, 1))],  # last: member on |k| = |p|
+)
+def test_truncated_spectrum_matches_complex_eigvals_other_sections(kind, p, khat):
+    _assert_same_spectrum_as_complex_eigvals(build(kind, CFParams.for_class(V(*khat), V(*p), 1.0), 160))
+
+
+@given(
+    st.tuples(st.integers(-3, 3), st.integers(-3, 3)),
+    st.tuples(st.integers(-6, 6), st.integers(-6, 6)),
+    st.integers(5, 160),
+)
+@settings(max_examples=20, deadline=None)
+def test_truncated_spectrum_matches_complex_eigvals_random_classes(p, khat, N):
+    assume(det(V(*p), V(*khat)) != 0)
+    _assert_same_spectrum_as_complex_eigvals(build("A", CFParams.for_class(V(*khat), V(*p), 1.0), N))
+
+
+def test_uniform_sign_sections_are_exactly_imaginary():
+    # B and a class that misses the disk take the symmetric path, so their
+    # spectra carry no real part at all; the golden class does not
+    for op in (build("B", GOLDEN, 161), build("A", STABLE, 160)):
+        assert np.all(truncated_spectrum(op).real == 0.0)
+    assert np.max(np.abs(truncated_spectrum(build("A", GOLDEN, 160)).real)) > 0.1
