@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -22,45 +21,12 @@ from . import reporting
 from .contfrac import CFParams, find_eigenvalues, find_eigenvalues_half
 from .errors import DomainError, NumericalError, UsageError
 from .euler_core import ModeSet, VorticityField, fixed_point, integrate_euler
-from .lattice import (
-    WaveVector,
-    canonical_label,
-    circle_member,
-    classes_meeting_disk,
-    lattice_points_in_disk,
-)
-from .matrixop import build, classify_band_distance, essential_band, truncated_spectrum
+from .lattice import WaveVector, canonical_label, circle_member, classes_meeting_disk
+from .matrixop import DENSE_CAP, build, classify_band_distance, essential_band, truncated_spectrum
 from .subsystem import ComplexSeq, SubsystemSpec, classify_stability, integrate
 from .verification import run_checks
 
 __all__ = ["main"]
-
-
-@dataclass
-class RunConfig:
-    p: WaveVector | None = None
-    khat: WaveVector | None = None
-    gamma: complex = 1.0 + 0.0j
-    root_tol: float = 1e-12
-    N_matrix: int = 400
-    n_window: int = 40
-    K_cutoff: float = 5.0
-    grid: int = 20
-    scan_radius: float = 3.0
-    dt: float = 1e-3
-    steps: int = 1000
-    eps: float = 0.0
-    box: tuple[float, float, float, float] = (1e-3, 4.0, 1e-3, 4.0)
-    output: str | None = None
-    format: str = "json"
-
-    def __post_init__(self):
-        if self.root_tol <= 0:
-            raise UsageError("tolerance root_tol must be positive")
-        if self.N_matrix < 5 or self.N_matrix > 2048:
-            raise UsageError("sizes.N_matrix must lie in [5, 2048]")
-        if self.format not in ("json", "csv"):
-            raise UsageError(f"unknown output format {self.format!r}")
 
 
 def _finite(value, text: str):
@@ -93,26 +59,47 @@ def _box(text: str) -> tuple[float, float, float, float]:
     return _finite((a, b, c, d), text)
 
 
-# RunConfig field -> (config-file key, parser).  The field's flag is
-# --field in lower case with '_' -> '-'; a flag overrides its config key.
+def _positive(text: str) -> float:
+    value = _real(text)
+    if value <= 0:
+        raise ValueError(f"must be positive, got {text!r}")
+    return value
+
+
+def _section_size(text: str) -> int:
+    n = int(text)
+    if not 5 <= n <= DENSE_CAP:
+        raise ValueError(f"N_matrix must lie in [5, {DENSE_CAP}], got {n}")
+    return n
+
+
+def _format(text: str) -> str:
+    if text not in ("json", "csv"):
+        raise ValueError(f"expected json or csv, got {text!r}")
+    return text
+
+
+# option -> (config-file key, parser, default).  The option's flag is
+# --option in lower case with '_' -> '-'; a flag overrides its config key,
+# which overrides the default.
 _OPTIONS = {
-    "p": ("p", _vector),
-    "khat": ("khat", _vector),
-    "gamma": ("gamma", _complex),
-    "root_tol": ("tolerances.root_tol", _real),
-    "N_matrix": ("sizes.N_matrix", int),
-    "n_window": ("sizes.n_window", int),
-    "K_cutoff": ("sizes.K_cutoff", _real),
-    "grid": ("sizes.grid", int),
-    "scan_radius": ("sizes.scan_radius", _real),
-    "dt": ("integration.dt", _real),
-    "steps": ("integration.steps", int),
-    "eps": ("integration.eps", _real),
-    "box": ("search.box", _box),
-    "output": ("output.path", str),
-    "format": ("output.format", str),
+    "p": ("p", _vector, None),
+    "khat": ("khat", _vector, None),
+    "gamma": ("gamma", _complex, 1.0 + 0.0j),
+    "root_tol": ("tolerances.root_tol", _positive, 1e-12),
+    "N_matrix": ("sizes.N_matrix", _section_size, 400),
+    "n_window": ("sizes.n_window", int, 40),
+    "K_cutoff": ("sizes.K_cutoff", _real, 5.0),
+    "grid": ("sizes.grid", int, 20),
+    "scan_radius": ("sizes.scan_radius", _real, 3.0),
+    "dt": ("integration.dt", _real, 1e-3),
+    "steps": ("integration.steps", int, 1000),
+    "eps": ("integration.eps", _real, 0.0),
+    "box": ("search.box", _box, (1e-3, 4.0, 1e-3, 4.0)),
+    "output": ("output.path", str, None),
+    "format": ("output.format", _format, "json"),
 }
-_BY_KEY = {key: (name, parse) for name, (key, parse) in _OPTIONS.items()}
+_BY_KEY = {key: (name, parse) for name, (key, parse, _) in _OPTIONS.items()}
 
 
 def _flag(name: str) -> str:
@@ -147,22 +134,25 @@ def load_config_file(path: str) -> dict:
     return values
 
 
-def build_config(args: argparse.Namespace) -> RunConfig:
-    values = load_config_file(args.config) if args.config else {}
-    for name, (_, parse) in _OPTIONS.items():
+def build_config(args: argparse.Namespace) -> argparse.Namespace:
+    """Each option's default, overridden from the config file, then by its flag."""
+    config = {name: default for name, (_, _, default) in _OPTIONS.items()}
+    if args.config:
+        config.update(load_config_file(args.config))
+    for name, (_, parse, _) in _OPTIONS.items():
         raw = getattr(args, name)
         if raw is not None:
-            values[name] = _parse(parse, raw, f"bad value for {_flag(name)}")
-    return RunConfig(**values)
+            config[name] = _parse(parse, raw, f"bad value for {_flag(name)}")
+    return argparse.Namespace(**config)
 
 
-def _require(config: RunConfig, *names: str) -> None:
+def _require(config: argparse.Namespace, *names: str) -> None:
     for name in names:
         if getattr(config, name) is None:
             raise UsageError(f"this command requires --{name}")
 
 
-def _emit(config: RunConfig, doc: dict, header: tuple[str, ...], rows, stdout: bool = True) -> int:
+def _emit(config: argparse.Namespace, doc: dict, header: tuple[str, ...], rows, stdout: bool = True) -> int:
     """Write doc as canonical JSON, or with --format csv the table of header
     and rows (an iterable read only then), to --output or stdout.  A command
     whose stdout is a text report passes stdout=False: its document goes
@@ -183,7 +173,7 @@ def _emit(config: RunConfig, doc: dict, header: tuple[str, ...], rows, stdout: b
     return 0
 
 
-def _params(config: RunConfig) -> CFParams:
+def _params(config: argparse.Namespace) -> CFParams:
     _require(config, "p", "khat")
     if config.gamma == 0:
         raise UsageError("gamma is zero: the operator is zero, no spectral data; give a nonzero --gamma")
@@ -193,21 +183,18 @@ def _params(config: RunConfig) -> CFParams:
     return params
 
 
-def cmd_classes(config: RunConfig) -> int:
+def cmd_classes(config: argparse.Namespace) -> int:
     _require(config, "p")
-    disk = {lab.khat.as_tuple(): lab for lab in classes_meeting_disk(config.p)}
-    scanned = dict(disk)
-    for k in lattice_points_in_disk(int(config.scan_radius**2)):
-        lab = canonical_label(k, config.p)
-        scanned.setdefault(lab.khat.as_tuple(), lab)
+    p2 = config.p.norm2
+    # a class meets the closed disk iff its minimal member does
     classes = [
         {
-            "khat": scanned[key].khat,
-            "parallel": scanned[key].parallel,
-            "meets_disk": key in disk,
-            "verdict": reporting.verdict_dict(classify_stability(scanned[key])),
+            "khat": label.khat,
+            "parallel": label.parallel,
+            "meets_disk": label.khat.norm2 <= p2,
+            "verdict": reporting.verdict_dict(classify_stability(label)),
         }
-        for key in sorted(scanned, key=lambda t: (WaveVector(*t).norm2, t))
+        for label in classes_meeting_disk(config.p, max(p2, int(config.scan_radius**2)))
     ]
     rows = (
         (*c["khat"].as_tuple(), c["parallel"], c["meets_disk"], c["verdict"]["kind"], c["verdict"]["sigma"])
@@ -217,7 +204,7 @@ def cmd_classes(config: RunConfig) -> int:
     return _emit(config, {"p": config.p, "classes": classes}, header, rows)
 
 
-def cmd_eigs_cf(config: RunConfig) -> int:
+def cmd_eigs_cf(config: argparse.Namespace) -> int:
     params = _params(config)
     label = canonical_label(config.khat, config.p)
     member = circle_member(config.khat, config.p)
@@ -245,7 +232,7 @@ def cmd_eigs_cf(config: RunConfig) -> int:
     return _emit(config, doc, header, rows)
 
 
-def cmd_eigs_matrix(config: RunConfig) -> int:
+def cmd_eigs_matrix(config: argparse.Namespace) -> int:
     params = _params(config)
     label = canonical_label(config.khat, config.p)
     op = build("A", params, config.N_matrix)
@@ -257,7 +244,7 @@ def cmd_eigs_matrix(config: RunConfig) -> int:
     return _emit(config, doc, header, rows)
 
 
-def cmd_band(config: RunConfig) -> int:
+def cmd_band(config: argparse.Namespace) -> int:
     params = _params(config)
     label = canonical_label(config.khat, config.p)
     band = essential_band(params)
@@ -270,7 +257,7 @@ def cmd_band(config: RunConfig) -> int:
     return _emit(config, doc, ("re", "im"), ((e.real, e.imag) for e in band.endpoints))
 
 
-def cmd_simulate(config: RunConfig) -> int:
+def cmd_simulate(config: argparse.Namespace) -> int:
     _require(config, "p", "khat")
     spec = SubsystemSpec(
         khat=config.khat,
@@ -290,7 +277,7 @@ def cmd_simulate(config: RunConfig) -> int:
     return _emit(config, doc, ("t", "n", "re", "im"), rows)
 
 
-def cmd_euler_sim(config: RunConfig) -> int:
+def cmd_euler_sim(config: argparse.Namespace) -> int:
     _require(config, "p")
     modeset = ModeSet.disk(config.K_cutoff)
     field = fixed_point(config.p, config.gamma, modeset)
@@ -313,7 +300,7 @@ def cmd_euler_sim(config: RunConfig) -> int:
     return _emit(config, doc, ("k1", "k2", "re", "im"), rows)
 
 
-def cmd_verify(config: RunConfig) -> int:
+def cmd_verify(config: argparse.Namespace) -> int:
     results = run_checks()
     doc = {
         "criteria": [{"index": r.index, "name": r.name, "passed": r.passed} for r in results],
@@ -347,7 +334,7 @@ def _make_parser() -> _Parser:
     parser = _Parser(prog="euler-spectra", description=__doc__)
     parser.add_argument("command", choices=sorted(_COMMANDS))
     parser.add_argument("--config", help="flat dotted-key config file")
-    for name, (key, _) in _OPTIONS.items():
+    for name, (key, _, _) in _OPTIONS.items():
         parser.add_argument(_flag(name), dest=name, help=f"config key {key}")
     return parser
 

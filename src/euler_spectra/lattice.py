@@ -183,17 +183,18 @@ def lattice_points_in_disk(radius2: int) -> list[WaveVector]:
     return sorted(out)
 
 
-def classes_meeting_disk(p: WaveVector) -> list[ClassLabel]:
-    """Every distinct class whose members intersect the closed disk
-    {k : |k| <= |p|}, deduplicated by canonical label.
+def classes_meeting_disk(p: WaveVector, radius2: int) -> list[ClassLabel]:
+    """Every distinct class with a member in the closed disk
+    {k : |k|^2 <= radius2}, by canonical label, sorted by (|khat|^2, khat).
 
-    Parallel classes are included (the disk contains p itself) but arrive
-    flagged; the finite disk makes the list finite.
+    A class meets the disk if and only if its canonical khat (a member of
+    minimal norm) lies in it.  radius2 = |p|^2 gives the disk of the
+    stability theorems.  Parallel classes are included but arrive flagged.
     """
     if p.is_zero:
         raise DomainError("p must be nonzero")
     seen: dict[tuple[int, int], ClassLabel] = {}
-    for k in lattice_points_in_disk(p.norm2):
+    for k in lattice_points_in_disk(radius2):
         label = canonical_label(k, p)
         seen.setdefault(label.khat.as_tuple(), label)
     return [seen[key] for key in sorted(seen, key=lambda t: (WaveVector(*t).norm2, t))]

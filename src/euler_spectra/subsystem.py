@@ -125,9 +125,6 @@ class ComplexSeq:
         seq[n] = amplitude
         return seq
 
-    def copy(self) -> "ComplexSeq":
-        return ComplexSeq(self.offset, self.values.copy())
-
     def __getitem__(self, n: int) -> complex:
         return complex(self.values[n - self.offset])
 
@@ -317,7 +314,6 @@ class StabilityKind(enum.Enum):
     PARALLEL_TRIVIAL = "ParallelTrivial"
     STABLE_UDT = "StableUDT"
     STABLE_HALF_CLASS_BOTH = "StableHalfClassBoth"
-    STABLE_HALF_CLASS_ONE = "StableHalfClassOne"
     UNDETERMINED = "Undetermined"
 
 
@@ -335,21 +331,16 @@ def _sigma_from_min_norm2(min_norm2: int, p_norm2: int) -> float:
     return min_norm2 / (min_norm2 - p_norm2)
 
 
-def _half_chain_min_norm2(label: ClassLabel, side: int) -> int:
-    # strictly convex in n and increasing away from the disk on a stable
-    # half, so the first member of the half attains the minimum
-    vals = [label.member(side * n).norm2 for n in range(1, 4)]
-    return min(vals)
-
-
 def classify_stability(label: ClassLabel) -> StabilityVerdict:
     """Stability verdict for one class, by conserved-quantity arguments.
 
     ParallelTrivial: khat || p, zero vector field.
     StableUDT: class misses the closed disk |k| <= |p|; enstrophy bounded
         by sigma = sup(-rho_n) / inf(-rho_n).
-    StableHalfClassBoth/One: minimal member sits on the circle |k| = |p|;
-        each half-chain with khat +/- p outside the closed disk is stable.
+    StableHalfClassBoth: minimal member sits on the circle |k| = |p|; a
+        non-parallel class has no other member there (lattice.circle_member),
+        so both half-chains, from khat + p and khat - p, miss the closed
+        disk and are stable.
     Undetermined: class meets the open disk; point spectrum possible.
     """
     label = canonical_label(label.khat, label.p)  # tolerate non-canonical input
@@ -363,25 +354,10 @@ def classify_stability(label: ClassLabel) -> StabilityVerdict:
             StabilityKind.STABLE_UDT, sigma, f"class misses closed disk; enstrophy bound sigma={sigma!r}"
         )
     if m == p2:
-        plus_ok = (label.khat + label.p).norm2 > p2
-        minus_ok = (label.khat - label.p).norm2 > p2
-        if plus_ok and minus_ok:
-            sig = max(
-                _sigma_from_min_norm2(_half_chain_min_norm2(label, +1), p2),
-                _sigma_from_min_norm2(_half_chain_min_norm2(label, -1), p2),
-            )
-            return StabilityVerdict(
-                StabilityKind.STABLE_HALF_CLASS_BOTH, sig, "both half-chains stable; n=0 only driven"
-            )
-        if plus_ok or minus_ok:
-            side = +1 if plus_ok else -1
-            sig = _sigma_from_min_norm2(_half_chain_min_norm2(label, side), p2)
-            return StabilityVerdict(
-                StabilityKind.STABLE_HALF_CLASS_ONE,
-                sig,
-                f"half-chain n {'>= 1' if side > 0 else '<= -1'} stable",
-            )
-        return StabilityVerdict(StabilityKind.UNDETERMINED, None, "both half-chains touch the disk")
+        # |khat + n p|^2 is convex in n with its minimum at n = 0, so each
+        # half-chain's member nearest the disk is khat +/- p
+        sig = max(_sigma_from_min_norm2(label.member(side).norm2, p2) for side in (+1, -1))
+        return StabilityVerdict(StabilityKind.STABLE_HALF_CLASS_BOTH, sig, "both half-chains stable; n=0 only driven")
     return StabilityVerdict(StabilityKind.UNDETERMINED, None, "class meets the open disk")
 
 

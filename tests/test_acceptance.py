@@ -10,6 +10,7 @@ published 14-digit REFERENCE_ROOT, which is kept verbatim although it is
 
 import pytest
 
+from euler_spectra import verification
 from euler_spectra.verification import CHECKS
 
 
@@ -19,3 +20,27 @@ def test_acceptance_criterion(check):
     status = "PASS" if result.passed else "FAIL"
     print(f"[{status}] criterion {result.index}: {result.name} -- {result.detail}")
     assert result.passed, f"criterion {result.index}: {result.detail}"
+
+
+def test_check_5_order_ratio_stands_above_rounding(monkeypatch):
+    # the order test compares two runs over the same time, the second at
+    # half the step; a ratio of drifts at the rounding floor tests nothing
+    runs = []
+    integrate = verification.integrate
+
+    def recording(spec, state0, dt, steps, sample_every=1):
+        traj = integrate(spec, state0, dt=dt, steps=steps, sample_every=sample_every)
+        runs.append((dt, steps, traj))
+        return traj
+
+    monkeypatch.setattr(verification, "integrate", recording)
+    assert verification.check_5_conservation().passed
+    pairs = [
+        (big, half)
+        for big in runs
+        for half in runs
+        if half[0] * 2 == big[0] and half[1] == 2 * big[1]
+    ]
+    assert len(pairs) == 1
+    for _, _, traj in pairs[0]:
+        assert traj.h_drift > 1e-12 and traj.i_drift > 1e-12

@@ -433,3 +433,49 @@ def test_eigs_cf_output_bytes(capsys, fmt, expected):
     assert _ROUNDED.sub("#", out) == _ROUNDED.sub("#", expected)
     got, want = ([float(x) for x in _ROUNDED.findall(text)] for text in (out, expected))
     assert got == pytest.approx(want, abs=1e-14)
+
+
+@pytest.mark.parametrize("p", [(1, 1), (2, 1), (3, 1)])
+@pytest.mark.parametrize("radius", ["0", "1", "2", "3", "4.5"])
+def test_classes_are_the_classes_of_the_scanned_disk(p, radius):
+    # brute force from member lists: every lattice point with
+    # |k|^2 <= max(|p|^2, floor(r^2)) lies in exactly one listed class, every
+    # listed class holds one of them, and a class meets the disk |k| <= |p|
+    # iff one of its members khat + n p, |n| <= 20, lies in it
+    p1, p2 = p
+    pn2 = p1 * p1 + p2 * p2
+    radius2 = max(pn2, int(float(radius) ** 2))
+    doc = _json_of("classes", f"--p={p1},{p2}", "--scan-radius", radius)
+    members = {
+        tuple(c["khat"]): {(c["khat"][0] + n * p1, c["khat"][1] + n * p2) for n in range(-20, 21)} - {(0, 0)}
+        for c in doc["classes"]
+    }
+    assert len(members) == len(doc["classes"])
+    r = int(radius2**0.5) + 1
+    disk = {(a, b) for a in range(-r, r + 1) for b in range(-r, r + 1) if 0 < a * a + b * b <= radius2}
+    for k in disk:
+        assert sum(k in group for group in members.values()) == 1, k
+    for c in doc["classes"]:
+        group = members[tuple(c["khat"])]
+        assert group & disk
+        assert c["meets_disk"] == any(a * a + b * b <= pn2 for a, b in group)
+
+
+@pytest.mark.parametrize(
+    "flag, key, value",
+    [
+        ("--root-tol", "tolerances.root_tol", "-1"),
+        ("--format", "output.format", "xml"),
+        ("--n-matrix", "sizes.N_matrix", "9999"),
+    ],
+)
+def test_checked_options_name_their_flag_or_config_line(tmp_path, capsys, flag, key, value):
+    argv = ("band", "--p", "1,1", "--khat", "1,0")
+    code, out, err = run_cli(capsys, *argv, flag, value)
+    assert code == 1 and out == ""
+    assert err.startswith("usage error: ") and flag in err
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"# checked option\n{key}={value}\n")
+    code, out, err = run_cli(capsys, *argv, "--config", str(cfg))
+    assert code == 1 and out == ""
+    assert err.startswith("usage error: ") and f"{cfg}:2" in err and key in err

@@ -124,7 +124,7 @@ def test_canonical_label_partitions_lattice(p):
 
 
 def test_classes_meeting_disk_p11():
-    labels = classes_meeting_disk(V(1, 1))
+    labels = classes_meeting_disk(V(1, 1), V(1, 1).norm2)
     keys = {lab.khat.as_tuple() for lab in labels}
     # the two open-disk classes named in the worked example
     assert (1, 0) in keys and (0, 1) in keys
@@ -137,14 +137,14 @@ def test_classes_meeting_disk_p11():
 
 
 def test_classes_meeting_disk_p10_brute_force():
-    labels = classes_meeting_disk(V(1, 0))
+    labels = classes_meeting_disk(V(1, 0), V(1, 0).norm2)
     brute = {canonical_label(k, V(1, 0)).khat.as_tuple() for k in lattice_points_in_disk(1)}
     assert {lab.khat.as_tuple() for lab in labels} == brute
     assert brute == {(0, 1), (0, -1), (1, 0)}
 
 
 def test_classes_meeting_disk_excludes_far_class():
-    labels = classes_meeting_disk(V(1, 1))
+    labels = classes_meeting_disk(V(1, 1), V(1, 1).norm2)
     far = canonical_label(V(3, 0), V(1, 1))
     assert far not in labels
     # its nearest member has |k|^2 = 5 > 2

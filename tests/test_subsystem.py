@@ -231,6 +231,41 @@ def test_classify_stability_examples():
     assert classify_stability(canonical_label(V(1, 0), V(1, 1))).kind is StabilityKind.UNDETERMINED
 
 
+pumps = st.builds(V, st.integers(-6, 6), st.integers(-6, 6)).filter(lambda v: not v.is_zero)
+
+
+@given(p=pumps, data=st.data())
+@settings(max_examples=200, deadline=None)
+def test_a_class_has_at_most_one_member_on_the_circle(p, data):
+    # start from a point on |k| = |p| (the quarter turn of p is always one),
+    # or from any point, and walk the class
+    r = int(np.sqrt(p.norm2))
+    circle = [V(a, b) for a in range(-r, r + 1) for b in range(-r, r + 1) if a * a + b * b == p.norm2]
+    anywhere = st.builds(V, st.integers(-9, 9), st.integers(-9, 9)).filter(lambda v: not v.is_zero)
+    start = data.draw(st.sampled_from(circle) | anywhere)
+    shift = data.draw(st.integers(-5, 5))
+    assume(det(p, start) != 0 and not start.plus(shift, p).is_zero)
+    members = [start.plus(n, p) for n in range(-30, 31)]
+    on_circle = [k for k in members if k.norm2 == p.norm2]
+    assert len(on_circle) <= 1
+
+    label = canonical_label(start.plus(shift, p), p)
+    verdict = classify_stability(label)
+    m = label.khat.norm2
+    if m == p.norm2:
+        # a minimal member on the circle has both neighbours outside it
+        assert label.member(1).norm2 > p.norm2 and label.member(-1).norm2 > p.norm2
+        assert verdict.kind is StabilityKind.STABLE_HALF_CLASS_BOTH
+        assert verdict.sigma == max(k.norm2 / (k.norm2 - p.norm2) for k in (label.member(1), label.member(-1)))
+    elif m > p.norm2:
+        assert not on_circle and verdict.kind is StabilityKind.STABLE_UDT
+    else:
+        assert verdict.kind is StabilityKind.UNDETERMINED
+    assert {kind.value for kind in StabilityKind} == {
+        "ParallelTrivial", "StableUDT", "StableHalfClassBoth", "Undetermined"
+    }
+
+
 def test_udt_bound_holds_along_trajectories():
     spec = SubsystemSpec(khat=V(3, 0), p=V(1, 1), gamma=1.0, n_min=-12, n_max=12)
     worst = 0.0
