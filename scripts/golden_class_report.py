@@ -14,6 +14,7 @@
 
 import argparse
 import pathlib
+import sys
 
 import numpy as np
 
@@ -30,7 +31,7 @@ def main(argv=None):
     ap.add_argument("--gamma", default="1")
     ap.add_argument("--n-matrix", default="400")
     ap.add_argument("--outdir", type=pathlib.Path, default=pathlib.Path("out_golden"))
-    args = ap.parse_args(argv)
+    args = ap.parse_args(cli._attach_negative_values(sys.argv[1:] if argv is None else argv))
 
     args.outdir.mkdir(parents=True, exist_ok=True)
     cls = [f"--p={args.p}", f"--khat={args.khat}", f"--gamma={args.gamma}"]

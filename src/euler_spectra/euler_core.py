@@ -9,6 +9,13 @@ kinetic energy E = 1/2 sum |k|^-2 |w_k|^2 and enstrophy J = sum |w_k|^2 are
 conserved exactly by the truncation.  Reality (w_{-k} = conj w_k) is
 enforced structurally: only one representative per +-k pair is stored.
 
+The sum is evaluated as one dealiased transform product (Orszag,
+J. Atmos. Sci. 28 (1971) 1074): with psi = sum |k|^-2 w_k e^{ik.x},
+the right-hand side at k is -1/2 times the Fourier coefficient of
+f_x psi_y - f_y psi_x, taken exactly on 3K + 1 points per axis when every
+mode has |k_1|, |k_2| <= K.  lattice.triad_coeff stays the pairwise
+oracle the tests and the Jacobian check compare with.
+
 The single-pump steady states w*_{+-p} = Gamma / conj(Gamma) are fixed
 points; a finite-difference Jacobian check against the two-diagonal
 linearized coupling ties this module to the per-class chain dynamics.
@@ -44,8 +51,8 @@ def _is_representative(k: WaveVector) -> bool:
 class ModeSet:
     """Nonzero lattice modes with |k| <= cutoff, closed under k -> -k.
 
-    The index, the representatives, the triad table, its product buffers
-    and the embedding are derived once per instance, on first use.
+    The index, the representatives, the embedding and the transform
+    tables are derived once per instance, on first use.
     """
 
     cutoff: float
@@ -78,46 +85,36 @@ class ModeSet:
         return tuple(k for k in self.modes if _is_representative(k))
 
     @cached_property
-    def triads(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """Flattened unordered-pair triad table (k_idx, p_idx, q_idx, coeff)
-        with every leg inside the mode set; pairs with zero coefficient are
-        dropped."""
-        ks, ps, qs, cs = [], [], [], []
-        n = len(self.modes)
-        for i in range(n):
-            p = self.modes[i]
-            for j in range(i, n):
-                q = self.modes[j]
-                k = p + q
-                if k.is_zero or k not in self:
-                    continue
-                coeff = triad_coeff(p, q)
-                if coeff == 0.0:
-                    continue
-                ks.append(self.index(k))
-                ps.append(i)
-                qs.append(j)
-                cs.append(coeff)
-        return np.array(ks), np.array(ps), np.array(qs), np.array(cs)
-
-    @cached_property
-    def _products(self) -> np.ndarray:
-        """The triad-length buffer every right-hand side writes its products
-        into, so one mode set serves one call at a time.  Fresh products,
-        freed on each call, let the C heap shrink and fault the pages in
-        again on the next call (about 1.6 MB per call at cutoff 12),
-        depending on the heap layout."""
-        return np.empty(len(self.triads[0]), dtype=complex)
-
-    @cached_property
-    def embedding(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(src, conj, rep_idx): signed mode i takes representative src[i],
-        conjugated where conj[i]; representative r sits at mode rep_idx[r]."""
+    def embedding(self) -> tuple[np.ndarray, np.ndarray]:
+        """(src, conj): signed mode i takes representative src[i],
+        conjugated where conj[i]."""
         rep_pos = {k: i for i, k in enumerate(self.representatives)}
         src = np.array([rep_pos[k] if k in rep_pos else rep_pos[-k] for k in self.modes], dtype=int)
         conj = np.array([k not in rep_pos for k in self.modes], dtype=bool)
-        rep_idx = np.array([self.index(k) for k in self.representatives], dtype=int)
-        return src, conj, rep_idx
+        return src, conj
+
+    @cached_property
+    def transform(self) -> tuple[np.ndarray, ...]:
+        """(rows, cols, factors, ey, ex, fy, fx) of the transform right-hand
+        side.  Representative k sits at (rows, cols) = (k2 + K, k1) of a
+        (2K + 1, K + 1) half-spectrum grid, K = max |k_i| over the modes.
+        factors holds 2i (k1, k2, k1/|k|^2, k2/|k|^2) per representative:
+        the real part of a half-spectrum synthesis, doubled, is the field of
+        both halves.  ey (M, 2K + 1) and ex (K + 1, M) synthesise on
+        M = 3K + 1 points per axis, fy and fx analyse back.  A product of
+        two modes reaches |k_i| <= 2K, and M > 3K keeps each of its aliases
+        off every retained mode."""
+        k1 = np.array([k.k1 for k in self.representatives], dtype=int)
+        k2 = np.array([k.k2 for k in self.representatives], dtype=int)
+        K = int(np.max(np.abs([k1, k2]), initial=0))
+        m = 3 * K + 1
+        inv_norm2 = 1.0 / (k1 * k1 + k2 * k2)
+        factors = 2j * np.array([k1, k2, k1 * inv_norm2, k2 * inv_norm2])
+        # phases reduced mod m before scaling, so no entry loses digits to
+        # a large argument
+        ey = np.exp(2j * np.pi * (np.outer(np.arange(m), np.arange(-K, K + 1)) % m) / m)
+        ex = np.exp(2j * np.pi * (np.outer(np.arange(K + 1), np.arange(m)) % m) / m)
+        return k2 + K, k1, factors, ey, ex, ey.conj().T / m, ex.conj().T / m
 
 
 @dataclass
@@ -140,7 +137,7 @@ class VorticityField:
     @classmethod
     def from_dict(cls, modeset: ModeSet, values: dict[WaveVector, complex]) -> "VorticityField":
         fld = cls.zero(modeset)
-        src, conj, _ = modeset.embedding
+        src, conj = modeset.embedding
         seen: dict[int, complex] = {}
         for k, v in values.items():
             if k not in modeset:
@@ -154,7 +151,7 @@ class VorticityField:
         return fld
 
     def value(self, k: WaveVector) -> complex:
-        src, conj, _ = self.modeset.embedding
+        src, conj = self.modeset.embedding
         i = self.modeset.index(k)
         v = self.coeffs[src[i]]
         return complex(np.conj(v) if conj[i] else v)
@@ -171,24 +168,26 @@ def _embed(modeset: ModeSet, coeffs: np.ndarray) -> np.ndarray:
     """Amplitudes over all signed modes from representative amplitudes along
     the last axis of coeffs.  Rows come back C-contiguous, so a row sum
     rounds as the sum of that sample alone does."""
-    src, conj, _ = modeset.embedding
+    src, conj = modeset.embedding
     full = np.ascontiguousarray(coeffs[..., src])
     full[..., conj] = np.conj(full[..., conj])
     return full
 
 
-def _rhs_full(modeset: ModeSet, full: np.ndarray) -> np.ndarray:
-    ks, ps, qs, cs = modeset.triads
-    prod = np.multiply(cs, full[ps], out=modeset._products)
-    prod *= full[qs]
-    out_re = np.bincount(ks, weights=prod.real, minlength=len(full))
-    out_im = np.bincount(ks, weights=prod.imag, minlength=len(full))
-    return out_re + 1j * out_im
-
-
 def _rep_rhs(modeset: ModeSet, coeffs: np.ndarray) -> np.ndarray:
-    """Right-hand side on representative amplitudes, representatives out."""
-    return _rhs_full(modeset, _embed(modeset, coeffs))[modeset.embedding[2]]
+    """Right-hand side on representative amplitudes, representatives out:
+    -1/2 times the Fourier coefficient of f_x psi_y - f_y psi_x, the
+    product taken on the dealiased grid of ModeSet.transform."""
+    rows, cols, factors, ey, ex, fy, fx = modeset.transform
+    # the sum is quadratic: a power-of-two scale is exact and keeps every
+    # grid value of a finite state finite
+    _, e = np.frexp(np.max(np.abs(coeffs), initial=1.0))
+    scale = np.ldexp(1.0, -e)
+    grid = np.zeros((4, ey.shape[1], ex.shape[0]), dtype=complex)
+    grid[:, rows, cols] = factors * (scale * coeffs)
+    w_x, w_y, psi_x, psi_y = (ey @ grid @ ex).real
+    jac = w_x * psi_y - w_y * psi_x
+    return (fy @ jac @ fx)[rows, cols] * (-0.5 / scale) / scale
 
 
 def euler_rhs(field: VorticityField) -> VorticityField:
@@ -246,7 +245,7 @@ def jacobian_check(p: WaveVector, gamma: complex, modeset: ModeSet) -> JacobianR
     n_full = len(modes)
 
     def rhs_of(coeffs: np.ndarray) -> np.ndarray:
-        return _rhs_full(modeset, _embed(modeset, coeffs))
+        return _embed(modeset, _rep_rhs(modeset, coeffs))
 
     expected = np.zeros((n_full, n_full), dtype=complex)
     for r, k in enumerate(modes):

@@ -99,7 +99,7 @@ def check_1_golden_eigenvalue() -> CheckResult:
     detail = (
         f"quadruples={len(quads)}, |root - 25-digit root|={dist:.3e} (tolerance 1e-10), "
         f"|root - published reference|={dist_ref:.3e} (tolerance 1e-8, the published "
-        f"value is 6.8e-9 from the true root), runtime={elapsed:.2f}s"
+        f"value is 6.8e-9 from the true root)"
     )
     return CheckResult(1, "golden eigenvalue vs reference digits", passed, detail, elapsed)
 
@@ -141,7 +141,7 @@ def check_2_oracle_agreement() -> CheckResult:
     passed = ok_matrix and ok_detm and ok_threeway and ok_time
     detail = (
         f"max matrix dist={max(matrix_dists):.3e}, |detM|={detm:.3e}, "
-        f"three-way spread={three_way:.3e}, runtime={elapsed:.1f}s"
+        f"three-way spread={three_way:.3e}"
     )
     return CheckResult(2, "three-way oracle agreement at N=400", passed, detail, elapsed)
 

@@ -22,6 +22,14 @@ def test_acceptance_criterion(check):
     assert result.passed, f"criterion {result.index}: {result.detail}"
 
 
+@pytest.mark.parametrize("check", CHECKS[:2], ids=lambda fn: fn.__name__)
+def test_check_detail_is_reproducible(check):
+    # wall-clock times stay out of the detail, so two verify runs print the same
+    first, second = check().detail, check().detail
+    assert first == second
+    assert "runtime" not in first
+
+
 def test_check_5_order_ratio_stands_above_rounding(monkeypatch):
     # the order test compares two runs over the same time, the second at
     # half the step; a ratio of drifts at the rounding floor tests nothing

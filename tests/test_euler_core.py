@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from euler_spectra.errors import DomainError, NumericalError, UsageError
 from euler_spectra.euler_core import (
@@ -11,7 +13,7 @@ from euler_spectra.euler_core import (
     integrate_euler,
     jacobian_check,
 )
-from euler_spectra.lattice import WaveVector
+from euler_spectra.lattice import WaveVector, triad_coeff
 from euler_spectra.subsystem import ComplexSeq, SubsystemSpec, integrate
 
 V = WaveVector
@@ -45,6 +47,12 @@ def test_euler_rhs_zero_field():
     assert np.all(out.coeffs == 0)
 
 
+def test_rhs_is_zero_when_no_triad_fits():
+    # at cutoff 1 no sum of two modes is a mode
+    out = euler_rhs(random_field(ModeSet.disk(1.0), seed=5))
+    assert np.max(np.abs(out.coeffs)) < 1e-16
+
+
 def test_fixed_point_is_stationary():
     fld = fixed_point(V(1, 1), 1.0, K5)
     assert np.max(np.abs(euler_rhs(fld).coeffs)) < 1e-14
@@ -72,23 +80,54 @@ def test_reality_preserved_by_rhs():
         assert abs(full[i] - np.conj(full[j])) < 1e-14
 
 
-def test_rhs_matches_the_triad_sum_and_reuses_no_result():
-    # the right-hand side writes its products into a buffer kept on the mode
-    # set: it must equal the plain triad sum bit for bit, and a later call
-    # must leave an earlier result alone
-    modeset = ModeSet.disk(8.0)
-    ks, ps, qs, cs = modeset.triads
-    fields = [random_field(modeset, seed=s) for s in (2, 3)]
-    first = euler_rhs(fields[0]).coeffs.copy()
+def pair_sum(modeset, full):
+    """The Galerkin sum over unordered pairs {p, q}, p + q = k, written
+    straight from triad_coeff: the oracle for the transform right-hand side."""
+    out = np.zeros(len(modeset.modes), dtype=complex)
+    for i, p in enumerate(modeset.modes):
+        for j in range(i, len(modeset.modes)):
+            q = modeset.modes[j]
+            k = p + q
+            if not k.is_zero and k in modeset:
+                out[modeset.index(k)] += triad_coeff(p, q) * full[i] * full[j]
+    return out
+
+
+def with_far_pairs(radius, far):
+    """The disk of the given radius plus the +-pairs of each vector in far
+    that lies outside it."""
+    modes = list(ModeSet.disk(radius).modes)
+    for k in far:
+        if k.norm2 > radius * radius and k not in modes:
+            modes += [k, -k]
+    return ModeSet(cutoff=float(radius), modes=tuple(modes))
+
+
+@st.composite
+def mode_sets(draw):
+    """Disks of radius 2 to 8, some with far +-pairs outside the disk, so
+    the transform grid is sized by the modes, not by the cutoff."""
+    far = st.tuples(st.integers(-9, 9), st.integers(-9, 9)).map(lambda t: V(*t))
+    return with_far_pairs(draw(st.integers(2, 8)), draw(st.lists(far, max_size=3)))
+
+
+# K = 7: (7,1) + (7,2) = (14,3) aliases onto -(7,-3), a member, on 3K = 21
+# points per axis, not on 3K + 1; on a disk alone only parallel pairs, whose
+# coefficient is zero, reach a component 2K
+@example(with_far_pairs(2, [V(7, 1), V(7, 2), V(7, -3)]), 0)
+@example(with_far_pairs(2, [V(0, 7)]), 0)
+@given(mode_sets(), st.integers(0, 2**32 - 1))
+@settings(max_examples=25, deadline=None)
+def test_rhs_matches_the_pair_sum_and_reuses_no_result(modeset, seed):
+    fields = [random_field(modeset, seed=s) for s in (seed, seed + 1)]
+    first = euler_rhs(fields[0])
+    kept = first.coeffs.copy()
     for fld in fields:
-        full = fld.full_vector()
-        prod = cs * full[ps] * full[qs]
-        plain = np.bincount(ks, weights=prod.real, minlength=len(full))
-        plain = plain + 1j * np.bincount(ks, weights=prod.imag, minlength=len(full))
-        assert np.array_equal(euler_rhs(fld).coeffs, plain[modeset.embedding[2]])
-    result = euler_rhs(fields[0])
-    euler_rhs(fields[1])
-    assert np.array_equal(result.coeffs, first)
+        want = pair_sum(modeset, fld.full_vector())
+        got = euler_rhs(fld).full_vector()
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+    # a later call leaves an earlier result alone
+    assert np.array_equal(first.coeffs, kept)
 
 
 def test_conserved_frozen_values():
@@ -120,8 +159,9 @@ def test_energy_enstrophy_directional_derivative_vanishes():
             assert abs(up - dn) / (2 * h) < 1e-12 * max(1.0, abs(up))
 
 
-def test_jacobian_check_matches_linearization():
-    report = jacobian_check(V(1, 1), 1.0, K5)
+@pytest.mark.parametrize("p, gamma", [(V(1, 1), 1.0), (V(2, 1), 0.8 - 0.6j)], ids=["p11_gamma1", "p21_gamma_complex"])
+def test_jacobian_check_matches_linearization(p, gamma):
+    report = jacobian_check(p, gamma, K5)
     assert report.max_deviation < 1e-6
     assert report.entries_checked == 2 * 40 * 80
 
@@ -133,25 +173,21 @@ def test_jacobian_zero_when_gamma_zero():
 
 def test_jacobian_row_structure():
     # row k = (2,1): the only couplings are k' = (1,0) and k' = (3,2)
-    from euler_spectra.euler_core import _embed, _rhs_full
-
     p = V(1, 1)
     base = fixed_point(p, 1.0, K5)
     k_row = K5.index(V(2, 1))
     h = 1e-6
     reps = K5.representatives
+
+    def rhs_of(coeffs):
+        return euler_rhs(VorticityField(K5, coeffs)).full_vector()
+
     for c, kc in enumerate(reps):
         bump = np.zeros(len(reps), dtype=complex)
         bump[c] = h
-        d_re = (
-            _rhs_full(K5, _embed(K5, base.coeffs + bump))
-            - _rhs_full(K5, _embed(K5, base.coeffs - bump))
-        ) / (2 * h)
+        d_re = (rhs_of(base.coeffs + bump) - rhs_of(base.coeffs - bump)) / (2 * h)
         bump[c] = 1j * h
-        d_im = (
-            _rhs_full(K5, _embed(K5, base.coeffs + bump))
-            - _rhs_full(K5, _embed(K5, base.coeffs - bump))
-        ) / (2 * h)
+        d_im = (rhs_of(base.coeffs + bump) - rhs_of(base.coeffs - bump)) / (2 * h)
         col_plus = 0.5 * (d_re - 1j * d_im)
         col_minus = 0.5 * (d_re + 1j * d_im)
         for col, kk in ((col_plus, kc), (col_minus, -kc)):
@@ -194,9 +230,9 @@ def test_integrate_euler_overflow_is_numerical_failure():
 
 def test_modeset_tables_are_per_instance():
     fresh = ModeSet.disk(5.0)
-    assert fresh == K5 and fresh.triads is not K5.triads
-    assert fresh.triads is fresh.triads
-    for a, b in zip(fresh.triads + fresh.embedding, K5.triads + K5.embedding):
+    assert fresh == K5 and fresh.transform is not K5.transform
+    assert fresh.transform is fresh.transform
+    for a, b in zip(fresh.transform + fresh.embedding, K5.transform + K5.embedding):
         assert np.array_equal(a, b)
 
 

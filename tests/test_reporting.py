@@ -106,12 +106,16 @@ def test_matrix_report_and_csv(capsys):
     assert {e["kind"] for e in doc["eigenvalues"]} == {"isolated", "band"}
 
 
-def test_operator_triplets_roundtrip(tmp_path, capsys):
-    # the golden class report writes the nonzeros of the 60 x 60 section of A
+def load_script():
     spec = importlib.util.spec_from_file_location("golden_class_report", SCRIPT)
     script = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(script)
-    script.main(["--n-matrix", "60", "--outdir", str(tmp_path)])
+    return script
+
+
+def test_operator_triplets_roundtrip(tmp_path, capsys):
+    # the golden class report writes the nonzeros of the 60 x 60 section of A
+    load_script().main(["--n-matrix", "60", "--outdir", str(tmp_path)])
     assert f"wrote {tmp_path}/" in capsys.readouterr().out
     lines = (tmp_path / "operator_A.csv").read_text().splitlines()
     assert lines[0] == "row,col,re,im"
@@ -122,6 +126,12 @@ def test_operator_triplets_roundtrip(tmp_path, capsys):
         r, c, re, im = line.split(",")
         rebuilt[int(r) - 1, int(c) - 1] = float(re) + 1j * float(im)
     assert np.allclose(rebuilt, op.entries, atol=1e-15)
+
+
+def test_report_script_reads_negative_values_as_the_cli_does(tmp_path):
+    # '--khat -1,1' is a value, not an option; (-1,1) lies on the circle |k| = |p|
+    assert load_script().main(["--khat", "-1,1", "--n-matrix", "60", "--outdir", str(tmp_path)]) == 0
+    assert json.loads((tmp_path / "eigs_cf.json").read_text())["circle_member"] == [-1, 1]
 
 
 def test_field_csv_header(capsys):
