@@ -175,26 +175,22 @@ def _emit(config: argparse.Namespace, doc: dict, header: tuple[str, ...], rows, 
 
 def _params(config: argparse.Namespace) -> CFParams:
     _require(config, "p", "khat")
-    if config.gamma == 0:
-        raise UsageError("gamma is zero: the operator is zero, no spectral data; give a nonzero --gamma")
-    params = CFParams.for_class(config.khat, config.p, config.gamma)
-    if params.parallel:
-        raise UsageError("khat is parallel to p: trivial class, no spectral data")
-    return params
+    return CFParams.for_class(config.khat, config.p, config.gamma)
 
 
 def cmd_classes(config: argparse.Namespace) -> int:
     _require(config, "p")
     p2 = config.p.norm2
+    labels = classes_meeting_disk(config.p, max(p2, int(config.scan_radius**2)))
     # a class meets the closed disk iff its minimal member does
     classes = [
         {
             "khat": label.khat,
             "parallel": label.parallel,
             "meets_disk": label.khat.norm2 <= p2,
-            "verdict": reporting.verdict_dict(classify_stability(label)),
+            "verdict": {"kind": verdict.kind.value, "sigma": verdict.sigma, "detail": verdict.detail},
         }
-        for label in classes_meeting_disk(config.p, max(p2, int(config.scan_radius**2)))
+        for label, verdict in zip(labels, map(classify_stability, labels))
     ]
     rows = (
         (*c["khat"].as_tuple(), c["parallel"], c["meets_disk"], c["verdict"]["kind"], c["verdict"]["sigma"])
@@ -209,26 +205,36 @@ def cmd_eigs_cf(config: argparse.Namespace) -> int:
     label = canonical_label(config.khat, config.p)
     member = circle_member(config.khat, config.p)
     search = dict(search_box=config.box, grid=config.grid, tol=config.root_tol)
+    header = ("re", "im", "residual")
     if member is None:
         if config.khat.norm2 > label.khat.norm2:
             # counted from a far member the chain has the same roots, but the
             # seeds can miss them (p=2,1: khat=-6,-2 finds none at grid 8,
             # its minimal member 0,1 finds one); minimal members all agree
             params = CFParams.for_class(label.khat, config.p, config.gamma)
-        found = [(None, q) for q in find_eigenvalues(params, **search)]
+        found = [(q, {}) for q in find_eigenvalues(params, **search)]
+        circle = {}
     else:
         # rho vanishes at the member, so the chain splits into two half-chains
         params = CFParams.for_class(member, config.p, config.gamma)
-        found = [(side, q) for side in (+1, -1) for q in find_eigenvalues_half(params, side, **search)]
-    band = essential_band(params)
-    doc = reporting.cf_report(params, label, band, [q for _, q in found])
-    header = ("re", "im", "residual")
-    if member is not None:
-        doc["circle_member"] = member
-        for entry, (side, _) in zip(doc["quadruples"], found):
-            entry["side"] = side
+        found = [(q, {"side": side}) for side in (+1, -1) for q in find_eigenvalues_half(params, side, **search)]
+        circle = {"circle_member": member}
         header += ("side",)
-    rows = ([entry[column] for column in header] for entry in doc["quadruples"])
+    band = essential_band(params)
+    quadruples = [
+        {"re": q.lambda_tilde.real, "im": q.lambda_tilde.imag, "residual": q.residual, "members": q.members, **tag}
+        for q, tag in found
+    ]
+    doc = {
+        "class": {"khat": label.khat, "p": label.p, "parallel": label.parallel},
+        "a": params.a,
+        "band_endpoints": band.endpoints,
+        "band_width": band.width,
+        "quadruples": quadruples,
+        "method": "continued-fraction",
+        **circle,
+    }
+    rows = ([entry[column] for column in header] for entry in quadruples)
     return _emit(config, doc, header, rows)
 
 
@@ -238,9 +244,19 @@ def cmd_eigs_matrix(config: argparse.Namespace) -> int:
     op = build("A", params, config.N_matrix)
     ev = truncated_spectrum(op)
     iso = classify_band_distance(op, ev)
-    doc = reporting.matrix_spectrum_report(op, label, ev, iso)
+    eigenvalues = [
+        {"re": value.real, "im": value.imag, "kind": "isolated" if isolated else "band"}
+        for value, isolated in zip(ev, iso)
+    ]
+    doc = {
+        "class": {"khat": label.khat, "p": label.p, "parallel": label.parallel},
+        "a": params.a,
+        "size": op.size,
+        "eigenvalues": eigenvalues,
+        "method": "matrix-oracle",
+    }
     header = ("re", "im", "kind")
-    rows = ([entry[column] for column in header] for entry in doc["eigenvalues"])
+    rows = ([entry[column] for column in header] for entry in eigenvalues)
     return _emit(config, doc, header, rows)
 
 
@@ -249,9 +265,9 @@ def cmd_band(config: argparse.Namespace) -> int:
     label = canonical_label(config.khat, config.p)
     band = essential_band(params)
     doc = {
-        "class": reporting._class_dict(label),
+        "class": {"khat": label.khat, "p": label.p, "parallel": label.parallel},
         "a": params.a,
-        "endpoints": list(band.endpoints),
+        "endpoints": band.endpoints,
         "width": band.width,
     }
     return _emit(config, doc, ("re", "im"), ((e.real, e.imag) for e in band.endpoints))
@@ -270,7 +286,7 @@ def cmd_simulate(config: argparse.Namespace) -> int:
     traj = integrate(spec, state, dt=config.dt, steps=config.steps, sample_every=max(1, config.steps // 100))
     doc = {
         "class": {"khat": config.khat, "p": config.p},
-        "summary": reporting.trajectory_summary(traj),
+        "summary": {"H_drift": traj.h_drift, "I_drift": traj.i_drift, "enstrophy_ratio": traj.enstrophy_ratio},
     }
     ns = spec.indices()
     rows = ((t, n, w.real, w.imag) for t, states in zip(traj.times, traj.states) for n, w in zip(ns, states))

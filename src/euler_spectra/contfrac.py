@@ -64,14 +64,16 @@ class CFParams:
 
     @classmethod
     def for_class(cls, khat: WaveVector, p: WaveVector, gamma: complex) -> "CFParams":
+        """Raises DomainError where a = 0 (a zero gamma or a class parallel
+        to p): the operator is zero and carries no spectral data."""
+        if gamma == 0:
+            raise DomainError("gamma is zero: the operator is zero, no spectral data; give a nonzero gamma")
         if khat.is_zero or p.is_zero:
             raise DomainError("khat and p must be nonzero")
         a = 0.5 * abs(gamma) * det(p, khat)
+        if a == 0.0:
+            raise DomainError("khat is parallel to p: trivial class, no spectral data")
         return cls(khat=khat, p=p, a=a, rho_seq=RhoSequence(khat, p))
-
-    @property
-    def parallel(self) -> bool:
-        return self.a == 0.0
 
     def band_halfwidth_tilde(self) -> float:
         """Half-length of the essential band segment on the imaginary axis
@@ -109,8 +111,6 @@ def a_n(params: CFParams, lam: complex, n: int) -> complex:
     Kept public as a test oracle: _sweep inlines it, and the tests check
     reconstructed eigenvectors against the recurrence written with it.
     """
-    if params.parallel:
-        raise DomainError("parallel class: a = 0, no spectral recurrence")
     r = params.rho_seq.value(n)
     if r == 0.0:
         raise OnCircleError(
@@ -228,8 +228,6 @@ def _settled_value(evaluate, tol: float):
 
 
 def _check_point(params: CFParams, lambda_tilde: complex) -> None:
-    if params.parallel:
-        raise DomainError("parallel class carries no point spectrum machinery")
     if not _outside_band(-lambda_tilde * params.p.norm2):
         raise EssentialBandError(f"lambda_tilde = {lambda_tilde} lies on the essential band")
 
@@ -304,8 +302,6 @@ def _search(
     the essential band need deep tails.  The root filter and each
     residual are taken at twice the depth the point last settled at.
     """
-    if params.parallel:
-        raise DomainError("parallel class carries no point spectrum machinery")
     if grid < 1:
         raise DomainError(f"grid must be a positive integer, got {grid}")
     re_min, re_max, im_min, im_max = search_box

@@ -171,8 +171,7 @@ def char_roots(lambda_b: complex) -> tuple[complex, complex, complex, complex]:
 
 
 def essential_band(params: CFParams) -> BandSpec:
-    """Band endpoints +-2bi with b = -a/|p|^2; width 4|b|.  Degenerates to
-    {0} for parallel classes."""
+    """Band endpoints +-2bi with b = -a/|p|^2; width 4|b|."""
     b = params.a * params.rho_seq.limit
     lo, hi = sorted((2j * b, -2j * b), key=lambda z: z.imag)
     return BandSpec(endpoints=(lo, hi), width=4.0 * abs(b))
@@ -300,8 +299,6 @@ def detM_eigentest(params: CFParams, lambda_hat: complex) -> complex:
     Kept as the independent oracle for continued-fraction roots: its
     recurrence shares no code with contfrac's kernel.
     """
-    if params.parallel:
-        raise DomainError("parallel class: zero operator")
     lam_hat = complex(lambda_hat)
     rho = params.rho_seq.value
     lam_b = lam_hat / params.rho_seq.limit  # lam/(i b)

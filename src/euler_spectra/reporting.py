@@ -9,20 +9,10 @@ from __future__ import annotations
 
 import numpy as np
 
-from .contfrac import CFParams, EigenQuadruple
 from .errors import UsageError
-from .lattice import ClassLabel, WaveVector
-from .matrixop import BandSpec, TruncatedOperator
-from .subsystem import StabilityVerdict, Trajectory
+from .lattice import WaveVector
 
-__all__ = [
-    "to_canonical_json",
-    "to_csv",
-    "cf_report",
-    "matrix_spectrum_report",
-    "trajectory_summary",
-    "verdict_dict",
-]
+__all__ = ["to_canonical_json", "to_csv"]
 
 
 def format_float(x: float) -> str:
@@ -74,54 +64,3 @@ def to_csv(header, rows) -> str:
     str goes in as is."""
     lines = [",".join(header)] + [",".join(map(_cell, row)) for row in rows]
     return "\n".join(lines) + "\n"
-
-
-def _class_dict(label: ClassLabel) -> dict:
-    return {"khat": label.khat, "p": label.p, "parallel": label.parallel}
-
-
-def verdict_dict(verdict: StabilityVerdict) -> dict:
-    return {"kind": verdict.kind.value, "sigma": verdict.sigma, "detail": verdict.detail}
-
-
-def cf_report(params: CFParams, label: ClassLabel, band: BandSpec, quads: list[EigenQuadruple]) -> dict:
-    return {
-        "class": _class_dict(label),
-        "a": params.a,
-        "band_endpoints": list(band.endpoints),
-        "band_width": band.width,
-        "quadruples": [
-            {
-                "re": q.lambda_tilde.real,
-                "im": q.lambda_tilde.imag,
-                "residual": q.residual,
-                "members": list(q.members),
-            }
-            for q in quads
-        ],
-        "method": "continued-fraction",
-    }
-
-
-def matrix_spectrum_report(
-    op: TruncatedOperator, label: ClassLabel, eigenvalues: np.ndarray, isolated: np.ndarray
-) -> dict:
-    return {
-        "class": _class_dict(label),
-        "a": op.params.a,
-        "size": op.size,
-        "eigenvalues": [
-            {"re": ev.real, "im": ev.imag, "kind": "isolated" if iso else "band"}
-            for ev, iso in zip(eigenvalues, isolated)
-        ],
-        "method": "matrix-oracle",
-    }
-
-
-def trajectory_summary(traj: Trajectory) -> dict:
-    return {
-        "H_drift": traj.h_drift,
-        "I_drift": traj.i_drift,
-        "enstrophy_ratio": traj.enstrophy_ratio,
-    }
-

@@ -1,8 +1,9 @@
 """Acceptance suite: nine numbered end-to-end checks at pinned tolerances.
 
-Each check is a pure function returning a CheckResult; the CLI `verify`
-command prints one line per check and exits nonzero if any fail, and the
-test suite asserts them individually.
+Each check body returns (passed, detail) and the _check decorator makes it
+a function returning its timed CheckResult; the CLI `verify` command prints
+one line per check and exits nonzero if any fail, and the test suite
+asserts them individually.
 
 Check 1 pins the benchmark eigenvalue to within 1e-10 of GOLDEN_ROOT, the
 golden-class root to 25 digits, derived at 40-digit precision from the
@@ -17,6 +18,8 @@ solver's converged root.
 
 from __future__ import annotations
 
+import functools
+import itertools
 import time
 from dataclasses import dataclass
 
@@ -72,6 +75,25 @@ class CheckResult:
     seconds: float
 
 
+def _check(index: int, name: str, limit: float = float("inf")):
+    """Turn a check body returning (passed, detail) into a check returning
+    its timed CheckResult; the check fails unless the body also ends within
+    limit seconds."""
+
+    def wrap(body):
+        @functools.wraps(body)
+        def check() -> CheckResult:
+            t0 = time.monotonic()
+            passed, detail = body()
+            elapsed = time.monotonic() - t0
+            # bool(): a numpy comparison gives np.bool_, which has no JSON form
+            return CheckResult(index, name, bool(passed) and elapsed < limit, detail, elapsed)
+
+        return check
+
+    return wrap
+
+
 def _golden_params() -> CFParams:
     return CFParams.for_class(V(1, 0), V(1, 1), 1.0)
 
@@ -83,29 +105,26 @@ def _find_golden_root() -> complex:
     return quads[0].lambda_tilde
 
 
-def check_1_golden_eigenvalue() -> CheckResult:
-    t0 = time.monotonic()
+@_check(1, "golden eigenvalue vs reference digits", limit=5.0)
+def check_1_golden_eigenvalue():
     params = _golden_params()
     quads = find_eigenvalues(params, search_box=(0.05, 1.0, 0.05, 1.0), grid=20, tol=1e-12)
-    elapsed = time.monotonic() - t0
     ok_count = len(quads) == 1
     dist = dist_ref = float("inf")
     if quads:
         dist = abs(quads[0].lambda_tilde - GOLDEN_ROOT)
         dist_ref = abs(quads[0].lambda_tilde - REFERENCE_ROOT)
     ok_value = dist <= 1e-10 and dist_ref <= 1e-8
-    ok_time = elapsed < 5.0
-    passed = ok_count and ok_value and ok_time
     detail = (
         f"quadruples={len(quads)}, |root - 25-digit root|={dist:.3e} (tolerance 1e-10), "
         f"|root - published reference|={dist_ref:.3e} (tolerance 1e-8, the published "
         f"value is 6.8e-9 from the true root)"
     )
-    return CheckResult(1, "golden eigenvalue vs reference digits", passed, detail, elapsed)
+    return ok_count and ok_value, detail
 
 
-def check_2_oracle_agreement() -> CheckResult:
-    t0 = time.monotonic()
+@_check(2, "three-way oracle agreement at N=400", limit=60.0)
+def check_2_oracle_agreement():
     params = _golden_params()
     root = _find_golden_root()
     a = params.a
@@ -136,18 +155,15 @@ def check_2_oracle_agreement() -> CheckResult:
     )
     ok_threeway = three_way < 1e-6
 
-    elapsed = time.monotonic() - t0
-    ok_time = elapsed < 60.0
-    passed = ok_matrix and ok_detm and ok_threeway and ok_time
     detail = (
         f"max matrix dist={max(matrix_dists):.3e}, |detM|={detm:.3e}, "
         f"three-way spread={three_way:.3e}"
     )
-    return CheckResult(2, "three-way oracle agreement at N=400", passed, detail, elapsed)
+    return ok_matrix and ok_detm and ok_threeway, detail
 
 
-def check_3_essential_band() -> CheckResult:
-    t0 = time.monotonic()
+@_check(3, "essential band and finite-section densification")
+def check_3_essential_band():
     params = _golden_params()
     band = essential_band(params)
     ok_endpoints = sorted(e.imag for e in band.endpoints) == [-0.5, 0.5] and all(
@@ -171,18 +187,16 @@ def check_3_essential_band() -> CheckResult:
     ok_gap = gaps[800] <= gaps[400] / 1.5
     ok_closed = closed_err < 1e-12
 
-    elapsed = time.monotonic() - t0
-    passed = ok_endpoints and ok_imag and ok_range and ok_gap and ok_closed
     detail = (
         f"endpoints +-0.5i: {ok_endpoints}, spectra imaginary/in-range: {ok_imag and ok_range}, "
         f"gap {gaps[400]:.2e} -> {gaps[800]:.2e} (shrink x{gaps[400] / gaps[800]:.2f}), "
         f"max |ev - 2ib cos(k pi/(N+1))|/|b|={closed_err:.1e} (tolerance 1e-12)"
     )
-    return CheckResult(3, "essential band and finite-section densification", passed, detail, elapsed)
+    return ok_endpoints and ok_imag and ok_range and ok_gap and ok_closed, detail
 
 
-def check_4_stability_theorems() -> CheckResult:
-    t0 = time.monotonic()
+@_check(4, "disk-avoidance stability bound")
+def check_4_stability_theorems():
     label = canonical_label(V(3, 0), V(1, 1))
     verdict = classify_stability(label)
     ok_kind = verdict.kind is StabilityKind.STABLE_UDT
@@ -204,17 +218,15 @@ def check_4_stability_theorems() -> CheckResult:
     quads = find_eigenvalues(params, search_box=(0.05, 3.0, 0.05, 3.0), grid=10, tol=1e-12)
     ok_empty = quads == []
 
-    elapsed = time.monotonic() - t0
-    passed = ok_kind and ok_sigma and ok_bound and ok_empty
     detail = (
         f"sigma={verdict.sigma!r}, worst enstrophy ratio={worst:.6f} "
         f"(bound {5 / 3:.6f}), eigenvalue list empty: {ok_empty}"
     )
-    return CheckResult(4, "disk-avoidance stability bound", passed, detail, elapsed)
+    return ok_kind and ok_sigma and ok_bound and ok_empty, detail
 
 
-def check_5_conservation() -> CheckResult:
-    t0 = time.monotonic()
+@_check(5, "chain invariants conserved under integration")
+def check_5_conservation():
     spec = SubsystemSpec(khat=V(1, 0), p=V(1, 1), gamma=1.0, n_min=-40, n_max=40)
     rng = np.random.default_rng(7)
     state = ComplexSeq(spec.n_min, rng.normal(size=spec.width) + 1j * rng.normal(size=spec.width))
@@ -227,26 +239,22 @@ def check_5_conservation() -> CheckResult:
     big = integrate(spec, state, dt=0.1, steps=10)
     half = integrate(spec, state, dt=0.05, steps=20)
     ratios = (big.h_drift / half.h_drift, big.i_drift / half.i_drift)
-    elapsed = time.monotonic() - t0
-    passed = ok_drift and min(ratios) >= 8.0
     detail = (
         f"H drift={coarse.h_drift:.2e}, I drift={coarse.i_drift:.2e}; drift ratio dt=0.1 / dt=0.05 over T=1: "
         f"H {ratios[0]:.1f}, I {ratios[1]:.1f} (order test needs >= 8)"
     )
-    return CheckResult(5, "chain invariants conserved under integration", passed, detail, elapsed)
+    return ok_drift and min(ratios) >= 8.0, detail
 
 
-def check_6_spectrum_symmetry() -> CheckResult:
-    t0 = time.monotonic()
-    picked = []
+@_check(6, "spectrum symmetric under negation and conjugation")
+def check_6_spectrum_symmetry():
+    # the first non-parallel classes of each pump, up to its quota
     quota = {V(1, 1): 2, V(2, 1): 2, V(1, 0): 1}
-    for p, want in quota.items():
-        taken = 0
-        for label in classes_meeting_disk(p, p.norm2):
-            if label.parallel or taken >= want:
-                continue
-            picked.append(label)
-            taken += 1
+    picked = [
+        label
+        for p, want in quota.items()
+        for label in itertools.islice((c for c in classes_meeting_disk(p, p.norm2) if not c.parallel), want)
+    ]
     worst = 0.0
     for label in picked:
         params = CFParams.for_class(label.khat, label.p, 1.0)
@@ -257,14 +265,12 @@ def check_6_spectrum_symmetry() -> CheckResult:
                 float(np.min(np.abs(ev + lam))),
                 float(np.min(np.abs(ev - np.conj(lam)))),
             )
-    elapsed = time.monotonic() - t0
-    passed = len(picked) == 5 and worst < 1e-8
     detail = f"classes={[(l.khat.k1, l.khat.k2, l.p.k1, l.p.k2) for l in picked]}, worst asymmetry={worst:.2e}"
-    return CheckResult(6, "spectrum symmetric under negation and conjugation", passed, detail, elapsed)
+    return len(picked) == 5 and worst < 1e-8, detail
 
 
-def check_7_resolvent() -> CheckResult:
-    t0 = time.monotonic()
+@_check(7, "resolvent residual and uniform row-sum bound")
+def check_7_resolvent():
     rng = np.random.default_rng(11)
     worst_residual = 0.0
     bounds = {}
@@ -279,15 +285,13 @@ def check_7_resolvent() -> CheckResult:
             worst_residual = max(worst_residual, float(resid))
         G = green_kernel(lam, 60, 80)
         bounds[str(lam)] = float(np.max(np.sum(np.abs(G), axis=1)))
-    elapsed = time.monotonic() - t0
     ok_bounds = all(np.isfinite(v) for v in bounds.values())
-    passed = worst_residual < 1e-9 and ok_bounds
     detail = f"worst residual={worst_residual:.2e}, row-sum bounds={ {k: round(v, 4) for k, v in bounds.items()} }"
-    return CheckResult(7, "resolvent residual and uniform row-sum bound", passed, detail, elapsed)
+    return worst_residual < 1e-9 and ok_bounds, detail
 
 
-def check_8_linearization() -> CheckResult:
-    t0 = time.monotonic()
+@_check(8, "linearization consistency and perturbation growth")
+def check_8_linearization():
     report = jacobian_check(V(1, 1), 1.0, ModeSet.disk(5.0))
     ok_jac = report.max_deviation < 1e-6
 
@@ -300,14 +304,13 @@ def check_8_linearization() -> CheckResult:
     target_rate = 2.0 * abs((params.a * root).real)
 
     modeset = ModeSet.disk(8.0)
-    p = V(1, 1)
-    spec_members = [n for n in range(-20, 21) if 2 * n * n + 2 * n + 1 <= 64]
-    n_min, n_max = min(spec_members), max(spec_members)
+    members = [n for n in range(-20, 21) if params.khat.plus(n, params.p) in modeset]
+    n_min, n_max = min(members), max(members)
     amps = mode_amplitudes(params, growing, 1.0, n_min, n_max)
 
     eps = 1e-6
-    base = fixed_point(p, 1.0, modeset)
-    pert = {V(1 + n, n): eps * amps[j] for j, n in enumerate(range(n_min, n_max + 1))}
+    base = fixed_point(params.p, 1.0, modeset)
+    pert = {params.khat.plus(n, params.p): eps * amp for n, amp in zip(range(n_min, n_max + 1), amps)}
     fld = VorticityField(modeset, base.coeffs + VorticityField.from_dict(modeset, pert).coeffs)
 
     traj = integrate_euler(fld, dt=0.02, steps=3000, sample_every=30)
@@ -318,17 +321,15 @@ def check_8_linearization() -> CheckResult:
     rate = fit_growth_rate(traj.times, enstrophy)
     ok_rate = abs(rate - target_rate) / target_rate < 0.05
 
-    elapsed = time.monotonic() - t0
-    passed = ok_jac and ok_rate
     detail = (
         f"jacobian max deviation={report.max_deviation:.2e}; nonlinear growth rate={rate:.6f} "
         f"vs 2|Re(a*root)|={target_rate:.6f} ({abs(rate - target_rate) / target_rate:.2%})"
     )
-    return CheckResult(8, "linearization consistency and perturbation growth", passed, detail, elapsed)
+    return ok_jac and ok_rate, detail
 
 
-def check_9_nonlinear_conservation() -> CheckResult:
-    t0 = time.monotonic()
+@_check(9, "nonlinear invariants and equilibrium families")
+def check_9_nonlinear_conservation():
     modeset = ModeSet.disk(5.0)
     rng = np.random.default_rng(13)
     n = len(modeset.representatives)
@@ -340,19 +341,14 @@ def check_9_nonlinear_conservation() -> CheckResult:
     circle = VorticityField.from_dict(
         modeset, {V(1, 2): 1.0, V(2, 1): 0.5j, V(-1, 2): -0.25, V(2, -1): 0.1 - 0.9j}
     )
-    rhs_norms = [
-        float(np.max(np.abs(euler_rhs(f).coeffs))) if len(euler_rhs(f).coeffs) else 0.0
-        for f in (ray, circle)
-    ]
+    rhs_norms = [float(np.max(np.abs(euler_rhs(f).coeffs))) for f in (ray, circle)]
     ok_families = max(rhs_norms) < 1e-14
 
-    elapsed = time.monotonic() - t0
-    passed = ok_drift and ok_families
     detail = (
         f"E drift={traj.e_drift:.2e}, J drift={traj.j_drift:.2e}, "
         f"fixed-family rhs norms={rhs_norms}"
     )
-    return CheckResult(9, "nonlinear invariants and equilibrium families", passed, detail, elapsed)
+    return ok_drift and ok_families, detail
 
 
 CHECKS = [

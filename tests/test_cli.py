@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 import euler_spectra.cli as cli
 from euler_spectra.cli import main
 from euler_spectra.lattice import WaveVector, canonical_label, det
-from euler_spectra.reporting import verdict_dict
 from euler_spectra.subsystem import classify_stability
 from euler_spectra.verification import CheckResult
 
@@ -345,7 +344,7 @@ def test_class_answers_do_not_depend_on_the_member(p, k1, k2, n):
     khat = WaveVector(k1, k2)
     assume(det(p, khat) != 0)
     shifted = khat.plus(n, p)
-    verdicts = [verdict_dict(classify_stability(canonical_label(k, p))) for k in (khat, shifted)]
+    verdicts = [classify_stability(canonical_label(k, p)) for k in (khat, shifted)]
     assert verdicts[0] == verdicts[1]
     box = ("--box", "0.05,2,0.05,2", "--grid", "8")
     docs = [_json_of("eigs-cf", f"--p={p.k1},{p.k2}", f"--khat={k.k1},{k.k2}", *box) for k in (khat, shifted)]
@@ -430,9 +429,84 @@ def test_eigs_cf_output_bytes(capsys, fmt, expected):
     argv = ("eigs-cf", "--p", "1,1", "--khat", "1,0", "--box", "0.05,1,0.05,1", "--grid", "6")
     code, out, _ = run_cli(capsys, *argv, "--format", fmt)
     assert code == 0
+    _same_but_digits(out, expected)
+
+
+def _same_but_digits(out: str, expected: str) -> None:
+    """out is expected byte for byte, except that each rounded float is
+    masked to '#' and compared to within 1e-14."""
     assert _ROUNDED.sub("#", out) == _ROUNDED.sub("#", expected)
     got, want = ([float(x) for x in _ROUNDED.findall(text)] for text in (out, expected))
     assert got == pytest.approx(want, abs=1e-14)
+
+
+# the N = 60 section of the golden class: one row per eigenvalue by
+# ascending imaginary part; the quadruple off the axis is isolated
+_EIGS_MATRIX_CSV = "re,im,kind\n" + (
+    "0,-0.494922615494768,band\n0,-0.494212322817467,band\n0,-0.485049017778211,band\n"
+    "0,-0.482966170923392,band\n0,-0.470370738028387,band\n0,-0.466266787059256,band\n"
+    "0,-0.451028877700911,band\n0,-0.444294945897543,band\n0,-0.42720303921239,band\n"
+    "0,-0.417278234110601,band\n0,-0.399102996278125,band\n0,-0.385478944772002,band\n"
+    "0,-0.366955811682867,band\n0,-0.349178721974428,band\n0,-0.330980192440387,band\n"
+    "0,-0.308665464649139,band\n0,-0.291326718274067,band\n0,-0.264272636722402,band\n"
+    "0,-0.24792931832358,band\n0,-0.216657108831839,band\n0,-0.200280848139836,band\n"
+    "-0.124111517219475,-0.175860402479014,isolated\n0.124111517219475,-0.175860402479014,isolated\n"
+    "0,-0.16715073751409,band\n0,-0.148215842108524,band\n0,-0.116745681446117,band\n"
+    "0,-0.0940041201183969,band\n0,-0.0654646442807617,band\n0,-0.0399818773745216,band\n"
+    "0,-0.0132129257119487,band\n0,0.013212925711949,band\n0,0.0399818773745217,band\n"
+    "0,0.0654646442807618,band\n0,0.0940041201183968,band\n0,0.116745681446117,band\n"
+    "0,0.148215842108524,band\n0,0.16715073751409,band\n"
+    "-0.124111517219474,0.175860402479013,isolated\n0.124111517219474,0.175860402479013,isolated\n"
+    "0,0.200280848139835,band\n0,0.216657108831839,band\n0,0.24792931832358,band\n"
+    "0,0.264272636722402,band\n0,0.291326718274067,band\n0,0.308665464649138,band\n"
+    "0,0.330980192440387,band\n0,0.349178721974428,band\n0,0.366955811682868,band\n"
+    "0,0.385478944772001,band\n0,0.399102996278124,band\n0,0.417278234110601,band\n"
+    "0,0.427203039212387,band\n0,0.444294945897543,band\n0,0.45102887770091,band\n"
+    "0,0.466266787059256,band\n0,0.470370738028386,band\n0,0.482966170923391,band\n"
+    "0,0.485049017778213,band\n0,0.494212322817466,band\n0,0.494922615494767,band\n"
+)
+_EIGS_MATRIX_JSON = (
+    '{"a":-0.5,"class":{"khat":[1,0],"p":[1,1],"parallel":false},"eigenvalues":['
+    + ",".join(
+        f'{{"im":{im},"kind":"{kind}","re":{re}}}'
+        for re, im, kind in (row.split(",") for row in _EIGS_MATRIX_CSV.splitlines()[1:])
+    )
+    + '],"method":"matrix-oracle","size":60}\n'
+)
+# a circle class: its member 2,-1 splits the chain, and side -1 holds one
+# real quadruple
+_CIRCLE_JSON = (
+    '{"a":-2,"band_endpoints":[{"im":-0.8,"re":0},{"im":0.8,"re":0}],"band_width":1.6,'
+    '"circle_member":[2,-1],"class":{"khat":[0,-2],"p":[2,1],"parallel":false},"method":"continued-fraction",'
+    '"quadruples":[{"im":0,"members":[{"im":0,"re":0.0411649532416021},{"im":0,"re":-0.0411649532416021}],'
+    '"re":0.0411649532416021,"residual":0,"side":-1}]}\n'
+)
+_CIRCLE_CSV = "re,im,residual,side\n0.0411649532416021,0,0,-1\n"
+_SIMULATE_JSON = (
+    '{"class":{"khat":[1,0],"p":[1,1]},'
+    '"summary":{"H_drift":0,"I_drift":2.66453525910038e-15,"enstrophy_ratio":1.10032163718669}}\n'
+)
+_EULER_SIM_JSON = '{"E_drift":1.98845914858237e-15,"J_drift":1.99341789957634e-15,"K_cutoff":5,"eps":0.05,"p":[1,1]}\n'
+_CIRCLE = ("eigs-cf", "--p", "2,1", "--khat", "2,-1", "--box", "0.05,2,0.05,2", "--grid", "3")
+_GOLDEN_SECTION = ("eigs-matrix", "--p", "1,1", "--khat", "1,0", "--n-matrix", "60")
+
+
+@pytest.mark.parametrize(
+    "argv, expected",
+    [
+        (_GOLDEN_SECTION, _EIGS_MATRIX_JSON),
+        ((*_GOLDEN_SECTION, "--format", "csv"), _EIGS_MATRIX_CSV),
+        (_CIRCLE, _CIRCLE_JSON),
+        ((*_CIRCLE, "--format", "csv"), _CIRCLE_CSV),
+        (("simulate", "--p", "1,1", "--khat", "1,0"), _SIMULATE_JSON),
+        (("euler-sim", "--p", "1,1", "--khat", "1,0", "--eps", "0.05"), _EULER_SIM_JSON),
+    ],
+    ids=["eigs-matrix-json", "eigs-matrix-csv", "circle-json", "circle-csv", "simulate-json", "euler-sim-json"],
+)
+def test_float_output_bytes(capsys, argv, expected):
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    _same_but_digits(out, expected)
 
 
 @pytest.mark.parametrize("p", [(1, 1), (2, 1), (3, 1)])

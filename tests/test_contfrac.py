@@ -56,8 +56,8 @@ def constant_params():
 
 def test_cfparams_scale():
     assert GOLDEN.a == pytest.approx(-0.5, abs=1e-15)
-    par = CFParams.for_class(V(2, 2), V(1, 1), 1.0)
-    assert par.parallel
+    with pytest.raises(DomainError, match="parallel"):
+        CFParams.for_class(V(2, 2), V(1, 1), 1.0)
 
 
 def test_a_n_values():
@@ -244,11 +244,11 @@ def test_half_chain_solver_on_circle_class():
 
 
 def test_parallel_class_rejected():
-    par = CFParams.for_class(V(2, 2), V(1, 1), 1.0)
-    with pytest.raises(DomainError):
-        f_eigen(par, 0.3 + 0.3j)
-    with pytest.raises(DomainError):
-        find_eigenvalues(par)
+    # a = 0 for a parallel class or a zero gamma: no params, so no solver runs
+    with pytest.raises(DomainError, match="parallel"):
+        CFParams.for_class(V(2, 2), V(1, 1), 1.0)
+    with pytest.raises(DomainError, match="gamma is zero"):
+        CFParams.for_class(V(2, 2), V(1, 1), 0.0)
 
 
 def test_kernel_derivative_matches_central_difference():

@@ -220,9 +220,8 @@ def test_essential_band_values():
     doubled = essential_band(CFParams.for_class(V(1, 0), V(1, 1), 2.0))
     assert doubled.width == pytest.approx(2.0, abs=1e-15)
 
-    degenerate = essential_band(CFParams.for_class(V(2, 2), V(1, 1), 1.0))
-    assert degenerate.width == 0.0
-    assert degenerate.endpoints == (0j, 0j)
+    with pytest.raises(DomainError):  # a parallel class has a = 0 and no band
+        CFParams.for_class(V(2, 2), V(1, 1), 1.0)
 
 
 def _pattern_residual(lam, y, z):

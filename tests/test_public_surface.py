@@ -17,11 +17,16 @@ KEEP = {
     "contfrac.a_n": "test oracle: the recurrence reconstructed eigenvectors must solve",
     "contfrac.f_eigen": "test oracle: the matching function settled at one point",
     "contfrac.eigenvector_window": "test oracle: z checked against the recurrence before rescaling",
+    "contfrac.EigenQuadruple": "result type: find_eigenvalues and find_eigenvalues_half return it",
     "matrixop.char_roots": "test oracle: the roots the resolvent and the det-M test build on",
     "matrixop.relabel": "README module map: the relabel map of the sections",
     "matrixop.unrelabel": "README module map: the inverse of the relabel map",
+    "matrixop.TruncatedOperator": "result type: build returns it",
+    "matrixop.BandSpec": "result type: essential_band returns it",
     "subsystem.cle_rhs": "test oracle: the chain right-hand side on a ComplexSeq",
     "subsystem.half_invariants": "test oracle: the split of I on circle classes",
+    "subsystem.StabilityVerdict": "result type: classify_stability returns it",
+    "subsystem.Trajectory": "result type: integrate returns it",
     "verification.REFERENCE_ROOT": "README: the published constant check 1 reports against",
     "verification.GOLDEN_ROOT_DIGITS": "test oracle: tests/test_golden_root.py recomputes these digits",
 }

@@ -6,20 +6,12 @@ import numpy as np
 import pytest
 
 from euler_spectra.cli import main
-from euler_spectra.contfrac import CFParams, find_eigenvalues
+from euler_spectra.contfrac import CFParams
 from euler_spectra.errors import UsageError
 from euler_spectra.euler_core import ModeSet
-from euler_spectra.lattice import WaveVector, canonical_label
-from euler_spectra.matrixop import build, classify_band_distance, essential_band, truncated_spectrum
-from euler_spectra.reporting import (
-    cf_report,
-    format_float,
-    matrix_spectrum_report,
-    to_canonical_json,
-    to_csv,
-    trajectory_summary,
-)
-from euler_spectra.subsystem import ComplexSeq, SubsystemSpec, integrate
+from euler_spectra.lattice import WaveVector
+from euler_spectra.matrixop import build
+from euler_spectra.reporting import format_float, to_canonical_json, to_csv
 
 V = WaveVector
 SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "golden_class_report.py"
@@ -28,6 +20,11 @@ SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "golden_class_report.
 def csv_lines(capsys, *argv):
     assert main(list(argv)) == 0
     return capsys.readouterr().out.splitlines()
+
+
+def cli_json(capsys, *argv):
+    assert main(list(argv)) == 0
+    return json.loads(capsys.readouterr().out)
 
 
 def test_format_float_fixed_precision():
@@ -62,45 +59,33 @@ def test_canonical_json_deterministic():
 
 def test_trajectory_exports(capsys):
     # simulate's table: one row per sample time and chain index
-    lines = csv_lines(
-        capsys, "simulate", "--p", "1,1", "--khat", "1,0", "--n-window", "3",
-        "--dt", "1e-2", "--steps", "10", "--format", "csv",
-    )
+    argv = ("simulate", "--p", "1,1", "--khat", "1,0", "--n-window", "3", "--dt", "1e-2", "--steps", "10")
+    lines = csv_lines(capsys, *argv, "--format", "csv")
     assert lines[0] == "t,n,re,im"
     assert len(lines) == 1 + 11 * 7
     assert [line.split(",")[:2] for line in lines[1:8]] == [["0", str(n)] for n in range(-3, 4)]
     assert lines[4] == "0,0,1,0"  # the unit initial state at n = 0
-    spec = SubsystemSpec(khat=V(1, 0), p=V(1, 1), gamma=1.0, n_min=-3, n_max=3)
-    traj = integrate(spec, ComplexSeq.unit(spec, 0), dt=1e-2, steps=10, sample_every=5)
-    summary = trajectory_summary(traj)
+    summary = cli_json(capsys, *argv)["summary"]
     assert set(summary) == {"H_drift", "I_drift", "enstrophy_ratio"}
 
 
-def test_cf_report_contract():
-    params = CFParams.for_class(V(1, 0), V(1, 1), 1.0)
-    label = canonical_label(V(1, 0), V(1, 1))
-    quads = find_eigenvalues(params, search_box=(0.1, 0.6, 0.1, 0.6), grid=5)
-    doc = cf_report(params, label, essential_band(params), quads)
+def test_cf_report_contract(capsys):
+    doc = cli_json(capsys, "eigs-cf", "--p", "1,1", "--khat", "1,0", "--box", "0.1,0.6,0.1,0.6", "--grid", "5")
     assert doc["method"] == "continued-fraction"
     assert doc["a"] == -0.5
-    assert doc["class"]["khat"] == V(1, 0)
+    assert doc["class"]["khat"] == [1, 0]
     assert len(doc["quadruples"]) == 1
     q = doc["quadruples"][0]
     assert {"re", "im", "residual", "members"} <= set(q)
-    json.loads(to_canonical_json(doc))
 
 
 def test_matrix_report_and_csv(capsys):
-    params = CFParams.for_class(V(1, 0), V(1, 1), 1.0)
-    label = canonical_label(V(1, 0), V(1, 1))
-    op = build("A", params, 80)
-    ev = truncated_spectrum(op)
-    iso = classify_band_distance(op, ev)
-    doc = matrix_spectrum_report(op, label, ev, iso)
+    argv = ("eigs-matrix", "--p", "1,1", "--khat", "1,0", "--n-matrix", "80")
+    doc = cli_json(capsys, *argv)
     assert doc["method"] == "matrix-oracle"
     assert len(doc["eigenvalues"]) == 80
     # eigs-matrix's table: one row per eigenvalue, tagged as in the report
-    lines = csv_lines(capsys, "eigs-matrix", "--p", "1,1", "--khat", "1,0", "--n-matrix", "80", "--format", "csv")
+    lines = csv_lines(capsys, *argv, "--format", "csv")
     assert lines[0] == "re,im,kind"
     assert [line.split(",")[2] for line in lines[1:]] == [e["kind"] for e in doc["eigenvalues"]]
     assert {e["kind"] for e in doc["eigenvalues"]} == {"isolated", "band"}
