@@ -21,7 +21,7 @@ from . import reporting
 from .contfrac import CFParams, find_eigenvalues, find_eigenvalues_half
 from .errors import DomainError, NumericalError, UsageError
 from .euler_core import ModeSet, VorticityField, fixed_point, integrate_euler
-from .lattice import WaveVector, canonical_label, circle_member, classes_meeting_disk
+from .lattice import WaveVector, canonical_label, classes_meeting_disk
 from .matrixop import DENSE_CAP, build, classify_band_distance, essential_band, truncated_spectrum
 from .subsystem import ComplexSeq, SubsystemSpec, classify_stability, integrate
 from .verification import run_checks
@@ -173,9 +173,13 @@ def _emit(config: argparse.Namespace, doc: dict, header: tuple[str, ...], rows, 
     return 0
 
 
-def _params(config: argparse.Namespace) -> CFParams:
+def _params(config: argparse.Namespace) -> tuple[CFParams, dict]:
+    """The chain parameters of --khat's class, and the "class" and "a"
+    fields that open the document of every command about one class."""
     _require(config, "p", "khat")
-    return CFParams.for_class(config.khat, config.p, config.gamma)
+    params = CFParams.for_class(config.khat, config.p, config.gamma)
+    label = canonical_label(config.khat, config.p)
+    return params, {"class": {"khat": label.khat, "p": label.p, "parallel": label.parallel}, "a": params.a}
 
 
 def cmd_classes(config: argparse.Namespace) -> int:
@@ -201,24 +205,25 @@ def cmd_classes(config: argparse.Namespace) -> int:
 
 
 def cmd_eigs_cf(config: argparse.Namespace) -> int:
-    params = _params(config)
-    label = canonical_label(config.khat, config.p)
-    member = circle_member(config.khat, config.p)
+    # every member of the class has the same a (det(p, khat + n p) =
+    # det(p, khat)), so head holds whichever member the search starts from
+    params, head = _params(config)
     search = dict(search_box=config.box, grid=config.grid, tol=config.root_tol)
     header = ("re", "im", "residual")
-    if member is None:
-        if config.khat.norm2 > label.khat.norm2:
+    if params.circle is None:
+        minimal = head["class"]["khat"]
+        if params.khat.norm2 > minimal.norm2:
             # counted from a far member the chain has the same roots, but the
             # seeds can miss them (p=2,1: khat=-6,-2 finds none at grid 8,
             # its minimal member 0,1 finds one); minimal members all agree
-            params = CFParams.for_class(label.khat, config.p, config.gamma)
+            params = CFParams.for_class(minimal, config.p, config.gamma)
         found = [(q, {}) for q in find_eigenvalues(params, **search)]
         circle = {}
     else:
         # rho vanishes at the member, so the chain splits into two half-chains
-        params = CFParams.for_class(member, config.p, config.gamma)
+        circle = {"circle_member": params.circle}
+        params = CFParams.for_class(params.circle, config.p, config.gamma)
         found = [(q, {"side": side}) for side in (+1, -1) for q in find_eigenvalues_half(params, side, **search)]
-        circle = {"circle_member": member}
         header += ("side",)
     band = essential_band(params)
     quadruples = [
@@ -226,8 +231,7 @@ def cmd_eigs_cf(config: argparse.Namespace) -> int:
         for q, tag in found
     ]
     doc = {
-        "class": {"khat": label.khat, "p": label.p, "parallel": label.parallel},
-        "a": params.a,
+        **head,
         "band_endpoints": band.endpoints,
         "band_width": band.width,
         "quadruples": quadruples,
@@ -239,8 +243,7 @@ def cmd_eigs_cf(config: argparse.Namespace) -> int:
 
 
 def cmd_eigs_matrix(config: argparse.Namespace) -> int:
-    params = _params(config)
-    label = canonical_label(config.khat, config.p)
+    params, head = _params(config)
     op = build("A", params, config.N_matrix)
     ev = truncated_spectrum(op)
     iso = classify_band_distance(op, ev)
@@ -249,8 +252,7 @@ def cmd_eigs_matrix(config: argparse.Namespace) -> int:
         for value, isolated in zip(ev, iso)
     ]
     doc = {
-        "class": {"khat": label.khat, "p": label.p, "parallel": label.parallel},
-        "a": params.a,
+        **head,
         "size": op.size,
         "eigenvalues": eigenvalues,
         "method": "matrix-oracle",
@@ -261,12 +263,10 @@ def cmd_eigs_matrix(config: argparse.Namespace) -> int:
 
 
 def cmd_band(config: argparse.Namespace) -> int:
-    params = _params(config)
-    label = canonical_label(config.khat, config.p)
+    params, head = _params(config)
     band = essential_band(params)
     doc = {
-        "class": {"khat": label.khat, "p": label.p, "parallel": label.parallel},
-        "a": params.a,
+        **head,
         "endpoints": band.endpoints,
         "width": band.width,
     }

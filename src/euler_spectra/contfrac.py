@@ -32,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, EssentialBandError, NumericalError, OnCircleError
-from .lattice import RhoSequence, WaveVector, det, rho
+from .lattice import RhoSequence, WaveVector, circle_member, det, rho
 
 __all__ = [
     "CFParams",
@@ -54,12 +54,21 @@ _DEPTH_REL_TOL = 1e-2
 
 @dataclass
 class CFParams:
-    """Chain data entering the recurrence: class (khat, p), the real scale
-    a = |Gamma| (p1 khat2 - p2 khat1) / 2, and the memoized rho sequence."""
+    """Chain data entering the recurrence: class (khat, p), the pump
+    amplitude Gamma, the real scale a = |Gamma| (p1 khat2 - p2 khat1) / 2,
+    the class's member on the circle |k| = |p| (None when it has none) and
+    the memoized rho sequence.
+
+    rho_n vanishes only at the circle member, where the chain splits into
+    two half-chains; the full-chain solvers refuse every member of such a
+    class, and the half-chain solver runs only from the circle member.
+    """
 
     khat: WaveVector
     p: WaveVector
+    gamma: complex
     a: float
+    circle: WaveVector | None
     rho_seq: RhoSequence
 
     @classmethod
@@ -73,7 +82,21 @@ class CFParams:
         a = 0.5 * abs(gamma) * det(p, khat)
         if a == 0.0:
             raise DomainError("khat is parallel to p: trivial class, no spectral data")
-        return cls(khat=khat, p=p, a=a, rho_seq=RhoSequence(khat, p))
+        return cls(khat, p, gamma, a, circle_member(khat, p), RhoSequence(khat, p))
+
+    @property
+    def rho_inf(self) -> float:
+        """The |n| -> infinity limit of rho_n: -1/|p|^2."""
+        return -1.0 / self.p.norm2
+
+    def check_full_chain(self) -> None:
+        """Raise OnCircleError for every member of a class with a member on
+        the circle: its chain is two half-chains, not one full chain."""
+        if self.circle is not None:
+            raise OnCircleError(
+                f"the class has the member {self.circle.as_tuple()} on the circle |k| = |p|, where rho "
+                "vanishes and the chain splits; use the half-chain solver from that member"
+            )
 
     def band_halfwidth_tilde(self) -> float:
         """Half-length of the essential band segment on the imaginary axis
@@ -149,10 +172,6 @@ def _sweep(params: CFParams, lt, ns, start=None):
         u, du = start
     for n in ns:
         r = params.rho_seq.value(n)
-        if r == 0.0:
-            raise OnCircleError(
-                f"rho_{n} = 0 (member on the circle |k| = |p|); use the half-chain solver"
-            )
         u, du = lt / r + 1.0 / u, 1.0 / r - du / (u * u)
     return u, du
 
@@ -235,7 +254,7 @@ def _check_point(params: CFParams, lambda_tilde: complex) -> None:
 def _check_side(params: CFParams, side: int) -> None:
     if side not in (+1, -1):
         raise DomainError("side must be +1 or -1")
-    if params.khat.norm2 != params.p.norm2:
+    if params.khat != params.circle:
         raise DomainError("half-chain solver applies only when |khat| = |p|")
 
 
@@ -248,6 +267,7 @@ def f_eigen(params: CFParams, lambda_tilde: complex, tol: float = 1e-13) -> comp
     only.  Kept public as a test oracle: the search steps with _match at
     fixed depths, and the tests hold its roots to this settled value.
     """
+    params.check_full_chain()
     _check_point(params, lambda_tilde)
     return complex(_settled_value(lambda d: _match(params, lambda_tilde, 0, d)[0], tol)[0])
 
@@ -369,6 +389,7 @@ def find_eigenvalues(
     diverge are dropped.  Every returned root satisfies |f| < tol.  An
     empty list is a legitimate outcome (classes missing the disk).
     """
+    params.check_full_chain()
     return _search(params, 0, search_box, grid, tol)
 
 
@@ -404,6 +425,7 @@ def eigenvector_window(
     """
     if n_min > 0 or n_max < 1:
         raise DomainError("window must contain the matching indices 0 and 1")
+    params.check_full_chain()
     _check_point(params, lambda_tilde)
 
     def kernel_values(window: range) -> np.ndarray:
@@ -429,13 +451,11 @@ def eigenvector_window(
     return np.concatenate([left[::-1], [1.0 + 0.0j], right])
 
 
-def mode_amplitudes(
-    params: CFParams, lambda_tilde: complex, gamma: complex, n_min: int, n_max: int
-) -> np.ndarray:
+def mode_amplitudes(params: CFParams, lambda_tilde: complex, n_min: int, n_max: int) -> np.ndarray:
     """Eigenmode amplitudes w_n of the physical chain over the window,
     unwinding the z_n = rho_n e^{i n (theta + pi/2)} w_n substitution
     (theta = pi/2 - arg Gamma)."""
     z = eigenvector_window(params, lambda_tilde, n_min, n_max)
-    theta = 0.5 * np.pi - np.angle(gamma)
+    theta = 0.5 * np.pi - np.angle(params.gamma)
     ns = np.arange(n_min, n_max + 1)
     return z / (rho(params.khat, params.p, ns) * np.exp(1j * ns * (theta + 0.5 * np.pi)))

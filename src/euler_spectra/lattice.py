@@ -116,17 +116,12 @@ class ClassLabel:
 
 @dataclass
 class RhoSequence:
-    """Memoized rho_n values for one class, with the |n| -> infinity limit
-    rho = -|p|^-2 held alongside.  The memo stays a dict: perfbench reports
-    len(values) as the deepest index contfrac reached."""
+    """Memoized rho_n values for one class.  The memo stays a dict:
+    perfbench reports len(values) as the deepest index contfrac reached."""
 
     khat: WaveVector
     p: WaveVector
     values: dict[int, float] = field(default_factory=dict)
-
-    @property
-    def limit(self) -> float:
-        return -1.0 / self.p.norm2
 
     def value(self, n: int) -> float:
         got = self.values.get(n)

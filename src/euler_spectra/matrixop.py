@@ -8,7 +8,7 @@ one-sided pentadiagonal ("2x2+1"-banded) infinite matrix
 
 P the 0/1 pattern of chain neighbors |n_i - n_j| = 1 and rho_n taken at
 each column's chain index: a compact perturbation of the
-constant-coefficient matrix B = i b P (b = a * rho_limit).  Finite top-left
+constant-coefficient matrix B = i b P (b = a * rho_inf).  Finite top-left
 sections serve as a spectrum oracle; B's spectral curve, resolvent Green's
 function, and the decaying-solution determinant test are implemented in
 closed form.
@@ -20,6 +20,7 @@ Scalings used here (lam = physical eigenvalue):
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,7 +29,6 @@ from .contfrac import CFParams, band_distance
 from .errors import (
     DomainError,
     NumericalError,
-    OnCircleError,
     OnSpectralCurveError,
     SpectralPointSetError,
 )
@@ -93,7 +93,7 @@ class TruncatedOperator:
     size: int
     entries: np.ndarray
     params: CFParams
-    b: float  # a * rho_limit = -a / |p|^2
+    b: float  # a * rho_inf = -a / |p|^2
 
 
 @dataclass(frozen=True)
@@ -106,24 +106,24 @@ class BandSpec:
 
 def build(kind: str, params: CFParams, N: int) -> TruncatedOperator:
     """Assemble the N x N section i a P diag(coeff) of A (coeff = rho_n),
-    B (the limit rho_limit) or C = A - B (rho_n - rho_limit), n the chain
+    B (the limit rho_inf) or C = A - B (rho_n - rho_inf), n the chain
     index of each column."""
     if kind not in ("A", "B", "C"):
         raise DomainError(f"kind must be 'A', 'B' or 'C', got {kind!r}")
     if N < 5:
         raise DomainError("N >= 5 required to include the coupling rows")
-    rho_lim = params.rho_seq.limit
+    rho_inf = params.rho_inf
     rows, cols = _coupled(N)
-    coeff = rho_lim
+    coeff = rho_inf
     if kind != "B":
         coeff = rho(params.khat, params.p, unrelabel(cols + 1))
         if kind == "C":
-            coeff = coeff - rho_lim
+            coeff = coeff - rho_inf
     # scattered into zeros rather than broadcast over the section, so the
     # memory pages that hold no entry are never touched (peak memory at large N)
     M = np.zeros((N, N), dtype=complex)
     M[rows, cols] = 1j * params.a * coeff
-    return TruncatedOperator(kind=kind, size=N, entries=M, params=params, b=params.a * rho_lim)
+    return TruncatedOperator(kind=kind, size=N, entries=M, params=params, b=params.a * rho_inf)
 
 
 def truncated_spectrum(op: TruncatedOperator) -> np.ndarray:
@@ -172,7 +172,7 @@ def char_roots(lambda_b: complex) -> tuple[complex, complex, complex, complex]:
 
 def essential_band(params: CFParams) -> BandSpec:
     """Band endpoints +-2bi with b = -a/|p|^2; width 4|b|."""
-    b = params.a * params.rho_seq.limit
+    b = params.a * params.rho_inf
     lo, hi = sorted((2j * b, -2j * b), key=lambda z: z.imag)
     return BandSpec(endpoints=(lo, hi), width=4.0 * abs(b))
 
@@ -297,11 +297,13 @@ def detM_eigentest(params: CFParams, lambda_hat: complex) -> complex:
     each decoupled half-recurrence; the two are normalized and substituted
     into the coupling constraints.  det M = 0 exactly at eigenvalues.
     Kept as the independent oracle for continued-fraction roots: its
-    recurrence shares no code with contfrac's kernel.
+    recurrence shares no code with contfrac's kernel.  Like the full-chain
+    solvers it refuses every member of a class with a member on the circle
+    |k| = |p|, where rho vanishes and the chain splits.
     """
+    params.check_full_chain()
     lam_hat = complex(lambda_hat)
-    rho = params.rho_seq.value
-    lam_b = lam_hat / params.rho_seq.limit  # lam/(i b)
+    lam_b = lam_hat / params.rho_inf  # lam/(i b)
     w = _small_root(lam_b)  # raises on the essential band
     r = w * w  # Poincare-Perron decay ratio of both half-recurrences
     n_tail = max(64, int(np.ceil(np.log(1e-14) / np.log(max(abs(r), 1e-12)))) + 16)
@@ -313,10 +315,7 @@ def detM_eigentest(params: CFParams, lambda_hat: complex) -> complex:
         matter until the final normalization)."""
         u_after, u_next, u_cur = None, complex(r), 1.0 + 0.0j
         for n in range(n_tail, n_stop, -1):
-            denom = chain_rho(n - 1)
-            if denom == 0.0:
-                raise OnCircleError("rho vanishes on a member; half-chain treatment required")
-            u_prev = (lam_hat * u_cur - chain_rho(n + 1) * u_next) / denom
+            u_prev = (lam_hat * u_cur - chain_rho(n + 1) * u_next) / chain_rho(n - 1)
             if not np.isfinite(u_prev):
                 raise NumericalError(f"backward recurrence overflowed at n = {n}")
             u_after, u_next, u_cur = u_next, u_cur, u_prev
@@ -325,10 +324,11 @@ def detM_eigentest(params: CFParams, lambda_hat: complex) -> complex:
                 u_after, u_next, u_cur = u_after / scale, u_next / scale, u_cur / scale
         return [u_cur, u_next, u_after]
 
+    rho_n = functools.partial(rho, params.khat, params.p)
     # even chain u_n = z_{2n}: coefficients rho(n); need z_2 = u_1, z_4 = u_2
-    u1, u2, _ = backward(lambda n: rho(n), 1)
+    u1, u2, _ = backward(rho_n, 1)
     # odd chain v_n = z_{2n+1}: coefficients rho(-n); need z_1 = v_0, z_3 = v_1
-    v0, v1, _ = backward(lambda n: rho(-n), 0)
+    v0, v1, _ = backward(lambda n: rho_n(-n), 0)
 
     z2, z4 = u1, u2
     z1, z3 = v0, v1
@@ -338,8 +338,8 @@ def detM_eigentest(params: CFParams, lambda_hat: complex) -> complex:
         raise NumericalError("degenerate minimal solution in det M test")
     M = np.array(
         [
-            [rho(1) * z2 / s_even, -lam_hat * z1 / s_odd + rho(-1) * z3 / s_odd],
-            [-lam_hat * z2 / s_even + rho(2) * z4 / s_even, rho(0) * z1 / s_odd],
+            [rho_n(1) * z2 / s_even, -lam_hat * z1 / s_odd + rho_n(-1) * z3 / s_odd],
+            [-lam_hat * z2 / s_even + rho_n(2) * z4 / s_even, rho_n(0) * z1 / s_odd],
         ],
         dtype=complex,
     )

@@ -35,7 +35,6 @@ __all__ = [
     "half_invariants",
     "integrate",
     "classify_stability",
-    "udt_bound_check",
     "fit_growth_rate",
 ]
 
@@ -67,10 +66,6 @@ class SubsystemSpec:
         """Window index with khat + n p = 0, if any (parallel classes only)."""
         n = -self.khat.dot(self.p) // self.p.norm2  # the only candidate
         return n if self.member(n).is_zero and self.n_min <= n <= self.n_max else None
-
-    @property
-    def label(self) -> ClassLabel:
-        return canonical_label(self.khat, self.p)
 
     def member(self, n: int) -> WaveVector:
         return self.khat.plus(n, self.p)
@@ -335,8 +330,9 @@ def classify_stability(label: ClassLabel) -> StabilityVerdict:
     """Stability verdict for one class, by conserved-quantity arguments.
 
     ParallelTrivial: khat || p, zero vector field.
-    StableUDT: class misses the closed disk |k| <= |p|; enstrophy bounded
-        by sigma = sup(-rho_n) / inf(-rho_n).
+    StableUDT: class misses the closed disk |k| <= |p|; every trajectory
+        keeps ||w(t)||^2 <= sigma ||w(0)||^2 (Trajectory.enstrophy_ratio
+        <= sigma), sigma = sup(-rho_n) / inf(-rho_n).
     StableHalfClassBoth: minimal member sits on the circle |k| = |p|; a
         non-parallel class has no other member there (lattice.circle_member),
         so both half-chains, from khat + p and khat - p, miss the closed
@@ -359,23 +355,6 @@ def classify_stability(label: ClassLabel) -> StabilityVerdict:
         sig = max(_sigma_from_min_norm2(label.member(side).norm2, p2) for side in (+1, -1))
         return StabilityVerdict(StabilityKind.STABLE_HALF_CLASS_BOTH, sig, "both half-chains stable; n=0 only driven")
     return StabilityVerdict(StabilityKind.UNDETERMINED, None, "class meets the open disk")
-
-
-@dataclass(frozen=True)
-class UdtBoundReport:
-    sigma: float
-    max_ratio: float
-    ok: bool
-
-
-def udt_bound_check(spec: SubsystemSpec, trajectory: Trajectory) -> UdtBoundReport:
-    """Check the enstrophy bound ||w(t)||^2 <= sigma ||w(0)||^2, with a
-    relative slack of 1e-6, along a trajectory of a disk-avoiding class."""
-    verdict = classify_stability(spec.label)
-    if verdict.kind is not StabilityKind.STABLE_UDT or verdict.sigma is None:
-        raise UsageError("udt_bound_check applies to StableUDT classes only")
-    ratio = trajectory.enstrophy_ratio
-    return UdtBoundReport(verdict.sigma, ratio, ratio <= verdict.sigma * (1.0 + 1e-6))
 
 
 def fit_growth_rate(times: np.ndarray, series: np.ndarray) -> float:

@@ -21,7 +21,7 @@ from euler_spectra.contfrac import (
 )
 from euler_spectra.errors import DomainError, EssentialBandError, OnCircleError
 from euler_spectra.lattice import WaveVector, circle_member, det, rho
-from euler_spectra.matrixop import build, truncated_spectrum
+from euler_spectra.matrixop import build, detM_eigentest, truncated_spectrum
 from euler_spectra.subsystem import ComplexSeq, SubsystemSpec, cle_rhs
 
 V = WaveVector
@@ -56,6 +56,8 @@ def constant_params():
 
 def test_cfparams_scale():
     assert GOLDEN.a == pytest.approx(-0.5, abs=1e-15)
+    assert GOLDEN.rho_inf == -0.5
+    assert GOLDEN.circle is None and CIRCLE.circle == V(2, -1)
     with pytest.raises(DomainError, match="parallel"):
         CFParams.for_class(V(2, 2), V(1, 1), 1.0)
 
@@ -221,14 +223,44 @@ def test_eigenvector_recurrence_and_decay():
 
 
 def test_mode_amplitudes_give_chain_eigenmode():
-    # the reconstructed amplitudes satisfy d/dt w = lambda w slot by slot
-    spec = SubsystemSpec(khat=V(1, 0), p=V(1, 1), gamma=1.0, n_min=-50, n_max=50)
-    w = mode_amplitudes(GOLDEN, POLISHED_ROOT, 1.0, spec.n_min, spec.n_max)
-    lam = GOLDEN.a * POLISHED_ROOT
-    d = cle_rhs(spec, ComplexSeq(spec.n_min, w)).values
-    interior = slice(1, -1)
-    err = np.abs(d[interior] - lam * w[interior])
-    assert np.max(err) < 1e-9 * np.max(np.abs(w))
+    # the reconstructed amplitudes satisfy d/dt w = lambda w slot by slot;
+    # lambda_tilde does not depend on Gamma, and the phase of Gamma enters
+    # the amplitudes through params.gamma
+    for gamma in (1.0, 0.6 - 1.3j):
+        params = CFParams.for_class(V(1, 0), V(1, 1), gamma)
+        spec = SubsystemSpec(khat=V(1, 0), p=V(1, 1), gamma=gamma, n_min=-50, n_max=50)
+        w = mode_amplitudes(params, POLISHED_ROOT, spec.n_min, spec.n_max)
+        lam = params.a * POLISHED_ROOT
+        d = cle_rhs(spec, ComplexSeq(spec.n_min, w)).values
+        interior = slice(1, -1)
+        err = np.abs(d[interior] - lam * w[interior])
+        assert np.max(err) < 1e-9 * np.max(np.abs(w))
+
+
+@pytest.mark.parametrize("p, c", [(V(1, 1), V(-1, 1)), (V(2, 1), V(2, -1))])
+def test_full_chain_solvers_refuse_every_member_of_a_circle_class(p, c):
+    # the chain of a class with a member c on |k| = |p| splits at c whatever
+    # member it is counted from, so no answer may depend on how far a
+    # recurrence happens to run before it reaches c
+    lt = 0.4 + 0.6j
+    box = dict(search_box=(0.05, 2.0, 0.05, 2.0), grid=2)
+    for n in (0, 3, -3, 100, -100, 300, -300):
+        params = CFParams.for_class(c.plus(n, p), p, 1.0)
+        assert params.circle == c
+        for solve in (
+            lambda: find_eigenvalues(params, **box),
+            lambda: f_eigen(params, lt),
+            lambda: mode_amplitudes(params, lt, -5, 5),
+            lambda: detM_eigentest(params, -1j * lt),
+        ):
+            with pytest.raises(OnCircleError):
+                solve()
+        for side in (+1, -1):
+            if n == 0:
+                find_eigenvalues_half(params, side, **box)
+            else:
+                with pytest.raises(DomainError, match="half-chain"):
+                    find_eigenvalues_half(params, side, **box)
 
 
 def test_half_chain_solver_on_circle_class():

@@ -153,15 +153,15 @@ def test_classes_meeting_disk_excludes_far_class():
 
 def test_rho_sequence_memoizes_and_converges_to_limit():
     seq = RhoSequence(V(1, 0), V(1, 1))
-    assert seq.limit == -0.5
+    limit = -1.0 / V(1, 1).norm2
     assert seq.value(0) == pytest.approx(0.5, abs=1e-15)
     assert seq.value(0) == seq.values[0]  # memoized
     # tail approaches the limit at least as fast as C/|n|
     for n in list(range(3, 60)) + [200, 500]:
         for signed in (n, -n):
-            gap = abs(seq.value(signed) - seq.limit)
+            gap = abs(seq.value(signed) - limit)
             assert gap < (1 / V(1, 1).norm2) * 4.0 / abs(signed)
-    assert abs(seq.value(500) - seq.limit) < abs(seq.value(5) - seq.limit)
+    assert abs(seq.value(500) - limit) < abs(seq.value(5) - limit)
 
 
 @given(nonzero_vecs, nonzero_vecs)

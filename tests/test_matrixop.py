@@ -70,7 +70,7 @@ def test_build_is_i_a_pattern_times_diagonal(N, params):
     assert np.array_equal(pattern(N), P.real)
     chain = [unrelabel(m) for m in range(1, N + 1)]
     rho_cols = np.array([rho(params.khat, params.p, n) for n in chain])
-    lim = params.rho_seq.limit
+    lim = params.rho_inf
     for kind, coeff in (("A", rho_cols), ("B", np.full(N, lim)), ("C", rho_cols - lim)):
         expected = 1j * params.a * (P @ np.diag(coeff))
         assert np.array_equal(build(kind, params, N).entries, expected)

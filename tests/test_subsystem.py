@@ -17,7 +17,6 @@ from euler_spectra.subsystem import (
     hamiltonian,
     integrate,
     invariant_I,
-    udt_bound_check,
 )
 
 V = WaveVector
@@ -268,29 +267,24 @@ def test_a_class_has_at_most_one_member_on_the_circle(p, data):
 
 def test_udt_bound_holds_along_trajectories():
     spec = SubsystemSpec(khat=V(3, 0), p=V(1, 1), gamma=1.0, n_min=-12, n_max=12)
+    sigma = classify_stability(canonical_label(spec.khat, spec.p)).sigma
+    assert sigma == 5.0 / 3.0
     worst = 0.0
     for seed in range(5):
         state = random_state(spec, seed=seed)
         traj = integrate(spec, state, dt=1e-2, steps=500, sample_every=10)
-        report = udt_bound_check(spec, traj)
-        assert report.ok
-        worst = max(worst, report.max_ratio)
+        assert traj.enstrophy_ratio <= sigma * (1.0 + 1e-6)
+        worst = max(worst, traj.enstrophy_ratio)
     assert worst <= 5.0 / 3.0 + 1e-6
 
     # zero state: ratio defined as 1
     traj0 = integrate(spec, ComplexSeq.zero(spec), dt=1e-2, steps=10)
-    assert udt_bound_check(spec, traj0).max_ratio == 1.0
+    assert traj0.enstrophy_ratio == 1.0
 
     # single-mode sweeps stay under the bound too
     for n in range(-3, 4):
         traj = integrate(spec, ComplexSeq.unit(spec, n), dt=1e-2, steps=300, sample_every=10)
-        assert udt_bound_check(spec, traj).ok
-
-
-def test_udt_bound_check_rejects_unstable_class():
-    with pytest.raises(UsageError):
-        traj = integrate(GOLDEN, ComplexSeq.unit(GOLDEN, 0), dt=1e-2, steps=5)
-        udt_bound_check(GOLDEN, traj)
+        assert traj.enstrophy_ratio <= sigma * (1.0 + 1e-6)
 
 
 def test_fit_growth_rate_recovers_exponential():
