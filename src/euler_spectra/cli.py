@@ -205,24 +205,15 @@ def cmd_classes(config: argparse.Namespace) -> int:
 
 
 def cmd_eigs_cf(config: argparse.Namespace) -> int:
-    # every member of the class has the same a (det(p, khat + n p) =
-    # det(p, khat)), so head holds whichever member the search starts from
     params, head = _params(config)
     search = dict(search_box=config.box, grid=config.grid, tol=config.root_tol)
     header = ("re", "im", "residual")
     if params.circle is None:
-        minimal = head["class"]["khat"]
-        if params.khat.norm2 > minimal.norm2:
-            # counted from a far member the chain has the same roots, but the
-            # seeds can miss them (p=2,1: khat=-6,-2 finds none at grid 8,
-            # its minimal member 0,1 finds one); minimal members all agree
-            params = CFParams.for_class(minimal, config.p, config.gamma)
         found = [(q, {}) for q in find_eigenvalues(params, **search)]
         circle = {}
     else:
         # rho vanishes at the member, so the chain splits into two half-chains
         circle = {"circle_member": params.circle}
-        params = CFParams.for_class(params.circle, config.p, config.gamma)
         found = [(q, {"side": side}) for side in (+1, -1) for q in find_eigenvalues_half(params, side, **search)]
         header += ("side",)
     band = essential_band(params)

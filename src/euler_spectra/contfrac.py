@@ -32,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, EssentialBandError, NumericalError, OnCircleError
-from .lattice import RhoSequence, WaveVector, circle_member, det, rho
+from .lattice import RhoSequence, WaveVector, canonical_label, circle_member, det, rho
 
 __all__ = [
     "CFParams",
@@ -61,7 +61,8 @@ class CFParams:
 
     rho_n vanishes only at the circle member, where the chain splits into
     two half-chains; the full-chain solvers refuse every member of such a
-    class, and the half-chain solver runs only from the circle member.
+    class, and the half-chain solver counts from the circle member whichever
+    member it is given.
     """
 
     khat: WaveVector
@@ -116,11 +117,6 @@ class EigenQuadruple:
     lambda_tilde: complex
     members: tuple[complex, ...]
     residual: float
-
-
-def _outside_band(a_t):
-    """Elementwise: a_tilde lies off the essential band segment i*[-2, 2]."""
-    return (a_t.real != 0.0) | (abs(a_t) > 2.0)
 
 
 def band_distance(z, half):
@@ -194,7 +190,7 @@ def _match(params: CFParams, lt, side: int, depth: int):
             down, ddown = _sweep(params, lt, range(-depth, 1))
             up, dup = _sweep(params, lt, range(depth, 0, -1))
             f, df = down + 1.0 / up, ddown - dup / (up * up)
-    off = _outside_band(-lt * params.p.norm2)
+    off = band_distance(lt, params.band_halfwidth_tilde()) > 0
     return np.where(off, f, np.nan), np.where(off, df, np.nan)
 
 
@@ -247,15 +243,8 @@ def _settled_value(evaluate, tol: float):
 
 
 def _check_point(params: CFParams, lambda_tilde: complex) -> None:
-    if not _outside_band(-lambda_tilde * params.p.norm2):
+    if band_distance(lambda_tilde, params.band_halfwidth_tilde()) == 0:
         raise EssentialBandError(f"lambda_tilde = {lambda_tilde} lies on the essential band")
-
-
-def _check_side(params: CFParams, side: int) -> None:
-    if side not in (+1, -1):
-        raise DomainError("side must be +1 or -1")
-    if params.khat != params.circle:
-        raise DomainError("half-chain solver applies only when |khat| = |p|")
 
 
 def f_eigen(params: CFParams, lambda_tilde: complex, tol: float = 1e-13) -> complex:
@@ -276,12 +265,6 @@ def f_eigen(params: CFParams, lambda_tilde: complex, tol: float = 1e-13) -> comp
 # Newton search
 
 
-def _snap_axes(z: complex, eps: float) -> complex:
-    """z with a real or imaginary part of size <= eps set to zero, so that a
-    root on an axis is reported there and not as rounding noise off it."""
-    return complex(0.0 if abs(z.real) <= eps else z.real, 0.0 if abs(z.imag) <= eps else z.imag)
-
-
 def _quadruple_members(lt: complex, tol: float) -> tuple[complex, ...]:
     orbit = [lt, -lt, np.conj(lt), -np.conj(lt)]
     kept: list[complex] = []
@@ -290,12 +273,6 @@ def _quadruple_members(lt: complex, tol: float) -> tuple[complex, ...]:
             kept.append(complex(z))
     kept.sort(key=lambda z: (-z.real, -z.imag))
     return tuple(kept)
-
-
-def _representative(members: tuple[complex, ...]) -> complex:
-    # the orbit {+-z, +-conj z} of a point snapped onto the axes always
-    # meets the closed first quadrant
-    return next(z for z in members if z.real >= 0 and z.imag >= 0)
 
 
 def _match_at(params: CFParams, lt, side: int, depths):
@@ -321,6 +298,12 @@ def _search(
     & Steihaug, SIAM J. Numer. Anal. 19 (1982) 400), and only iterates near
     the essential band need deep tails.  The root filter and each
     residual are taken at twice the depth the point last settled at.
+
+    Each root is reported by its representative: a part within 10 tol of
+    an axis is set to zero, so that a root on an axis is reported there
+    and not as rounding noise off it, and the orbit {+-z, +-conj z} is
+    folded into the closed first quadrant as (|re|, |im|).  A root whose
+    representative lies within 10 tol of an earlier one is a duplicate.
     """
     if grid < 1:
         raise DomainError(f"grid must be a positive integer, got {grid}")
@@ -362,15 +345,15 @@ def _search(
     keep = np.abs(_match_at(params, lt, side, depths)) < tol
     roots = sorted(zip(lt[keep], depths[keep]), key=lambda r: (abs(r[0]), r[0].real, r[0].imag))
 
+    eps = 10.0 * tol
     quads: list[EigenQuadruple] = []
     for z, depth in roots:
-        members = _quadruple_members(_snap_axes(complex(z), 10.0 * tol), 10.0 * tol)
-        rep = _representative(members)
-        if any(min(abs(rep - m) for m in q.members) < 10.0 * tol for q in quads):
+        rep = complex(*(0.0 if abs(x) <= eps else abs(x) for x in (z.real, z.imag)))
+        if any(abs(rep - q.lambda_tilde) < eps for q in quads):
             continue
         residual = abs(_match(params, np.array([rep]), side, int(depth))[0][0])
         if residual < tol:
-            quads.append(EigenQuadruple(lambda_tilde=rep, members=members, residual=float(residual)))
+            quads.append(EigenQuadruple(lambda_tilde=rep, members=_quadruple_members(rep, eps), residual=float(residual)))
     quads.sort(key=lambda q: (abs(q.lambda_tilde), q.lambda_tilde.real, q.lambda_tilde.imag))
     return quads
 
@@ -388,8 +371,16 @@ def find_eigenvalues(
     tube around the essential band; iterates that wander into the tube or
     diverge are dropped.  Every returned root satisfies |f| < tol.  An
     empty list is a legitimate outcome (classes missing the disk).
+
+    The roots belong to the class, but seeds counted from a far member can
+    miss them (p=2,1: khat=-6,-2 finds none at grid 8, its minimal member
+    0,1 finds one), so a member strictly farther out than the minimal one
+    is searched from the minimal member.
     """
     params.check_full_chain()
+    minimal = canonical_label(params.khat, params.p).khat
+    if params.khat.norm2 > minimal.norm2:
+        params = CFParams.for_class(minimal, params.p, params.gamma)
     return _search(params, 0, search_box, grid, tol)
 
 
@@ -400,10 +391,16 @@ def find_eigenvalues_half(
     grid: int = 12,
     tol: float = 1e-12,
 ) -> list[EigenQuadruple]:
-    """Root search for one half-chain matching function (|khat| = |p|);
-    same seeds, Newton iteration, drops and quadruple reporting as the
-    full-chain search."""
-    _check_side(params, side)
+    """Root search for one half-chain matching function of a class with a
+    member on |k| = |p|, side +1 (n >= 1) or -1 (n <= -1) counted from that
+    member whichever member params holds; same seeds, Newton iteration,
+    drops and quadruple reporting as the full-chain search."""
+    if side not in (+1, -1):
+        raise DomainError("side must be +1 or -1")
+    if params.circle is None:
+        raise DomainError("the half-chain solver needs a class with a member on |k| = |p|")
+    if params.khat != params.circle:
+        params = CFParams.for_class(params.circle, params.p, params.gamma)
     return _search(params, side, search_box, grid, tol)
 
 

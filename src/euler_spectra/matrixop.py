@@ -89,10 +89,8 @@ def pattern(N: int) -> np.ndarray:
 class TruncatedOperator:
     """Top-left N x N section of one of the three infinite matrices."""
 
-    kind: str  # 'A', 'B' or 'C'
     size: int
     entries: np.ndarray
-    params: CFParams
     b: float  # a * rho_inf = -a / |p|^2
 
 
@@ -123,7 +121,7 @@ def build(kind: str, params: CFParams, N: int) -> TruncatedOperator:
     # memory pages that hold no entry are never touched (peak memory at large N)
     M = np.zeros((N, N), dtype=complex)
     M[rows, cols] = 1j * params.a * coeff
-    return TruncatedOperator(kind=kind, size=N, entries=M, params=params, b=params.a * rho_inf)
+    return TruncatedOperator(size=N, entries=M, b=params.a * rho_inf)
 
 
 def truncated_spectrum(op: TruncatedOperator) -> np.ndarray:

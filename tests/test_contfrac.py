@@ -9,7 +9,6 @@ from euler_spectra.contfrac import (
     CFParams,
     _deepen,
     _match,
-    _outside_band,
     _w_plus,
     a_n,
     band_distance,
@@ -20,7 +19,7 @@ from euler_spectra.contfrac import (
     mode_amplitudes,
 )
 from euler_spectra.errors import DomainError, EssentialBandError, OnCircleError
-from euler_spectra.lattice import WaveVector, circle_member, det, rho
+from euler_spectra.lattice import WaveVector, canonical_label, circle_member, det, rho
 from euler_spectra.matrixop import build, detM_eigentest, truncated_spectrum
 from euler_spectra.subsystem import ComplexSeq, SubsystemSpec, cle_rhs
 
@@ -88,8 +87,8 @@ def test_asym_roots_frozen_values():
     assert w[1] == pytest.approx(1j * (3 + np.sqrt(5)) / 2, abs=1e-14)
     assert -1.0 / w[1] == pytest.approx(1j * (3 - np.sqrt(5)) / 2, abs=1e-14)
 
-    assert _outside_band(np.array([3.0, 3.0j, 2.5j])).all()
-    assert not _outside_band(np.array([1.0j, -2.0j, 0j])).any()
+    assert (band_distance(np.array([3.0, 3.0j, 2.5j]), 2.0) > 0).all()
+    assert (band_distance(np.array([1.0j, -2.0j, 0j]), 2.0) == 0).all()
 
 
 @given(
@@ -255,12 +254,30 @@ def test_full_chain_solvers_refuse_every_member_of_a_circle_class(p, c):
         ):
             with pytest.raises(OnCircleError):
                 solve()
-        for side in (+1, -1):
-            if n == 0:
-                find_eigenvalues_half(params, side, **box)
-            else:
-                with pytest.raises(DomainError, match="half-chain"):
-                    find_eigenvalues_half(params, side, **box)
+        # the half-chains are counted from c, whichever member params holds
+        halves = [find_eigenvalues_half(params, side, **box) for side in (+1, -1)]
+        if n == 0:
+            at_circle = halves
+        assert halves == at_circle
+
+
+@pytest.mark.parametrize(
+    "p, khat, n",
+    [
+        (V(3, 1), V(0, -1), 3),
+        (V(2, 1), V(-1, 0), 3),
+        (V(2, 1), V(0, 1), -3),
+        (V(3, 1), V(1, 0), 3),
+        (V(3, 1), V(1, 0), -3),
+    ],
+)
+def test_search_answers_do_not_depend_on_the_member(p, khat, n):
+    # the roots belong to the class: searched from a far member the search
+    # reports exactly what it reports from the canonical member
+    box = dict(search_box=(0.05, 2.0, 0.05, 2.0), grid=8)
+    canonical = find_eigenvalues(CFParams.for_class(canonical_label(khat, p).khat, p, 1.0), **box)
+    assert canonical
+    assert find_eigenvalues(CFParams.for_class(khat.plus(n, p), p, 1.0), **box) == canonical
 
 
 def test_half_chain_solver_on_circle_class():
@@ -432,3 +449,38 @@ def test_search_roots_hold_at_depth_16384(p, k1, k2):
             )
             for value in (own[0], _match(params, rep, side, 2 * int(depth[0]))[0][0]):
                 assert abs(value - deep) < 1e-13
+
+
+@st.composite
+def _class_inside_disk(draw):
+    # a pump with |p_i| <= 3 and a non-circle class whose canonical member
+    # lies inside the open disk |k| < |p|
+    p = draw(st.tuples(st.integers(-3, 3), st.integers(-3, 3)).filter(any).map(lambda t: V(*t)))
+    r = int(p.norm2**0.5)
+    inside = {
+        canonical_label(k, p).khat
+        for k in (V(k1, k2) for k1 in range(-r, r + 1) for k2 in range(-r, r + 1))
+        if 0 < k.norm2 < p.norm2 and det(p, k) != 0
+    }
+    classes = sorted(k for k in inside if circle_member(k, p) is None)
+    assume(classes)
+    return p, draw(st.sampled_from(classes))
+
+
+@given(_class_inside_disk(), st.integers(-3, 3))
+@example((V(3, 1), V(0, 1)), 3)  # two real pairs
+@example((V(1, 1), V(1, 0)), -2)  # the golden quadruple
+@settings(max_examples=8, deadline=None)
+def test_cf_roots_agree_with_det_m_and_the_dense_section(pump_and_class, n):
+    # three independent methods: each continued-fraction root is a zero of
+    # the det-M test and, with every member of its orbit, an eigenvalue of
+    # the N = 400 section, both counted from the member the search is given
+    p, khat = pump_and_class
+    params = CFParams.for_class(khat.plus(n, p), p, 1.0)
+    quads = find_eigenvalues(params, search_box=(0.01, 2.0, 0.01, 2.0), grid=12)
+    ev = truncated_spectrum(build("A", params, 400))
+    for q in quads:
+        lt = q.lambda_tilde
+        assert abs(detM_eigentest(params, -1j * lt)) <= 1e-6 * abs(detM_eigentest(params, -1j * lt * (1 + 1e-3)))
+        for m in q.members:
+            assert np.min(np.abs(ev - params.a * m)) < 1e-6

@@ -9,7 +9,7 @@ makes one small call per traced layer and checks the counters they feed.
 import importlib.util
 from pathlib import Path
 
-from euler_spectra import cli, euler_core, subsystem
+from euler_spectra import cli, contfrac, euler_core, subsystem
 from euler_spectra.euler_core import ModeSet, fixed_point
 from euler_spectra.lattice import WaveVector
 from euler_spectra.subsystem import ComplexSeq, SubsystemSpec
@@ -30,6 +30,10 @@ def test_every_traced_layer_records(capsys):
     tracer = tracing.Tracer()
     tracing.install(tracer)
     try:
+        # the half-chain search from the circle member of p=2,1, first, so
+        # that the depth counted so far is its own
+        contfrac.find_eigenvalues_half(contfrac.CFParams.for_class(V(2, -1), V(2, 1), 1.0), -1, grid=2)
+        half_depth = tracer.counts["contfrac.max_depth"]
         cls = ["--p", "1,1", "--khat", "1,0"]
         assert cli.main(["eigs-cf", *cls, "--box", "0.05,1,0.05,1", "--grid", "2"]) == 0
         assert cli.main(["eigs-matrix", *cls, "--n-matrix", "20"]) == 0
@@ -42,6 +46,7 @@ def test_every_traced_layer_records(capsys):
     capsys.readouterr()
 
     counts = tracer.counts
+    assert half_depth > 0
     assert counts["contfrac.max_depth"] > 0
     assert counts["matrixop.dense_n3"] == 20**3
     assert counts["subsystem.rk4_steps"] == 7
@@ -52,6 +57,7 @@ def test_every_traced_layer_records(capsys):
         "cli.eigs-matrix",
         "cli.euler-sim",
         "contfrac.find_eigenvalues",
+        "contfrac.find_eigenvalues_half",
         "matrixop.truncated_spectrum",
         "subsystem.integrate",
         "euler_core.integrate_euler",
