@@ -21,7 +21,7 @@ from . import reporting
 from .contfrac import CFParams, find_eigenvalues, find_eigenvalues_half
 from .errors import DomainError, NumericalError, UsageError
 from .euler_core import ModeSet, VorticityField, fixed_point, integrate_euler
-from .lattice import WaveVector, canonical_label, classes_meeting_disk
+from .lattice import WaveVector, canonical_label, classes_meeting_disk, kappa
 from .matrixop import DENSE_CAP, build, classify_band_distance, essential_band, truncated_spectrum
 from .subsystem import ComplexSeq, SubsystemSpec, classify_stability, integrate
 from .verification import run_checks
@@ -192,15 +192,16 @@ def cmd_classes(config: argparse.Namespace) -> int:
             "khat": label.khat,
             "parallel": label.parallel,
             "meets_disk": label.khat.norm2 <= p2,
+            "kappa": 0 if label.parallel else kappa(label.khat, label.p),
             "verdict": {"kind": verdict.kind.value, "sigma": verdict.sigma, "detail": verdict.detail},
         }
         for label, verdict in zip(labels, map(classify_stability, labels))
     ]
     rows = (
-        (*c["khat"].as_tuple(), c["parallel"], c["meets_disk"], c["verdict"]["kind"], c["verdict"]["sigma"])
+        (*c["khat"].as_tuple(), c["parallel"], c["meets_disk"], c["kappa"], c["verdict"]["kind"], c["verdict"]["sigma"])
         for c in classes
     )
-    header = ("khat1", "khat2", "parallel", "meets_disk", "kind", "sigma")
+    header = ("khat1", "khat2", "parallel", "meets_disk", "kappa", "kind", "sigma")
     return _emit(config, {"p": config.p, "classes": classes}, header, rows)
 
 

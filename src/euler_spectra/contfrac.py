@@ -32,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, EssentialBandError, NumericalError, OnCircleError
-from .lattice import RhoSequence, WaveVector, canonical_label, circle_member, det, rho
+from .lattice import RhoSequence, WaveVector, canonical_label, circle_member, det, kappa, rho
 
 __all__ = [
     "CFParams",
@@ -304,12 +304,18 @@ def _search(
     and not as rounding noise off it, and the orbit {+-z, +-conj z} is
     folded into the closed first quadrant as (|re|, |im|).  A root whose
     representative lies within 10 tol of an earlier one is a duplicate.
+
+    A chain with no member inside the disk (kappa 0) has no root at all
+    (see find_eigenvalues); once the arguments pass their checks, it gets
+    [] without a sweep.
     """
     if grid < 1:
         raise DomainError(f"grid must be a positive integer, got {grid}")
     re_min, re_max, im_min, im_max = search_box
     if re_max <= re_min or im_max <= im_min:
         raise DomainError("degenerate search box")
+    if kappa(params.khat, params.p, side) == 0:
+        return []
 
     res = np.linspace(re_min, re_max, grid)
     ims = np.linspace(im_min, im_max, grid)
@@ -369,8 +375,13 @@ def find_eigenvalues(
 
     The box (re_min, re_max, im_min, im_max) should avoid the exclusion
     tube around the essential band; iterates that wander into the tube or
-    diverge are dropped.  Every returned root satisfies |f| < tol.  An
-    empty list is a legitimate outcome (classes missing the disk).
+    diverge are dropped.  Every returned root satisfies |f| < tol.
+
+    A class with no member inside the disk |k| < |p| (lattice.kappa 0) has
+    no spectrum off the band, so it gets [] without a Newton step: with
+    every rho_n in (-1/|p|^2, 0), the chain operator (det/2) T diag(rho)
+    (T skew-adjoint, |T| <= 2|gamma|) is similar through |diag(rho)|^(1/2)
+    to a skew-adjoint operator of norm <= 2|a|/|p|^2, the band's half-width.
 
     The roots belong to the class, but seeds counted from a far member can
     miss them (p=2,1: khat=-6,-2 finds none at grid 8, its minimal member
@@ -394,7 +405,8 @@ def find_eigenvalues_half(
     """Root search for one half-chain matching function of a class with a
     member on |k| = |p|, side +1 (n >= 1) or -1 (n <= -1) counted from that
     member whichever member params holds; same seeds, Newton iteration,
-    drops and quadruple reporting as the full-chain search."""
+    drops and quadruple reporting as the full-chain search, and the same
+    [] without a Newton step for a side with no member inside the disk."""
     if side not in (+1, -1):
         raise DomainError("side must be +1 or -1")
     if params.circle is None:

@@ -23,6 +23,7 @@ __all__ = [
     "rho",
     "canonical_label",
     "circle_member",
+    "kappa",
     "classes_meeting_disk",
 ]
 
@@ -153,6 +154,17 @@ def circle_member(k: WaveVector, p: WaveVector) -> WaveVector | None:
     non-parallel class has at most one (two would make an equilateral
     lattice triangle with p)."""
     return next((c for c in _near_members(k, p) if c.norm2 == p.norm2), None)
+
+
+def kappa(khat: WaveVector, p: WaveVector, side: int = 0) -> int:
+    """Number of members strictly inside the disk |k| < |p| (rho_n > 0) of
+    the chain of khat's class: the whole class for side 0, and for side +1
+    or -1, khat then being the class's circle member, the members
+    khat + n p with n * side > 0.  The origin, a member only of a parallel
+    class, does not count."""
+    inside = (c for c in _near_members(khat, p) if 0 < c.norm2 < p.norm2)
+    # n * side > 0 for the member khat + n p exactly when (c - khat).p * side > 0
+    return sum(1 for c in inside if side == 0 or side * (c - khat).dot(p) > 0)
 
 
 def canonical_label(k: WaveVector, p: WaveVector) -> ClassLabel:

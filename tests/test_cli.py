@@ -365,28 +365,28 @@ def test_class_answers_do_not_depend_on_the_member(p, k1, k2, n):
 # three commands.  classes and band print only exact rational arithmetic.
 _CLASSES_JSON = (
     '{"classes":['
-    '{"khat":[0,1],"meets_disk":true,"parallel":false,"verdict":{"detail":"class meets the open disk","kind":"Undetermined","sigma":null}},'
-    '{"khat":[1,0],"meets_disk":true,"parallel":false,"verdict":{"detail":"class meets the open disk","kind":"Undetermined","sigma":null}},'
-    '{"khat":[-1,1],"meets_disk":true,"parallel":false,"verdict":{"detail":"both half-chains stable; n=0 only driven","kind":"StableHalfClassBoth","sigma":2}},'
-    '{"khat":[1,-1],"meets_disk":true,"parallel":false,"verdict":{"detail":"both half-chains stable; n=0 only driven","kind":"StableHalfClassBoth","sigma":2}},'
-    '{"khat":[1,1],"meets_disk":true,"parallel":true,"verdict":{"detail":"khat parallel to p: zero dynamics","kind":"ParallelTrivial","sigma":null}},'
-    '{"khat":[-1,2],"meets_disk":false,"parallel":false,"verdict":{"detail":"class misses closed disk; enstrophy bound sigma=1.6666666666666667","kind":"StableUDT","sigma":1.66666666666667}},'
-    '{"khat":[2,-1],"meets_disk":false,"parallel":false,"verdict":{"detail":"class misses closed disk; enstrophy bound sigma=1.6666666666666667","kind":"StableUDT","sigma":1.66666666666667}},'
-    '{"khat":[-2,2],"meets_disk":false,"parallel":false,"verdict":{"detail":"class misses closed disk; enstrophy bound sigma=1.3333333333333333","kind":"StableUDT","sigma":1.33333333333333}},'
-    '{"khat":[2,-2],"meets_disk":false,"parallel":false,"verdict":{"detail":"class misses closed disk; enstrophy bound sigma=1.3333333333333333","kind":"StableUDT","sigma":1.33333333333333}}'
+    '{"kappa":2,"khat":[0,1],"meets_disk":true,"parallel":false,"verdict":{"detail":"class meets the open disk","kind":"Undetermined","sigma":null}},'
+    '{"kappa":2,"khat":[1,0],"meets_disk":true,"parallel":false,"verdict":{"detail":"class meets the open disk","kind":"Undetermined","sigma":null}},'
+    '{"kappa":0,"khat":[-1,1],"meets_disk":true,"parallel":false,"verdict":{"detail":"both half-chains stable; n=0 only driven","kind":"StableHalfClassBoth","sigma":2}},'
+    '{"kappa":0,"khat":[1,-1],"meets_disk":true,"parallel":false,"verdict":{"detail":"both half-chains stable; n=0 only driven","kind":"StableHalfClassBoth","sigma":2}},'
+    '{"kappa":0,"khat":[1,1],"meets_disk":true,"parallel":true,"verdict":{"detail":"khat parallel to p: zero dynamics","kind":"ParallelTrivial","sigma":null}},'
+    '{"kappa":0,"khat":[-1,2],"meets_disk":false,"parallel":false,"verdict":{"detail":"class misses closed disk; enstrophy bound sigma=1.6666666666666667","kind":"StableUDT","sigma":1.66666666666667}},'
+    '{"kappa":0,"khat":[2,-1],"meets_disk":false,"parallel":false,"verdict":{"detail":"class misses closed disk; enstrophy bound sigma=1.6666666666666667","kind":"StableUDT","sigma":1.66666666666667}},'
+    '{"kappa":0,"khat":[-2,2],"meets_disk":false,"parallel":false,"verdict":{"detail":"class misses closed disk; enstrophy bound sigma=1.3333333333333333","kind":"StableUDT","sigma":1.33333333333333}},'
+    '{"kappa":0,"khat":[2,-2],"meets_disk":false,"parallel":false,"verdict":{"detail":"class misses closed disk; enstrophy bound sigma=1.3333333333333333","kind":"StableUDT","sigma":1.33333333333333}}'
     '],"p":[1,1]}\n'
 )
 _CLASSES_CSV = (
-    "khat1,khat2,parallel,meets_disk,kind,sigma\n"
-    "0,1,false,true,Undetermined,\n"
-    "1,0,false,true,Undetermined,\n"
-    "-1,1,false,true,StableHalfClassBoth,2\n"
-    "1,-1,false,true,StableHalfClassBoth,2\n"
-    "1,1,true,true,ParallelTrivial,\n"
-    "-1,2,false,false,StableUDT,1.66666666666667\n"
-    "2,-1,false,false,StableUDT,1.66666666666667\n"
-    "-2,2,false,false,StableUDT,1.33333333333333\n"
-    "2,-2,false,false,StableUDT,1.33333333333333\n"
+    "khat1,khat2,parallel,meets_disk,kappa,kind,sigma\n"
+    "0,1,false,true,2,Undetermined,\n"
+    "1,0,false,true,2,Undetermined,\n"
+    "-1,1,false,true,0,StableHalfClassBoth,2\n"
+    "1,-1,false,true,0,StableHalfClassBoth,2\n"
+    "1,1,true,true,0,ParallelTrivial,\n"
+    "-1,2,false,false,0,StableUDT,1.66666666666667\n"
+    "2,-1,false,false,0,StableUDT,1.66666666666667\n"
+    "-2,2,false,false,0,StableUDT,1.33333333333333\n"
+    "2,-2,false,false,0,StableUDT,1.33333333333333\n"
 )
 _BAND_JSON = (
     '{"a":-0.5,"class":{"khat":[1,0],"p":[1,1],"parallel":false},'

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from euler_spectra import contfrac
+from euler_spectra import cli, contfrac
 from euler_spectra.contfrac import (
     _DEPTH_REL_TOL,
     CFParams,
@@ -19,8 +19,14 @@ from euler_spectra.contfrac import (
     mode_amplitudes,
 )
 from euler_spectra.errors import DomainError, EssentialBandError, OnCircleError
-from euler_spectra.lattice import WaveVector, canonical_label, circle_member, det, rho
-from euler_spectra.matrixop import build, detM_eigentest, truncated_spectrum
+from euler_spectra.lattice import WaveVector, canonical_label, circle_member, det, kappa, rho
+from euler_spectra.matrixop import (
+    TruncatedOperator,
+    build,
+    classify_band_distance,
+    detM_eigentest,
+    truncated_spectrum,
+)
 from euler_spectra.subsystem import ComplexSeq, SubsystemSpec, cle_rhs
 
 V = WaveVector
@@ -484,3 +490,59 @@ def test_cf_roots_agree_with_det_m_and_the_dense_section(pump_and_class, n):
         assert abs(detM_eigentest(params, -1j * lt)) <= 1e-6 * abs(detM_eigentest(params, -1j * lt * (1 + 1e-3)))
         for m in q.members:
             assert np.min(np.abs(ev - params.a * m)) < 1e-6
+
+
+@st.composite
+def _chain(draw):
+    # a pump with |p_i| <= 3, a non-parallel class, and the chain searched:
+    # side 0, the full chain, or side +1 or -1, a half-chain counted from the
+    # circle member of a circle class
+    p = draw(st.tuples(st.integers(-3, 3), st.integers(-3, 3)).filter(any).map(lambda t: V(*t)))
+    k = draw(st.tuples(st.integers(-4, 4), st.integers(-4, 4)).map(lambda t: V(*t)).filter(lambda k: det(p, k) != 0))
+    c = circle_member(k, p)
+    return (p, k, 0) if c is None else (p, c, draw(st.sampled_from([+1, -1])))
+
+
+@given(_chain())
+@example((V(3, 1), V(0, 1), 0))  # two real pairs
+@example((V(1, 1), V(1, 0), 0))  # the golden quadruple
+@example((V(1, 1), V(-1, 2), 0))  # kappa = 0
+@settings(max_examples=10, deadline=None)
+def test_search_finds_kappa_unstable_members_and_so_does_the_section(chain):
+    # the theorem: at most kappa members with Re > 0; the oracle: the N=400
+    # section has as many eigenvalues with Re > 1e-8 |b|, and for kappa = 0
+    # none off the band at all
+    p, k, side = chain
+    params = CFParams.for_class(k, p, 1.0)
+    box = dict(search_box=(0.01, 2.0, 0.01, 2.0), grid=12)
+    N = 400
+    if side == 0:
+        quads = find_eigenvalues(params, **box)
+        section = build("A", params, N)
+        ev = truncated_spectrum(section)
+    else:
+        quads = find_eigenvalues_half(params, side, **box)
+        entries = 1j * params.a * (np.eye(N, k=1) + np.eye(N, k=-1)) * rho(k, p, side * np.arange(1, N + 1))
+        section = TruncatedOperator(N, entries, params.a * params.rho_inf)
+        ev = np.linalg.eigvals(entries)
+    found = sum(m.real > 0 for q in quads for m in q.members)
+    assert found <= kappa(k, p, side)
+    assert found == np.sum(ev.real > 1e-8 * abs(section.b))
+    if kappa(k, p, side) == 0:
+        assert not classify_band_distance(section, ev).any()
+
+
+def test_kappa_zero_chains_are_answered_without_a_sweep(monkeypatch, capsys):
+    # a chain with no member inside the disk gets [] before any recurrence
+    # runs, and invalid arguments are still refused first
+    def no_sweep(*args, **kwargs):
+        raise AssertionError("_sweep ran")
+
+    monkeypatch.setattr(contfrac, "_sweep", no_sweep)
+    assert find_eigenvalues(CFParams.for_class(V(-1, 2), V(1, 1), 1.0)) == []
+    # circle member (-2,1) of p = (2,1); its side -1 member (-4,0) misses the disk
+    assert find_eigenvalues_half(CFParams.for_class(V(0, 2), V(2, 1), 1.0), -1) == []
+    for bad in (("--grid", "0"), ("--box", "1,1,0.05,1")):
+        assert cli.main(["eigs-cf", "--p=1,1", "--khat=-1,2", *bad]) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("usage error: ")

@@ -8,7 +8,10 @@ from euler_spectra.lattice import (
     RhoSequence,
     WaveVector,
     canonical_label,
+    circle_member,
     classes_meeting_disk,
+    det,
+    kappa,
     lattice_points_in_disk,
     rho,
     triad_coeff,
@@ -173,3 +176,39 @@ def test_rho_negative_iff_class_avoids_disk(khat, p):
     avoids = lab.khat.norm2 > p.norm2
     rhos = [rho(lab.khat, p, n) for n in range(-12, 13)]
     assert (max(rhos) < 0) == avoids
+
+
+def test_kappa_examples():
+    assert kappa(V(1, 0), V(1, 1)) == 2  # golden class: (1,0) and (0,-1)
+    assert kappa(V(3, 0), V(1, 1)) == kappa(V(-1, 2), V(1, 1)) == 0  # classes missing the disk
+    assert kappa(V(0, 1), V(3, 1)) == 2
+    # circle class of p = (2,1): (0,-2) = c - p is its one member inside
+    c = V(2, -1)
+    assert (kappa(c, V(2, 1)), kappa(c, V(2, 1), +1), kappa(c, V(2, 1), -1)) == (1, 0, 1)
+
+
+@given(nonzero_vecs, nonzero_vecs, st.integers(-5, 5))
+@settings(max_examples=150)
+def test_kappa_counts_the_positive_rho(k, p, n):
+    # kappa is the number of rho_n > 0 along the chain, whichever member it
+    # is counted from; for a circle class each side counts its own members
+    if det(p, k) == 0:
+        return
+    positive = [m for m in range(-12, 13) if rho(k, p, m) > 0]
+    if not k.plus(n, p).is_zero:
+        assert kappa(k.plus(n, p), p) == len(positive)
+    c = circle_member(k, p)
+    if c is not None:
+        shift = (k - c).dot(p) // p.norm2  # k = c + shift p
+        sides = [kappa(c, p, side) for side in (+1, -1)]
+        assert sides == [sum(m + shift > 0 for m in positive), sum(m + shift < 0 for m in positive)]
+
+
+def test_kappa_sums_to_the_points_inside_the_disk():
+    # each non-parallel lattice point with 0 < |k| < |p| lies in exactly one
+    # class meeting the closed disk, so summed over those classes kappa
+    # counts every such point once
+    for p in (V(p1, p2) for p1 in range(-4, 5) for p2 in range(-4, 5) if p1 or p2):
+        inside = [k for k in lattice_points_in_disk(p.norm2) if k.norm2 < p.norm2 and det(p, k) != 0]
+        labels = [lab for lab in classes_meeting_disk(p, p.norm2) if not lab.parallel]
+        assert sum(kappa(lab.khat, p) for lab in labels) == len(inside), p
