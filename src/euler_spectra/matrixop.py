@@ -330,8 +330,9 @@ def detM_eigentest(params: CFParams, lambda_hat: complex) -> complex:
 
     z2, z4 = u1, u2
     z1, z3 = v0, v1
-    s_even = max(abs(z2), abs(z4))
-    s_odd = max(abs(z1), abs(z3))
+    # scale each column by one of its own entries: analytic in lambda_hat
+    # where nonzero, so Newton on det M sees an analytic function
+    s_even, s_odd = z2, z1
     if s_even == 0.0 or s_odd == 0.0:
         raise NumericalError("degenerate minimal solution in det M test")
     M = np.array(

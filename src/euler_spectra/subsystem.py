@@ -102,7 +102,11 @@ class SubsystemSpec:
 
 @dataclass
 class ComplexSeq:
-    """Finite window of complex amplitudes; index n = offset + position."""
+    """Finite window of complex amplitudes; index n = offset + position.
+
+    values has shape (width,) for one state; integrate also takes a batch
+    of states, values of shape (batch, width), one per row.
+    """
 
     offset: int
     values: np.ndarray
@@ -131,26 +135,34 @@ class ComplexSeq:
         return float(np.sum(np.abs(self.values) ** 2))
 
     def matches(self, spec: SubsystemSpec) -> bool:
-        return self.offset == spec.n_min and len(self.values) == spec.width
+        return self.offset == spec.n_min and self.values.shape[-1:] == (spec.width,)
 
 
-def _require_match(spec: SubsystemSpec, state: ComplexSeq) -> None:
+def _require_match(spec: SubsystemSpec, state: ComplexSeq, batch: bool = False) -> None:
+    """UsageError unless state is one state on spec's window, or, where
+    batch is allowed, a (batch, width) array of them."""
+    shape = state.values.shape
+    if len(shape) != 1 and not (batch and len(shape) == 2):
+        wanted = "one state of shape (width,)" + (" or a batch of shape (batch, width)" if batch else "")
+        raise UsageError(f"state values of shape {shape}: expected {wanted}")
     if not state.matches(spec):
         raise UsageError(
-            f"state window (offset={state.offset}, len={len(state.values)}) does not "
+            f"state window (offset={state.offset}, len={shape[-1]}) does not "
             f"match spec window [{spec.n_min}, {spec.n_max}]"
         )
 
 
 def _chain_rhs(spec: SubsystemSpec) -> Callable[[np.ndarray], np.ndarray]:
     """The chain's right-hand side d/dt w_n = cm[n] w_{n-1} + cp[n] w_{n+1}
-    on window arrays (see SubsystemSpec.tables)."""
+    on window arrays (see SubsystemSpec.tables), along the last axis, so a
+    (batch, width) array steps every row at once."""
     _, cm, cp = spec.tables
+    below, above = cm[1:], cp[:-1]
 
     def rhs(w: np.ndarray) -> np.ndarray:
         out = np.zeros_like(w)
-        out[1:] += cm[1:] * w[:-1]
-        out[:-1] += cp[:-1] * w[1:]
+        out[..., 1:] += below * w[..., :-1]
+        out[..., :-1] += above * w[..., 1:]
         return out
 
     return rhs
@@ -218,30 +230,40 @@ def half_invariants(spec: SubsystemSpec, state: ComplexSeq) -> tuple[float, floa
 @dataclass
 class Trajectory:
     """Sampled integration output plus conservation diagnostics relative
-    to t = 0."""
+    to t = 0.
+
+    For one state, states has shape (samples, window) and the drifts and
+    the ratio are floats.  For a batch, states has shape (batch, samples,
+    window) and the drifts and the ratio are arrays with one value per row;
+    each row equals, bit for bit, the run of that row alone.
+    """
 
     spec: SubsystemSpec
     times: np.ndarray
-    states: np.ndarray  # shape (samples, window)
-    h_drift: float
-    i_drift: float
-    enstrophy_ratio: float
+    states: np.ndarray
+    h_drift: float | np.ndarray
+    i_drift: float | np.ndarray
+    enstrophy_ratio: float | np.ndarray
 
     def state(self, i: int) -> ComplexSeq:
-        return ComplexSeq(self.spec.n_min, self.states[i].copy())
+        """Sample i, a batch of states for a batched run."""
+        return ComplexSeq(self.spec.n_min, self.states[..., i, :].copy())
 
 
-def _finite(name: str, value) -> float:
-    if not np.isfinite(value):
+def _finite(name: str, value):
+    """value as a float, or a batch of values as an array; NumericalError
+    unless every value is finite."""
+    if not np.all(np.isfinite(value)):
         raise NumericalError(f"{name} is not finite (the run overflowed); reduce dt, steps or the amplitudes")
-    return float(value)
+    return float(value) if np.ndim(value) == 0 else value
 
 
-def _rel_drift(name: str, series: np.ndarray) -> float:
-    """max_t |q(t) - q(0)| / |q(0)| of an invariant's sample series."""
-    ref = series[0]
-    scale = max(abs(ref), 1e-300)
-    return _finite(f"{name} drift", np.max(np.abs(series - ref)) / scale)
+def _rel_drift(name: str, series: np.ndarray):
+    """max_t |q(t) - q(0)| / |q(0)| of an invariant's sample series, time
+    along the last axis: a float for one series, an array for a batch."""
+    ref = series[..., :1]
+    scale = np.maximum(np.abs(ref[..., 0]), 1e-300)
+    return _finite(f"{name} drift", np.max(np.abs(series - ref), axis=-1) / scale)
 
 
 def _rk4(
@@ -287,14 +309,21 @@ def integrate(
 
     Returns sampled states together with the relative drifts of the
     Hamiltonian and of the weighted enstrophy, and the peak enstrophy
-    ratio max_t ||w(t)||^2 / ||w(0)||^2.  Raises NumericalError when the
-    state or an invariant series stops being finite.
+    ratio max_t ||w(t)||^2 / ||w(0)||^2 (1.0 for a zero state).  Raises
+    NumericalError when the state or an invariant series stops being
+    finite, checking the H drift, then the I drift, then the ratio.
+
+    state0 may hold a batch of states, values of shape (batch, width):
+    all rows step in one RK4 loop, and the Trajectory reports each row's
+    samples, drifts and ratio (see Trajectory).
     """
-    _require_match(spec, state0)
-    times, states = _rk4(_chain_rhs(spec), state0.values, dt, steps, sample_every)
+    _require_match(spec, state0, batch=True)
+    times, samples = _rk4(_chain_rhs(spec), state0.values, dt, steps, sample_every)
+    states = np.moveaxis(samples, 0, -2)  # rows first, time next to the window
     rho_w = spec.rho_window()
-    enstrophy = np.sum(np.abs(states) ** 2, axis=1)
-    ratio = np.max(enstrophy) / enstrophy[0] if enstrophy[0] > 0 else 1.0
+    enstrophy = np.sum(np.abs(states) ** 2, axis=-1)
+    peak, start = np.max(enstrophy, axis=-1), enstrophy[..., 0]
+    ratio = np.divide(peak, start, out=np.ones_like(peak), where=start > 0)
     return Trajectory(
         spec=spec,
         times=times,

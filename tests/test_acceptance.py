@@ -52,3 +52,12 @@ def test_check_5_order_ratio_stands_above_rounding(monkeypatch):
     assert len(pairs) == 1
     for _, _, traj in pairs[0]:
         assert traj.h_drift > 1e-12 and traj.i_drift > 1e-12
+
+
+def test_check_4_detail_is_pinned():
+    # the 20 states integrated as one batch give the detail the one-by-one
+    # runs gave, digit for digit
+    assert verification.check_4_stability_theorems().detail == (
+        "sigma=1.6666666666666667, worst enstrophy ratio=1.133676 (bound 1.666667), "
+        "N=200 section eigenvalues with Re > 1e-8|b|: 0"
+    )

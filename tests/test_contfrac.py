@@ -28,6 +28,7 @@ from euler_spectra.matrixop import (
     truncated_spectrum,
 )
 from euler_spectra.subsystem import ComplexSeq, SubsystemSpec, cle_rhs
+from euler_spectra.verification import _polish_detm_root
 
 V = WaveVector
 
@@ -490,6 +491,12 @@ def test_cf_roots_agree_with_det_m_and_the_dense_section(pump_and_class, n):
         assert abs(detM_eigentest(params, -1j * lt)) <= 1e-6 * abs(detM_eigentest(params, -1j * lt * (1 + 1e-3)))
         for m in q.members:
             assert np.min(np.abs(ev - params.a * m)) < 1e-6
+        # check 2's three-way test: det-M, polished from an offset seed,
+        # finds the root on its own
+        lam_cf = params.a * lt
+        lam_detm = 1j * params.a * _polish_detm_root(params, -1j * lt)
+        nearest = ev[np.argmin(np.abs(ev - lam_cf))]
+        assert max(abs(lam_cf - lam_detm), abs(lam_cf - nearest), abs(lam_detm - nearest)) < 1e-6
 
 
 @st.composite

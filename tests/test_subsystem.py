@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from euler_spectra.errors import DomainError, NumericalError, UsageError
 from euler_spectra import subsystem
-from euler_spectra.lattice import WaveVector, canonical_label, det, triad_coeff
+from euler_spectra.lattice import WaveVector, canonical_label, circle_member, det, kappa, triad_coeff
 from euler_spectra.subsystem import (
     ComplexSeq,
     StabilityKind,
@@ -182,6 +182,62 @@ def test_overflowing_invariants_are_numerical_failures():
         integrate(GOLDEN, ComplexSeq.unit(GOLDEN, 0), dt=100.0, steps=1000)
 
 
+@given(p=small_vecs, khat=small_vecs, rows=st.integers(3, 5), seed=st.integers(0, 2**32 - 1))
+@settings(max_examples=10, deadline=None)
+def test_batch_rows_equal_their_one_state_runs(p, khat, rows, seed):
+    # one RK4 loop over a batch gives each row, bit for bit, the run of
+    # that row alone, on random non-parallel classes
+    assume(det(p, khat) != 0)
+    spec = SubsystemSpec(khat=khat, p=p, gamma=0.8 - 0.6j, n_min=-8, n_max=8)
+    rng = np.random.default_rng(seed)
+    vals = rng.normal(size=(rows, spec.width)) + 1j * rng.normal(size=(rows, spec.width))
+    batch = integrate(spec, ComplexSeq(spec.n_min, vals), dt=1e-2, steps=60, sample_every=7)
+    assert batch.states.shape == (rows, len(batch.times), spec.width)
+    for row in range(rows):
+        one = integrate(spec, ComplexSeq(spec.n_min, vals[row]), dt=1e-2, steps=60, sample_every=7)
+        assert np.array_equal(one.times, batch.times)
+        assert np.array_equal(one.states, batch.states[row])
+        assert one.h_drift == batch.h_drift[row]
+        assert one.i_drift == batch.i_drift[row]
+        assert one.enstrophy_ratio == batch.enstrophy_ratio[row]
+        assert all(type(v) is float for v in (one.h_drift, one.i_drift, one.enstrophy_ratio))
+    assert np.array_equal(batch.state(2).values, batch.states[:, 2])
+
+
+def test_zero_row_of_a_batch_keeps_ratio_one():
+    vals = np.stack([random_state(STABLE, seed=s).values for s in range(3)])
+    vals[1] = 0.0
+    traj = integrate(STABLE, ComplexSeq(STABLE.n_min, vals), dt=1e-2, steps=50)
+    assert traj.enstrophy_ratio[1] == 1.0
+    assert traj.h_drift[1] == 0.0 and traj.i_drift[1] == 0.0
+    assert np.all(traj.enstrophy_ratio[[0, 2]] > 1.0)
+
+
+def test_one_overflowing_row_fails_the_batch():
+    # the unit row's invariant series overflow (see the one-state test
+    # above); the tiny and zero rows stay finite throughout
+    unit = ComplexSeq.unit(GOLDEN, 0).values
+    vals = np.stack([1e-200 * unit, unit, np.zeros_like(unit)])
+    with pytest.raises(NumericalError, match="drift is not finite"):
+        integrate(GOLDEN, ComplexSeq(GOLDEN.n_min, vals), dt=100.0, steps=30)
+
+
+def test_batches_of_the_wrong_shape_are_usage_errors():
+    for shape in ((3, GOLDEN.width + 1), (2, 3, GOLDEN.width), ()):
+        with pytest.raises(UsageError):
+            integrate(GOLDEN, ComplexSeq(GOLDEN.n_min, np.zeros(shape)), dt=1e-2, steps=5)
+
+
+def test_invariants_refuse_a_batch():
+    # the invariants are of one state; a batch is a usage error, named as
+    # one, not a TypeError from float()
+    circle = SubsystemSpec(khat=V(-1, 1), p=V(1, 1), gamma=1.0, n_min=-6, n_max=6)
+    for spec, func in ((GOLDEN, hamiltonian), (GOLDEN, invariant_I), (circle, half_invariants)):
+        batch = ComplexSeq(spec.n_min, np.ones((2, spec.width)))
+        with pytest.raises(UsageError, match="shape"):
+            func(spec, batch)
+
+
 def test_integrate_rejects_bad_steps():
     for dt, steps, every in ((0.0, 5, 1), (1e-2, 0, 1), (1e-2, 5, 0)):
         with pytest.raises(DomainError):
@@ -263,6 +319,23 @@ def test_a_class_has_at_most_one_member_on_the_circle(p, data):
     assert {kind.value for kind in StabilityKind} == {
         "ParallelTrivial", "StableUDT", "StableHalfClassBoth", "Undetermined"
     }
+
+
+@given(p=st.builds(V, st.integers(-4, 4), st.integers(-4, 4)).filter(lambda v: not v.is_zero), khat=pumps)
+@settings(max_examples=300, deadline=None)
+def test_verdict_kind_agrees_with_kappa_and_the_circle_member(p, khat):
+    # the verdict decides disk membership from norms; kappa and
+    # circle_member decide it from the class members near the disk
+    label = canonical_label(khat, p)
+    kind = classify_stability(label).kind
+    if label.parallel:
+        assert kind is StabilityKind.PARALLEL_TRIVIAL
+    elif kappa(khat, p) > 0:
+        assert kind is StabilityKind.UNDETERMINED
+    elif circle_member(khat, p) is not None:
+        assert kind is StabilityKind.STABLE_HALF_CLASS_BOTH
+    else:
+        assert kind is StabilityKind.STABLE_UDT
 
 
 def test_udt_bound_holds_along_trajectories():
