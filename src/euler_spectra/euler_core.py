@@ -30,7 +30,7 @@ import numpy as np
 
 from .errors import DomainError, UsageError
 from .lattice import WaveVector, lattice_points_in_disk, triad_coeff
-from .subsystem import _rel_drift, _rk4
+from .subsystem import _rel_drift, _rk4, _rk4_increment
 
 __all__ = [
     "ModeSet",
@@ -297,7 +297,8 @@ def integrate_euler(
 ) -> EulerTrajectory:
     """Classical fixed-step 4th-order integration with E/J drift report."""
     modeset = field0.modeset
-    times, coeffs = _rk4(lambda w: _rep_rhs(modeset, w), field0.coeffs, dt, steps, sample_every)
+    increment = _rk4_increment(lambda w: _rep_rhs(modeset, w), dt)
+    times, coeffs = _rk4(increment, field0.coeffs, dt, steps, sample_every)
     E, J = _energy_enstrophy(modeset, _embed(modeset, coeffs))
     return EulerTrajectory(
         modeset=modeset,

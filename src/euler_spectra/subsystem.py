@@ -19,9 +19,10 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import DomainError, NumericalError, UsageError
-from .lattice import ClassLabel, WaveVector, canonical_label, det, rho
+from .lattice import ClassLabel, WaveVector, canonical_label, circle_member, det, kappa, rho
 
 __all__ = [
     "SubsystemSpec",
@@ -258,22 +259,52 @@ def _finite(name: str, value):
     return float(value) if np.ndim(value) == 0 else value
 
 
-def _rel_drift(name: str, series: np.ndarray):
+def _rel_drift(name: str, series: np.ndarray, bound: float | np.ndarray = 0.0):
     """max_t |q(t) - q(0)| / |q(0)| of an invariant's sample series, time
-    along the last axis: a float for one series, an array for a batch."""
+    along the last axis: a float for one series, an array for a batch.
+
+    Where q(0) is exactly 0 the drift is taken relative to bound instead,
+    a bound on |q| at t = 0 (one per row for a batch): rounding noise
+    over a zero reference is no drift of the invariant.
+    """
     ref = series[..., :1]
-    scale = np.maximum(np.abs(ref[..., 0]), 1e-300)
+    scale = np.maximum(np.where(ref[..., 0] == 0, bound, np.abs(ref[..., 0])), 1e-300)
     return _finite(f"{name} drift", np.max(np.abs(series - ref), axis=-1) / scale)
 
 
+def _rk4_increment(rhs: Callable[[np.ndarray], np.ndarray], dt: float) -> Callable[[np.ndarray], np.ndarray]:
+    """The classical 4th-order Runge-Kutta increment w(t + dt) - w(t) of
+    d/dt w = rhs(w), taken stage by stage:
+
+        (dt / 6) (k1 + 2 k2 + 2 k3 + k4),  k1 = rhs(w),
+        k2 = rhs(w + dt/2 k1),  k3 = rhs(w + dt/2 k2),  k4 = rhs(w + dt k3).
+
+    The stage sum is added up left to right as the stages come, which
+    rounds as the sum written out does and holds two stages at a time.
+    """
+
+    def increment(w: np.ndarray) -> np.ndarray:
+        k = rhs(w)
+        total = k
+        k = rhs(w + 0.5 * dt * k)
+        total = total + 2.0 * k
+        k = rhs(w + 0.5 * dt * k)
+        total = total + 2.0 * k
+        k = rhs(w + dt * k)
+        return (dt / 6.0) * (total + k)
+
+    return increment
+
+
 def _rk4(
-    rhs: Callable[[np.ndarray], np.ndarray],
+    increment: Callable[[np.ndarray], np.ndarray],
     w0: np.ndarray,
     dt: float,
     steps: int,
     sample_every: int,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Classical fixed-step 4th-order Runge-Kutta from w0.
+    """Fixed-step integration w <- w + increment(w) from w0, increment
+    being one step of size dt (see _rk4_increment).
 
     Returns (times, samples): t = 0 and every sample_every-th step, plus
     the last step; samples has shape (len(times),) + w0.shape.
@@ -284,17 +315,53 @@ def _rk4(
     samples = [w]
     times = [0.0]
     for step in range(1, steps + 1):
-        k1 = rhs(w)
-        k2 = rhs(w + 0.5 * dt * k1)
-        k3 = rhs(w + 0.5 * dt * k2)
-        k4 = rhs(w + dt * k3)
-        w = w + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        w = w + increment(w)
         if not np.all(np.isfinite(w)):
             raise NumericalError(f"non-finite state at step {step}")
         if step % sample_every == 0 or step == steps:
             samples.append(w)
             times.append(step * dt)
     return np.array(times), np.array(samples)
+
+
+# one RK4 step of the tridiagonal chain is a degree-4 polynomial in its
+# matrix, so the increment at i reads w[i - 4] .. w[i + 4]
+_REACH = 4
+
+
+def _chain_band(spec: SubsystemSpec, dt: float) -> np.ndarray:
+    """The chain's RK4 increment as a (2 * _REACH + 1, width) band:
+    band[k, i] is the weight of w[i + k - _REACH] in the increment at i,
+    0 where that index leaves the window.
+
+    The band is read off with one comb probe per residue r mod 9, the
+    probe being 1 at every index i = r (mod 9) (the column grouping of
+    Curtis, Powell & Reid, J. Inst. Math. Appl. 13 (1974) 117).  At most
+    one index of a comb lies within reach of an output, and the others
+    add exact zeros, so response r at i is that one index's weight, bit
+    for bit the one the stage formula gives a unit vector.
+    """
+    span = 2 * _REACH + 1
+    idx = np.arange(spec.width)
+    probes = (idx % span == np.arange(span)[:, None]).astype(complex)
+    response = _rk4_increment(_chain_rhs(spec), dt)(probes)
+    src = idx + np.arange(span)[:, None] - _REACH  # the index band[k, i] weighs
+    return np.where((src >= 0) & (src < spec.width), response[src % span, idx], 0)
+
+
+def _chain_increment(spec: SubsystemSpec, dt: float, shape: tuple[int, ...]) -> Callable[[np.ndarray], np.ndarray]:
+    """The chain's RK4 increment on states of the given shape, one
+    multiply-sum over its band per call.  The zero-padded buffer and its
+    (..., 9, width) window view are made once, here."""
+    band = _chain_band(spec, dt)
+    padded = np.zeros(shape[:-1] + (spec.width + 2 * _REACH,), dtype=complex)
+    windows = sliding_window_view(padded, spec.width, axis=-1)  # windows[..., k, i] = w[i + k - 4]
+
+    def increment(w: np.ndarray) -> np.ndarray:
+        padded[..., _REACH:-_REACH] = w
+        return (windows * band).sum(axis=-2)
+
+    return increment
 
 
 @np.errstate(over="ignore", invalid="ignore")  # an overflow raises NumericalError
@@ -308,28 +375,36 @@ def integrate(
     """Classical fixed-step 4th-order integration of cle_rhs.
 
     Returns sampled states together with the relative drifts of the
-    Hamiltonian and of the weighted enstrophy, and the peak enstrophy
-    ratio max_t ||w(t)||^2 / ||w(0)||^2 (1.0 for a zero state).  Raises
-    NumericalError when the state or an invariant series stops being
-    finite, checking the H drift, then the I drift, then the ratio.
+    Hamiltonian and of the weighted enstrophy (relative to the invariant's
+    bound at t = 0 where its value there is exactly 0), and the peak
+    enstrophy ratio max_t ||w(t)||^2 / ||w(0)||^2 (1.0 for a zero state).
+    Raises NumericalError when the state or an invariant series stops
+    being finite, checking the H drift, then the I drift, then the ratio.
+
+    Each step is one multiply-sum over the 9-diagonal band of the RK4
+    increment, read off once per call (see _chain_band).
 
     state0 may hold a batch of states, values of shape (batch, width):
     all rows step in one RK4 loop, and the Trajectory reports each row's
     samples, drifts and ratio (see Trajectory).
     """
     _require_match(spec, state0, batch=True)
-    times, samples = _rk4(_chain_rhs(spec), state0.values, dt, steps, sample_every)
+    increment = _chain_increment(spec, dt, state0.values.shape)
+    times, samples = _rk4(increment, state0.values, dt, steps, sample_every)
     states = np.moveaxis(samples, 0, -2)  # rows first, time next to the window
     rho_w = spec.rho_window()
     enstrophy = np.sum(np.abs(states) ** 2, axis=-1)
     peak, start = np.max(enstrophy, axis=-1), enstrophy[..., 0]
     ratio = np.divide(peak, start, out=np.ones_like(peak), where=start > 0)
+    # |H| <= |det| |Gamma| max|rho|^2 ||w||^2 and |I| <= max|rho| ||w||^2
+    rho_max = np.max(np.abs(rho_w))
+    h_bound = abs(det(spec.p, spec.khat)) * abs(spec.gamma) * rho_max**2 * start
     return Trajectory(
         spec=spec,
         times=times,
         states=states,
-        h_drift=_rel_drift("H", _h_series(spec, rho_w, states)),
-        i_drift=_rel_drift("I", _i_series(rho_w, states)),
+        h_drift=_rel_drift("H", _h_series(spec, rho_w, states), h_bound),
+        i_drift=_rel_drift("I", _i_series(rho_w, states), rho_max * start),
         enstrophy_ratio=_finite("enstrophy ratio", ratio),
     )
 
@@ -367,23 +442,26 @@ def classify_stability(label: ClassLabel) -> StabilityVerdict:
         so both half-chains, from khat + p and khat - p, miss the closed
         disk and are stable.
     Undetermined: class meets the open disk; point spectrum possible.
+
+    The kind is read off lattice.kappa (members inside the open disk) and
+    lattice.circle_member, the facts the solvers route on.
     """
     label = canonical_label(label.khat, label.p)  # tolerate non-canonical input
     p2 = label.p.norm2
     if label.parallel:
         return StabilityVerdict(StabilityKind.PARALLEL_TRIVIAL, None, "khat parallel to p: zero dynamics")
-    m = label.khat.norm2
-    if m > p2:
-        sigma = _sigma_from_min_norm2(m, p2)
+    if kappa(label.khat, label.p) > 0:
+        return StabilityVerdict(StabilityKind.UNDETERMINED, None, "class meets the open disk")
+    if circle_member(label.khat, label.p) is None:
+        sigma = _sigma_from_min_norm2(label.khat.norm2, p2)
         return StabilityVerdict(
             StabilityKind.STABLE_UDT, sigma, f"class misses closed disk; enstrophy bound sigma={sigma!r}"
         )
-    if m == p2:
-        # |khat + n p|^2 is convex in n with its minimum at n = 0, so each
-        # half-chain's member nearest the disk is khat +/- p
-        sig = max(_sigma_from_min_norm2(label.member(side).norm2, p2) for side in (+1, -1))
-        return StabilityVerdict(StabilityKind.STABLE_HALF_CLASS_BOTH, sig, "both half-chains stable; n=0 only driven")
-    return StabilityVerdict(StabilityKind.UNDETERMINED, None, "class meets the open disk")
+    # no member inside the disk, so the circle member is the minimal one,
+    # khat; |khat + n p|^2 is convex in n with its minimum at n = 0, so each
+    # half-chain's member nearest the disk is khat +/- p
+    sig = max(_sigma_from_min_norm2(label.member(side).norm2, p2) for side in (+1, -1))
+    return StabilityVerdict(StabilityKind.STABLE_HALF_CLASS_BOTH, sig, "both half-chains stable; n=0 only driven")
 
 
 def fit_growth_rate(times: np.ndarray, series: np.ndarray) -> float:

@@ -91,6 +91,16 @@ def test_simulate_summary(capsys):
     assert doc["summary"]["I_drift"] < 1e-10
 
 
+@pytest.mark.parametrize("p", ["1,1", "2,1"])
+@pytest.mark.parametrize("gamma", ["0.6+0.8j", "-0.3+1.7j"])
+def test_simulate_h_drift_from_a_zero_hamiltonian(capsys, p, gamma):
+    # the unit start state has H(0) = 0 exactly, so its drift is rounding
+    # noise taken relative to the bound of |H| at t = 0
+    code, out, _ = run_cli(capsys, "simulate", "--p", p, "--khat", "1,0", "--gamma", gamma)
+    assert code == 0
+    assert json.loads(out)["summary"]["H_drift"] < 1e-12
+
+
 def test_simulate_csv(capsys):
     code, out, _ = run_cli(
         capsys, "simulate", "--p", "1,1", "--khat", "3,0",

@@ -1,6 +1,8 @@
+import tracemalloc
+
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from euler_spectra.errors import DomainError, NumericalError, UsageError
@@ -437,3 +439,73 @@ def test_spec_tables_are_read_only_and_built_once(monkeypatch):
     for table in spec.tables:
         with pytest.raises(ValueError):
             table[0] = 1.0
+
+
+def _stagewise(spec, dt):
+    """The chain's RK4 increment stage by stage: the oracle of the band."""
+    return subsystem._rk4_increment(subsystem._chain_rhs(spec), dt)
+
+
+def _window(khat, p, gamma, width, offset):
+    n_min = -(offset % width)
+    return SubsystemSpec(khat=khat, p=p, gamma=gamma, n_min=n_min, n_max=n_min + width - 1)
+
+
+def _random_rows(spec, seed):
+    rng = np.random.default_rng(seed)
+    w = rng.normal(size=(3, spec.width)) + 1j * rng.normal(size=(3, spec.width))
+    if spec.hole is not None:
+        w[:, spec.hole - spec.n_min] = 0.0
+    return w
+
+
+chain_windows = dict(
+    p=nonzero_vecs,
+    khat=nonzero_vecs,
+    gamma=gammas,
+    width=st.integers(1, 20),
+    offset=st.integers(0, 19),
+    seed=st.integers(0, 2**32 - 1),
+)
+
+
+@given(**chain_windows, dt=st.sampled_from([1e-3, 1e-2, 0.1, 0.5]))
+@example(p=V(1, 1), khat=V(2, 2), gamma=1.0 + 0.5j, width=13, offset=6, seed=0, dt=0.1)  # parallel, hole at -2
+@example(p=V(1, 1), khat=V(-1, 1), gamma=0.8 - 0.6j, width=13, offset=6, seed=1, dt=0.1)  # circle class
+@example(p=V(2, 1), khat=V(1, 0), gamma=0.3 + 1.7j, width=5, offset=2, seed=2, dt=0.5)  # narrower than the band
+@settings(max_examples=200, deadline=None)
+def test_banded_increment_is_the_stage_formula(p, khat, gamma, width, offset, seed, dt):
+    # random classes, parallel ones with their hole included, and windows
+    # down to one member; the band reaches 4 neighbours on each side
+    spec = _window(khat, p, gamma, width, offset)
+    w = _random_rows(spec, seed)
+    want = _stagewise(spec, dt)(w)
+    got = subsystem._chain_increment(spec, dt, w.shape)(w)
+    assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want))
+
+
+@given(**chain_windows)
+@example(p=V(1, 1), khat=V(2, 2), gamma=1.0 + 0.5j, width=13, offset=6, seed=0)
+@example(p=V(1, 1), khat=V(-1, 1), gamma=0.8 - 0.6j, width=13, offset=6, seed=1)
+@example(p=V(2, 1), khat=V(1, 0), gamma=0.3 + 1.7j, width=5, offset=2, seed=2)
+@settings(max_examples=15, deadline=None)
+def test_banded_steps_stay_with_the_stage_formula(p, khat, gamma, width, offset, seed):
+    spec = _window(khat, p, gamma, width, offset)
+    w = _random_rows(spec, seed)
+    traj = integrate(spec, ComplexSeq(spec.n_min, w), dt=1e-2, steps=1000, sample_every=50)
+    _, oracle = subsystem._rk4(_stagewise(spec, 1e-2), w, 1e-2, 1000, 50)
+    oracle = np.moveaxis(oracle, 0, -2)  # rows first, as in Trajectory.states
+    assert np.max(np.abs(traj.states - oracle)) <= 1e-13 * np.max(np.abs(oracle))
+
+
+def test_integrate_memory_is_linear_in_the_width():
+    # a dense step matrix would take width^2 complex values, 6.4 GB here;
+    # the band, its probes and the stages stay within 64 per member
+    spec = SubsystemSpec(khat=V(3, 0), p=V(1, 1), gamma=0.8 - 0.6j, n_min=-10000, n_max=10000)
+    tracemalloc.start()
+    try:
+        integrate(spec, ComplexSeq.unit(spec, 0), dt=1e-2, steps=2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * spec.width * 16
