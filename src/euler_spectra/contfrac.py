@@ -99,6 +99,13 @@ class CFParams:
                 "vanishes and the chain splits; use the half-chain solver from that member"
             )
 
+    def minimal(self) -> "CFParams":
+        """These params counted from the class's member of minimal norm
+        (lattice.canonical_label), or self when no member lies strictly
+        closer to the origin: ties keep the member given."""
+        khat = canonical_label(self.khat, self.p).khat
+        return CFParams.for_class(khat, self.p, self.gamma) if self.khat.norm2 > khat.norm2 else self
+
     def band_halfwidth_tilde(self) -> float:
         """Half-length of the essential band segment on the imaginary axis
         of the lambda_tilde plane: 2 / |p|^2."""
@@ -389,10 +396,7 @@ def find_eigenvalues(
     is searched from the minimal member.
     """
     params.check_full_chain()
-    minimal = canonical_label(params.khat, params.p).khat
-    if params.khat.norm2 > minimal.norm2:
-        params = CFParams.for_class(minimal, params.p, params.gamma)
-    return _search(params, 0, search_box, grid, tol)
+    return _search(params.minimal(), 0, search_box, grid, tol)
 
 
 def find_eigenvalues_half(

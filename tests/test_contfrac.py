@@ -477,6 +477,7 @@ def _class_inside_disk(draw):
 @given(_class_inside_disk(), st.integers(-3, 3))
 @example((V(3, 1), V(0, 1)), 3)  # two real pairs
 @example((V(1, 1), V(1, 0)), -2)  # the golden quadruple
+@example((V(3, 0), V(0, -1)), 3)  # det M counted from (9,-1) has a pole 3e-4 from the root
 @settings(max_examples=8, deadline=None)
 def test_cf_roots_agree_with_det_m_and_the_dense_section(pump_and_class, n):
     # three independent methods: each continued-fraction root is a zero of

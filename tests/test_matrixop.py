@@ -432,8 +432,73 @@ def test_truncated_spectrum_matches_complex_eigvals_random_classes(p, khat, N):
 
 
 def test_uniform_sign_sections_are_exactly_imaginary():
-    # B and a class that misses the disk take the symmetric path, so their
-    # spectra carry no real part at all; the golden class does not
+    # B and a class that misses the disk take the singular-value path, so
+    # their spectra carry no real part at all; the golden class does not
     for op in (build("B", GOLDEN, 161), build("A", STABLE, 160)):
         assert np.all(truncated_spectrum(op).real == 0.0)
     assert np.max(np.abs(truncated_spectrum(build("A", GOLDEN, 160)).real)) > 0.1
+
+
+def _odd_block_count(params, N):
+    # the section's chain cut between neighbours whose rho product is 0
+    r = rho(params.khat, params.p, np.sort(unrelabel(np.arange(1, N + 1))))
+    cuts = np.flatnonzero(r[:-1] * r[1:] == 0.0) + 1
+    return int(np.sum(np.diff(np.concatenate(([0], cuts, [N]))) % 2))
+
+
+@pytest.mark.parametrize(
+    "p, khat, N",
+    [
+        ((2, 1), (2, 3), 200),
+        ((2, 1), (3, 0), 400),
+        ((1, 1), (1, 0), 161),
+        ((1, 1), (2, 0), 400),
+        ((2, 1), (1, -1), 200),
+    ],
+)
+def test_zero_products_split_the_section(p, khat, N):
+    # circle classes solved unsplit leave a rounding-level mu whose square
+    # root lands near sqrt(eps)|b|, off the axis or counted isolated (the
+    # last two cases do so with this solver); each odd block, of a circle
+    # class or of the golden class at odd N, owns one exact zero
+    params = CFParams.for_class(V(*khat), V(*p), 1.0)
+    op = build("A", params, N)
+    ev = truncated_spectrum(op)
+    isolated = classify_band_distance(op, ev)
+    assert np.all(ev[~isolated].real == 0.0)
+    assert isolated.sum() == classify_band_distance(op, np.linalg.eigvals(op.entries)).sum()
+    assert np.sum(ev == 0.0) == _odd_block_count(params, N) >= 1
+
+
+@given(
+    st.tuples(st.integers(-3, 3), st.integers(-3, 3)),
+    st.tuples(st.integers(-6, 6), st.integers(-6, 6)),
+    st.integers(5, 160),
+    st.sampled_from("ABC"),
+)
+@settings(max_examples=30, deadline=None)
+def test_truncated_spectrum_is_closed_under_negation_and_conjugation(p, khat, N, kind):
+    # +-sqrt(mu) over conjugate-closed mu: the symmetry holds bit for bit
+    assume(det(V(*p), V(*khat)) != 0)
+    ev = truncated_spectrum(build(kind, CFParams.for_class(V(*khat), V(*p), 1.0), N))
+    for image in (-ev, np.conj(ev)):
+        assert np.array_equal(image[np.lexsort((image.real, image.imag))], ev)
+
+
+@pytest.mark.parametrize("N", [5, 60, 61, 400])
+@pytest.mark.parametrize("kind", ["A", "B", "C"])
+def test_lapack_sees_at_most_half_the_section(monkeypatch, kind, N):
+    # the cost guard, without timing: every matrix a LAPACK routine gets is
+    # of order N // 2 at most (golden A takes eigvals, B and C the svd)
+    orders = []
+    for name in ("eigvals", "svd", "eigvalsh"):
+        solver = getattr(np.linalg, name)
+
+        def record(a, *args, _solver=solver, **kwargs):
+            orders.append(max(np.shape(a)))
+            return _solver(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, record)
+    ev = truncated_spectrum(build(kind, GOLDEN, N))
+    assert len(ev) == N
+    assert orders and max(orders) <= N // 2

@@ -509,3 +509,17 @@ def test_integrate_memory_is_linear_in_the_width():
     finally:
         tracemalloc.stop()
     assert peak < 64 * spec.width * 16
+
+
+def test_start_invariant_within_rounding_of_zero_reports_no_drift():
+    # H(0) = -1.2e-15 is below the rounding of H's own evaluation (terms up
+    # to its bound 0.25), so the drift is taken relative to that bound, as
+    # for an exact-zero start; relative to |H(0)| it read 0.38
+    spec = SubsystemSpec(khat=V(1, 0), p=V(1, 1), gamma=0.6 + 0.8j, n_min=-20, n_max=20)
+    vals = ComplexSeq.unit(spec, 0).values.copy()
+    vals[1 - spec.n_min] = 1e-14
+    state = ComplexSeq(spec.n_min, vals)
+    assert 0.0 < abs(hamiltonian(spec, state)) < 1e-14
+    traj = integrate(spec, state, dt=1e-2, steps=1000)
+    assert traj.h_drift < 1e-12
+    assert traj.i_drift < 1e-12
