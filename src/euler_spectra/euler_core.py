@@ -13,8 +13,12 @@ The sum is evaluated as one dealiased transform product (Orszag,
 J. Atmos. Sci. 28 (1971) 1074): with psi = sum |k|^-2 w_k e^{ik.x},
 the right-hand side at k is -1/2 times the Fourier coefficient of
 f_x psi_y - f_y psi_x, taken exactly on 3K + 1 points per axis when every
-mode has |k_1|, |k_2| <= K.  lattice.triad_coeff stays the pairwise
-oracle the tests and the Jacobian check compare with.
+mode has |k_1|, |k_2| <= K.  The half-spectrum grid holds two layers, f
+and psi; the derivatives i k_1 and i k_2 sit in the synthesis matrices,
+and since the fields are real, the x-synthesis and the x-analysis are real
+products on the float view of the complex arrays (ModeSet.transform).
+lattice.triad_coeff stays the pairwise oracle the tests and the Jacobian
+check compare with.
 
 The single-pump steady states w*_{+-p} = Gamma / conj(Gamma) are fixed
 points; a finite-difference Jacobian check against the two-diagonal
@@ -23,6 +27,7 @@ linearized coupling ties this module to the per-class chain dynamics.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -95,26 +100,46 @@ class ModeSet:
 
     @cached_property
     def transform(self) -> tuple[np.ndarray, ...]:
-        """(rows, cols, factors, ey, ex, fy, fx) of the transform right-hand
-        side.  Representative k sits at (rows, cols) = (k2 + K, k1) of a
-        (2K + 1, K + 1) half-spectrum grid, K = max |k_i| over the modes.
-        factors holds 2i (k1, k2, k1/|k|^2, k2/|k|^2) per representative:
-        the real part of a half-spectrum synthesis, doubled, is the field of
-        both halves.  ey (M, 2K + 1) and ex (K + 1, M) synthesise on
-        M = 3K + 1 points per axis, fy and fx analyse back.  A product of
-        two modes reaches |k_i| <= 2K, and M > 3K keeps each of its aliases
-        off every retained mode."""
+        """(scatter, layers, sy, sx, dsx, ax, ay, gather) of the transform
+        right-hand side, K = max |k_i| over the modes, M = 3K + 1 points per
+        axis.  The half-spectrum grid (2K + 1, 2(K + 1)) holds two layers,
+        w and psi = w / |k|^2: representative k sits in row k2 + K, at
+        column k1 of each layer.  scatter holds those two flat positions and
+        layers the weights (1, 1/|k|^2) per representative.
+
+        Synthesis: sy (2M, 2K + 1) stacks the y-synthesis over the d/dy one,
+        both doubled, since the real part of a half-spectrum synthesis,
+        doubled, is the field of both halves.  sx and dsx (2(K + 1), M) are
+        the x-synthesis and its d/dx with rows (Re, -Im) interleaved: the
+        float view of a complex product times them is the real part of its
+        x-synthesis.  Analysis: ax (M, 2(K + 1)) is the float view of the
+        x-analysis, ay (2K + 1, M) the y-analysis with the -1/2 of the
+        right-hand side folded in, and gather the flat position of each
+        representative in their (2K + 1, K + 1) product.  A product of two
+        modes reaches |k_i| <= 2K, and M > 3K keeps each of its aliases off
+        every retained mode."""
         k1 = np.array([k.k1 for k in self.representatives], dtype=int)
         k2 = np.array([k.k2 for k in self.representatives], dtype=int)
         K = int(np.max(np.abs([k1, k2]), initial=0))
         m = 3 * K + 1
-        inv_norm2 = 1.0 / (k1 * k1 + k2 * k2)
-        factors = 2j * np.array([k1, k2, k1 * inv_norm2, k2 * inv_norm2])
+        row = k2 + K
+        w_at = 2 * (K + 1) * row + k1
+        scatter = np.stack([w_at, w_at + K + 1], axis=1)
+        layers = np.stack([np.ones(len(k1)), 1.0 / (k1 * k1 + k2 * k2)], axis=1)
         # phases reduced mod m before scaling, so no entry loses digits to
         # a large argument
-        ey = np.exp(2j * np.pi * (np.outer(np.arange(m), np.arange(-K, K + 1)) % m) / m)
-        ex = np.exp(2j * np.pi * (np.outer(np.arange(K + 1), np.arange(m)) % m) / m)
-        return k2 + K, k1, factors, ey, ex, ey.conj().T / m, ex.conj().T / m
+        ky, kx = np.arange(-K, K + 1), np.arange(K + 1)
+        ey = np.exp(2j * np.pi * (np.outer(np.arange(m), ky) % m) / m)
+        ex = np.exp(2j * np.pi * (np.outer(kx, np.arange(m)) % m) / m)
+
+        def real_rows(e: np.ndarray) -> np.ndarray:
+            return np.stack([e.real, -e.imag], axis=1).reshape(2 * (K + 1), m)
+
+        sy = np.concatenate([2.0 * ey, 2j * ky * ey])
+        sx, dsx = real_rows(ex), real_rows(1j * kx[:, None] * ex)
+        ax = np.ascontiguousarray(ex.conj().T / m).view(float)
+        ay = -0.5 * ey.conj().T / m
+        return scatter, layers, sy, sx, dsx, ax, ay, row * (K + 1) + k1
 
 
 @dataclass
@@ -126,7 +151,7 @@ class VorticityField:
     coeffs: np.ndarray  # aligned with modeset.representatives
 
     def __post_init__(self):
-        self.coeffs = np.asarray(self.coeffs, dtype=complex)
+        self.coeffs = np.ascontiguousarray(self.coeffs, dtype=complex)
         if len(self.coeffs) != len(self.modeset.representatives):
             raise UsageError("coefficient array does not match the representative count")
 
@@ -178,16 +203,20 @@ def _rep_rhs(modeset: ModeSet, coeffs: np.ndarray) -> np.ndarray:
     """Right-hand side on representative amplitudes, representatives out:
     -1/2 times the Fourier coefficient of f_x psi_y - f_y psi_x, the
     product taken on the dealiased grid of ModeSet.transform."""
-    rows, cols, factors, ey, ex, fy, fx = modeset.transform
+    scatter, layers, sy, sx, dsx, ax, ay, gather = modeset.transform
     # the sum is quadratic: a power-of-two scale is exact and keeps every
     # grid value of a finite state finite
-    _, e = np.frexp(np.max(np.abs(coeffs), initial=1.0))
-    scale = np.ldexp(1.0, -e)
-    grid = np.zeros((4, ey.shape[1], ex.shape[0]), dtype=complex)
-    grid[:, rows, cols] = factors * (scale * coeffs)
-    w_x, w_y, psi_x, psi_y = (ey @ grid @ ex).real
+    scale = math.ldexp(1.0, -math.frexp(np.abs(coeffs.view(float)).max(initial=1.0))[1])
+    grid = np.zeros((sy.shape[1], sx.shape[0]), dtype=complex)
+    grid.reshape(-1)[scatter] = (scale * coeffs)[:, None] * layers
+    m = sx.shape[1]
+    # the float view of the y-synthesis, rows (y, layer): plain rows times
+    # dsx give w_x and psi_x, d/dy rows times sx give w_y and psi_y
+    plain, d_y = (sy @ grid).view(float).reshape(2, 2 * m, -1)
+    w_x, psi_x = (plain @ dsx).reshape(m, 2, m).transpose(1, 0, 2)
+    w_y, psi_y = (d_y @ sx).reshape(m, 2, m).transpose(1, 0, 2)
     jac = w_x * psi_y - w_y * psi_x
-    return (fy @ jac @ fx)[rows, cols] * (-0.5 / scale) / scale
+    return (ay @ (jac @ ax).view(complex)).take(gather) / scale / scale
 
 
 def euler_rhs(field: VorticityField) -> VorticityField:

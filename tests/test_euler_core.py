@@ -7,6 +7,7 @@ from euler_spectra.errors import DomainError, NumericalError, UsageError
 from euler_spectra.euler_core import (
     ModeSet,
     VorticityField,
+    _rep_rhs,
     conserved,
     euler_rhs,
     fixed_point,
@@ -130,6 +131,28 @@ def test_rhs_matches_the_pair_sum_and_reuses_no_result(modeset, seed):
     assert np.array_equal(first.coeffs, kept)
 
 
+# the empty set and a single +-pair: no triad fits, on a K = 0 and a K = 1 grid
+@example(ModeSet(cutoff=0.5, modes=()), 0, -300)
+@example(ModeSet(cutoff=1.0, modes=(V(1, 0), V(-1, 0))), 0, 250)
+@given(mode_sets(), st.integers(0, 2**32 - 1), st.integers(-300, 250))
+@settings(max_examples=25, deadline=None)
+def test_rhs_scales_exactly_by_a_power_of_two(modeset, seed, j):
+    # the sum is quadratic and the grid scale a power of two, so scaling the
+    # state by 2^j scales the result by 4^j bit for bit
+    coeffs = random_field(modeset, seed=seed).coeffs
+    got = _rep_rhs(modeset, 2.0**j * coeffs)
+    assert got.shape == coeffs.shape
+    assert np.array_equal(got, 4.0**j * _rep_rhs(modeset, coeffs))
+    if len(coeffs) <= 1:
+        assert not np.any(got)
+
+
+def test_rhs_of_a_strided_coefficient_view():
+    coeffs = np.repeat(random_field(K5, seed=2).coeffs, 2)
+    got = euler_rhs(VorticityField(K5, coeffs[::2])).coeffs
+    assert np.array_equal(got, euler_rhs(VorticityField(K5, coeffs[::2].copy())).coeffs)
+
+
 def test_conserved_frozen_values():
     E, J, I = conserved(VorticityField.zero(K5), V(1, 1))
     assert (E, J, I) == (0.0, 0.0, 0.0)
@@ -232,6 +255,11 @@ def test_modeset_tables_are_per_instance():
     fresh = ModeSet.disk(5.0)
     assert fresh == K5 and fresh.transform is not K5.transform
     assert fresh.transform is fresh.transform
+    # K = 5: two layers on a (11, 12) half-spectrum grid, M = 16 points
+    scatter, layers, sy, sx, dsx, ax, ay, gather = fresh.transform
+    assert scatter.shape == layers.shape == (40, 2) and gather.shape == (40,)
+    assert sy.shape == (32, 11) and sx.shape == dsx.shape == (12, 16)
+    assert ax.shape == (16, 12) and ay.shape == (11, 16)
     for a, b in zip(fresh.transform + fresh.embedding, K5.transform + K5.embedding):
         assert np.array_equal(a, b)
 
