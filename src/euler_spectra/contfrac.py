@@ -75,14 +75,21 @@ class CFParams:
     @classmethod
     def for_class(cls, khat: WaveVector, p: WaveVector, gamma: complex) -> "CFParams":
         """Raises DomainError where a = 0 (a zero gamma or a class parallel
-        to p): the operator is zero and carries no spectral data."""
+        to p): the operator is zero and carries no spectral data; and where
+        4|a|, which bounds the band width and every section eigenvalue,
+        overflows."""
         if gamma == 0:
             raise DomainError("gamma is zero: the operator is zero, no spectral data; give a nonzero gamma")
         if khat.is_zero or p.is_zero:
             raise DomainError("khat and p must be nonzero")
-        a = 0.5 * abs(gamma) * det(p, khat)
+        try:
+            a = 0.5 * abs(gamma) * det(p, khat)
+        except OverflowError:  # |gamma| itself overflows, though gamma is finite
+            a = np.inf
         if a == 0.0:
             raise DomainError("khat is parallel to p: trivial class, no spectral data")
+        if not np.isfinite(4.0 * abs(a)):
+            raise DomainError("gamma is too large: 4|a| overflows the spectrum of this class; give a smaller gamma")
         return cls(khat, p, gamma, a, circle_member(khat, p), RhoSequence(khat, p))
 
     @property

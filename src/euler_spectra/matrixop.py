@@ -8,8 +8,11 @@ one-sided pentadiagonal ("2x2+1"-banded) infinite matrix
 
 P the 0/1 pattern of chain neighbors |n_i - n_j| = 1 and rho_n taken at
 each column's chain index: a compact perturbation of the
-constant-coefficient matrix B = i b P (b = a * rho_inf).  Finite top-left
-sections serve as a spectrum oracle; B's spectral curve, resolvent Green's
+constant-coefficient matrix B = i b P (b = a * rho_inf).  The top-left
+N x N section covers the chain window n = -((N-1)//2) .. N//2, and a
+TruncatedOperator holds it as its N real column coefficients in chain
+order; only TruncatedOperator.entries lays them out through relabel.
+Section spectra serve as an oracle; B's spectral curve, resolvent Green's
 function, and the decaying-solution determinant test are implemented in
 closed form.
 
@@ -51,7 +54,7 @@ __all__ = [
     "classify_band_distance",
 ]
 
-DENSE_CAP = 2048  # dense eigensolver guard; O(N^3) beyond this is a mistake
+DENSE_CAP = 2048  # guards the dense solves of order <= N/2; O(N^3) beyond this is a mistake
 CURVE_TOL = 1e-12
 ISOLATION_THRESHOLD = float(np.sqrt(np.finfo(float).eps))  # band distance / |b|; see classify_band_distance
 
@@ -70,29 +73,30 @@ def unrelabel(m):
     return m // 2 * (1 - 2 * (m % 2))  # even m -> m/2, odd m -> -(m-1)/2
 
 
-def _coupled(N: int) -> tuple[np.ndarray, np.ndarray]:
-    """0-based (rows, cols) of the pattern's nonzeros in the top-left N x N
-    section: chain index n couples to n - 1 and n + 1."""
-    n = unrelabel(np.arange(1, N + 1))
-    rows = np.tile(np.arange(N), 2)
-    cols = relabel(np.concatenate([n - 1, n + 1])) - 1
-    return rows[cols < N], cols[cols < N]
-
-
 def pattern(N: int) -> np.ndarray:
-    """0/1 pattern P of the top-left N x N section."""
-    P = np.zeros((N, N))
-    P[_coupled(N)] = 1.0
-    return P
+    """0/1 pattern P of the top-left N x N section: chain index n couples
+    to n - 1 and n + 1."""
+    n = unrelabel(np.arange(1, N + 1))
+    return (np.abs(n[:, None] - n) == 1).astype(float)
 
 
 @dataclass
 class TruncatedOperator:
-    """Top-left N x N section of one of the three infinite matrices."""
+    """Top-left N x N section i P diag(chain) of one of the three infinite
+    matrices, held as its real column coefficients: chain[j] = a * coeff_n
+    at the chain index n = j - (N - 1) // 2, over the window
+    n = -((N-1)//2) .. N//2 in increasing order."""
 
     size: int
-    entries: np.ndarray
+    chain: np.ndarray
     b: float  # a * rho_inf = -a / |p|^2
+
+    @property
+    def entries(self) -> np.ndarray:
+        """The dense section, rows and columns in relabel order: the chain
+        coefficient of each column times i P.  O(N^2); no solver reads it."""
+        n = unrelabel(np.arange(1, self.size + 1))
+        return 1j * pattern(self.size) * self.chain[n + (self.size - 1) // 2]
 
 
 @dataclass(frozen=True)
@@ -105,42 +109,44 @@ class BandSpec:
 
 def build(kind: str, params: CFParams, N: int) -> TruncatedOperator:
     """Assemble the N x N section i a P diag(coeff) of A (coeff = rho_n),
-    B (the limit rho_inf) or C = A - B (rho_n - rho_inf), n the chain
-    index of each column."""
+    B (the limit rho_inf) or C = A - B (rho_n - rho_inf) as its N chain
+    coefficients a * coeff_n, n over the section's chain window; O(N)
+    memory."""
     if kind not in ("A", "B", "C"):
         raise DomainError(f"kind must be 'A', 'B' or 'C', got {kind!r}")
     if N < 5:
         raise DomainError("N >= 5 required to include the coupling rows")
     rho_inf = params.rho_inf
-    rows, cols = _coupled(N)
-    coeff = rho_inf
+    coeff = np.full(N, rho_inf)
     if kind != "B":
-        coeff = rho(params.khat, params.p, unrelabel(cols + 1))
+        coeff = rho(params.khat, params.p, np.arange(-((N - 1) // 2), N // 2 + 1))
         if kind == "C":
             coeff = coeff - rho_inf
-    # scattered into zeros rather than broadcast over the section, so the
-    # memory pages that hold no entry are never touched (peak memory at large N)
-    M = np.zeros((N, N), dtype=complex)
-    M[rows, cols] = 1j * params.a * coeff
-    return TruncatedOperator(size=N, entries=M, b=params.a * rho_inf)
+    return TruncatedOperator(size=N, chain=params.a * coeff, b=params.a * rho_inf)
 
 
 def truncated_spectrum(op: TruncatedOperator) -> np.ndarray:
     """All N eigenvalues of the section, sorted by (imag, real) for
     reproducibility.  Solved in real arithmetic, on half-order problems.
 
-    build makes every section i R with R = entries.imag real: the
-    zero-diagonal tridiagonal of the chain window, its rows scattered by
-    relabel.  The characteristic polynomial of such a tridiagonal depends
-    only on the products c = R[n, n+1] R[n+1, n] of its off-diagonal pairs
-    (n, n+1 neighbouring chain indices).  Each exact c == 0 (a zero rho
-    makes two) cuts the chain into blocks, solved one by one
-    (_block_eigenvalues).  A block is bipartite, so its eigenvalues are
-    +-sqrt(mu) for the eigenvalues mu of its square on the smaller parity
-    sublattice, plus one exact zero for an odd block: LAPACK sees order
-    L // 2 for a block of L sites.  The cut is needed: in an unsplit chain
-    a zero product leaves a rounding-level mu, whose square root lands at
-    about sqrt(eps) |b|, near the isolation threshold.
+    The section is i T, T the zero-diagonal tridiagonal of the chain window
+    with the coefficient of each column (the relabel map permutes T's rows
+    and columns alike, which leaves the spectrum alone).  The
+    characteristic polynomial of T depends only on the products
+    c = chain[n] chain[n+1] of its neighbouring coefficients.  The chain
+    is first scaled by an exact power of two that brings its largest
+    coefficient into [1/2, 1), and the eigenvalues are scaled back at the
+    end: the spectrum is homogeneous in the chain, so the answer in units
+    of a does not depend on gamma's magnitude (unscaled, the products go
+    subnormal or zero for |gamma| below about 1e-154 and overflow above
+    about 1e154).  Each exact c == 0 (a zero rho makes two) cuts the chain
+    into blocks, solved one by one (_block_eigenvalues).  A block is
+    bipartite, so its eigenvalues are +-sqrt(mu) for the eigenvalues mu of
+    its square on the smaller parity sublattice, plus one exact zero for an
+    odd block: LAPACK sees order L // 2 for a block of L sites.  The cut
+    is needed: in an unsplit chain a zero product leaves a rounding-level
+    mu, whose square root lands at about sqrt(eps) |b|, near the isolation
+    threshold.
 
     Best of 5 per section, one BLAS thread (2 cores, Python 3.11, numpy
     2.4, OpenBLAS), against the order-N eigvals/eigvalsh it replaced: the
@@ -156,11 +162,11 @@ def truncated_spectrum(op: TruncatedOperator) -> np.ndarray:
     """
     if op.size > DENSE_CAP:
         raise DomainError(f"dense solve capped at N = {DENSE_CAP}")
-    R = op.entries.imag
-    slots = np.argsort(unrelabel(np.arange(1, op.size + 1)))  # matrix slots in chain order
-    c = R[slots[:-1], slots[1:]] * R[slots[1:], slots[:-1]]
+    scale = math.ldexp(1.0, -math.frexp(np.abs(op.chain).max(initial=0.0))[1])
+    chain = scale * op.chain
+    c = chain[1:] * chain[:-1]
     cuts = np.concatenate(([-1], np.flatnonzero(c == 0.0), [c.size]))
-    ev = 1j * np.concatenate([_block_eigenvalues(c[lo + 1 : hi]) for lo, hi in zip(cuts[:-1], cuts[1:])])
+    ev = (1j / scale) * np.concatenate([_block_eigenvalues(c[lo + 1 : hi]) for lo, hi in zip(cuts[:-1], cuts[1:])])
     order = np.lexsort((ev.real, ev.imag))
     return ev[order]
 

@@ -7,6 +7,8 @@ and nothing time- or path-dependent enters the documents.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .errors import UsageError
@@ -18,6 +20,8 @@ __all__ = ["to_canonical_json", "to_csv"]
 def format_float(x: float) -> str:
     if x != x:
         raise UsageError("refusing to serialize NaN")
+    if math.isinf(x):
+        raise UsageError("refusing to serialize an infinity")
     if x == 0.0:
         x = 0.0  # normalize -0.0
     return f"{x:.15g}"

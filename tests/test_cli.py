@@ -303,6 +303,16 @@ def test_zero_gamma_is_not_reported_as_parallel(capsys):
         assert "gamma is zero" in err and "parallel" not in err
 
 
+def test_gamma_past_the_float_range_is_a_usage_error(capsys):
+    # 4|a| bounds the band width and every section eigenvalue: once it
+    # overflows, band would print an infinity or fail on a NaN (the last
+    # gamma has finite parts but no finite modulus)
+    for p, khat, gamma in (("1,0", "0,2", "1e308"), ("5,1", "0,1", "1e308"), ("1,1", "1,0", "1.7e308+1.7e308j")):
+        code, out, err = run_cli(capsys, "band", "--p", p, "--khat", khat, "--gamma", gamma)
+        assert code == 1 and out == ""
+        assert err.startswith("usage error: ") and "give a smaller gamma" in err
+
+
 @pytest.mark.parametrize(
     "argv, flag, key, value",
     [

@@ -531,7 +531,8 @@ def test_search_finds_kappa_unstable_members_and_so_does_the_section(chain):
     else:
         quads = find_eigenvalues_half(params, side, **box)
         entries = 1j * params.a * (np.eye(N, k=1) + np.eye(N, k=-1)) * rho(k, p, side * np.arange(1, N + 1))
-        section = TruncatedOperator(N, entries, params.a * params.rho_inf)
+        chain = params.a * rho(k, p, side * np.arange(1, N + 1))  # the half chain, from the circle member out
+        section = TruncatedOperator(size=N, chain=chain, b=params.a * params.rho_inf)
         ev = np.linalg.eigvals(entries)
     found = sum(m.real > 0 for q in quads for m in q.members)
     assert found <= kappa(k, p, side)

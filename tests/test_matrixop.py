@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -12,6 +14,7 @@ from euler_spectra.errors import (
 from euler_spectra.lattice import WaveVector, canonical_label, det, rho
 from euler_spectra.matrixop import (
     CURVE_TOL,
+    TruncatedOperator,
     build,
     char_roots,
     classify_band_distance,
@@ -502,3 +505,47 @@ def test_lapack_sees_at_most_half_the_section(monkeypatch, kind, N):
     ev = truncated_spectrum(build(kind, GOLDEN, N))
     assert len(ev) == N
     assert orders and max(orders) <= N // 2
+
+
+@pytest.mark.parametrize("gamma", [1e-300, 1e-200, 1e-160, 1e-100, 1e100, 1e160, 1e200, 1e300])
+def test_section_spectrum_does_not_depend_on_gammas_magnitude(gamma):
+    # the chain is solved at an exact power-of-two scale, so lam / a is the
+    # same at every |gamma|; unscaled, the neighbour products go subnormal
+    # or zero for small |gamma| and overflow for large |gamma|
+    def in_units_of_a(g):
+        params = CFParams.for_class(V(1, 0), V(1, 1), g)
+        op = build("A", params, 40)
+        ev = truncated_spectrum(op)
+        return ev / params.a, int(classify_band_distance(op, ev).sum())
+
+    ref, ref_isolated = in_units_of_a(1.0)
+    ev, isolated = in_units_of_a(gamma)
+    assert isolated == ref_isolated == 4
+    assert np.max(np.abs(ev - ref)) < 1e-14
+
+
+@pytest.mark.parametrize(
+    "kind, params",
+    [("A", GOLDEN), ("B", GOLDEN), ("C", GOLDEN), ("A", CFParams.for_class(V(-1, 1), V(2, 1), 1.0))],
+)
+def test_the_solver_never_forms_the_dense_section(monkeypatch, kind, params):
+    # the section is its chain coefficients; the relabeled N x N matrix is
+    # for tests and reports only (the last class has a member on the circle)
+    def dense(self):
+        raise AssertionError("TruncatedOperator.entries was read")
+
+    monkeypatch.setattr(TruncatedOperator, "entries", property(dense))
+    op = build(kind, params, 200)
+    ev = truncated_spectrum(op)
+    assert len(ev) == 200 and classify_band_distance(op, ev).shape == (200,)
+
+
+def test_build_allocates_order_N():
+    # the largest section DENSE_CAP allows, held as 2048 coefficients
+    tracemalloc.start()
+    try:
+        build("A", GOLDEN, 2048)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20

@@ -32,8 +32,9 @@ def test_format_float_fixed_precision():
     assert format_float(1 / 3) == "0.333333333333333"
     assert format_float(-0.0) == "0"
     assert format_float(1.5e-300) == "1.5e-300"
-    with pytest.raises(UsageError):
-        format_float(float("nan"))
+    for bad in (float("nan"), float("inf"), -float("inf")):
+        with pytest.raises(UsageError):
+            format_float(bad)
 
 
 def test_canonical_json_sorted_and_parseable():
