@@ -31,4 +31,5 @@ class OnSpectralCurveError(NumericalError):
 
 class SpectralPointSetError(NumericalError):
     """Resolvent requested at a boundary point of the spectral curve,
-    where the matching matrix is singular."""
+    lambda_b = +-2, where the roots of w + 1/w = lambda_b meet at w = +-1
+    and the denominator of the kernel w^|n - n'| / (w - 1/w) vanishes."""

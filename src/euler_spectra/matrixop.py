@@ -12,9 +12,11 @@ constant-coefficient matrix B = i b P (b = a * rho_inf).  The top-left
 N x N section covers the chain window n = -((N-1)//2) .. N//2, and a
 TruncatedOperator holds it as its N real column coefficients in chain
 order; only TruncatedOperator.entries lays them out through relabel.
-Section spectra serve as an oracle; B's spectral curve, resolvent Green's
-function, and the decaying-solution determinant test are implemented in
-closed form.
+Section spectra serve as an oracle.  B's spectral curve, its resolvent and
+the decaying-solution determinant test are in closed form: relabel only
+permutes the two-sided chain, so B's resolvent is the two-sided path's
+Toeplitz kernel w^|n - n'| / (w - 1/w), w + 1/w = lambda_b, |w| < 1,
+read at the chain indices of the matrix indices.
 
 Scalings used here (lam = physical eigenvalue):
     lambda_b   = lam / (i b)   -- B-normalized; spectral curve = [-2, 2]
@@ -46,7 +48,6 @@ __all__ = [
     "pattern",
     "build",
     "truncated_spectrum",
-    "char_roots",
     "essential_band",
     "resolvent_apply",
     "green_kernel",
@@ -68,7 +69,7 @@ def relabel(n):
 
 def unrelabel(m):
     """Inverse of relabel; m is an int or an integer array."""
-    if np.min(m) < 1:
+    if np.min(m, initial=1) < 1:
         raise DomainError("matrix indices start at 1")
     return m // 2 * (1 - 2 * (m % 2))  # even m -> m/2, odd m -> -(m-1)/2
 
@@ -230,19 +231,6 @@ def _square_bidiagonal(diag: np.ndarray, upper: np.ndarray) -> np.ndarray:
     return B
 
 
-def char_roots(lambda_b: complex) -> tuple[complex, complex, complex, complex]:
-    """Roots {w, -w, 1/w, -1/w} of the characteristic polynomial
-    1 - lambda_b w^2 + w^4 of the constant-coefficient difference equation;
-    their product is 1.  Kept public as a test oracle for the roots that the
-    resolvent and the det-M test build on."""
-    lam = complex(lambda_b)
-    w2 = 0.5 * (lam + np.sqrt(lam * lam - 4.0))
-    w = np.sqrt(w2)
-    if w == 0.0:  # cannot happen for finite lambda; guard the division
-        raise NumericalError("degenerate characteristic root")
-    return (complex(w), complex(-w), complex(1.0 / w), complex(-1.0 / w))
-
-
 def essential_band(params: CFParams) -> BandSpec:
     """Band endpoints +-2bi with b = -a/|p|^2; width 4|b|."""
     b = params.a * params.rho_inf
@@ -261,66 +249,43 @@ def _reject_curve_points(lambda_b: complex) -> None:
         raise OnSpectralCurveError(f"lambda_b = {lambda_b} lies on the spectral curve")
 
 
-def _small_root(lambda_b: complex) -> complex:
+def _small_root(lambda_b: complex) -> tuple[complex, complex]:
+    """The root w of w^2 - lambda_b w + 1 = 0 inside the unit circle, the
+    decay ratio of B's resolvent per chain index, and w - 1/w.
+
+    With the discriminant s = sqrt((lambda_b - 2)(lambda_b + 2)), signed
+    so that |lambda_b + s| >= 2, w = (lambda_b - s) / 2 = 2 / (lambda_b + s)
+    and w - 1/w = -s.  Each is taken in the form that does not cancel: the
+    discriminant as a product rather than lambda_b^2 - 4, which loses its
+    digits next to the band ends, and w as a quotient rather than a
+    difference, which loses them for large lambda_b.
+    """
     _reject_curve_points(lambda_b)
-    ws = char_roots(lambda_b)
-    w = min(ws, key=abs)
+    s = np.sqrt((lambda_b - 2.0) * (lambda_b + 2.0))
+    if abs(lambda_b + s) < abs(lambda_b - s):
+        s = -s
+    w = 2.0 / (lambda_b + s)
     if abs(w) >= 1.0 - CURVE_TOL:
         raise OnSpectralCurveError(f"lambda_b = {lambda_b} has no root inside the unit circle")
-    return w
-
-
-def _matching_matrix(lambda_b: complex, w: complex) -> np.ndarray:
-    return np.array(
-        [
-            [-lambda_b * w + w**2 + w**3, lambda_b * w + w**2 - w**3],
-            [w - lambda_b * w**2 + w**4, -w - lambda_b * w**2 + w**4],
-        ],
-        dtype=complex,
-    )
+    return complex(w), complex(-s)
 
 
 def green_kernel(lambda_b: complex, n_max: int, j_max: int) -> np.ndarray:
-    """Green's function G(n, j) of the one-sided constant-coefficient
-    section, n = 1..n_max, j = 1..j_max, for lambda_b off the curve.
+    """Green's function G = (B_pattern - lambda_b I)^-1 over matrix indices
+    1..n_max (rows) and 1..j_max (columns), for lambda_b off the curve.
 
-    Variation of constants over the four characteristic solutions gives a
-    translation kernel g(n, j) plus a boundary correction through the
-    inverse of the 2 x 2 matching matrix; (B_pattern - lambda_b I) applied
-    to G's columns reproduces identity columns.
+    relabel is a bijection of the two-sided chain onto the matrix indices,
+    so B_pattern is the adjacency of the two-sided path with its rows and
+    columns permuted alike, and G is the path's Toeplitz resolvent
+    w^|n - n'| / (w - 1/w) at the chain indices n = unrelabel(row) and
+    n' = unrelabel(column), w the small root of w + 1/w = lambda_b (Teschl,
+    Jacobi Operators and Completely Integrable Nonlinear Lattices, AMS
+    2000, ch. 1).
     """
-    lam = complex(lambda_b)
-    w = _small_root(lam)  # rejects curve and point-set values
-
-    # 4x4 Wronskian-style determinant of the characteristic solutions,
-    # constant in the translation index
-    e = np.arange(1, 5)[:, None]
-    W0 = complex(np.linalg.det(np.hstack([w**e, (-w) ** e, w**-e, (-w) ** -e])))
-    if W0 == 0.0:
-        raise SpectralPointSetError(f"degenerate characteristic system at lambda_b = {lam}")
-
-    cminus = 2.0 * (1.0 - w**-4) / W0  # weights the forward-decaying part
-    cplus = 2.0 * (1.0 - w**4) / W0  # weights the backward sum
-
-    def g(n, j):
-        """Translation kernel g(n, j) over broadcast index arrays."""
-        forward = j <= n + 1
-        e = np.where(forward, n - j + 2, j - n - 2)
-        return np.where(j == 1, 0j, np.where(forward, cminus, -cplus) * (w**e + (-w) ** e))
-
-    M = _matching_matrix(lam, w)
-    det_m = M[0, 0] * M[1, 1] - M[0, 1] * M[1, 0]
-    if abs(det_m) < 1e-14:
-        raise SpectralPointSetError(f"matching matrix singular at lambda_b = {lam}")
-    Minv = np.array([[M[1, 1], -M[0, 1]], [-M[1, 0], M[0, 0]]], dtype=complex) / det_m
-
-    j = np.arange(1, j_max + 1)
-    n = np.arange(1, n_max + 1)[:, None]
-    # (2, j_max): the weights of w^n and (-w)^n in each column
-    ab = Minv @ np.array(
-        [(j == 1) + lam * g(1, j) - g(2, j) - g(3, j), (j == 2) - g(1, j) + lam * g(2, j) - g(4, j)]
-    )
-    return ab[0] * w**n + ab[1] * (-w) ** n + g(n, j)
+    w, w_minus_inv = _small_root(complex(lambda_b))  # rejects curve and point-set values
+    n = unrelabel(np.arange(1, n_max + 1))
+    j = unrelabel(np.arange(1, j_max + 1))
+    return w ** np.abs(n[:, None] - j) / w_minus_inv
 
 
 def resolvent_apply(lambda_b: complex, y: np.ndarray) -> np.ndarray:
@@ -328,14 +293,16 @@ def resolvent_apply(lambda_b: complex, y: np.ndarray) -> np.ndarray:
     (y[0] is the j = 1 slot), via the explicit Green's function.
 
     Returns z over 1..n_out, n_out sized so that the geometric tail has
-    decayed below rounding.
+    decayed below rounding: G decays by |w| per chain index, which is
+    sqrt|w| per matrix index, since relabel interleaves the two
+    half-chains.
     """
     y = np.asarray(y, dtype=complex)
     if y.ndim != 1:
         raise DomainError("y must be a one-dimensional sequence")
     lam = complex(lambda_b)
-    w = _small_root(lam)  # raises on the curve
-    decay = max(abs(w), 1e-6)
+    w, _ = _small_root(lam)  # raises on the curve
+    decay = max(math.sqrt(abs(w)), 1e-6)
     n_out = len(y) + max(8, int(np.ceil(np.log(1e-16) / np.log(decay))))
     G = green_kernel(lam, n_out, len(y))
     return G @ y
@@ -369,10 +336,10 @@ def classify_band_distance(op: TruncatedOperator, eigenvalues: np.ndarray) -> np
 def detM_eigentest(params: CFParams, lambda_hat: complex) -> complex:
     """Determinant test for point-spectrum membership at lam = i a lambda_hat.
 
-    Backward recurrence from a far tail seeded with the decaying
-    characteristic rate builds the minimal (square-summable) solution of
-    each decoupled half-recurrence; the two are normalized and substituted
-    into the coupling constraints.  det M = 0 exactly at eigenvalues.
+    Backward recurrence from a far tail seeded with the decay ratio of B's
+    resolvent (the small root r of r + 1/r = lam/(i b)) builds the minimal
+    (square-summable) solution of each decoupled half-recurrence; the two
+    are normalized and substituted into the coupling constraints.  det M = 0 exactly at eigenvalues.
     Kept as the independent oracle for continued-fraction roots: its
     recurrence shares no code with contfrac's kernel.  Like the full-chain
     solvers it refuses every member of a class with a member on the circle
@@ -381,8 +348,9 @@ def detM_eigentest(params: CFParams, lambda_hat: complex) -> complex:
     params.check_full_chain()
     lam_hat = complex(lambda_hat)
     lam_b = lam_hat / params.rho_inf  # lam/(i b)
-    w = _small_root(lam_b)  # raises on the essential band
-    r = w * w  # Poincare-Perron decay ratio of both half-recurrences
+    # Poincare-Perron decay ratio of both half-recurrences, whose
+    # coefficients tend to rho_inf: the small root of r + 1/r = lam_b
+    r, _ = _small_root(lam_b)  # raises on the essential band
     n_tail = max(64, int(np.ceil(np.log(1e-14) / np.log(max(abs(r), 1e-12)))) + 16)
 
     def backward(chain_rho, n_stop: int) -> list[complex]:

@@ -8,6 +8,7 @@ published 14-digit REFERENCE_ROOT, which is kept verbatim although it is
 6.8e-9 from the true root.
 """
 
+import numpy as np
 import pytest
 
 from euler_spectra import verification
@@ -61,3 +62,23 @@ def test_check_4_detail_is_pinned():
         "sigma=1.6666666666666667, worst enstrophy ratio=1.133676 (bound 1.666667), "
         "N=200 section eigenvalues with Re > 1e-8|b|: 0"
     )
+
+
+def test_check_6_fails_on_an_asymmetric_section(monkeypatch):
+    # one diagonal entry of 1e-3 |b| at the chain index n = 1 breaks the
+    # +- symmetry that a zero diagonal gives: 1.05e-4 on the golden section
+    # alone, far above the check's 1e-8 bound
+    op = verification.build("A", verification._golden_params(), 200)
+    asymmetry = verification._spectrum_asymmetry
+
+    def perturbed(T):
+        T = T.copy()
+        T[100, 100] += 1e-3 * abs(op.b)
+        return asymmetry(T)
+
+    golden = perturbed(np.diag(op.chain[1:], 1) + np.diag(op.chain[:-1], -1))
+    assert golden == pytest.approx(1.05e-4, rel=0.01)
+    monkeypatch.setattr(verification, "_spectrum_asymmetry", perturbed)
+    result = verification.check_6_spectrum_symmetry()
+    assert not result.passed
+    assert float(result.detail.rsplit("=", 1)[1]) >= golden

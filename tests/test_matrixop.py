@@ -15,8 +15,8 @@ from euler_spectra.lattice import WaveVector, canonical_label, det, rho
 from euler_spectra.matrixop import (
     CURVE_TOL,
     TruncatedOperator,
+    _small_root,
     build,
-    char_roots,
     classify_band_distance,
     detM_eigentest,
     essential_band,
@@ -64,6 +64,10 @@ def test_relabel_maps_accept_arrays():
     assert np.array_equal(relabel(unrelabel(m)), m)
     with pytest.raises(DomainError):
         unrelabel(np.array([3, 0, 5]))
+
+
+def test_unrelabel_of_no_indices():
+    assert unrelabel(np.array([], dtype=int)).size == 0
 
 
 @pytest.mark.parametrize("N", [5, 6, 7, 40, 41])
@@ -182,36 +186,29 @@ def test_finite_section_convergence_of_isolated_eigenvalue():
     assert abs(vals[0] - vals[1]) < 1e-6
 
 
-def test_char_roots_frozen_values():
-    assert sorted(char_roots(2.0), key=lambda z: (z.real, z.imag)) == pytest.approx(
-        [-1, -1, 1, 1], abs=1e-12
-    )
-    roots_m2 = char_roots(-2.0)
-    assert sorted(np.imag(roots_m2)) == pytest.approx([-1, -1, 1, 1], abs=1e-12)
-    assert np.max(np.abs(np.real(roots_m2))) < 1e-12
-    r25 = sorted(np.abs(char_roots(2.5)))
-    assert r25 == pytest.approx([1 / np.sqrt(2), 1 / np.sqrt(2), np.sqrt(2), np.sqrt(2)], abs=1e-12)
-
-
 @given(st.complex_numbers(max_magnitude=30.0, allow_nan=False, allow_infinity=False))
 @settings(max_examples=200)
-def test_char_roots_product_and_closure(lam):
-    roots = char_roots(lam)
-    prod = roots[0] * roots[1] * roots[2] * roots[3]
-    assert abs(prod - 1.0) < 1e-9
-    rset = sorted(roots, key=lambda z: (round(z.real, 9), round(z.imag, 9)))
-    for w in roots:
-        if abs(w) < 1e-12:
-            continue
-        for image in (-w, 1.0 / w):
-            assert min(abs(image - u) for u in rset) < 1e-6 * max(1.0, abs(image))
+def test_small_root_solves_its_quadratic_inside_the_circle(lam):
+    assume(abs(lam.imag) > 1e-6 or abs(lam.real) > 2.0 + 1e-6)
+    w, w_minus_inv = _small_root(lam)
+    assert abs(w) < 1.0
+    assert abs(w + 1.0 / w - lam) < 1e-12 * max(1.0, abs(lam))
+    assert abs(w - 1.0 / w - w_minus_inv) < 1e-9 * abs(w_minus_inv)
 
 
-def test_root_count_on_and_off_curve():
-    # all four moduli are 1 on the spectral curve [-2, 2] (boundary points
-    # included); off it two roots lie inside the unit circle
-    for lam, inside in ((0.0, 0), (1.3, 0), (2.0, 0), (-2.0, 0), (3.0, 2), (5.0j, 2), (-2.5 + 0.3j, 2)):
-        assert sum(abs(w) < 1.0 - CURVE_TOL for w in char_roots(lam)) == inside
+def test_small_root_on_and_off_curve():
+    # every root has modulus 1 on the spectral curve [-2, 2], whose
+    # boundary points are the point set; off it one root lies inside the
+    # unit circle
+    for lam in (0.0, 1.3):
+        with pytest.raises(OnSpectralCurveError):
+            _small_root(lam)
+    for lam in (2.0, -2.0):
+        with pytest.raises(SpectralPointSetError):
+            _small_root(lam)
+    for lam in (3.0, 5.0j, -2.5 + 0.3j):
+        assert abs(_small_root(lam)[0]) < 1.0 - CURVE_TOL
+    assert _small_root(2.5)[0] == pytest.approx(0.5, abs=1e-15)
 
 
 def test_essential_band_values():
@@ -239,17 +236,22 @@ def test_resolvent_zero_input():
     assert np.all(z == 0)
 
 
+def test_resolvent_of_no_input():
+    z = resolvent_apply(3.0, [])
+    assert z.shape == (77,) and np.all(z == 0)
+
+
 def test_resolvent_unit_mass_residual_and_decay():
     y = np.zeros(4, dtype=complex)
     y[0] = 1.0
     z = resolvent_apply(3.0, y)
     assert _pattern_residual(3.0, y, z) < 1e-9
-    w_small = min(char_roots(3.0), key=abs)
-    # the solution interleaves the two half-chains, so geometric decay
-    # shows over index strides of 2
+    w_small, _ = _small_root(3.0)
+    # the solution interleaves the two half-chains, so the decay per chain
+    # index shows over matrix index strides of 2
     tail = np.abs(z[10:20])
     ratios = tail[2:] / tail[:-2]
-    assert np.allclose(ratios, abs(w_small) ** 2, atol=1e-6)
+    assert np.allclose(ratios, abs(w_small), atol=1e-6)
 
 
 def test_resolvent_matches_dense_solve():
@@ -291,6 +293,21 @@ def test_green_kernel_inverts_the_section(lam):
     dense = np.linalg.inv(pattern_matrix(N) - lam * np.eye(N))
     G = green_kernel(lam, 60, 80)
     assert np.max(np.abs(G - dense[:60, :80])) < 1e-12 * np.max(np.abs(G))
+
+
+@pytest.mark.parametrize("lam", [2.0001, -2.0001, 2 + 1e-4j])
+def test_green_kernel_next_to_the_band_ends(lam):
+    # against the same kernel w^|n - n'| / (w - 1/w) at 40 digits; the
+    # discriminant lam^2 - 4 would cancel here
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(40):
+        s = mp.sqrt((mp.mpc(lam) - 2) * (mp.mpc(lam) + 2))
+        w = (lam - s) / 2 if abs(lam - s) < 2 else (lam + s) / 2
+        n = unrelabel(np.arange(1, 41))
+        d = np.abs(n[:, None] - n)
+        exact = np.array([complex(w**k / (w - 1 / w)) for k in range(d.max() + 1)])[d]
+    G = green_kernel(lam, 40, 40)
+    assert np.max(np.abs(G - exact)) < 2e-14 * np.max(np.abs(exact))
 
 
 def test_resolvent_errors_on_curve_and_point_set():

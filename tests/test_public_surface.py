@@ -18,7 +18,6 @@ KEEP = {
     "contfrac.f_eigen": "test oracle: the matching function settled at one point",
     "contfrac.eigenvector_window": "test oracle: z checked against the recurrence before rescaling",
     "contfrac.EigenQuadruple": "result type: find_eigenvalues and find_eigenvalues_half return it",
-    "matrixop.char_roots": "test oracle: the roots the resolvent and the det-M test build on",
     "matrixop.relabel": "README module map: the relabel map of the sections",
     "matrixop.unrelabel": "README module map: the inverse of the relabel map",
     "matrixop.TruncatedOperator": "result type: build returns it",
