@@ -50,6 +50,8 @@ BAND_TUBE = 1e-3  # exclusion radius around the essential band segment
 _MAX_DEPTH = 1 << 17
 # relative accuracy of f that a Newton step of the root search asks for
 _DEPTH_REL_TOL = 1e-2
+# absolute accuracy to which eigenvector_window settles each tail value
+_WINDOW_TOL = 1e-13
 
 
 @dataclass
@@ -318,6 +320,10 @@ def _search(
     and not as rounding noise off it, and the orbit {+-z, +-conj z} is
     folded into the closed first quadrant as (|re|, |im|).  A root whose
     representative lies within 10 tol of an earlier one is a duplicate.
+    Both radii must stay inside the band tube, so tol must be below
+    BAND_TUBE / 10 = 1e-4 (DomainError otherwise): a larger radius can
+    snap a root onto the band, where it is dropped (the golden root
+    (0.248, 0.352) at tol = 0.03).
 
     A chain with no member inside the disk (kappa 0) has no root at all
     (see find_eigenvalues); once the arguments pass their checks, it gets
@@ -325,6 +331,11 @@ def _search(
     """
     if grid < 1:
         raise DomainError(f"grid must be a positive integer, got {grid}")
+    if not 10.0 * tol < BAND_TUBE:
+        raise DomainError(
+            f"root tolerance {tol!r} must be below BAND_TUBE / 10 = {BAND_TUBE / 10:g}: roots within 10 times "
+            "the tolerance of an axis or of each other are merged; give a smaller tolerance"
+        )
     re_min, re_max, im_min, im_max = search_box
     if re_max <= re_min or im_max <= im_min:
         raise DomainError("degenerate search box")
@@ -431,11 +442,10 @@ def find_eigenvalues_half(
 # eigenvector reconstruction
 
 
-def eigenvector_window(
-    params: CFParams, lambda_tilde: complex, n_min: int, n_max: int, tol: float = 1e-13
-) -> np.ndarray:
+def eigenvector_window(params: CFParams, lambda_tilde: complex, n_min: int, n_max: int) -> np.ndarray:
     """Recurrence solution z_n over [n_min, n_max] built from the tail
-    ratios, normalized to z_0 = 1.
+    ratios, normalized to z_0 = 1; each tail value is deepened until it
+    settles to within _WINDOW_TOL.
 
     Below the matching index the ratios come from the lower-tail fraction,
     above it from the upper one; at a true root of f the two agree and the
@@ -461,7 +471,7 @@ def eigenvector_window(
                 values.append(state[0])
             return np.array(values)
 
-        return _settled_value(evaluate, tol)
+        return _settled_value(evaluate, _WINDOW_TOL)
 
     lower = kernel_values(range(n_min, 1))  # z_{m+1}/z_m, m = n_min..0
     upper = -1.0 / kernel_values(range(n_max, 0, -1))  # z_n/z_{n-1}, n = n_max..1

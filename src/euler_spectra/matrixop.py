@@ -12,11 +12,13 @@ constant-coefficient matrix B = i b P (b = a * rho_inf).  The top-left
 N x N section covers the chain window n = -((N-1)//2) .. N//2, and a
 TruncatedOperator holds it as its N real column coefficients in chain
 order; only TruncatedOperator.entries lays them out through relabel.
-Section spectra serve as an oracle.  B's spectral curve, its resolvent and
-the decaying-solution determinant test are in closed form: relabel only
-permutes the two-sided chain, so B's resolvent is the two-sided path's
-Toeplitz kernel w^|n - n'| / (w - 1/w), w + 1/w = lambda_b, |w| < 1,
-read at the chain indices of the matrix indices.
+Section spectra serve as an oracle.  B's spectral curve and its resolvent
+are in closed form: relabel only permutes the two-sided chain, so B's
+resolvent is the two-sided path's Toeplitz kernel w^|n - n'| / (w - 1/w),
+w + 1/w = lambda_b, |w| < 1, read at the chain indices of the matrix
+indices.  The decaying-solution determinant test (det M) works on the
+two-sided chain too: two ratio sweeps seeded with that w, counted from
+the class's minimal member.
 
 Scalings used here (lam = physical eigenvalue):
     lambda_b   = lam / (i b)   -- B-normalized; spectral curve = [-2, 2]
@@ -25,7 +27,6 @@ Scalings used here (lam = physical eigenvalue):
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -334,59 +335,57 @@ def classify_band_distance(op: TruncatedOperator, eigenvalues: np.ndarray) -> np
 
 
 def detM_eigentest(params: CFParams, lambda_hat: complex) -> complex:
-    """Determinant test for point-spectrum membership at lam = i a lambda_hat.
+    """Determinant test for point-spectrum membership at lam = i a lambda_hat:
+    zero exactly where the solutions that decay as n -> +infinity and as
+    n -> -infinity meet at the junction of the chain rows
 
-    Backward recurrence from a far tail seeded with the decay ratio of B's
-    resolvent (the small root r of r + 1/r = lam/(i b)) builds the minimal
-    (square-summable) solution of each decoupled half-recurrence; the two
-    are normalized and substituted into the coupling constraints.  det M = 0 exactly at eigenvalues.
-    Kept as the independent oracle for continued-fraction roots: its
-    recurrence shares no code with contfrac's kernel.  Like the full-chain
-    solvers it refuses every member of a class with a member on the circle
-    |k| = |p|, where rho vanishes and the chain splits.
+        lambda_hat y_n = rho_{n-1} y_{n-1} + rho_{n+1} y_{n+1}
+
+    (minimal solutions: Gautschi, SIAM Rev. 9 (1967) 24).  Each decaying
+    solution is carried as its ratios, by a backward sweep seeded at the
+    far tail with the decay ratio r of B's resolvent (the small root of
+    r + 1/r = lam/(i b)): the ratio t_n = y_{n+1}/y_n of the upper one
+    runs t_{n-1} = rho_{n-1} / (lambda_hat - rho_{n+1} t_n) from t = r at
+    n_tail down to t+ = y_2/y_1, and the mirror sweep runs from -n_tail up
+    to t- = y_{-1}/y_0.  Rows 0 and 1 then give
+
+        det M = rho_0 rho_1 - (rho_{-1} t- - lambda_hat)(rho_2 t+ - lambda_hat),
+
+    the coupling determinant with its columns divided by y_1 and y_0.  The
+    ratios are analytic in lambda_hat where finite, so a Newton polish of
+    det M converges to the root.
+
+    det M is counted from the class's minimal member (CFParams.minimal),
+    from which find_eigenvalues searches too: the roots belong to the
+    class, but counted from a far member det M can carry a pole next to a
+    root (p = (3,0) from the member (9,-1): a pole about 3e-4 from the
+    root at lambda_tilde = 0.138), and a Newton polish from an offset seed
+    then misses the root.  Over pumps |p_i| <= 3, every non-circle class
+    whose minimal member khat lies inside the disk and the members
+    khat + n p, n = -3..3, a polish of det M counted from the member given
+    missed 56 of 4032 roots, and counted from the minimal member none.
+
+    Kept as the independent oracle for continued-fraction roots: it reads
+    lattice.rho, not params.rho_seq, and its recurrence and seed share no
+    code with contfrac's kernel.  Like the full-chain solvers it refuses
+    every member of a class with a member on the circle |k| = |p|, where
+    rho vanishes and the chain splits.  A result that is not finite, an
+    exactly zero sweep denominator included, raises NumericalError.
     """
     params.check_full_chain()
-    lam_hat = complex(lambda_hat)
-    lam_b = lam_hat / params.rho_inf  # lam/(i b)
-    # Poincare-Perron decay ratio of both half-recurrences, whose
-    # coefficients tend to rho_inf: the small root of r + 1/r = lam_b
-    r, _ = _small_root(lam_b)  # raises on the essential band
+    params = params.minimal()
+    r, _ = _small_root(lambda_hat / params.rho_inf)  # lam/(i b); raises on the essential band
     n_tail = max(64, int(np.ceil(np.log(1e-14) / np.log(max(abs(r), 1e-12)))) + 16)
-
-    def backward(chain_rho, n_stop: int) -> list[complex]:
-        """Run u_{n-1} = (lam_hat u_n - rho(n+1) u_{n+1}) / rho(n-1) from
-        the seed (1, r) at the tail down to n_stop and return u at n_stop,
-        n_stop + 1 and n_stop + 2; renormalize on overflow (only ratios
-        matter until the final normalization)."""
-        u_after, u_next, u_cur = None, complex(r), 1.0 + 0.0j
-        for n in range(n_tail, n_stop, -1):
-            u_prev = (lam_hat * u_cur - chain_rho(n + 1) * u_next) / chain_rho(n - 1)
-            if not np.isfinite(u_prev):
-                raise NumericalError(f"backward recurrence overflowed at n = {n}")
-            u_after, u_next, u_cur = u_next, u_cur, u_prev
-            scale = abs(u_cur)
-            if scale > 1e200:
-                u_after, u_next, u_cur = u_after / scale, u_next / scale, u_cur / scale
-        return [u_cur, u_next, u_after]
-
-    rho_n = functools.partial(rho, params.khat, params.p)
-    # even chain u_n = z_{2n}: coefficients rho(n); need z_2 = u_1, z_4 = u_2
-    u1, u2, _ = backward(rho_n, 1)
-    # odd chain v_n = z_{2n+1}: coefficients rho(-n); need z_1 = v_0, z_3 = v_1
-    v0, v1, _ = backward(lambda n: rho_n(-n), 0)
-
-    z2, z4 = u1, u2
-    z1, z3 = v0, v1
-    # scale each column by one of its own entries: analytic in lambda_hat
-    # where nonzero, so Newton on det M sees an analytic function
-    s_even, s_odd = z2, z1
-    if s_even == 0.0 or s_odd == 0.0:
-        raise NumericalError("degenerate minimal solution in det M test")
-    M = np.array(
-        [
-            [rho_n(1) * z2 / s_even, -lam_hat * z1 / s_odd + rho_n(-1) * z3 / s_odd],
-            [-lam_hat * z2 / s_even + rho_n(2) * z4 / s_even, rho_n(0) * z1 / s_odd],
-        ],
-        dtype=complex,
-    )
-    return complex(M[0, 0] * M[1, 1] - M[0, 1] * M[1, 0])
+    chain = rho(params.khat, params.p, np.arange(-n_tail - 1, n_tail + 2))
+    pos, neg = chain[n_tail + 1 :].tolist(), chain[n_tail + 1 :: -1].tolist()  # rho_n, rho_-n; n = 0..n_tail+1
+    # numpy scalars: a zero denominator gives inf or nan instead of raising
+    t_plus = t_minus = np.complex128(r)
+    with np.errstate(all="ignore"):
+        for n in range(n_tail, 1, -1):
+            t_plus = pos[n - 1] / (lambda_hat - pos[n + 1] * t_plus)
+        for n in range(n_tail, 0, -1):
+            t_minus = neg[n - 1] / (lambda_hat - neg[n + 1] * t_minus)
+        det = pos[0] * pos[1] - (neg[1] * t_minus - lambda_hat) * (pos[2] * t_plus - lambda_hat)
+    if not np.isfinite(det):
+        raise NumericalError(f"det M is not finite at lambda_hat = {lambda_hat}: a sweep denominator vanished or overflowed")
+    return complex(det)

@@ -110,16 +110,9 @@ def _polish_detm_root(params: CFParams, lam_hat: complex) -> complex:
     steps with a central-difference derivative from lam_hat + 5e-4(1+i),
     so that det-M finds the root on its own rather than being handed it.
 
-    det M is counted from the class's minimal member, from which
-    find_eigenvalues searches too.  Counted from a far member it can carry
-    a pole next to a root (p = (3,0) from the member (9,-1): a pole about
-    3e-4 from the root at lambda_tilde = 0.138), and Newton from the
-    offset seed then misses the root.  Over pumps |p_i| <= 3, every
-    non-circle class whose minimal member khat lies inside the disk and
-    the members khat + n p, n = -3..3, the polish counted from the member
-    given missed 56 of 4032 roots, and counted from the minimal member
-    none."""
-    params = params.minimal()
+    detM_eigentest counts det M from the class's minimal member, from which
+    find_eigenvalues searches too, so the polish does not depend on the
+    member params holds."""
     z = lam_hat + 5e-4 * (1 + 1j)
     for _ in range(50):
         h = 1e-7 * (1 + abs(z))

@@ -3,6 +3,7 @@ import io
 import json
 import re
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -344,6 +345,33 @@ def test_eigs_cf_searches_from_a_minimal_member(capsys):
     assert far == run_cli(capsys, *args, "--khat=0,1")[1]
     [quad] = json.loads(far)["quadruples"]
     assert (quad["re"], quad["im"]) == (0.111547350886948, 0.0929885972226853)
+
+
+@pytest.mark.parametrize("tol", ["0.03", "1e-4"])
+def test_eigs_cf_refuses_a_root_tol_past_the_band_tube(capsys, tol):
+    # roots within 10 root_tol of an axis are snapped onto it: at 0.03 the
+    # golden root (0.248, 0.352) landed on the origin, on the band, and
+    # eigs-cf printed no quadruple with exit 0
+    code, out, err = run_cli(capsys, "eigs-cf", "--p", "1,1", "--khat", "1,0", "--root-tol", tol)
+    assert code == 1 and out == ""
+    assert err.startswith("usage error: ") and "0.0001" in err
+    code, out, _ = run_cli(capsys, "eigs-cf", "--p", "1,1", "--khat", "1,0", "--root-tol", "1e-5")
+    assert code == 0 and len(json.loads(out)["quadruples"]) == 1
+
+
+def test_euler_sim_csv_prints_no_rounding_noise(capsys):
+    # with a real gamma every imaginary part is exactly 0; a part below
+    # NOISE_UNITS rounding units of the largest amplitude is printed as 0
+    code, out, _ = run_cli(capsys, "euler-sim", "--p", "1,1", "--khat", "1,0", "--eps", "0.05", "--format", "csv")
+    assert code == 0
+    header, *rows = out.splitlines()
+    assert header == "k1,k2,re,im" and len(rows) == 80
+    cells = [row.split(",") for row in rows]
+    assert all(im == "0" for *_, im in cells)
+    parts = [float(part) for *_, re, im in cells for part in (re, im)]
+    floor = cli.NOISE_UNITS * np.finfo(float).eps * max(abs(float(re)) for *_, re, _ in cells)
+    assert all(part == 0.0 or abs(part) >= floor for part in parts)
+    assert sum(part == 0.0 for part in parts) == 84
 
 
 def _json_of(*argv):

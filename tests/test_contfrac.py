@@ -287,6 +287,19 @@ def test_search_answers_do_not_depend_on_the_member(p, khat, n):
     assert find_eigenvalues(CFParams.for_class(khat.plus(n, p), p, 1.0), **box) == canonical
 
 
+@pytest.mark.parametrize("tol", [0.03, 1e-4])
+def test_searches_refuse_a_tolerance_past_the_band_tube(tol):
+    # 10 tol is the axis-snap and duplicate radius; it must stay inside
+    # BAND_TUBE, or a root can be snapped onto the band and dropped
+    box = dict(search_box=(0.05, 1.0, 0.05, 1.0), grid=4)
+    with pytest.raises(DomainError, match="0.0001"):
+        find_eigenvalues(GOLDEN, tol=tol, **box)
+    for side in (+1, -1):
+        with pytest.raises(DomainError, match="0.0001"):
+            find_eigenvalues_half(CIRCLE, side, tol=tol, **box)
+    assert len(find_eigenvalues(GOLDEN, tol=9e-5, **box)) == 1
+
+
 def test_half_chain_solver_on_circle_class():
     circle = CFParams.for_class(V(-1, 1), V(1, 1), 1.0)
     # matching functions evaluate off the band...
@@ -477,12 +490,13 @@ def _class_inside_disk(draw):
 @given(_class_inside_disk(), st.integers(-3, 3))
 @example((V(3, 1), V(0, 1)), 3)  # two real pairs
 @example((V(1, 1), V(1, 0)), -2)  # the golden quadruple
-@example((V(3, 0), V(0, -1)), 3)  # det M counted from (9,-1) has a pole 3e-4 from the root
+@example((V(3, 0), V(0, -1)), 3)  # the member (9,-1): det M counted from it had a pole 3e-4 from the root
 @settings(max_examples=8, deadline=None)
 def test_cf_roots_agree_with_det_m_and_the_dense_section(pump_and_class, n):
     # three independent methods: each continued-fraction root is a zero of
     # the det-M test and, with every member of its orbit, an eigenvalue of
-    # the N = 400 section, both counted from the member the search is given
+    # the N = 400 section; the search and det-M count from the class's
+    # minimal member, the section from the member params holds
     p, khat = pump_and_class
     params = CFParams.for_class(khat.plus(n, p), p, 1.0)
     quads = find_eigenvalues(params, search_box=(0.01, 2.0, 0.01, 2.0), grid=12)

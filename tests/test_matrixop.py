@@ -1,3 +1,5 @@
+import ast
+import inspect
 import tracemalloc
 
 import numpy as np
@@ -5,9 +7,11 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from euler_spectra import matrixop
 from euler_spectra.contfrac import CFParams, find_eigenvalues
 from euler_spectra.errors import (
     DomainError,
+    NumericalError,
     OnSpectralCurveError,
     SpectralPointSetError,
 )
@@ -347,6 +351,99 @@ def test_detM_root_agrees_with_continued_fraction():
         if abs(step) < 1e-14:
             break
     assert abs(z - target) < 1e-8
+
+
+def _detm_linear_recurrence(params, lam_hat, mp):
+    # det M the long way, at mpmath's working precision: the minimal solution
+    # y_n of each half-chain by the linear backward recurrence of the rows
+    # lam_hat y_n = rho_{n-1} y_{n-1} + rho_{n+1} y_{n+1}, seeded (1, r) at
+    # the tail, then the 2 x 2 coupling matrix of rows 0 and 1 with its
+    # columns divided by y_1 and y_0
+    khat, p = params.khat, params.p
+    lam = mp.mpc(lam_hat)
+
+    def rho_n(n):
+        return 1 / mp.mpf((khat.k1 + n * p.k1) ** 2 + (khat.k2 + n * p.k2) ** 2) - 1 / mp.mpf(p.norm2)
+
+    lam_b = lam * -p.norm2
+    s = mp.sqrt((lam_b - 2) * (lam_b + 2))
+    r = 2 / (lam_b + s) if abs(lam_b + s) >= 2 else 2 / (lam_b - s)
+    n_tail = max(64, int(np.ceil(np.log(1e-14) / np.log(max(float(abs(r)), 1e-12)))) + 16)
+    y = {n_tail + 1: r, n_tail: mp.mpf(1), -n_tail - 1: r, -n_tail: mp.mpf(1)}
+    for n in range(n_tail, 1, -1):
+        y[n - 1] = (lam * y[n] - rho_n(n + 1) * y[n + 1]) / rho_n(n - 1)
+    for n in range(-n_tail, 0):
+        y[n + 1] = (lam * y[n] - rho_n(n - 1) * y[n - 1]) / rho_n(n + 1)
+    M = mp.matrix(
+        [
+            [rho_n(1) * y[1] / y[1], (rho_n(-1) * y[-1] - lam * y[0]) / y[0]],
+            [(rho_n(2) * y[2] - lam * y[1]) / y[1], rho_n(0) * y[0] / y[0]],
+        ]
+    )
+    return complex(mp.det(M))
+
+
+@pytest.mark.parametrize(
+    "p, khat",
+    [((1, 1), (1, 0)), ((2, 1), (0, 1)), ((3, 1), (1, 0)), ((3, -3), (0, 1)), ((1, 0), (0, 2)), ((3, 2), (1, 0))],
+)
+@pytest.mark.parametrize("lam_hat", [0.3 + 0.7j, -1.2 + 0.4j, 2.5 - 1.0j, 0.05 - 0.9j])
+def test_detM_matches_the_linear_recurrence_at_40_digits(p, khat, lam_hat):
+    mp = pytest.importorskip("mpmath")
+    params = CFParams.for_class(V(*khat), V(*p), 1.0)
+    assert params.minimal() is params
+    with mp.workdps(40):
+        exact = _detm_linear_recurrence(params, lam_hat, mp)
+    assert abs(detM_eigentest(params, lam_hat) - exact) <= 1e-12 * abs(exact)
+
+
+@pytest.mark.parametrize(
+    "p, khat",
+    [((3, 0), (0, -1)), ((1, 1), (1, 0)), ((2, 1), (0, 1)), ((3, 2), (0, 1))],
+)
+@pytest.mark.parametrize("n", [3, -3])
+def test_detM_is_counted_from_the_minimal_member(p, khat, n):
+    # det M from a far member is det M from the minimal member, bit for bit:
+    # counted from (9,-1), p = (3,0), it would carry a pole 3e-4 from the
+    # root at lambda_tilde = 0.138
+    minimal = CFParams.for_class(V(*khat), V(*p), 1.0)
+    far = CFParams.for_class(V(*khat).plus(n, V(*p)), V(*p), 1.0)
+    for lam_hat in (-0.138j, 0.3 + 0.7j, -1.2 + 0.4j):
+        assert detM_eigentest(far, lam_hat) == detM_eigentest(minimal, lam_hat)
+
+
+def test_detM_refuses_a_zero_sweep_denominator(monkeypatch):
+    # lambda_b = 2.5 has the exact decay ratio r = 1/2; with every rho set
+    # to lambda_hat / r, the first denominator lambda_hat - rho r is 0
+    lam_hat = 2.5 * GOLDEN.rho_inf
+    assert _small_root(2.5)[0] == 0.5
+    with monkeypatch.context() as patch:
+        patch.setattr(matrixop, "rho", lambda khat, p, n: np.full(len(n), lam_hat / 0.5))
+        with pytest.raises(NumericalError):
+            detM_eigentest(GOLDEN, lam_hat)
+    # a seed r = 2 makes the upper sweep's first denominator
+    # lambda_hat - rho_{n_tail+1} r exactly 0 at lambda_hat = 2 rho_65
+    # (n_tail = 64 for |r| >= 1)
+    monkeypatch.setattr(matrixop, "_small_root", lambda lam_b: (2.0 + 0j, 0j))
+    with pytest.raises(NumericalError):
+        detM_eigentest(GOLDEN, complex(2.0 * rho(GOLDEN.khat, GOLDEN.p, 65)))
+
+
+def test_detM_shares_no_code_with_the_continued_fraction_kernel():
+    # det M is the independent oracle of the continued-fraction roots
+    tree = ast.parse(inspect.getsource(matrixop))
+    from_contfrac = {
+        alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.module == "contfrac"
+        for alias in node.names
+    }
+    assert from_contfrac == {"CFParams", "band_distance"}
+    names = {
+        getattr(node, "id", None) or getattr(node, "attr", None)
+        for node in ast.walk(ast.parse(inspect.getsource(detM_eigentest)))
+    }
+    assert not names & {"_sweep", "_w_plus", "rho_seq", "contfrac"}
 
 
 def test_isolated_band_classification():
