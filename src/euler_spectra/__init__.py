@@ -9,55 +9,7 @@ Modules:
   reporting    -- canonical JSON and CSV serializers
   verification -- the nine numbered acceptance checks
   cli          -- command-line driver emitting figure-ready data
+
+Each public name is imported from its module; the package namespace
+exports nothing.
 """
-
-from .contfrac import CFParams, EigenQuadruple, f_eigen, find_eigenvalues
-from .euler_core import ModeSet, VorticityField, euler_rhs, fixed_point, integrate_euler
-from .lattice import (
-    ClassLabel,
-    RhoSequence,
-    WaveVector,
-    canonical_label,
-    classes_meeting_disk,
-    rho,
-    triad_coeff,
-)
-from .matrixop import build, detM_eigentest, essential_band, resolvent_apply, truncated_spectrum
-from .subsystem import (
-    ComplexSeq,
-    StabilityKind,
-    StabilityVerdict,
-    SubsystemSpec,
-    classify_stability,
-    integrate,
-)
-
-__all__ = [
-    "CFParams",
-    "WaveVector",
-    "ClassLabel",
-    "ComplexSeq",
-    "EigenQuadruple",
-    "ModeSet",
-    "RhoSequence",
-    "StabilityKind",
-    "StabilityVerdict",
-    "SubsystemSpec",
-    "VorticityField",
-    "build",
-    "canonical_label",
-    "classes_meeting_disk",
-    "classify_stability",
-    "detM_eigentest",
-    "essential_band",
-    "euler_rhs",
-    "f_eigen",
-    "find_eigenvalues",
-    "fixed_point",
-    "integrate",
-    "integrate_euler",
-    "resolvent_apply",
-    "rho",
-    "triad_coeff",
-    "truncated_spectrum",
-]

@@ -281,14 +281,11 @@ def f_eigen(params: CFParams, lambda_tilde: complex, tol: float = 1e-13) -> comp
 # Newton search
 
 
-def _quadruple_members(lt: complex, tol: float) -> tuple[complex, ...]:
-    orbit = [lt, -lt, np.conj(lt), -np.conj(lt)]
-    kept: list[complex] = []
-    for z in orbit:
-        if all(abs(z - u) > tol for u in kept):
-            kept.append(complex(z))
-    kept.sort(key=lambda z: (-z.real, -z.imag))
-    return tuple(kept)
+def _quadruple_members(lt: complex) -> tuple[complex, ...]:
+    # lt is a folded representative, each part exactly 0 or above the snap
+    # width, so members that coincide are exactly equal (0.0 == -0.0)
+    orbit = dict.fromkeys([lt, -lt, lt.conjugate(), -lt.conjugate()])
+    return tuple(sorted(orbit, key=lambda z: (-z.real, -z.imag)))
 
 
 def _match_at(params: CFParams, lt, side: int, depths):
@@ -384,7 +381,7 @@ def _search(
             continue
         residual = abs(_match(params, np.array([rep]), side, int(depth))[0][0])
         if residual < tol:
-            quads.append(EigenQuadruple(lambda_tilde=rep, members=_quadruple_members(rep, eps), residual=float(residual)))
+            quads.append(EigenQuadruple(lambda_tilde=rep, members=_quadruple_members(rep), residual=float(residual)))
     quads.sort(key=lambda q: (abs(q.lambda_tilde), q.lambda_tilde.real, q.lambda_tilde.imag))
     return quads
 

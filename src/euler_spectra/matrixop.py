@@ -57,6 +57,7 @@ __all__ = [
 ]
 
 DENSE_CAP = 2048  # guards the dense solves of order <= N/2; O(N^3) beyond this is a mistake
+TAIL_CAP = 1 << 20  # rows of resolvent_apply, sweep length of det M; both grow like 1/(1 - |w|)
 CURVE_TOL = 1e-12
 ISOLATION_THRESHOLD = float(np.sqrt(np.finfo(float).eps))  # band distance / |b|; see classify_band_distance
 
@@ -296,7 +297,9 @@ def resolvent_apply(lambda_b: complex, y: np.ndarray) -> np.ndarray:
     Returns z over 1..n_out, n_out sized so that the geometric tail has
     decayed below rounding: G decays by |w| per chain index, which is
     sqrt|w| per matrix index, since relabel interleaves the two
-    half-chains.
+    half-chains.  n_out grows like 1/(1 - |w|) as lambda_b nears the
+    curve; a point that needs more than TAIL_CAP = 2^20 rows raises
+    NumericalError before the kernel is built.
     """
     y = np.asarray(y, dtype=complex)
     if y.ndim != 1:
@@ -305,6 +308,8 @@ def resolvent_apply(lambda_b: complex, y: np.ndarray) -> np.ndarray:
     w, _ = _small_root(lam)  # raises on the curve
     decay = max(math.sqrt(abs(w)), 1e-6)
     n_out = len(y) + max(8, int(np.ceil(np.log(1e-16) / np.log(decay))))
+    if n_out > TAIL_CAP:
+        raise NumericalError(f"lambda_b = {lam} is too near the curve: the resolvent needs {n_out} rows, over {TAIL_CAP}")
     G = green_kernel(lam, n_out, len(y))
     return G @ y
 
@@ -369,13 +374,18 @@ def detM_eigentest(params: CFParams, lambda_hat: complex) -> complex:
     lattice.rho, not params.rho_seq, and its recurrence and seed share no
     code with contfrac's kernel.  Like the full-chain solvers it refuses
     every member of a class with a member on the circle |k| = |p|, where
-    rho vanishes and the chain splits.  A result that is not finite, an
-    exactly zero sweep denominator included, raises NumericalError.
+    rho vanishes and the chain splits.  Each sweep runs over n_tail
+    indices, which grows like 1/(1 - |r|) next to the band; a point that
+    needs more than TAIL_CAP = 2^20 raises NumericalError before the
+    sweeps are allocated, and so does a result that is not finite, an
+    exactly zero sweep denominator included.
     """
     params.check_full_chain()
     params = params.minimal()
     r, _ = _small_root(lambda_hat / params.rho_inf)  # lam/(i b); raises on the essential band
     n_tail = max(64, int(np.ceil(np.log(1e-14) / np.log(max(abs(r), 1e-12)))) + 16)
+    if n_tail > TAIL_CAP:
+        raise NumericalError(f"lambda_hat = {lambda_hat} is too near the band: det M needs {n_tail} tail rows, over {TAIL_CAP}")
     chain = rho(params.khat, params.p, np.arange(-n_tail - 1, n_tail + 2))
     pos, neg = chain[n_tail + 1 :].tolist(), chain[n_tail + 1 :: -1].tolist()  # rho_n, rho_-n; n = 0..n_tail+1
     # numpy scalars: a zero denominator gives inf or nan instead of raising

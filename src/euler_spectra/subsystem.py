@@ -120,9 +120,9 @@ class ComplexSeq:
         return cls(spec.n_min, np.zeros(spec.width, dtype=complex))
 
     @classmethod
-    def unit(cls, spec: SubsystemSpec, n: int, amplitude: complex = 1.0) -> "ComplexSeq":
+    def unit(cls, spec: SubsystemSpec, n: int) -> "ComplexSeq":
         seq = cls.zero(spec)
-        seq[n] = amplitude
+        seq[n] = 1.0
         return seq
 
     def __getitem__(self, n: int) -> complex:

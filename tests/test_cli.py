@@ -601,3 +601,23 @@ def test_checked_options_name_their_flag_or_config_line(tmp_path, capsys, flag, 
     code, out, err = run_cli(capsys, *argv, "--config", str(cfg))
     assert code == 1 and out == ""
     assert err.startswith("usage error: ") and f"{cfg}:2" in err and key in err
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("band", "--p", "1,1", "--khat", "1,0", "--box", "1,2,3"), "bad value for --box: expected 're0,re1,im0,im1'"),
+        (("band", "--p", "1,1", "--khat", "1,0", "--config", "{dir}/no_equals.cfg"), "no_equals.cfg:2: expected key=value"),
+        (("band", "--p", "1,1", "--khat", "1,0", "--config", "{dir}/missing.cfg"), "cannot read config file"),
+        (("eigs-cf", "--p", "1,1", "--khat", "0,0"), "khat and p must be nonzero"),
+        (("simulate", "--p", "1,1", "--khat", "0,0"), "khat and p must be nonzero"),
+        (("classes", "--p", "0,0"), "p must be nonzero"),
+        (("simulate", "--p", "1,1", "--khat", "1,0", "--n-window", "-1"), r"window \[1, -1\] must contain 0"),
+        (("euler-sim", "--p", "1,1", "--k-cutoff", "0.5"), "cutoff below 1 leaves no modes"),
+    ],
+)
+def test_refused_inputs_exit_1(tmp_path, capsys, argv, message):
+    (tmp_path / "no_equals.cfg").write_text("# the second line has no '='\np 1,1\n")
+    code, out, err = run_cli(capsys, *(arg.format(dir=tmp_path) for arg in argv))
+    assert code == 1 and out == ""
+    assert err.startswith("usage error: ") and re.search(message, err)

@@ -18,7 +18,7 @@ from euler_spectra.contfrac import (
     find_eigenvalues_half,
     mode_amplitudes,
 )
-from euler_spectra.errors import DomainError, EssentialBandError, OnCircleError
+from euler_spectra.errors import DomainError, EssentialBandError, NumericalError, OnCircleError
 from euler_spectra.lattice import WaveVector, canonical_label, circle_member, det, kappa, rho
 from euler_spectra.matrixop import (
     TruncatedOperator,
@@ -569,3 +569,18 @@ def test_kappa_zero_chains_are_answered_without_a_sweep(monkeypatch, capsys):
         assert cli.main(["eigs-cf", "--p=1,1", "--khat=-1,2", *bad]) == 1
         out, err = capsys.readouterr()
         assert out == "" and err.startswith("usage error: ")
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        (lambda: find_eigenvalues_half(CFParams.for_class(V(2, -1), V(2, 1), 1.0), side=0), DomainError, "side"),
+        (lambda: eigenvector_window(GOLDEN, POLISHED_ROOT, 2, 6), DomainError, "indices 0 and 1"),
+        # cut at 128 levels (_MAX_DEPTH = 64), a tail this near the band has not settled
+        (lambda: f_eigen(GOLDEN, 0.01 + 0.3j), NumericalError, "did not converge"),
+    ],
+)
+def test_contfrac_refusals(monkeypatch, call, error, message):
+    monkeypatch.setattr(contfrac, "_MAX_DEPTH", 64)
+    with pytest.raises(error, match=message):
+        call()

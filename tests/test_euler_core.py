@@ -304,3 +304,16 @@ def test_integrate_euler_rejects_bad_steps():
 def test_fixed_point_requires_pump_in_set():
     with pytest.raises(UsageError):
         fixed_point(V(9, 9), 1.0, K5)
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        (lambda: ModeSet(1.0, (V(1, 0),)), DomainError, "negation-closed"),
+        (lambda: VorticityField(ModeSet.disk(1.0), np.zeros(3)), UsageError, "representative count"),
+        (lambda: VorticityField.from_dict(ModeSet.disk(1.0), {V(1, 1): 1.0}), DomainError, "outside the mode set"),
+    ],
+)
+def test_euler_core_refusals(call, error, message):
+    with pytest.raises(error, match=message):
+        call()

@@ -212,3 +212,9 @@ def test_kappa_sums_to_the_points_inside_the_disk():
         inside = [k for k in lattice_points_in_disk(p.norm2) if k.norm2 < p.norm2 and det(p, k) != 0]
         labels = [lab for lab in classes_meeting_disk(p, p.norm2) if not lab.parallel]
         assert sum(kappa(lab.khat, p) for lab in labels) == len(inside), p
+
+
+@pytest.mark.parametrize("k, p", [(V(0, 0), V(1, 1)), (V(1, 0), V(0, 0))])
+def test_canonical_label_refuses_a_zero_vector(k, p):
+    with pytest.raises(DomainError, match="nonzero k and p"):
+        canonical_label(k, p)

@@ -663,3 +663,37 @@ def test_build_allocates_order_N():
     finally:
         tracemalloc.stop()
     assert peak < 1 << 20
+
+
+def _no_allocation(*args, **kwargs):
+    raise AssertionError("called past the tail cap")
+
+
+def test_resolvent_refuses_a_point_past_the_tail_cap(monkeypatch):
+    # at lambda_b = 2 + 1e-10, 1 - |w| = 1e-5, so the tail needs about
+    # 7.4e6 rows: refused before the kernel is built
+    monkeypatch.setattr(matrixop, "green_kernel", _no_allocation)
+    with pytest.raises(NumericalError, match=r"lambda_b = \(2\.0000000001\+0j\).* needs \d{7} rows"):
+        resolvent_apply(2 + 1e-10, np.ones(3))
+
+
+def test_detM_refuses_a_point_past_the_tail_cap(monkeypatch):
+    # lambda_hat = -1 - 5e-11 is lambda_b = 2 + 1e-10 on the golden class:
+    # n_tail is about 3.2e6, refused before the rho array is allocated
+    monkeypatch.setattr(matrixop, "rho", _no_allocation)
+    with pytest.raises(NumericalError, match=r"lambda_hat = -1\.00000000005.* needs \d{7} tail rows"):
+        detM_eigentest(GOLDEN, -1 - 5e-11)
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        (lambda: truncated_spectrum(TruncatedOperator(2049, np.ones(2049), 1.0)), DomainError, "capped at N = 2048"),
+        # |w| = 1 - 7.5e-13 clears the curve test but not the unit-circle one
+        (lambda: _small_root(1.5e-12j), OnSpectralCurveError, "no root inside the unit circle"),
+        (lambda: resolvent_apply(3.0, np.ones((2, 2))), DomainError, "one-dimensional"),
+    ],
+)
+def test_matrixop_refusals(call, error, message):
+    with pytest.raises(error, match=message):
+        call()

@@ -1,9 +1,11 @@
-"""Every public name of the package has a caller or a stated reason to stay.
+"""Every public name of the package has one import path, its module, and
+a caller or a stated reason to stay.
 
-A name in a module's ``__all__`` counts as used when another package module
-(not ``__init__``, which only re-exports), a script or a perfbench file
-refers to it: as a name, an attribute, an import, or a string that is
-exactly the name (perfbench looks layers up by name).
+The package's ``__init__`` holds only its docstring, so it exports nothing.
+A name in a module's ``__all__`` counts as used when another package
+module, a script or a perfbench file refers to it: as a name, an
+attribute, an import, or a string that is exactly the name (perfbench
+looks layers up by name).
 """
 
 import ast
@@ -33,8 +35,6 @@ KEEP = {
 
 def _public_names():
     for path in sorted(PACKAGE.glob("*.py")):
-        if path.name == "__init__.py":
-            continue
         for node in ast.parse(path.read_text()).body:
             targets = [getattr(t, "id", None) for t in getattr(node, "targets", [])]
             if "__all__" in targets:
@@ -56,10 +56,15 @@ def _references(path: Path) -> set[str]:
 
 
 def _user_files():
-    files = [path for path in PACKAGE.glob("*.py") if path.name != "__init__.py"]
+    files = list(PACKAGE.glob("*.py"))
     for folder in ("scripts", "perfbench"):
         files += (ROOT / folder).rglob("*.py")
     return files
+
+
+def test_package_init_is_only_its_docstring():
+    tree = ast.parse((PACKAGE / "__init__.py").read_text())
+    assert len(tree.body) == 1 and ast.get_docstring(tree)
 
 
 def test_every_public_name_has_a_caller_or_a_reason():

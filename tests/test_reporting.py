@@ -127,3 +127,9 @@ def test_field_csv_header(capsys):
     assert lines[0] == "k1,k2,re,im"
     assert [tuple(map(int, line.split(",")[:2])) for line in lines[1:]] == [k.as_tuple() for k in ModeSet.disk(2).modes]
     assert {line for line in lines[1:] if not line.endswith(",0,0")} == {"-1,-1,1,0", "1,1,1,0"}
+
+
+@pytest.mark.parametrize("obj", [object(), {1, 2}, [1, b"bytes"]])
+def test_canonical_json_refuses_an_unknown_type(obj):
+    with pytest.raises(UsageError, match="no canonical JSON form"):
+        to_canonical_json(obj)

@@ -523,3 +523,9 @@ def test_start_invariant_within_rounding_of_zero_reports_no_drift():
     traj = integrate(spec, state, dt=1e-2, steps=1000)
     assert traj.h_drift < 1e-12
     assert traj.i_drift < 1e-12
+
+
+@pytest.mark.parametrize("spec", [GOLDEN, STABLE])
+def test_half_invariants_refuse_a_class_off_the_circle(spec):
+    with pytest.raises(UsageError, match=r"only when \|khat\| = \|p\|"):
+        half_invariants(spec, ComplexSeq.unit(spec, 0))
