@@ -29,11 +29,12 @@ from .verification import run_checks
 __all__ = ["main"]
 
 # euler-sim --format csv prints a final amplitude part below NOISE_UNITS
-# rounding units of max|w| as 0.  With a real gamma every imaginary
-# part is exactly 0, so those parts measure the rounding noise: over 96 runs
-# (four pumps, eps 0.05, -0.3 and 1e-3, cutoffs 5 and 8, 1000 and 3000 steps
-# of dt 1e-3, gamma 1 and 2.5) the largest was 2.05 units, and at most 17.7
-# at 10000 steps.
+# rounding units of max|w| as 0.  With a real gamma (eps is real) every
+# imaginary part is exactly 0, so those parts measure the rounding noise:
+# over 96 runs (four pumps, eps 0.05, -0.3 and 1e-3, cutoffs 5 and 8, 1000
+# and 3000 steps of dt 1e-3, gamma 1 and 2.5) the largest was 2.05 units,
+# and at most 17.7 at 10000 steps.  An unstable run amplifies the noise past
+# any fixed floor, so with a real gamma every imaginary part is printed as 0.
 NOISE_UNITS = 64
 
 
@@ -314,6 +315,8 @@ def cmd_euler_sim(config: argparse.Namespace) -> int:
     w = traj.field(len(traj.times) - 1).full_vector()
     floor = NOISE_UNITS * np.finfo(float).eps * np.abs(w).max(initial=0.0)
     re, im = (np.where(np.abs(part) < floor, 0.0, part) for part in (w.real, w.imag))
+    if config.gamma.imag == 0:
+        im = np.zeros_like(im)
     rows = ((k.k1, k.k2, r, i) for k, r, i in zip(modeset.modes, re, im))
     return _emit(config, doc, ("k1", "k2", "re", "im"), rows)
 

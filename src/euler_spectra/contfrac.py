@@ -47,6 +47,9 @@ __all__ = [
 ]
 
 BAND_TUBE = 1e-3  # exclusion radius around the essential band segment
+# smallest root tolerance: |f| at a computed root carries rounding error,
+# up to 5e-16 over the 2668 roots of a scan of ten pumps
+ROOT_TOL_FLOOR = 1e-14
 _MAX_DEPTH = 1 << 17
 # relative accuracy of f that a Newton step of the root search asks for
 _DEPTH_REL_TOL = 1e-2
@@ -288,16 +291,6 @@ def _quadruple_members(lt: complex) -> tuple[complex, ...]:
     return tuple(sorted(orbit, key=lambda z: (-z.real, -z.imag)))
 
 
-def _match_at(params: CFParams, lt, side: int, depths):
-    """_match at each point's own truncation depth, one call per depth."""
-    f = np.empty(len(lt), dtype=complex)
-    # a set, not np.unique, which imports numpy.ma on first use (~1 MB)
-    for depth in set(depths.tolist()):
-        at = depths == depth
-        f[at] = _match(params, lt[at], side, depth)[0]
-    return f
-
-
 def _search(
     params: CFParams, side: int, search_box: tuple[float, float, float, float], grid: int, tol: float
 ) -> list[EigenQuadruple]:
@@ -309,18 +302,23 @@ def _search(
     next to a root tightens to the absolute dtol.  A step far from a root
     needs only a few correct digits of f (inexact Newton: Dembo, Eisenstat
     & Steihaug, SIAM J. Numer. Anal. 19 (1982) 400), and only iterates near
-    the essential band need deep tails.  The root filter and each
-    residual are taken at twice the depth the point last settled at.
+    the essential band need deep tails.
 
-    Each root is reported by its representative: a part within 10 tol of
-    an axis is set to zero, so that a root on an axis is reported there
-    and not as rounding noise off it, and the orbit {+-z, +-conj z} is
-    folded into the closed first quadrant as (|re|, |im|).  A root whose
-    representative lies within 10 tol of an earlier one is a duplicate.
-    Both radii must stay inside the band tube, so tol must be below
-    BAND_TUBE / 10 = 1e-4 (DomainError otherwise): a larger radius can
-    snap a root onto the band, where it is dropped (the golden root
-    (0.248, 0.352) at tol = 0.03).
+    Every finite iterate is a candidate root, taken in order of
+    (|z|, re, im) and reported by its representative: a part within
+    10 tol of an axis is set to zero, so that a root on an axis is
+    reported there and not as rounding noise off it, and the orbit
+    {+-z, +-conj z} is folded into the closed first quadrant as
+    (|re|, |im|).  A candidate whose representative lies within 10 tol of
+    an earlier root is a duplicate.  Any other candidate is kept exactly
+    when its residual, |f| at the representative at twice the depth the
+    point last settled at, is below tol.  Both radii must stay inside the
+    band tube, so tol must be below BAND_TUBE / 10 = 1e-4: a larger
+    radius can snap a root onto the band, where it is dropped (the golden
+    root (0.248, 0.352) at tol = 0.03).  Below ROOT_TOL_FLOOR = 1e-14 no
+    residual can be trusted to meet tol, since |f| at a root carries
+    rounding error of a few 1e-16 (at 3e-17 the golden root is missed).
+    A tol outside [ROOT_TOL_FLOOR, BAND_TUBE / 10) raises DomainError.
 
     A chain with no member inside the disk (kappa 0) has no root at all
     (see find_eigenvalues); once the arguments pass their checks, it gets
@@ -328,10 +326,11 @@ def _search(
     """
     if grid < 1:
         raise DomainError(f"grid must be a positive integer, got {grid}")
-    if not 10.0 * tol < BAND_TUBE:
+    if not (ROOT_TOL_FLOOR <= tol and 10.0 * tol < BAND_TUBE):
         raise DomainError(
-            f"root tolerance {tol!r} must be below BAND_TUBE / 10 = {BAND_TUBE / 10:g}: roots within 10 times "
-            "the tolerance of an axis or of each other are merged; give a smaller tolerance"
+            f"root tolerance {tol!r} must be at least ROOT_TOL_FLOOR = {ROOT_TOL_FLOOR:g}, above the rounding "
+            f"error of f, and below BAND_TUBE / 10 = {BAND_TUBE / 10:g}, since roots within 10 times the "
+            "tolerance of an axis or of each other are merged; give a tolerance in that range"
         )
     re_min, re_max, im_min, im_max = search_box
     if re_max <= re_min or im_max <= im_min:
@@ -369,9 +368,7 @@ def _search(
         active[active] = ~(bad | conv)
 
     finite = np.isfinite(lt)
-    lt, depths = lt[finite], 2 * depths[finite]
-    keep = np.abs(_match_at(params, lt, side, depths)) < tol
-    roots = sorted(zip(lt[keep], depths[keep]), key=lambda r: (abs(r[0]), r[0].real, r[0].imag))
+    roots = sorted(zip(lt[finite], 2 * depths[finite]), key=lambda r: (abs(r[0]), r[0].real, r[0].imag))
 
     eps = 10.0 * tol
     quads: list[EigenQuadruple] = []

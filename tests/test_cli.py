@@ -347,11 +347,12 @@ def test_eigs_cf_searches_from_a_minimal_member(capsys):
     assert (quad["re"], quad["im"]) == (0.111547350886948, 0.0929885972226853)
 
 
-@pytest.mark.parametrize("tol", ["0.03", "1e-4"])
+@pytest.mark.parametrize("tol", ["0.03", "1e-4", "1e-17"])
 def test_eigs_cf_refuses_a_root_tol_past_the_band_tube(capsys, tol):
     # roots within 10 root_tol of an axis are snapped onto it: at 0.03 the
     # golden root (0.248, 0.352) landed on the origin, on the band, and
-    # eigs-cf printed no quadruple with exit 0
+    # eigs-cf printed no quadruple with exit 0; at 1e-17, below the rounding
+    # error of f, it printed none either
     code, out, err = run_cli(capsys, "eigs-cf", "--p", "1,1", "--khat", "1,0", "--root-tol", tol)
     assert code == 1 and out == ""
     assert err.startswith("usage error: ") and "0.0001" in err
@@ -372,6 +373,18 @@ def test_euler_sim_csv_prints_no_rounding_noise(capsys):
     floor = cli.NOISE_UNITS * np.finfo(float).eps * max(abs(float(re)) for *_, re, _ in cells)
     assert all(part == 0.0 or abs(part) >= floor for part in parts)
     assert sum(part == 0.0 for part in parts) == 84
+
+
+def test_euler_sim_csv_prints_a_real_gamma_run_as_real(capsys):
+    # an unstable run amplifies the rounding noise in the imaginary parts
+    # to about 2.6e4 rounding units of max|w|, past the NOISE_UNITS floor;
+    # with a real gamma and a real eps the exact run is real
+    args = ["--p", "1,2", "--khat=-1,1", "--eps", "-0.3", "--gamma", "2.5", "--k-cutoff", "5", "--dt", "0.01"]
+    code, out, _ = run_cli(capsys, "euler-sim", *args, "--steps", "3000", "--format", "csv")
+    assert code == 0
+    header, *rows = out.splitlines()
+    assert header == "k1,k2,re,im" and len(rows) == 80
+    assert all(row.split(",")[3] == "0" for row in rows)
 
 
 def _json_of(*argv):

@@ -287,10 +287,12 @@ def test_search_answers_do_not_depend_on_the_member(p, khat, n):
     assert find_eigenvalues(CFParams.for_class(khat.plus(n, p), p, 1.0), **box) == canonical
 
 
-@pytest.mark.parametrize("tol", [0.03, 1e-4])
+@pytest.mark.parametrize("tol", [0.03, 1e-4, 1e-17])
 def test_searches_refuse_a_tolerance_past_the_band_tube(tol):
     # 10 tol is the axis-snap and duplicate radius; it must stay inside
-    # BAND_TUBE, or a root can be snapped onto the band and dropped
+    # BAND_TUBE, or a root can be snapped onto the band and dropped.  Below
+    # ROOT_TOL_FLOOR the rounding error of f can miss a root: at 3e-17 the
+    # golden search returned []
     box = dict(search_box=(0.05, 1.0, 0.05, 1.0), grid=4)
     with pytest.raises(DomainError, match="0.0001"):
         find_eigenvalues(GOLDEN, tol=tol, **box)
@@ -370,16 +372,20 @@ SINGLE_DEPTH_SWEEP_INDICES = 819102
 
 
 def test_per_point_depth_sweeps_a_twentieth_of_the_single_depth_search(monkeypatch):
-    visited = []
+    visited, work = [], []
     sweep = contfrac._sweep
 
     def counting(params, lt, ns, start=None):
         visited.append(len(ns))
+        work.append(len(ns) * np.size(lt))
         return sweep(params, lt, ns, start)
 
     monkeypatch.setattr(contfrac, "_sweep", counting)
     assert len(find_eigenvalues(GOLDEN)) == 1
     assert sum(visited) <= SINGLE_DEPTH_SWEEP_INDICES / 20
+    # points x indices: 1,673,579 when every finite iterate was evaluated
+    # once more before the report took each root's residual
+    assert sum(work) <= 1.55e6
 
 
 def _meets_disk_or_circle(khat, p):
