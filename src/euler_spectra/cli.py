@@ -21,7 +21,7 @@ from . import reporting
 from .contfrac import CFParams, find_eigenvalues, find_eigenvalues_half
 from .errors import DomainError, NumericalError, UsageError
 from .euler_core import ModeSet, VorticityField, fixed_point, integrate_euler
-from .lattice import WaveVector, canonical_label, classes_meeting_disk, kappa
+from .lattice import WaveVector, canonical_label, classes_meeting_disk, det, kappa
 from .matrixop import DENSE_CAP, build, classify_band_distance, essential_band, truncated_spectrum
 from .subsystem import ComplexSeq, SubsystemSpec, classify_stability, integrate
 from .verification import run_checks
@@ -90,21 +90,22 @@ def _format(text: str) -> str:
 
 # option -> (config-file key, parser, default).  The option's flag is
 # --option in lower case with '_' -> '-'; a flag overrides its config key,
-# which overrides the default.
+# which overrides the default.  The search settings root_tol, grid and box
+# default to None: eigs-cf then leaves them to contfrac's search defaults.
 _OPTIONS = {
     "p": ("p", _vector, None),
     "khat": ("khat", _vector, None),
     "gamma": ("gamma", _complex, 1.0 + 0.0j),
-    "root_tol": ("tolerances.root_tol", _positive, 1e-12),
+    "root_tol": ("tolerances.root_tol", _positive, None),
     "N_matrix": ("sizes.N_matrix", _section_size, 400),
     "n_window": ("sizes.n_window", int, 40),
     "K_cutoff": ("sizes.K_cutoff", _real, 5.0),
-    "grid": ("sizes.grid", int, 20),
+    "grid": ("sizes.grid", int, None),
     "scan_radius": ("sizes.scan_radius", _real, 3.0),
     "dt": ("integration.dt", _real, 1e-3),
     "steps": ("integration.steps", int, 1000),
     "eps": ("integration.eps", _real, 0.0),
-    "box": ("search.box", _box, (1e-3, 4.0, 1e-3, 4.0)),
+    "box": ("search.box", _box, None),
     "output": ("output.path", str, None),
     "format": ("output.format", _format, "json"),
 }
@@ -216,7 +217,8 @@ def cmd_classes(config: argparse.Namespace) -> int:
 
 def cmd_eigs_cf(config: argparse.Namespace) -> int:
     params, head = _params(config)
-    search = dict(search_box=config.box, grid=config.grid, tol=config.root_tol)
+    given = dict(search_box=config.box, grid=config.grid, tol=config.root_tol)
+    search = {name: value for name, value in given.items() if value is not None}
     header = ("re", "im", "residual")
     if params.circle is None:
         found = [(q, {}) for q in find_eigenvalues(params, **search)]
@@ -317,6 +319,11 @@ def cmd_euler_sim(config: argparse.Namespace) -> int:
     re, im = (np.where(np.abs(part) < floor, 0.0, part) for part in (w.real, w.imag))
     if config.gamma.imag == 0:
         im = np.zeros_like(im)
+    if config.eps != 0.0 and (d := det(config.p, config.khat)) != 0:
+        # triads keep the run on the lattice of k = a p + b khat, integer a and b,
+        # which holds exactly when d divides det(k, khat) = a d and det(p, k) = b d
+        off = [det(k, config.khat) % d != 0 or det(config.p, k) % d != 0 for k in modeset.modes]
+        re, im = (np.where(off, 0.0, part) for part in (re, im))
     rows = ((k.k1, k.k2, r, i) for k, r, i in zip(modeset.modes, re, im))
     return _emit(config, doc, ("k1", "k2", "re", "im"), rows)
 

@@ -415,7 +415,7 @@ def find_eigenvalues_half(
     params: CFParams,
     side: int,
     search_box: tuple[float, float, float, float] = (BAND_TUBE, 4.0, BAND_TUBE, 4.0),
-    grid: int = 12,
+    grid: int = 20,
     tol: float = 1e-12,
 ) -> list[EigenQuadruple]:
     """Root search for one half-chain matching function of a class with a

@@ -240,17 +240,6 @@ def essential_band(params: CFParams) -> BandSpec:
     return BandSpec(endpoints=(lo, hi), width=4.0 * abs(b))
 
 
-def _on_curve(lambda_b: complex) -> bool:
-    return abs(lambda_b.imag) < CURVE_TOL and -2.0 <= lambda_b.real <= 2.0
-
-
-def _reject_curve_points(lambda_b: complex) -> None:
-    if _on_curve(lambda_b):
-        if abs(abs(lambda_b.real) - 2.0) < CURVE_TOL:
-            raise SpectralPointSetError(f"lambda_b = {lambda_b} is a boundary point of the curve")
-        raise OnSpectralCurveError(f"lambda_b = {lambda_b} lies on the spectral curve")
-
-
 def _small_root(lambda_b: complex) -> tuple[complex, complex]:
     """The root w of w^2 - lambda_b w + 1 = 0 inside the unit circle, the
     decay ratio of B's resolvent per chain index, and w - 1/w.
@@ -261,8 +250,15 @@ def _small_root(lambda_b: complex) -> tuple[complex, complex]:
     discriminant as a product rather than lambda_b^2 - 4, which loses its
     digits next to the band ends, and w as a quotient rather than a
     difference, which loses them for large lambda_b.
+
+    A lambda_b within CURVE_TOL of the curve [-2, 2] raises
+    SpectralPointSetError at its end points and OnSpectralCurveError
+    elsewhere on it.
     """
-    _reject_curve_points(lambda_b)
+    if abs(lambda_b.imag) < CURVE_TOL and abs(lambda_b.real) <= 2.0:
+        if abs(abs(lambda_b.real) - 2.0) < CURVE_TOL:
+            raise SpectralPointSetError(f"lambda_b = {lambda_b} is a boundary point of the curve")
+        raise OnSpectralCurveError(f"lambda_b = {lambda_b} lies on the spectral curve")
     s = np.sqrt((lambda_b - 2.0) * (lambda_b + 2.0))
     if abs(lambda_b + s) < abs(lambda_b - s):
         s = -s
@@ -292,26 +288,39 @@ def green_kernel(lambda_b: complex, n_max: int, j_max: int) -> np.ndarray:
 
 def resolvent_apply(lambda_b: complex, y: np.ndarray) -> np.ndarray:
     """Solve (B_pattern - lambda_b I) z = y for finitely supported y
-    (y[0] is the j = 1 slot), via the explicit Green's function.
+    (y[0] is the j = 1 slot), as green_kernel(lambda_b, n_out, len(y)) @ y
+    without that matrix.
 
     Returns z over 1..n_out, n_out sized so that the geometric tail has
     decayed below rounding: G decays by |w| per chain index, which is
     sqrt|w| per matrix index, since relabel interleaves the two
     half-chains.  n_out grows like 1/(1 - |w|) as lambda_b nears the
     curve; a point that needs more than TAIL_CAP = 2^20 rows raises
-    NumericalError before the kernel is built.
+    NumericalError before anything of that length is allocated.
+
+    The rows 1..n_out cover a window of the chain that contains the
+    window of y's slots, so y is placed on its chain window (one slot
+    longer, never empty), convolved with w^|d| over the offsets d that
+    reach the row window, read back in relabel order and divided once by
+    w - 1/w: O(n_out len(y)) work in O(n_out) memory.
     """
     y = np.asarray(y, dtype=complex)
     if y.ndim != 1:
         raise DomainError("y must be a one-dimensional sequence")
     lam = complex(lambda_b)
-    w, _ = _small_root(lam)  # raises on the curve
+    w, w_minus_inv = _small_root(lam)  # raises on the curve
     decay = max(math.sqrt(abs(w)), 1e-6)
     n_out = len(y) + max(8, int(np.ceil(np.log(1e-16) / np.log(decay))))
     if n_out > TAIL_CAP:
         raise NumericalError(f"lambda_b = {lam} is too near the curve: the resolvent needs {n_out} rows, over {TAIL_CAP}")
-    G = green_kernel(lam, n_out, len(y))
-    return G @ y
+    n = unrelabel(np.arange(1, n_out + 1))
+    m = len(y) + 1
+    lo, y_lo = n.min(), n[:m].min()
+    y_chain = np.zeros(m, dtype=complex)
+    y_chain[n[: len(y)] - y_lo] = y
+    # the valid part of the full convolution: z_chain[i] = sum_t y_chain[t] w^|lo + i - y_lo - t|
+    d = np.arange(lo - y_lo - m + 1, n.max() - y_lo + 1)
+    return np.convolve(y_chain, w ** np.abs(d), mode="valid")[n - lo] / w_minus_inv
 
 
 def classify_band_distance(op: TruncatedOperator, eigenvalues: np.ndarray) -> np.ndarray:

@@ -177,6 +177,22 @@ def test_grid_below_one_is_a_usage_error(capsys):
         assert "grid" in err
 
 
+def test_eigs_cf_forwards_only_the_search_settings_given(capsys, monkeypatch):
+    # an unset box, grid or tolerance is left to contfrac's defaults
+    seen = []
+
+    def record(params, side, **search):
+        seen.append(search)
+        return []
+
+    monkeypatch.setattr(cli, "find_eigenvalues_half", record)
+    assert run_cli(capsys, "eigs-cf", "--p=2,1", "--khat=2,-1")[0] == 0
+    assert seen == [{}, {}]
+    seen.clear()
+    assert run_cli(capsys, "eigs-cf", "--p=2,1", "--khat=2,-1", "--grid", "3")[0] == 0
+    assert seen == [{"grid": 3}, {"grid": 3}]
+
+
 def test_unknown_config_key_rejected(tmp_path, capsys):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text("sizes.bogus=1\n")
@@ -385,6 +401,19 @@ def test_euler_sim_csv_prints_a_real_gamma_run_as_real(capsys):
     header, *rows = out.splitlines()
     assert header == "k1,k2,re,im" and len(rows) == 80
     assert all(row.split(",")[3] == "0" for row in rows)
+
+
+def test_euler_sim_csv_prints_off_lattice_modes_as_zero(capsys):
+    # p = (1,2) and khat = (-1,1) span the modes with k1 + k2 divisible by
+    # 3; triads never reach the others, and the unstable run's rounding
+    # noise there (up to 3e-12) is printed as 0
+    args = ["--p", "1,2", "--khat=-1,1", "--eps", "-0.3", "--gamma", "2.5", "--k-cutoff", "5", "--dt", "0.01"]
+    code, out, _ = run_cli(capsys, "euler-sim", *args, "--steps", "3000", "--format", "csv")
+    assert code == 0
+    cells = [row.split(",") for row in out.splitlines()[1:]]
+    off = [cell[2:] for cell in cells if (int(cell[0]) + int(cell[1])) % 3 != 0]
+    assert len(off) == 56 and all(part == "0" for parts in off for part in parts)
+    assert any(float(cell[2]) != 0.0 for cell in cells if (int(cell[0]) + int(cell[1])) % 3 == 0)
 
 
 def _json_of(*argv):

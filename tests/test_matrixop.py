@@ -260,10 +260,13 @@ def test_resolvent_unit_mass_residual_and_decay():
 
 def test_resolvent_matches_dense_solve():
     rng = np.random.default_rng(1)
-    for lam in (3.0, 3.0 + 1.0j, 0.5 - 4.0j):
+    for lam in (3.0, 3.0 + 1.0j, 0.5 - 4.0j, 2.0001, 0.1 + 0.01j):
         y = np.zeros(10, dtype=complex)
         y[:7] = rng.normal(size=7) + 1j * rng.normal(size=7)
         z = resolvent_apply(lam, y)
+        assert np.max(np.abs(green_kernel(lam, len(z), len(y)) @ y - z)) < 1e-14 * np.max(np.abs(z))
+        if len(z) > 500:  # next to the curve the kernel product stands for an O(N^3) solve
+            continue
         N = len(z) + 40
         B = pattern_matrix(N)
         dense = np.linalg.solve(B - lam * np.eye(N), np.concatenate([y, np.zeros(N - len(y))]))
@@ -671,10 +674,24 @@ def _no_allocation(*args, **kwargs):
 
 def test_resolvent_refuses_a_point_past_the_tail_cap(monkeypatch):
     # at lambda_b = 2 + 1e-10, 1 - |w| = 1e-5, so the tail needs about
-    # 7.4e6 rows: refused before the kernel is built
-    monkeypatch.setattr(matrixop, "green_kernel", _no_allocation)
+    # 7.4e6 rows: refused before the row indices are built
+    monkeypatch.setattr(matrixop, "unrelabel", _no_allocation)
     with pytest.raises(NumericalError, match=r"lambda_b = \(2\.0000000001\+0j\).* needs \d{7} rows"):
         resolvent_apply(2 + 1e-10, np.ones(3))
+
+
+def test_resolvent_builds_no_kernel():
+    # support 2000 at lambda_b = 3 has n_out = 2077 rows: a dense
+    # n_out x len(y) kernel would hold 66 MB
+    y = np.ones(2000, dtype=complex)
+    tracemalloc.start()
+    try:
+        z = resolvent_apply(3.0, y)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(z) == 2077
+    assert peak < 5 << 20
 
 
 def test_detM_refuses_a_point_past_the_tail_cap(monkeypatch):
