@@ -19,7 +19,7 @@ import numpy as np
 
 from . import reporting
 from .contfrac import CFParams, find_eigenvalues, find_eigenvalues_half
-from .errors import DomainError, NumericalError, UsageError
+from .errors import NumericalError, UsageError
 from .euler_core import ModeSet, VorticityField, fixed_point, integrate_euler
 from .lattice import WaveVector, canonical_label, classes_meeting_disk, det, kappa
 from .matrixop import DENSE_CAP, build, classify_band_distance, essential_band, truncated_spectrum
@@ -388,7 +388,7 @@ def main(argv: list[str] | None = None) -> int:
         args = parser.parse_args(_attach_negative_values(sys.argv[1:] if argv is None else argv))
         config = build_config(args)
         return _COMMANDS[args.command](config)
-    except (UsageError, DomainError) as exc:
+    except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
     except NumericalError as exc:

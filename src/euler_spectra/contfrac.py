@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, EssentialBandError, NumericalError, OnCircleError
+from .errors import NumericalError, UsageError
 from .lattice import RhoSequence, WaveVector, canonical_label, circle_member, det, kappa, rho
 
 __all__ = [
@@ -50,6 +50,7 @@ BAND_TUBE = 1e-3  # exclusion radius around the essential band segment
 # smallest root tolerance: |f| at a computed root carries rounding error,
 # up to 5e-16 over the 2668 roots of a scan of ten pumps
 ROOT_TOL_FLOOR = 1e-14
+GRID_CAP = 256  # seeds per box side; the search holds grid^2 seeds at once
 _MAX_DEPTH = 1 << 17
 # relative accuracy of f that a Newton step of the root search asks for
 _DEPTH_REL_TOL = 1e-2
@@ -79,22 +80,22 @@ class CFParams:
 
     @classmethod
     def for_class(cls, khat: WaveVector, p: WaveVector, gamma: complex) -> "CFParams":
-        """Raises DomainError where a = 0 (a zero gamma or a class parallel
+        """Raises UsageError where a = 0 (a zero gamma or a class parallel
         to p): the operator is zero and carries no spectral data; and where
         4|a|, which bounds the band width and every section eigenvalue,
         overflows."""
         if gamma == 0:
-            raise DomainError("gamma is zero: the operator is zero, no spectral data; give a nonzero gamma")
+            raise UsageError("gamma is zero: the operator is zero, no spectral data; give a nonzero gamma")
         if khat.is_zero or p.is_zero:
-            raise DomainError("khat and p must be nonzero")
+            raise UsageError("khat and p must be nonzero")
         try:
             a = 0.5 * abs(gamma) * det(p, khat)
         except OverflowError:  # |gamma| itself overflows, though gamma is finite
             a = np.inf
         if a == 0.0:
-            raise DomainError("khat is parallel to p: trivial class, no spectral data")
+            raise UsageError("khat is parallel to p: trivial class, no spectral data")
         if not np.isfinite(4.0 * abs(a)):
-            raise DomainError("gamma is too large: 4|a| overflows the spectrum of this class; give a smaller gamma")
+            raise UsageError("gamma is too large: 4|a| overflows the spectrum of this class; give a smaller gamma")
         return cls(khat, p, gamma, a, circle_member(khat, p), RhoSequence(khat, p))
 
     @property
@@ -103,10 +104,11 @@ class CFParams:
         return -1.0 / self.p.norm2
 
     def check_full_chain(self) -> None:
-        """Raise OnCircleError for every member of a class with a member on
-        the circle: its chain is two half-chains, not one full chain."""
+        """Raise UsageError for every member of a class with a member on
+        the circle, where rho vanishes: its chain is two half-chains, not
+        one full chain, and the half-chain solver takes it."""
         if self.circle is not None:
-            raise OnCircleError(
+            raise UsageError(
                 f"the class has the member {self.circle.as_tuple()} on the circle |k| = |p|, where rho "
                 "vanishes and the chain splits; use the half-chain solver from that member"
             )
@@ -151,7 +153,7 @@ def a_n(params: CFParams, lam: complex, n: int) -> complex:
     """
     r = params.rho_seq.value(n)
     if r == 0.0:
-        raise OnCircleError(
+        raise UsageError(
             f"rho_{n} = 0 (member on the circle |k| = |p|); use the half-chain solver"
         )
     return lam / (params.a * r)
@@ -263,7 +265,7 @@ def _settled_value(evaluate, tol: float):
 
 def _check_point(params: CFParams, lambda_tilde: complex) -> None:
     if band_distance(lambda_tilde, params.band_halfwidth_tilde()) == 0:
-        raise EssentialBandError(f"lambda_tilde = {lambda_tilde} lies on the essential band")
+        raise NumericalError(f"lambda_tilde = {lambda_tilde} lies on the essential band")
 
 
 def f_eigen(params: CFParams, lambda_tilde: complex, tol: float = 1e-13) -> complex:
@@ -318,23 +320,25 @@ def _search(
     root (0.248, 0.352) at tol = 0.03).  Below ROOT_TOL_FLOOR = 1e-14 no
     residual can be trusted to meet tol, since |f| at a root carries
     rounding error of a few 1e-16 (at 3e-17 the golden root is missed).
-    A tol outside [ROOT_TOL_FLOOR, BAND_TUBE / 10) raises DomainError.
+    A tol outside [ROOT_TOL_FLOOR, BAND_TUBE / 10) raises UsageError.
 
     A chain with no member inside the disk (kappa 0) has no root at all
     (see find_eigenvalues); once the arguments pass their checks, it gets
     [] without a sweep.
     """
     if grid < 1:
-        raise DomainError(f"grid must be a positive integer, got {grid}")
+        raise UsageError(f"grid must be a positive integer, got {grid}")
+    if grid > GRID_CAP:
+        raise UsageError(f"grid is capped at GRID_CAP = {GRID_CAP}, got {grid}")
     if not (ROOT_TOL_FLOOR <= tol and 10.0 * tol < BAND_TUBE):
-        raise DomainError(
+        raise UsageError(
             f"root tolerance {tol!r} must be at least ROOT_TOL_FLOOR = {ROOT_TOL_FLOOR:g}, above the rounding "
             f"error of f, and below BAND_TUBE / 10 = {BAND_TUBE / 10:g}, since roots within 10 times the "
             "tolerance of an axis or of each other are merged; give a tolerance in that range"
         )
     re_min, re_max, im_min, im_max = search_box
     if re_max <= re_min or im_max <= im_min:
-        raise DomainError("degenerate search box")
+        raise UsageError("degenerate search box")
     if kappa(params.khat, params.p, side) == 0:
         return []
 
@@ -424,9 +428,9 @@ def find_eigenvalues_half(
     drops and quadruple reporting as the full-chain search, and the same
     [] without a Newton step for a side with no member inside the disk."""
     if side not in (+1, -1):
-        raise DomainError("side must be +1 or -1")
+        raise UsageError("side must be +1 or -1")
     if params.circle is None:
-        raise DomainError("the half-chain solver needs a class with a member on |k| = |p|")
+        raise UsageError("the half-chain solver needs a class with a member on |k| = |p|")
     if params.khat != params.circle:
         params = CFParams.for_class(params.circle, params.p, params.gamma)
     return _search(params, side, search_box, grid, tol)
@@ -448,7 +452,7 @@ def eigenvector_window(params: CFParams, lambda_tilde: complex, n_min: int, n_ma
     check that recurrence on z, before mode_amplitudes rescales it.
     """
     if n_min > 0 or n_max < 1:
-        raise DomainError("window must contain the matching indices 0 and 1")
+        raise UsageError("window must contain the matching indices 0 and 1")
     params.check_full_chain()
     _check_point(params, lambda_tilde)
 

@@ -34,7 +34,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import DomainError, UsageError
+from .errors import UsageError
 from .lattice import WaveVector, lattice_points_in_disk, triad_coeff
 from .subsystem import _rel_drift, _rk4, _rk4_increment
 
@@ -47,6 +47,8 @@ __all__ = [
     "jacobian_check",
     "integrate_euler",
 ]
+
+CUTOFF_CAP = 64  # about pi * 64^2 = 12.9k modes; the transform grid grows like cutoff^2
 
 
 def _is_representative(k: WaveVector) -> bool:
@@ -67,14 +69,16 @@ class ModeSet:
     @classmethod
     def disk(cls, cutoff: float) -> "ModeSet":
         if cutoff < 1.0:
-            raise DomainError("cutoff below 1 leaves no modes")
+            raise UsageError("cutoff below 1 leaves no modes")
+        if cutoff > CUTOFF_CAP:
+            raise UsageError(f"cutoff is capped at CUTOFF_CAP = {CUTOFF_CAP}, got {cutoff}")
         # norms are integers, so |k|^2 <= cutoff^2 iff |k|^2 <= floor(cutoff^2)
         return cls(cutoff=cutoff, modes=tuple(lattice_points_in_disk(int(cutoff * cutoff))))
 
     def __post_init__(self):
         for k in self.modes:
             if k.is_zero or -k not in self._index:
-                raise DomainError("mode set must exclude the origin and be negation-closed")
+                raise UsageError("mode set must exclude the origin and be negation-closed")
 
     @cached_property
     def _index(self) -> dict[WaveVector, int]:
@@ -167,11 +171,11 @@ class VorticityField:
         seen: dict[int, complex] = {}
         for k, v in values.items():
             if k not in modeset:
-                raise DomainError(f"mode {k} outside the mode set")
+                raise UsageError(f"mode {k} outside the mode set")
             i = modeset.index(k)
             rep, stored = src[i], (np.conj(complex(v)) if conj[i] else complex(v))
             if rep in seen and abs(seen[rep] - stored) > 1e-12 * max(1.0, abs(stored)):
-                raise DomainError(f"conflicting values violate w(-k) = conj(w(k)) at {k}")
+                raise UsageError(f"conflicting values violate w(-k) = conj(w(k)) at {k}")
             seen[rep] = stored
             fld.coeffs[rep] = stored
         return fld

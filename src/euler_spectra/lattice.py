@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import UsageError
 
 __all__ = [
     "WaveVector",
@@ -81,7 +81,7 @@ def triad_coeff(p: WaveVector, q: WaveVector) -> float:
     Symmetric in (p, q); vanishes when |p| = |q| or p is parallel to q.
     """
     if p.is_zero or q.is_zero:
-        raise DomainError(f"triad_coeff needs nonzero vectors, got p={p}, q={q}")
+        raise UsageError(f"triad_coeff needs nonzero vectors, got p={p}, q={q}")
     return 0.5 * (1.0 / q.norm2 - 1.0 / p.norm2) * det(p, q)
 
 
@@ -89,14 +89,14 @@ def rho(khat: WaveVector, p: WaveVector, n):
     """rho_n = |khat + n p|^-2 - |p|^-2 for the class member khat + n p.
 
     n is an int or an integer array (then rho is taken elementwise); a
-    member at the origin raises DomainError either way.
+    member at the origin raises UsageError either way.
     """
     norm2 = (khat.k1 + n * p.k1) ** 2 + (khat.k2 + n * p.k2) ** 2
     # a plain int skips numpy: RhoSequence.value calls this once per index
     at_origin = norm2 == 0 if isinstance(norm2, int) else not norm2.all()
     if at_origin:
         at = np.atleast_1d(n)[np.atleast_1d(norm2) == 0][0]
-        raise DomainError(f"khat + n p = 0 at n={at}; the origin carries no mode")
+        raise UsageError(f"khat + n p = 0 at n={at}; the origin carries no mode")
     return 1.0 / norm2 - 1.0 / p.norm2
 
 
@@ -174,7 +174,7 @@ def canonical_label(k: WaveVector, p: WaveVector) -> ClassLabel:
     same label for every valid n.
     """
     if k.is_zero or p.is_zero:
-        raise DomainError("canonical_label needs nonzero k and p")
+        raise UsageError("canonical_label needs nonzero k and p")
     khat = _min_norm_members(k, p)[-1]
     return ClassLabel(khat=khat, p=p, parallel=parallel(k, p))
 
@@ -199,7 +199,7 @@ def classes_meeting_disk(p: WaveVector, radius2: int) -> list[ClassLabel]:
     stability theorems.  Parallel classes are included but arrive flagged.
     """
     if p.is_zero:
-        raise DomainError("p must be nonzero")
+        raise UsageError("p must be nonzero")
     seen: dict[tuple[int, int], ClassLabel] = {}
     for k in lattice_points_in_disk(radius2):
         label = canonical_label(k, p)

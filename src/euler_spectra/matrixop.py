@@ -33,12 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .contfrac import CFParams, band_distance
-from .errors import (
-    DomainError,
-    NumericalError,
-    OnSpectralCurveError,
-    SpectralPointSetError,
-)
+from .errors import NumericalError, UsageError
 from .lattice import rho
 
 __all__ = [
@@ -72,7 +67,7 @@ def relabel(n):
 def unrelabel(m):
     """Inverse of relabel; m is an int or an integer array."""
     if np.min(m, initial=1) < 1:
-        raise DomainError("matrix indices start at 1")
+        raise UsageError("matrix indices start at 1")
     return m // 2 * (1 - 2 * (m % 2))  # even m -> m/2, odd m -> -(m-1)/2
 
 
@@ -116,9 +111,9 @@ def build(kind: str, params: CFParams, N: int) -> TruncatedOperator:
     coefficients a * coeff_n, n over the section's chain window; O(N)
     memory."""
     if kind not in ("A", "B", "C"):
-        raise DomainError(f"kind must be 'A', 'B' or 'C', got {kind!r}")
+        raise UsageError(f"kind must be 'A', 'B' or 'C', got {kind!r}")
     if N < 5:
-        raise DomainError("N >= 5 required to include the coupling rows")
+        raise UsageError("N >= 5 required to include the coupling rows")
     rho_inf = params.rho_inf
     coeff = np.full(N, rho_inf)
     if kind != "B":
@@ -164,7 +159,7 @@ def truncated_spectrum(op: TruncatedOperator) -> np.ndarray:
     against 2.1e-14 |b| for the order-N solver.
     """
     if op.size > DENSE_CAP:
-        raise DomainError(f"dense solve capped at N = {DENSE_CAP}")
+        raise UsageError(f"dense solve capped at N = {DENSE_CAP}")
     scale = math.ldexp(1.0, -math.frexp(np.abs(op.chain).max(initial=0.0))[1])
     chain = scale * op.chain
     c = chain[1:] * chain[:-1]
@@ -251,20 +246,20 @@ def _small_root(lambda_b: complex) -> tuple[complex, complex]:
     digits next to the band ends, and w as a quotient rather than a
     difference, which loses them for large lambda_b.
 
-    A lambda_b within CURVE_TOL of the curve [-2, 2] raises
-    SpectralPointSetError at its end points and OnSpectralCurveError
-    elsewhere on it.
+    A lambda_b within CURVE_TOL of the curve [-2, 2] raises NumericalError:
+    at its end points w = +-1 and w - 1/w vanishes, and elsewhere on it
+    both roots lie on the unit circle.
     """
     if abs(lambda_b.imag) < CURVE_TOL and abs(lambda_b.real) <= 2.0:
         if abs(abs(lambda_b.real) - 2.0) < CURVE_TOL:
-            raise SpectralPointSetError(f"lambda_b = {lambda_b} is a boundary point of the curve")
-        raise OnSpectralCurveError(f"lambda_b = {lambda_b} lies on the spectral curve")
+            raise NumericalError(f"lambda_b = {lambda_b} is a boundary point of the curve")
+        raise NumericalError(f"lambda_b = {lambda_b} lies on the spectral curve")
     s = np.sqrt((lambda_b - 2.0) * (lambda_b + 2.0))
     if abs(lambda_b + s) < abs(lambda_b - s):
         s = -s
     w = 2.0 / (lambda_b + s)
     if abs(w) >= 1.0 - CURVE_TOL:
-        raise OnSpectralCurveError(f"lambda_b = {lambda_b} has no root inside the unit circle")
+        raise NumericalError(f"lambda_b = {lambda_b} has no root inside the unit circle")
     return complex(w), complex(-s)
 
 
@@ -306,7 +301,7 @@ def resolvent_apply(lambda_b: complex, y: np.ndarray) -> np.ndarray:
     """
     y = np.asarray(y, dtype=complex)
     if y.ndim != 1:
-        raise DomainError("y must be a one-dimensional sequence")
+        raise UsageError("y must be a one-dimensional sequence")
     lam = complex(lambda_b)
     w, w_minus_inv = _small_root(lam)  # raises on the curve
     decay = max(math.sqrt(abs(w)), 1e-6)

@@ -21,7 +21,7 @@ from functools import cached_property
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .errors import DomainError, NumericalError, UsageError
+from .errors import NumericalError, UsageError
 from .lattice import ClassLabel, WaveVector, canonical_label, circle_member, det, kappa, rho
 
 __all__ = [
@@ -39,6 +39,8 @@ __all__ = [
     "fit_growth_rate",
 ]
 
+WINDOW_CAP = 1 << 16  # sites of a chain window; a trajectory holds samples x sites
+
 
 @dataclass(frozen=True)
 class SubsystemSpec:
@@ -54,9 +56,11 @@ class SubsystemSpec:
 
     def __post_init__(self):
         if self.p.is_zero or self.khat.is_zero:
-            raise DomainError("khat and p must be nonzero")
+            raise UsageError("khat and p must be nonzero")
         if not (self.n_min <= 0 <= self.n_max):
-            raise DomainError(f"window [{self.n_min}, {self.n_max}] must contain 0")
+            raise UsageError(f"window [{self.n_min}, {self.n_max}] must contain 0")
+        if self.width > WINDOW_CAP:
+            raise UsageError(f"window [{self.n_min}, {self.n_max}] is capped at WINDOW_CAP = {WINDOW_CAP} sites")
 
     @property
     def width(self) -> int:
@@ -320,7 +324,7 @@ def _rk4(
     the last step; samples has shape (len(times),) + w0.shape.
     """
     if dt <= 0 or steps < 1 or sample_every < 1:
-        raise DomainError("need dt > 0, steps >= 1 and sample_every >= 1")
+        raise UsageError("need dt > 0, steps >= 1 and sample_every >= 1")
     w = np.array(w0, dtype=complex)
     samples = [w]
     times = [0.0]
@@ -481,7 +485,7 @@ def fit_growth_rate(times: np.ndarray, series: np.ndarray) -> float:
     times = np.asarray(times, dtype=float)
     series = np.asarray(series, dtype=float)
     if np.any(series <= 0):
-        raise DomainError("growth-rate fit needs a positive series")
+        raise UsageError("growth-rate fit needs a positive series")
     start = 2 * len(times) // 3
     t = times[start:]
     y = np.log(series[start:])

@@ -1,7 +1,11 @@
 import contextlib
 import io
 import json
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,10 +13,14 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import euler_spectra.cli as cli
+import euler_spectra.verification as verification
 from euler_spectra.cli import main
 from euler_spectra.lattice import WaveVector, canonical_label, det
 from euler_spectra.subsystem import classify_stability
 from euler_spectra.verification import CheckResult
+
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def run_cli(capsys, *argv):
@@ -170,6 +178,22 @@ def test_usage_errors_exit_1(capsys):
     assert code == 1 and "N_matrix" in err
 
 
+@pytest.mark.parametrize(
+    "argv, cap",
+    [
+        (("eigs-cf", "--p", "1,1", "--khat", "1,0", "--grid=100000"), "GRID_CAP = 256"),
+        (("simulate", "--p", "1,1", "--khat", "1,0", "--n-window=2147483648"), "WINDOW_CAP = 65536"),
+        (("euler-sim", "--p", "1,1", "--k-cutoff=1e300"), "CUTOFF_CAP = 64"),
+        (("euler-sim", "--p", "1,1", "--k-cutoff=1e8"), "CUTOFF_CAP = 64"),
+    ],
+)
+def test_sizes_past_their_cap_are_usage_errors(capsys, argv, cap):
+    # refused before anything of that size is allocated or walked
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 1 and out == ""
+    assert err.startswith("usage error: ") and cap in err
+
+
 def test_grid_below_one_is_a_usage_error(capsys):
     for grid in ("0", "-3"):
         code, out, err = run_cli(capsys, "eigs-cf", "--p", "1,1", "--khat", "1,0", "--grid", grid)
@@ -232,6 +256,30 @@ def test_verify_output_follows_format(monkeypatch, capsys, tmp_path):
     assert code == 1 and out == ""
     assert "--output" in err
 
+
+def test_verify_reports_a_check_that_raises_as_failed(monkeypatch, capsys):
+    # checks 2 and 8 take the golden root from a search that now finds none
+    monkeypatch.setattr(verification, "find_eigenvalues", lambda *args, **kwargs: [])
+    code, out, _ = run_cli(capsys, "verify")
+    assert code == 3
+    assert "[FAIL] 2." in out and "[FAIL] 8." in out
+    assert out.count("NumericalError: expected one quadruple, found 0") == 2
+
+
+
+@pytest.mark.parametrize(
+    "argv, code, prefix",
+    [
+        (("band", "--p", "1,1"), 1, "usage error: "),
+        (("simulate", "--p", "1,1", "--khat", "1,0", "--dt", "100", "--steps", "30"), 2, "numerical failure: "),
+    ],
+)
+def test_exit_codes_at_the_process_boundary(argv, code, prefix):
+    # __main__ hands main's return value to sys.exit
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    run = subprocess.run([sys.executable, "-m", "euler_spectra", *argv], capture_output=True, text=True, env=env)
+    assert run.returncode == code and run.stdout == ""
+    assert run.stderr.startswith(prefix)
 
 
 def test_blowups_exit_2(capsys):

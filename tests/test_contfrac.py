@@ -18,7 +18,7 @@ from euler_spectra.contfrac import (
     find_eigenvalues_half,
     mode_amplitudes,
 )
-from euler_spectra.errors import DomainError, EssentialBandError, NumericalError, OnCircleError
+from euler_spectra.errors import NumericalError, UsageError
 from euler_spectra.lattice import WaveVector, canonical_label, circle_member, det, kappa, rho
 from euler_spectra.matrixop import (
     TruncatedOperator,
@@ -64,7 +64,7 @@ def test_cfparams_scale():
     assert GOLDEN.a == pytest.approx(-0.5, abs=1e-15)
     assert GOLDEN.rho_inf == -0.5
     assert GOLDEN.circle is None and CIRCLE.circle == V(2, -1)
-    with pytest.raises(DomainError, match="parallel"):
+    with pytest.raises(UsageError, match="parallel"):
         CFParams.for_class(V(2, 2), V(1, 1), 1.0)
 
 
@@ -82,7 +82,7 @@ def test_a_n_values():
 
 def test_a_n_flags_circle_member():
     circle = CFParams.for_class(V(-1, 1), V(1, 1), 1.0)
-    with pytest.raises(OnCircleError):
+    with pytest.raises(UsageError, match="use the half-chain solver"):
         a_n(circle, 1.0, 0)
 
 
@@ -154,9 +154,9 @@ def test_f_eigen_at_published_value():
 
 
 def test_f_eigen_rejects_band_points():
-    with pytest.raises(EssentialBandError):
+    with pytest.raises(NumericalError, match="lies on the essential band"):
         f_eigen(GOLDEN, 0.5j)
-    with pytest.raises(EssentialBandError):
+    with pytest.raises(NumericalError, match="lies on the essential band"):
         f_eigen(GOLDEN, 0.0)
 
 
@@ -259,7 +259,7 @@ def test_full_chain_solvers_refuse_every_member_of_a_circle_class(p, c):
             lambda: mode_amplitudes(params, lt, -5, 5),
             lambda: detM_eigentest(params, -1j * lt),
         ):
-            with pytest.raises(OnCircleError):
+            with pytest.raises(UsageError, match="the chain splits"):
                 solve()
         # the half-chains are counted from c, whichever member params holds
         halves = [find_eigenvalues_half(params, side, **box) for side in (+1, -1)]
@@ -294,10 +294,10 @@ def test_searches_refuse_a_tolerance_past_the_band_tube(tol):
     # ROOT_TOL_FLOOR the rounding error of f can miss a root: at 3e-17 the
     # golden search returned []
     box = dict(search_box=(0.05, 1.0, 0.05, 1.0), grid=4)
-    with pytest.raises(DomainError, match="0.0001"):
+    with pytest.raises(UsageError, match="0.0001"):
         find_eigenvalues(GOLDEN, tol=tol, **box)
     for side in (+1, -1):
-        with pytest.raises(DomainError, match="0.0001"):
+        with pytest.raises(UsageError, match="0.0001"):
             find_eigenvalues_half(CIRCLE, side, tol=tol, **box)
     assert len(find_eigenvalues(GOLDEN, tol=9e-5, **box)) == 1
 
@@ -310,15 +310,15 @@ def test_half_chain_solver_on_circle_class():
     # ...and find no roots: both half-chains are stable
     for side in (+1, -1):
         assert find_eigenvalues_half(circle, side, search_box=(0.05, 2.0, 0.05, 2.0), grid=6) == []
-    with pytest.raises(DomainError):
+    with pytest.raises(UsageError, match="needs a class with a member on"):
         find_eigenvalues_half(GOLDEN, +1)
 
 
 def test_parallel_class_rejected():
     # a = 0 for a parallel class or a zero gamma: no params, so no solver runs
-    with pytest.raises(DomainError, match="parallel"):
+    with pytest.raises(UsageError, match="parallel"):
         CFParams.for_class(V(2, 2), V(1, 1), 1.0)
-    with pytest.raises(DomainError, match="gamma is zero"):
+    with pytest.raises(UsageError, match="gamma is zero"):
         CFParams.for_class(V(2, 2), V(1, 1), 0.0)
 
 
@@ -577,11 +577,19 @@ def test_kappa_zero_chains_are_answered_without_a_sweep(monkeypatch, capsys):
         assert out == "" and err.startswith("usage error: ")
 
 
+def test_grid_is_capped():
+    # kappa = 0, so a grid at the cap is answered without a sweep
+    params = CFParams.for_class(V(-1, 2), V(1, 1), 1.0)
+    assert find_eigenvalues(params, grid=contfrac.GRID_CAP) == []
+    with pytest.raises(UsageError, match="GRID_CAP = 256, got 257"):
+        find_eigenvalues(params, grid=contfrac.GRID_CAP + 1)
+
+
 @pytest.mark.parametrize(
     "call, error, message",
     [
-        (lambda: find_eigenvalues_half(CFParams.for_class(V(2, -1), V(2, 1), 1.0), side=0), DomainError, "side"),
-        (lambda: eigenvector_window(GOLDEN, POLISHED_ROOT, 2, 6), DomainError, "indices 0 and 1"),
+        (lambda: find_eigenvalues_half(CFParams.for_class(V(2, -1), V(2, 1), 1.0), side=0), UsageError, "side"),
+        (lambda: eigenvector_window(GOLDEN, POLISHED_ROOT, 2, 6), UsageError, "indices 0 and 1"),
         # cut at 128 levels (_MAX_DEPTH = 64), a tail this near the band has not settled
         (lambda: f_eigen(GOLDEN, 0.01 + 0.3j), NumericalError, "did not converge"),
     ],

@@ -4,7 +4,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from euler_spectra import euler_core
-from euler_spectra.errors import DomainError, NumericalError, UsageError
+from euler_spectra.errors import NumericalError, UsageError
 from euler_spectra.euler_core import (
     ModeSet,
     VorticityField,
@@ -40,7 +40,7 @@ def test_field_reality_enforced():
     assert fld.value(V(-1, -1)) == 2.0 - 1.0j
     # consistent duplicate is fine
     VorticityField.from_dict(K5, {V(1, 1): 1j, V(-1, -1): -1j})
-    with pytest.raises(DomainError):
+    with pytest.raises(UsageError, match="conflicting values"):
         VorticityField.from_dict(K5, {V(1, 1): 1j, V(-1, -1): 1j})
 
 
@@ -206,29 +206,27 @@ def test_jacobian_zero_when_gamma_zero():
 
 
 def test_jacobian_row_structure():
-    # row k = (2,1): the only couplings are k' = (1,0) and k' = (3,2)
-    p = V(1, 1)
-    base = fixed_point(p, 1.0, K5)
+    # row k = (2,1): the only couplings are k' = (1,0) and k' = (3,2); the
+    # right-hand side is quadratic, so half the difference at the unit
+    # probes 1 and 1j is a Jacobian column with no step error
+    p, gamma = V(1, 1), 1.0
+    base = fixed_point(p, gamma, K5)
     k_row = K5.index(V(2, 1))
-    h = 1e-6
-    reps = K5.representatives
+    unit = np.eye(len(K5.representatives))
+    expected = {V(1, 0): triad_coeff(p, V(1, 0)) * gamma, V(3, 2): triad_coeff(-p, V(3, 2)) * np.conj(gamma)}
+    assert expected[V(1, 0)] == pytest.approx(-0.25, abs=1e-15)
+    assert expected[V(3, 2)] == pytest.approx(-11 / 52, abs=1e-15)
 
     def rhs_of(coeffs):
         return euler_rhs(VorticityField(K5, coeffs)).full_vector()
 
-    for c, kc in enumerate(reps):
-        bump = np.zeros(len(reps), dtype=complex)
-        bump[c] = h
-        d_re = (rhs_of(base.coeffs + bump) - rhs_of(base.coeffs - bump)) / (2 * h)
-        bump[c] = 1j * h
-        d_im = (rhs_of(base.coeffs + bump) - rhs_of(base.coeffs - bump)) / (2 * h)
-        col_plus = 0.5 * (d_re - 1j * d_im)
-        col_minus = 0.5 * (d_re + 1j * d_im)
-        for col, kk in ((col_plus, kc), (col_minus, -kc)):
-            if kk in (V(1, 0), V(3, 2)):
-                assert abs(col[k_row]) > 1e-3
-            else:
-                assert abs(col[k_row]) < 1e-9
+    row = {}
+    for c, kc in enumerate(K5.representatives):
+        d_re, d_im = (0.5 * (rhs_of(base.coeffs + v) - rhs_of(base.coeffs - v)) for v in (unit[c], 1j * unit[c]))
+        row[kc] = 0.5 * (d_re - 1j * d_im)[k_row]
+        row[-kc] = 0.5 * (d_re + 1j * d_im)[k_row]
+    for kk, entry in row.items():
+        assert abs(entry - expected.get(kk, 0.0)) < 1e-14, kk
 
 
 def test_integrate_euler_fixed_point_constant():
@@ -307,8 +305,15 @@ def test_perturbed_pump_tracks_linearized_chain():
         assert np.max(np.abs(got - want)) < 1e-4 * eps
 
 
+def test_cutoff_is_capped():
+    # the modes are listed at the cap; no transform table is built
+    assert len(ModeSet.disk(float(euler_core.CUTOFF_CAP)).modes) == 12852
+    with pytest.raises(UsageError, match="CUTOFF_CAP = 64, got 64.5"):
+        ModeSet.disk(64.5)
+
+
 def test_integrate_euler_rejects_bad_steps():
-    with pytest.raises(DomainError):
+    with pytest.raises(UsageError, match="need dt > 0"):
         integrate_euler(VorticityField.zero(K5), dt=0.0, steps=5)
 
 
@@ -320,9 +325,9 @@ def test_fixed_point_requires_pump_in_set():
 @pytest.mark.parametrize(
     "call, error, message",
     [
-        (lambda: ModeSet(1.0, (V(1, 0),)), DomainError, "negation-closed"),
+        (lambda: ModeSet(1.0, (V(1, 0),)), UsageError, "negation-closed"),
         (lambda: VorticityField(ModeSet.disk(1.0), np.zeros(3)), UsageError, "representative count"),
-        (lambda: VorticityField.from_dict(ModeSet.disk(1.0), {V(1, 1): 1.0}), DomainError, "outside the mode set"),
+        (lambda: VorticityField.from_dict(ModeSet.disk(1.0), {V(1, 1): 1.0}), UsageError, "outside the mode set"),
     ],
 )
 def test_euler_core_refusals(call, error, message):

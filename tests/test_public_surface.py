@@ -9,6 +9,7 @@ looks layers up by name).
 """
 
 import ast
+import builtins
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -86,3 +87,26 @@ def test_readme_documents_the_names_kept_for_it():
         if reason.startswith("README"):
             short = name.split(".")[1]
             assert f"`{short}`" in readme or f"`{name}`" in readme, name
+
+
+def _exception_classes(path: Path, known: set[str]) -> list[str]:
+    """Classes of one module that derive from a builtin exception or from
+    one of the package's exception classes in known."""
+
+    def is_exception(base: ast.expr) -> bool:
+        name = getattr(base, "id", None) or getattr(base, "attr", None)
+        found = getattr(builtins, name, None) if name else None
+        return name in known or (isinstance(found, type) and issubclass(found, BaseException))
+
+    classes = (node for node in ast.walk(ast.parse(path.read_text())) if isinstance(node, ast.ClassDef))
+    return [node.name for node in classes if any(is_exception(base) for base in node.bases)]
+
+
+def test_one_exception_class_per_failing_exit_code():
+    # exit 1 is a UsageError and exit 2 a NumericalError; a subclass would
+    # be a second name for the same exit code
+    defined = _exception_classes(PACKAGE / "errors.py", set())
+    assert defined == ["UsageError", "NumericalError"]
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name != "errors.py":
+            assert _exception_classes(path, set(defined)) == [], path.name

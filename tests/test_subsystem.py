@@ -5,7 +5,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from euler_spectra.errors import DomainError, NumericalError, UsageError
+from euler_spectra.errors import NumericalError, UsageError
 from euler_spectra import subsystem
 from euler_spectra.lattice import WaveVector, canonical_label, circle_member, det, kappa, triad_coeff
 from euler_spectra.subsystem import (
@@ -240,9 +240,16 @@ def test_invariants_refuse_a_batch():
             func(spec, batch)
 
 
+def test_window_is_capped():
+    assert subsystem.WINDOW_CAP == 1 << 16
+    assert SubsystemSpec(khat=V(1, 0), p=V(1, 1), gamma=1.0, n_min=-32768, n_max=32767).width == 65536
+    with pytest.raises(UsageError, match=r"window \[-32768, 32768\] is capped at WINDOW_CAP = 65536 sites"):
+        SubsystemSpec(khat=V(1, 0), p=V(1, 1), gamma=1.0, n_min=-32768, n_max=32768)
+
+
 def test_integrate_rejects_bad_steps():
     for dt, steps, every in ((0.0, 5, 1), (1e-2, 0, 1), (1e-2, 5, 0)):
-        with pytest.raises(DomainError):
+        with pytest.raises(UsageError, match="need dt > 0"):
             integrate(GOLDEN, ComplexSeq.unit(GOLDEN, 0), dt=dt, steps=steps, sample_every=every)
 
 
@@ -366,7 +373,7 @@ def test_fit_growth_rate_recovers_exponential():
     t = np.linspace(0.0, 10.0, 200)
     series = 3.0 * np.exp(0.37 * t)
     assert fit_growth_rate(t, series) == pytest.approx(0.37, rel=1e-10)
-    with pytest.raises(DomainError):
+    with pytest.raises(UsageError, match="needs a positive series"):
         fit_growth_rate(t, series - 10.0)
 
 
