@@ -21,7 +21,7 @@ from . import reporting
 from .contfrac import CFParams, find_eigenvalues, find_eigenvalues_half
 from .errors import NumericalError, UsageError
 from .euler_core import ModeSet, VorticityField, fixed_point, integrate_euler
-from .lattice import WaveVector, canonical_label, classes_meeting_disk, det, kappa
+from .lattice import DISK_CAP, WaveVector, canonical_label, classes_meeting_disk, det, kappa
 from .matrixop import DENSE_CAP, build, classify_band_distance, essential_band, truncated_spectrum
 from .subsystem import ComplexSeq, SubsystemSpec, classify_stability, integrate
 from .verification import run_checks
@@ -75,6 +75,13 @@ def _positive(text: str) -> float:
     return value
 
 
+def _scan_radius(text: str) -> float:
+    value = _real(text)
+    if not abs(value) <= DISK_CAP**0.5:  # checked before squaring: 1e300**2 overflows
+        raise ValueError(f"scan radius is capped at sqrt(DISK_CAP) = {DISK_CAP**0.5:g}, got {text!r}")
+    return value
+
+
 def _section_size(text: str) -> int:
     n = int(text)
     if not 5 <= n <= DENSE_CAP:
@@ -101,7 +108,7 @@ _OPTIONS = {
     "n_window": ("sizes.n_window", int, 40),
     "K_cutoff": ("sizes.K_cutoff", _real, 5.0),
     "grid": ("sizes.grid", int, None),
-    "scan_radius": ("sizes.scan_radius", _real, 3.0),
+    "scan_radius": ("sizes.scan_radius", _scan_radius, 3.0),
     "dt": ("integration.dt", _real, 1e-3),
     "steps": ("integration.steps", int, 1000),
     "eps": ("integration.eps", _real, 0.0),

@@ -17,8 +17,10 @@ mode has |k_1|, |k_2| <= K.  The half-spectrum grid holds two layers, f
 and psi; the derivatives i k_1 and i k_2 sit in the synthesis matrices,
 and since the fields are real, the x-synthesis and the x-analysis are real
 products on the float view of the complex arrays (ModeSet.transform).
-lattice.triad_coeff stays the pairwise oracle the tests and the Jacobian
-check compare with.
+The grid and product buffers are made once per integration or Jacobian
+check (_rhs_workspace), never per call nor per ModeSet, and every call
+returns a new array.  lattice.triad_coeff stays the pairwise oracle the
+tests and the Jacobian check compare with.
 
 The single-pump steady states w*_{+-p} = Gamma / conj(Gamma) are fixed
 points; a Jacobian check against the two-diagonal linearized coupling,
@@ -29,6 +31,7 @@ the per-class chain dynamics.
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -204,24 +207,51 @@ def _embed(modeset: ModeSet, coeffs: np.ndarray) -> np.ndarray:
     return full
 
 
-def _rep_rhs(modeset: ModeSet, coeffs: np.ndarray) -> np.ndarray:
-    """Right-hand side on representative amplitudes, representatives out:
-    -1/2 times the Fourier coefficient of f_x psi_y - f_y psi_x, the
-    product taken on the dealiased grid of ModeSet.transform."""
+def _rhs_workspace(modeset: ModeSet) -> Callable[[np.ndarray], np.ndarray]:
+    """The right-hand side on representative amplitudes, representatives
+    out, as rhs(coeffs): -1/2 times the Fourier coefficient of
+    f_x psi_y - f_y psi_x, the product taken on the dealiased grid of
+    ModeSet.transform.
+
+    The grid and product buffers are made here, once per workspace, so an
+    integration builds one and reuses it for every stage; two workspaces
+    share no buffer.  Each call writes every scatter cell of the grid and
+    no other, so the rest stays 0, and returns a new array."""
     scatter, layers, sy, sx, dsx, ax, ay, gather = modeset.transform
-    # the sum is quadratic: a power-of-two scale is exact and keeps every
-    # grid value of a finite state finite
-    scale = math.ldexp(1.0, -math.frexp(np.abs(coeffs.view(float)).max(initial=1.0))[1])
-    grid = np.zeros((sy.shape[1], sx.shape[0]), dtype=complex)
-    grid.reshape(-1)[scatter] = (scale * coeffs)[:, None] * layers
     m = sx.shape[1]
+    grid = np.zeros((sy.shape[1], sx.shape[0]), dtype=complex)
+    synth = np.empty((sy.shape[0], sx.shape[0]), dtype=complex)
     # the float view of the y-synthesis, rows (y, layer): plain rows times
     # dsx give w_x and psi_x, d/dy rows times sx give w_y and psi_y
-    plain, d_y = (sy @ grid).view(float).reshape(2, 2 * m, -1)
-    w_x, psi_x = (plain @ dsx).reshape(m, 2, m).transpose(1, 0, 2)
-    w_y, psi_y = (d_y @ sx).reshape(m, 2, m).transpose(1, 0, 2)
-    jac = w_x * psi_y - w_y * psi_x
-    return (ay @ (jac @ ax).view(complex)).take(gather) / scale / scale
+    ys, xsynth = synth.view(float).reshape(2, 2 * m, -1), np.stack((dsx, sx))
+    xs = np.empty((2, 2 * m, m))
+    (w_x, psi_x), (w_y, psi_y) = xs.reshape(2, m, 2, m).transpose(0, 2, 1, 3)
+    jac, cross = np.empty((m, m)), np.empty((m, m))
+    xa, ya = np.empty((m, ax.shape[1])), np.empty((ay.shape[0], ax.shape[1] // 2), dtype=complex)
+
+    def rhs(coeffs: np.ndarray) -> np.ndarray:
+        # the sum is quadratic: a power-of-two scale is exact and keeps
+        # every grid value of a finite state finite
+        scale = math.ldexp(1.0, -math.frexp(np.abs(coeffs.view(float)).max(initial=1.0))[1])
+        grid.reshape(-1)[scatter] = (scale * coeffs)[:, None] * layers
+        np.matmul(sy, grid, out=synth)
+        np.matmul(ys, xsynth, out=xs)
+        np.subtract(np.multiply(w_x, psi_y, out=jac), np.multiply(w_y, psi_x, out=cross), out=jac)
+        np.matmul(jac, ax, out=xa)
+        out = np.matmul(ay, xa.view(complex), out=ya).take(gather)
+        out /= scale
+        out /= scale
+        return out
+
+    return rhs
+
+
+def _rep_rhs(modeset: ModeSet, coeffs: np.ndarray) -> np.ndarray:
+    """The right-hand side at one state, through a workspace of its own
+    (see _rhs_workspace); the result is a new array.  integrate_euler and
+    jacobian_check make their buffers once per call instead, through one
+    workspace for all their right-hand sides."""
+    return _rhs_workspace(modeset)(coeffs)
 
 
 def euler_rhs(field: VorticityField) -> VorticityField:
@@ -272,9 +302,10 @@ def jacobian_check(p: WaveVector, gamma: complex, modeset: ModeSet) -> float:
     """
     base = fixed_point(p, gamma, modeset).coeffs
     modes = modeset.modes
+    rhs = _rhs_workspace(modeset)
 
     def rhs_of(coeffs: np.ndarray) -> np.ndarray:
-        return _embed(modeset, _rep_rhs(modeset, coeffs))
+        return _embed(modeset, rhs(coeffs))
 
     expected = np.zeros((len(modes), len(modes)), dtype=complex)
     for r, k in enumerate(modes):
@@ -319,7 +350,7 @@ def integrate_euler(
 ) -> EulerTrajectory:
     """Classical fixed-step 4th-order integration with E/J drift report."""
     modeset = field0.modeset
-    increment = _rk4_increment(lambda w: _rep_rhs(modeset, w), dt)
+    increment = _rk4_increment(_rhs_workspace(modeset), dt)
     times, coeffs = _rk4(increment, field0.coeffs, dt, steps, sample_every)
     E, J = _energy_enstrophy(modeset, _embed(modeset, coeffs))
     return EulerTrajectory(

@@ -27,6 +27,8 @@ __all__ = [
     "classes_meeting_disk",
 ]
 
+DISK_CAP = 1 << 12  # |k|^2 of a class scan; the scan walks every lattice point of the disk
+
 
 @dataclass(frozen=True, order=True)
 class WaveVector:
@@ -200,6 +202,8 @@ def classes_meeting_disk(p: WaveVector, radius2: int) -> list[ClassLabel]:
     """
     if p.is_zero:
         raise UsageError("p must be nonzero")
+    if radius2 > DISK_CAP:
+        raise UsageError(f"disk is capped at |k|^2 <= DISK_CAP = {DISK_CAP}, got {radius2}")
     seen: dict[tuple[int, int], ClassLabel] = {}
     for k in lattice_points_in_disk(radius2):
         label = canonical_label(k, p)

@@ -40,6 +40,7 @@ __all__ = [
 ]
 
 WINDOW_CAP = 1 << 16  # sites of a chain window; a trajectory holds samples x sites
+STEPS_CAP = 1 << 20  # RK4 steps of one integration; each step is a Python-level loop turn
 
 
 @dataclass(frozen=True)
@@ -325,12 +326,14 @@ def _rk4(
     """
     if dt <= 0 or steps < 1 or sample_every < 1:
         raise UsageError("need dt > 0, steps >= 1 and sample_every >= 1")
+    if steps > STEPS_CAP:
+        raise UsageError(f"steps are capped at STEPS_CAP = {STEPS_CAP}, got {steps}")
     w = np.array(w0, dtype=complex)
     samples = [w]
     times = [0.0]
     for step in range(1, steps + 1):
         w = w + increment(w)
-        if not np.all(np.isfinite(w)):
+        if not np.isfinite(w).all():
             raise NumericalError(f"non-finite state at step {step}")
         if step % sample_every == 0 or step == steps:
             samples.append(w)

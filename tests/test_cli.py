@@ -185,6 +185,10 @@ def test_usage_errors_exit_1(capsys):
         (("simulate", "--p", "1,1", "--khat", "1,0", "--n-window=2147483648"), "WINDOW_CAP = 65536"),
         (("euler-sim", "--p", "1,1", "--k-cutoff=1e300"), "CUTOFF_CAP = 64"),
         (("euler-sim", "--p", "1,1", "--k-cutoff=1e8"), "CUTOFF_CAP = 64"),
+        (("simulate", "--p", "1,1", "--khat", "1,0", "--steps=2147483648"), "STEPS_CAP = 1048576"),
+        (("euler-sim", "--p", "1,1", "--steps=2147483648"), "STEPS_CAP = 1048576"),
+        (("classes", "--p", "1,1", "--scan-radius", "1e300"), "DISK_CAP"),
+        (("classes", "--p", "64,1"), "DISK_CAP = 4096"),
     ],
 )
 def test_sizes_past_their_cap_are_usage_errors(capsys, argv, cap):

@@ -9,6 +9,7 @@ from euler_spectra.euler_core import (
     ModeSet,
     VorticityField,
     _rep_rhs,
+    _rhs_workspace,
     conserved,
     euler_rhs,
     fixed_point,
@@ -16,7 +17,7 @@ from euler_spectra.euler_core import (
     jacobian_check,
 )
 from euler_spectra.lattice import WaveVector, triad_coeff
-from euler_spectra.subsystem import ComplexSeq, SubsystemSpec, integrate
+from euler_spectra.subsystem import ComplexSeq, SubsystemSpec, _rk4, _rk4_increment, integrate
 
 V = WaveVector
 K5 = ModeSet.disk(5.0)
@@ -152,6 +153,39 @@ def test_rhs_of_a_strided_coefficient_view():
     coeffs = np.repeat(random_field(K5, seed=2).coeffs, 2)
     got = euler_rhs(VorticityField(K5, coeffs[::2])).coeffs
     assert np.array_equal(got, euler_rhs(VorticityField(K5, coeffs[::2].copy())).coeffs)
+
+
+def test_workspace_returns_a_new_array_each_call():
+    # _rk4_increment keeps the first stage as its running total, so a
+    # later call must leave an earlier result alone
+    rhs = _rhs_workspace(K5)
+    c1, c2 = (random_field(K5, seed=s).coeffs for s in (5, 6))
+    r1 = rhs(c1)
+    kept = r1.copy()
+    r2 = rhs(c2)
+    assert np.array_equal(r1, kept) and r2 is not r1
+    again = rhs(c1)
+    assert again is not r1 and np.array_equal(again, kept)
+
+
+@pytest.mark.parametrize("cutoff", [5.0, 8.0])
+def test_integrate_euler_reuse_matches_a_fresh_workspace_per_call(cutoff):
+    modeset = ModeSet.disk(cutoff)
+    field0 = random_field(modeset, seed=7, scale=0.2)
+    traj = integrate_euler(field0, dt=1e-3, steps=200, sample_every=20)
+    increment = _rk4_increment(lambda w: _rep_rhs(modeset, w), 1e-3)
+    _, fresh = _rk4(increment, field0.coeffs, 1e-3, 200, 20)
+    assert np.array_equal(traj.coeffs, fresh)
+
+
+@np.errstate(invalid="ignore")
+def test_workspace_keeps_no_state_from_a_nan_call():
+    rhs = _rhs_workspace(K5)
+    coeffs = random_field(K5, seed=8).coeffs
+    poisoned = coeffs.copy()
+    poisoned[3] = np.nan
+    assert np.isnan(rhs(poisoned)).any()
+    assert np.array_equal(rhs(coeffs), _rep_rhs(K5, coeffs))
 
 
 def test_conserved_frozen_values():

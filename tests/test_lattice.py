@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from euler_spectra import lattice
 from euler_spectra.errors import UsageError
 from euler_spectra.lattice import (
     RhoSequence,
@@ -152,6 +153,15 @@ def test_classes_meeting_disk_excludes_far_class():
     assert far not in labels
     # its nearest member has |k|^2 = 5 > 2
     assert far.khat.norm2 == 5
+
+
+def test_classes_meeting_disk_is_capped():
+    assert lattice.DISK_CAP == 1 << 12
+    labels = classes_meeting_disk(V(64, 0), lattice.DISK_CAP)
+    assert {(0, 64), (32, 0)} <= {lab.khat.as_tuple() for lab in labels}
+    assert max(lab.khat.norm2 for lab in labels) == lattice.DISK_CAP
+    with pytest.raises(UsageError, match="DISK_CAP = 4096, got 4097"):
+        classes_meeting_disk(V(1, 1), lattice.DISK_CAP + 1)
 
 
 def test_rho_sequence_memoizes_and_converges_to_limit():

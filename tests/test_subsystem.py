@@ -247,6 +247,15 @@ def test_window_is_capped():
         SubsystemSpec(khat=V(1, 0), p=V(1, 1), gamma=1.0, n_min=-32768, n_max=32768)
 
 
+def test_steps_are_capped_before_any_step():
+    def increment(w):
+        raise AssertionError("no step may run past the cap")
+
+    assert subsystem.STEPS_CAP == 1 << 20
+    with pytest.raises(UsageError, match="STEPS_CAP = 1048576, got 1048577"):
+        subsystem._rk4(increment, np.zeros(3, dtype=complex), 1e-3, subsystem.STEPS_CAP + 1, 1)
+
+
 def test_integrate_rejects_bad_steps():
     for dt, steps, every in ((0.0, 5, 1), (1e-2, 0, 1), (1e-2, 5, 0)):
         with pytest.raises(UsageError, match="need dt > 0"):
