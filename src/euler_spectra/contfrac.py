@@ -20,6 +20,9 @@ Every tail fraction, of the full chain and of the two half-chains of a
 class with a member on |k| = |p|, is one backward recurrence (minimal
 solutions: Gautschi, SIAM Rev. 9 (1967) 24), written once in _sweep,
 which also carries the derivative that the Newton search steps with.
+The two tails of the full chain run as the two rows of one sweep, and
+the division by rho_n is a real multiply by a table of 1/rho_n, which
+gives the same bits as numpy's complex division (see _sweep).
 
 All search-facing entry points work in the scale-free variable
 lambda_tilde = lambda / a, which is invariant under rescaling |Gamma|.
@@ -148,8 +151,9 @@ def band_distance(z, half):
 def a_n(params: CFParams, lam: complex, n: int) -> complex:
     """Recurrence coefficient a_n = lambda / (a * rho_n).
 
-    Kept public as a test oracle: _sweep inlines it, and the tests check
-    reconstructed eigenvectors against the recurrence written with it.
+    Kept public as a test oracle: _sweep inlines it as lt times a table
+    of 1/rho_n, and the tests check reconstructed eigenvectors against the
+    recurrence written with it.
     """
     r = params.rho_seq.value(n)
     if r == 0.0:
@@ -180,17 +184,40 @@ def _sweep(params: CFParams, lt, ns, start=None):
     Every tail fraction is this one recurrence: the lower tail runs over
     n = -depth..0; the upper tail runs over n = depth..1 in the variable
     u = -1/w, so its ratio is -1/u.  lt may be a scalar or an array.
+
+    ns is a sequence of indices, or of index rows (an array of shape
+    (len, rows)) that run side by side from the same lt: _match runs both
+    tails of the full chain as the two rows of one sweep.  u and du then
+    gain a leading axis of length rows.
+
+    rho is read once per sweep into a table, and lt/rho_n is taken as the
+    real multiply of lt's float view by 1/rho_n.  That is the same number
+    that numpy's complex division by rho_n + 0j gives: Smith's formula
+    (R. L. Smith, CACM 5 (1962) 435) with a zero imaginary part multiplies
+    both parts by 1/rho_n, and only the sign of an exact zero can differ.
+    A rho_n that is exactly 0 raises NumericalError.
     """
+    idx = np.asarray(ns, dtype=np.int64)
+    rho = np.fromiter(map(params.rho_seq.value, idx.ravel().tolist()), float, idx.size).reshape(idx.shape)
+    if not rho.all():
+        n = int(idx[rho == 0][0])
+        raise NumericalError(
+            f"rho_{n} = 0 in floating point at the member {params.khat.plus(n, params.p).as_tuple()}, off "
+            "the circle |k| = |p|: the continued fraction has a zero denominator there"
+        )
+    inv = (1.0 / rho)[..., None]
+    rows = idx.shape[1:]
+    flat = np.ascontiguousarray(lt, dtype=complex).reshape(-1)
     if start is None:
-        a_t = -lt * params.p.norm2
+        a_t = -flat * params.p.norm2
         u = _w_plus(a_t)
         du = u * -params.p.norm2 / (2.0 * u - a_t)
     else:
-        u, du = start
-    for n in ns:
-        r = params.rho_seq.value(n)
-        u, du = lt / r + 1.0 / u, 1.0 / r - du / (u * u)
-    return u, du
+        u, du = (np.reshape(s, (*rows, -1)) for s in start)
+    flat = flat.view(float)
+    for inv_n in inv:
+        u, du = (flat * inv_n).view(complex) + 1.0 / u, inv_n - du / (u * u)
+    return tuple(np.reshape(s, (*rows, *np.shape(lt))) for s in (u, du))
 
 
 def _match(params: CFParams, lt, side: int, depth: int):
@@ -204,12 +231,13 @@ def _match(params: CFParams, lt, side: int, depth: int):
     """
     with np.errstate(divide="ignore", invalid="ignore"):
         if side > 0:
-            f, df = _sweep(params, lt, range(depth, 0, -1))
+            f, df = _sweep(params, lt, np.arange(depth, 0, -1))
         elif side < 0:
-            f, df = _sweep(params, lt, range(-depth, 0))
+            f, df = _sweep(params, lt, np.arange(-depth, 0))
         else:
-            down, ddown = _sweep(params, lt, range(-depth, 1))
-            up, dup = _sweep(params, lt, range(depth, 0, -1))
+            pairs = np.stack((np.arange(-depth, 0), np.arange(depth, 0, -1)), axis=-1)
+            (down, up), (ddown, dup) = _sweep(params, lt, pairs)
+            down, ddown = _sweep(params, lt, (0,), (down, ddown))
             f, df = down + 1.0 / up, ddown - dup / (up * up)
     off = band_distance(lt, params.band_halfwidth_tilde()) > 0
     return np.where(off, f, np.nan), np.where(off, df, np.nan)

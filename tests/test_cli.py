@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import io
 import json
 import os
@@ -295,6 +296,34 @@ def test_blowups_exit_2(capsys):
     assert code == 2 and out == "" and "non-finite state" in err
     code, out, err = run_cli(capsys, "euler-sim", "--p", "1,1", "--gamma", "1e160", "--k-cutoff", "4", "--steps", "5")
     assert code == 2 and out == "" and "E drift is not finite" in err
+
+
+def test_a_rho_that_rounds_to_zero_exits_2(capsys):
+    # the member (5, -2^31) is off the circle, |k|^2 - |p|^2 = 9, but near
+    # 2^62 the two reciprocals round to one float: its rho is exactly 0
+    code, out, err = run_cli(capsys, "eigs-cf", "--p=-4,2147483648", "--khat=1,0")
+    assert code == 2 and out == ""
+    assert err.startswith("numerical failure: rho_-1 = 0 in floating point at the member (5, -2147483648)")
+
+
+@pytest.mark.parametrize(
+    "argv, digest",
+    [
+        (("--p", "1,1", "--khat", "1,0"), "a5d56f614fcbaaf261d6daa8ad1e179b2089689a44506e32ef55567cd984908c"),
+        (("--p=2,1", "--khat=2,-1"), "96462b9e0d7b51dc3b54e270a46dae4472446d78e45b2e2de0d769098e6f346e"),
+        (
+            ("--p", "3,1", "--khat", "0,1", "--format", "csv"),
+            "2ff6058aec4609537612cc07c24e2eff8bda69f5ef028fc7afa3636e278f88e0",
+        ),
+        (("--p=10,0", "--khat=1,3"), "19583ae037b6ccda6118844742d0aca715d5109e4642bcaec1c098ae40c383c7"),
+    ],
+)
+def test_eigs_cf_output_bytes_are_pinned(capsys, argv, digest):
+    # digests of the output when each tail ran in a sweep of its own and
+    # divided by rho_n: the paired sweep and its 1/rho table keep every bit
+    code, out, _ = run_cli(capsys, "eigs-cf", *argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_negative_vectors_without_equals_sign(capsys):

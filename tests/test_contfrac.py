@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
@@ -126,6 +128,92 @@ def test_cf_tail_constant_chain_hits_exact_roots():
     k = w_plus - 3.0
     assert k == pytest.approx((np.sqrt(13) - 3) / 2, abs=1e-13)
     assert k == pytest.approx(1 / w_plus, abs=1e-13)
+
+
+def _reference_match(params, lt, side, depth):
+    """_match off the band written as plain per-index divisions by rho_n,
+    each tail in its own sweep."""
+
+    def sweep(ns):
+        a_t = -lt * params.p.norm2
+        u = _w_plus(a_t)
+        du = u * -params.p.norm2 / (2.0 * u - a_t)
+        for n in ns:
+            r = params.rho_seq.value(n)
+            u, du = lt / r + 1.0 / u, 1.0 / r - du / (u * u)
+        return u, du
+
+    with np.errstate(divide="ignore", invalid="ignore"):
+        if side > 0:
+            return sweep(range(depth, 0, -1))
+        if side < 0:
+            return sweep(range(-depth, 0))
+        down, ddown = sweep(range(-depth, 1))
+        up, dup = sweep(range(depth, 0, -1))
+        return down + 1.0 / up, ddown - dup / (up * up)
+
+
+@st.composite
+def _chain_and_off_band_points(draw):
+    coord = st.integers(-4, 4)
+    p = draw(st.tuples(coord, coord).map(lambda t: V(*t)).filter(lambda v: not v.is_zero))
+    khat = draw(st.tuples(coord, coord).map(lambda t: V(*t)).filter(lambda v: det(p, v) != 0))
+    member = circle_member(khat, p)
+    params = CFParams.for_class(khat if member is None else member, p, 1.0)
+    half = params.band_halfwidth_tilde()
+    sign = st.sampled_from([1.0, -1.0])
+    zero = st.sampled_from([0.0, -0.0])
+    part = st.floats(-3.0, 3.0)
+    point = st.one_of(
+        st.tuples(part, part),
+        st.tuples(zero, st.tuples(sign, st.floats(1e-9, 3.0)).map(lambda t: t[0] * (half + t[1]))),
+        st.tuples(st.tuples(sign, st.floats(1e-3, 3.0)).map(lambda t: t[0] * t[1]), zero),
+        # next to the band tube: just outside, just inside, along the band
+        st.tuples(
+            st.tuples(sign, st.floats(0.5, 1.5)).map(lambda t: t[0] * t[1] * contfrac.BAND_TUBE),
+            st.floats(-half, half),
+        ),
+    )
+    pts = draw(st.lists(point, min_size=1, max_size=8))
+    lt = np.array([complex(x, y) for x, y in pts])
+    assume((band_distance(lt, half) > 0).all())
+    sides = (0, +1, -1) if member is None else (+1, -1)
+    return params, lt, sides, draw(st.integers(1, 300))
+
+
+@given(_chain_and_off_band_points())
+@settings(max_examples=60, deadline=None)
+def test_paired_table_sweep_equals_per_index_division(case):
+    # the paired sweep multiplies by a 1/rho table; numpy's complex division
+    # by rho + 0j gives the same numbers, so the match is exact, not approx
+    params, lt, sides, depth = case
+    for side in sides:
+        got, ref = _match(params, lt, side, depth), _reference_match(params, lt, side, depth)
+        for g, r in zip(got, ref):
+            assert g.shape == r.shape and (g == r).all()
+
+
+class _ZeroRhoAt:
+    """The class's rho sequence with rho_n replaced by 0 at one index."""
+
+    def __init__(self, params, n):
+        self.params, self.n = params, n
+
+    def value(self, n):
+        return 0.0 if n == self.n else rho(self.params.khat, self.params.p, n)
+
+
+@pytest.mark.parametrize("n", [-3, 0, 5])
+def test_a_zero_rho_in_the_sweep_raises_numerical_error(n):
+    params = CFParams.for_class(V(1, 0), V(1, 1), 1.0)
+    params.rho_seq = _ZeroRhoAt(params, n)
+    member = re.escape(f"rho_{n} = 0 in floating point at the member {V(1, 0).plus(n, V(1, 1)).as_tuple()}")
+    with pytest.raises(NumericalError, match=member):
+        _match(params, np.array([0.3 + 0.4j, 1.0]), 0, 64)
+    with pytest.raises(NumericalError, match=member):
+        f_eigen(params, 0.3 + 0.4j)
+    with pytest.raises(NumericalError, match=member):
+        eigenvector_window(params, 0.3 + 0.4j, -8, 8)
 
 
 def test_cf_tail_cauchy_in_tol():
@@ -376,8 +464,9 @@ def test_per_point_depth_sweeps_a_twentieth_of_the_single_depth_search(monkeypat
     sweep = contfrac._sweep
 
     def counting(params, lt, ns, start=None):
-        visited.append(len(ns))
-        work.append(len(ns) * np.size(lt))
+        # np.size counts both rows of a paired sweep (both tails at once)
+        visited.append(np.size(ns))
+        work.append(np.size(ns) * np.size(lt))
         return sweep(params, lt, ns, start)
 
     monkeypatch.setattr(contfrac, "_sweep", counting)
@@ -386,6 +475,8 @@ def test_per_point_depth_sweeps_a_twentieth_of_the_single_depth_search(monkeypat
     # points x indices: 1,673,579 when every finite iterate was evaluated
     # once more before the report took each root's residual
     assert sum(work) <= 1.55e6
+    # the same work as when each tail ran in a sweep of its own
+    assert (sum(visited), sum(work)) == (7847, 1479665)
 
 
 def _meets_disk_or_circle(khat, p):
