@@ -348,10 +348,16 @@ def integrate_euler(
     steps: int,
     sample_every: int = 1,
 ) -> EulerTrajectory:
-    """Classical fixed-step 4th-order integration with E/J drift report."""
+    """Classical fixed-step 4th-order integration with E/J drift report.
+
+    Each step adds the stage formula's increment (subsystem._rk4_increment)
+    in place to a copy of field0.coeffs; the state is checked for
+    finiteness at each sample, and a failed sample is replayed step by
+    step to name the first non-finite step (see subsystem._rk4)."""
     modeset = field0.modeset
     increment = _rk4_increment(_rhs_workspace(modeset), dt)
-    times, coeffs = _rk4(increment, field0.coeffs, dt, steps, sample_every)
+    w = field0.coeffs.copy()
+    times, coeffs = _rk4(lambda: increment(w), w, dt, steps, sample_every)
     E, J = _energy_enstrophy(modeset, _embed(modeset, coeffs))
     return EulerTrajectory(
         modeset=modeset,

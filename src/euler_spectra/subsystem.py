@@ -312,31 +312,42 @@ def _rk4_increment(rhs: Callable[[np.ndarray], np.ndarray], dt: float) -> Callab
 
 
 def _rk4(
-    increment: Callable[[np.ndarray], np.ndarray],
-    w0: np.ndarray,
+    increment: Callable[[], np.ndarray],
+    w: np.ndarray,
     dt: float,
     steps: int,
     sample_every: int,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Fixed-step integration w <- w + increment(w) from w0, increment
-    being one step of size dt (see _rk4_increment).
+    """Fixed-step integration w += increment() in place, w being a buffer
+    the caller owns and increment() one step of size dt at the state that
+    buffer holds (see _rk4_increment).
 
     Returns (times, samples): t = 0 and every sample_every-th step, plus
-    the last step; samples has shape (len(times),) + w0.shape.
+    the last step; samples has shape (len(times),) + w.shape.
+
+    Finiteness is checked at each sample, not at each step.  Under +=, an
+    entry that turned inf or NaN stays non-finite, so a sample that is all
+    finite proves every step since the last sample was.  A sample that is
+    not is replayed from the last sample one checked step at a time, which
+    costs at most one sample interval, and only on failure, and names the
+    first non-finite step, as a check after every step would.
     """
     if dt <= 0 or steps < 1 or sample_every < 1:
         raise UsageError("need dt > 0, steps >= 1 and sample_every >= 1")
     if steps > STEPS_CAP:
         raise UsageError(f"steps are capped at STEPS_CAP = {STEPS_CAP}, got {steps}")
-    w = np.array(w0, dtype=complex)
-    samples = [w]
+    samples = [w.copy()]
     times = [0.0]
     for step in range(1, steps + 1):
-        w = w + increment(w)
-        if not np.isfinite(w).all():
-            raise NumericalError(f"non-finite state at step {step}")
+        w += increment()
         if step % sample_every == 0 or step == steps:
-            samples.append(w)
+            if not np.isfinite(w).all():
+                w[...] = samples[-1]
+                for replayed in range((step - 1) // sample_every * sample_every + 1, step + 1):
+                    w += increment()
+                    if not np.isfinite(w).all():
+                        raise NumericalError(f"non-finite state at step {replayed}")
+            samples.append(w.copy())
             times.append(step * dt)
     return np.array(times), np.array(samples)
 
@@ -366,19 +377,27 @@ def _chain_band(spec: SubsystemSpec, dt: float) -> np.ndarray:
     return np.where((src >= 0) & (src < spec.width), response[src % span, idx], 0)
 
 
-def _chain_increment(spec: SubsystemSpec, dt: float, shape: tuple[int, ...]) -> Callable[[np.ndarray], np.ndarray]:
-    """The chain's RK4 increment on states of the given shape, one
-    multiply-sum over its band per call.  The zero-padded buffer and its
-    (..., 9, width) window view are made once, here."""
+def _chain_increment(spec: SubsystemSpec, dt: float, w0: np.ndarray) -> tuple[Callable[[], np.ndarray], np.ndarray]:
+    """(increment, w), the arguments _rk4 steps in place: the chain's RK4
+    increment at the state w holds, one multiply-sum over the band per
+    call, and a state buffer w holding a copy of w0.
+
+    w is the interior view of a zero-padded buffer, so the (..., 9, width)
+    window view reads the state with no copy; that buffer, the product
+    and the result are made once, here, and a call allocates nothing.
+    """
     band = _chain_band(spec, dt)
-    padded = np.zeros(shape[:-1] + (spec.width + 2 * _REACH,), dtype=complex)
+    padded = np.zeros(w0.shape[:-1] + (spec.width + 2 * _REACH,), dtype=complex)
+    w = padded[..., _REACH:-_REACH]
+    w[...] = w0
     windows = sliding_window_view(padded, spec.width, axis=-1)  # windows[..., k, i] = w[i + k - 4]
+    prod, inc = np.empty(windows.shape, dtype=complex), np.empty(w.shape, dtype=complex)
 
-    def increment(w: np.ndarray) -> np.ndarray:
-        padded[..., _REACH:-_REACH] = w
-        return (windows * band).sum(axis=-2)
+    def increment() -> np.ndarray:
+        np.multiply(windows, band, out=prod)
+        return np.add.reduce(prod, axis=-2, out=inc)
 
-    return increment
+    return increment, w
 
 
 @np.errstate(over="ignore", invalid="ignore")  # an overflow raises NumericalError
@@ -397,18 +416,21 @@ def integrate(
     _rel_drift), and the peak enstrophy ratio max_t ||w(t)||^2 / ||w(0)||^2
     (1.0 for a zero state).
     Raises NumericalError when the state or an invariant series stops
-    being finite, checking the H drift, then the I drift, then the ratio.
+    being finite, checking the H drift, then the I drift, then the ratio;
+    the state is checked at each sample, and a failed sample is replayed
+    to name the first non-finite step (see _rk4).
 
     Each step is one multiply-sum over the 9-diagonal band of the RK4
-    increment, read off once per call (see _chain_band).
+    increment, read off once per call (see _chain_band), added in place to
+    a state buffer that is the interior of a zero-padded one, so a step
+    allocates nothing (see _chain_increment).
 
     state0 may hold a batch of states, values of shape (batch, width):
     all rows step in one RK4 loop, and the Trajectory reports each row's
     samples, drifts and ratio (see Trajectory).
     """
     _require_match(spec, state0, batch=True)
-    increment = _chain_increment(spec, dt, state0.values.shape)
-    times, samples = _rk4(increment, state0.values, dt, steps, sample_every)
+    times, samples = _rk4(*_chain_increment(spec, dt, state0.values), dt, steps, sample_every)
     states = np.moveaxis(samples, 0, -2)  # rows first, time next to the window
     rho_w = spec.rho_window()
     enstrophy = np.sum(np.abs(states) ** 2, axis=-1)

@@ -298,6 +298,11 @@ def test_blowups_exit_2(capsys):
     assert code == 2 and out == "" and "E drift is not finite" in err
 
 
+def test_a_chain_blow_up_names_its_first_non_finite_step(capsys):
+    code, out, err = run_cli(capsys, "simulate", "--p", "1,1", "--khat", "1,0", "--dt", "100", "--steps", "1000")
+    assert (code, out, err) == (2, "", "numerical failure: non-finite state at step 58\n")
+
+
 def test_a_rho_that_rounds_to_zero_exits_2(capsys):
     # the member (5, -2^31) is off the circle, |k|^2 - |p|^2 = 9, but near
     # 2^62 the two reciprocals round to one float: its rho is exactly 0
@@ -322,6 +327,37 @@ def test_eigs_cf_output_bytes_are_pinned(capsys, argv, digest):
     # digests of the output when each tail ran in a sweep of its own and
     # divided by rho_n: the paired sweep and its 1/rho table keep every bit
     code, out, _ = run_cli(capsys, "eigs-cf", *argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize(
+    "argv, digest",
+    [
+        (("simulate", "--p", "1,1", "--khat", "1,0"), "b0de0fb3ae981ed2f0220ff0de9b82bbba77154e91f1b8ea90a678088e7604cd"),
+        (
+            ("simulate", "--p", "1,1", "--khat", "1,0", "--format", "csv"),
+            "ae844aa344641503bda5be05c33b005174d1b0c5e5f35d63f987f9400b96967f",
+        ),
+        (
+            ("simulate", "--p", "2,1", "--khat", "0,1", "--n-window", "40", "--steps", "3000"),
+            "647d3817f985582525654b5596dc43cb3b40a57c1e9b1a411c0a202dbe68e4a9",
+        ),
+        (
+            ("euler-sim", "--p", "1,1", "--khat", "1,0", "--eps", "0.05"),
+            "b5e293be3f49df925e1896955fdd660bdc451018344729ddd95a7de3fcce7e52",
+        ),
+        (
+            ("euler-sim", "--p", "2,1", "--khat", "1,0", "--eps", "0.3", "--k-cutoff", "8", "--steps", "2000")
+            + ("--format", "csv"),
+            "c6c3e0aa5e6e5cb8ee8c61f27555dbfce59f2aa2cb3b3b772746b7f6fe6ce513",
+        ),
+    ],
+)
+def test_simulate_and_euler_sim_output_bytes_are_pinned(capsys, argv, digest):
+    # digests of the output when both integrators allocated a new state
+    # each step and checked it for finiteness after every step
+    code, out, _ = run_cli(capsys, *argv)
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 

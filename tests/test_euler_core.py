@@ -174,8 +174,29 @@ def test_integrate_euler_reuse_matches_a_fresh_workspace_per_call(cutoff):
     field0 = random_field(modeset, seed=7, scale=0.2)
     traj = integrate_euler(field0, dt=1e-3, steps=200, sample_every=20)
     increment = _rk4_increment(lambda w: _rep_rhs(modeset, w), 1e-3)
-    _, fresh = _rk4(increment, field0.coeffs, 1e-3, 200, 20)
+    w = field0.coeffs.copy()
+    _, fresh = _rk4(lambda: increment(w), w, 1e-3, 200, 20)
     assert np.array_equal(traj.coeffs, fresh)
+
+
+@pytest.mark.parametrize("sample_every", [1, 7, 10, 1000])
+def test_a_triad_blow_up_names_the_step_a_check_per_step_names(sample_every):
+    # the in-place loop checks only its samples and replays the interval
+    # of a failed one; a loop that checks after every step names step 21
+    field0 = fixed_point(V(1, 1), 1.0, K5)
+    rng = np.random.default_rng(0)
+    field0.coeffs += 0.3 * (rng.normal(size=len(field0.coeffs)) + 1j * rng.normal(size=len(field0.coeffs)))
+    increment, w = _rk4_increment(_rhs_workspace(K5), 0.8), field0.coeffs
+    with np.errstate(over="ignore", invalid="ignore"):
+        for step in range(1, 1001):
+            w = w + increment(w)
+            if not np.isfinite(w).all():
+                break
+    assert step == 21
+    kept = field0.coeffs.copy()
+    with pytest.raises(NumericalError, match=f"^non-finite state at step {step}$"):
+        integrate_euler(field0, dt=0.8, steps=1000, sample_every=sample_every)
+    assert np.array_equal(field0.coeffs, kept)  # the loop steps a copy
 
 
 @np.errstate(invalid="ignore")

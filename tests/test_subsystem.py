@@ -2,6 +2,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from numpy.lib.stride_tricks import sliding_window_view
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
@@ -248,7 +249,7 @@ def test_window_is_capped():
 
 
 def test_steps_are_capped_before_any_step():
-    def increment(w):
+    def increment():
         raise AssertionError("no step may run past the cap")
 
     assert subsystem.STEPS_CAP == 1 << 20
@@ -496,7 +497,8 @@ def test_banded_increment_is_the_stage_formula(p, khat, gamma, width, offset, se
     spec = _window(khat, p, gamma, width, offset)
     w = _random_rows(spec, seed)
     want = _stagewise(spec, dt)(w)
-    got = subsystem._chain_increment(spec, dt, w.shape)(w)
+    increment, _ = subsystem._chain_increment(spec, dt, w)
+    got = increment()
     assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want))
 
 
@@ -509,9 +511,65 @@ def test_banded_steps_stay_with_the_stage_formula(p, khat, gamma, width, offset,
     spec = _window(khat, p, gamma, width, offset)
     w = _random_rows(spec, seed)
     traj = integrate(spec, ComplexSeq(spec.n_min, w), dt=1e-2, steps=1000, sample_every=50)
-    _, oracle = subsystem._rk4(_stagewise(spec, 1e-2), w, 1e-2, 1000, 50)
+    increment, buffer = _stagewise(spec, 1e-2), w.copy()
+    _, oracle = subsystem._rk4(lambda: increment(buffer), buffer, 1e-2, 1000, 50)
     oracle = np.moveaxis(oracle, 0, -2)  # rows first, as in Trajectory.states
     assert np.max(np.abs(traj.states - oracle)) <= 1e-13 * np.max(np.abs(oracle))
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def _allocating_loop(spec, w, dt, steps, sample_every):
+    """Samples of the chain's run, rows first, by a loop that allocates each
+    step, w = w + (windows * band).sum(axis=-2), and checks finiteness after
+    every step: the oracle of integrate's in-place loop."""
+    band = subsystem._chain_band(spec, dt)
+    padded = np.zeros(w.shape[:-1] + (spec.width + 8,), dtype=complex)
+    windows = sliding_window_view(padded, spec.width, axis=-1)
+    samples = [w]
+    for step in range(1, steps + 1):
+        padded[..., 4:-4] = w
+        w = w + (windows * band).sum(axis=-2)
+        if not np.isfinite(w).all():
+            raise NumericalError(f"non-finite state at step {step}")
+        if step % sample_every == 0 or step == steps:
+            samples.append(w)
+    return np.moveaxis(np.array(samples), 0, -2)
+
+
+@given(
+    **chain_windows,
+    dt=st.sampled_from([1e-3, 1e-2, 0.1, 0.5]),
+    rows=st.sampled_from([0, 1, 3]),
+    sample_every=st.integers(1, 120),
+)
+@example(p=V(1, 1), khat=V(2, 2), gamma=1.0 + 0.5j, width=13, offset=6, seed=0, dt=0.1, rows=3, sample_every=7)
+@example(p=V(1, 0), khat=V(0, 4), gamma=-2.0, width=20, offset=10, seed=1, dt=0.5, rows=0, sample_every=100)
+@settings(max_examples=60, deadline=None)
+def test_in_place_steps_equal_the_allocating_loop_bit_for_bit(
+    p, khat, gamma, width, offset, seed, dt, rows, sample_every
+):
+    # one state (rows = 0) or a batch; the couplings stay below 4 in size,
+    # so 100 steps at dt = 0.5 grow a state by at most 7.6 per step and
+    # neither the states nor the invariants overflow
+    spec = _window(khat, p, gamma, width, offset)
+    w = _random_rows(spec, seed)
+    w = w[0] if rows == 0 else w[:rows]
+    kept = w.copy()
+    traj = integrate(spec, ComplexSeq(spec.n_min, w), dt=dt, steps=100, sample_every=sample_every)
+    assert np.array_equal(w, kept)  # the loop steps a buffer of its own
+    assert np.array_equal(traj.states, _allocating_loop(spec, w, dt, 100, sample_every))
+
+
+@pytest.mark.parametrize("sample_every", [1, 7, 10, 1000])
+def test_a_blow_up_names_the_step_a_check_per_step_names(sample_every):
+    # the in-place loop checks only its samples and replays the interval
+    # of a failed one step by step
+    w = random_state(GOLDEN, seed=3).values
+    with pytest.raises(NumericalError, match="^non-finite state at step 59$") as want:
+        _allocating_loop(GOLDEN, w, 100.0, 1000, 1)
+    with pytest.raises(NumericalError) as got:
+        integrate(GOLDEN, ComplexSeq(GOLDEN.n_min, w), dt=100.0, steps=1000, sample_every=sample_every)
+    assert str(got.value) == str(want.value)
 
 
 def test_integrate_memory_is_linear_in_the_width():
