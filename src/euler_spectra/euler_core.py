@@ -246,17 +246,9 @@ def _rhs_workspace(modeset: ModeSet) -> Callable[[np.ndarray], np.ndarray]:
     return rhs
 
 
-def _rep_rhs(modeset: ModeSet, coeffs: np.ndarray) -> np.ndarray:
-    """The right-hand side at one state, through a workspace of its own
-    (see _rhs_workspace); the result is a new array.  integrate_euler and
-    jacobian_check make their buffers once per call instead, through one
-    workspace for all their right-hand sides."""
-    return _rhs_workspace(modeset)(coeffs)
-
-
 def euler_rhs(field: VorticityField) -> VorticityField:
     """Quadratic mode-coupling right-hand side; preserves reality."""
-    return VorticityField(field.modeset, _rep_rhs(field.modeset, field.coeffs))
+    return VorticityField(field.modeset, _rhs_workspace(field.modeset)(field.coeffs))
 
 
 def fixed_point(p: WaveVector, gamma: complex, modeset: ModeSet) -> VorticityField:

@@ -90,16 +90,19 @@ def triad_coeff(p: WaveVector, q: WaveVector) -> float:
 def rho(khat: WaveVector, p: WaveVector, n):
     """rho_n = |khat + n p|^-2 - |p|^-2 for the class member khat + n p.
 
-    n is an int or an integer array (then rho is taken elementwise); a
-    member at the origin raises UsageError either way.
+    n is an int or an integer array (then rho is taken elementwise, as an
+    array of n's shape); a member at the origin raises UsageError either
+    way.  Each index becomes a Python int first, so the member norms are
+    exact however far the member lies.
     """
-    norm2 = (khat.k1 + n * p.k1) ** 2 + (khat.k2 + n * p.k2) ** 2
-    # a plain int skips numpy: RhoSequence.value calls this once per index
-    at_origin = norm2 == 0 if isinstance(norm2, int) else not norm2.all()
-    if at_origin:
-        at = np.atleast_1d(n)[np.atleast_1d(norm2) == 0][0]
-        raise UsageError(f"khat + n p = 0 at n={at}; the origin carries no mode")
-    return 1.0 / norm2 - 1.0 / p.norm2
+    n = np.asarray(n)
+    ns = n.ravel().tolist()
+    norm2 = [(khat.k1 + m * p.k1) ** 2 + (khat.k2 + m * p.k2) ** 2 for m in ns]
+    if 0 in norm2:
+        raise UsageError(f"khat + n p = 0 at n={ns[norm2.index(0)]}; the origin carries no mode")
+    inv_p = 1.0 / p.norm2
+    values = [1.0 / k - inv_p for k in norm2]
+    return np.reshape(values, n.shape) if n.ndim else values[0]
 
 
 @dataclass(frozen=True)
@@ -135,12 +138,12 @@ class RhoSequence:
 
 
 def _near_members(k: WaveVector, p: WaveVector) -> list[WaveVector]:
-    """The members k + n p with n within 2 of round(n*), n* = -k.p / |p|^2
-    the real minimizer of the strictly convex |k + n p|^2.  They hold the
-    members of minimal norm (at floor/ceil of n*, or next to the origin when
-    that is the nearest site) and every member with |k + n p| <= |p|
-    (|n - n*| <= 1)."""
-    n_star = round(-k.dot(p) / p.norm2)
+    """The members k + n p with n within 2 of floor(n* + 1/2), n* =
+    -k.p / |p|^2 the real minimizer of the strictly convex |k + n p|^2,
+    rounded in exact integers.  They hold the members of minimal norm (at
+    floor/ceil of n*, or next to the origin when that is the nearest site)
+    and every member with |k + n p| <= |p| (|n - n*| <= 1)."""
+    n_star = (p.norm2 - 2 * k.dot(p)) // (2 * p.norm2)
     return [k.plus(n, p) for n in range(n_star - 2, n_star + 3)]
 
 

@@ -311,6 +311,27 @@ def test_a_rho_that_rounds_to_zero_exits_2(capsys):
     assert err.startswith("numerical failure: rho_-1 = 0 in floating point at the member (5, -2147483648)")
 
 
+def test_eigs_cf_of_a_far_member_is_that_of_its_class(capsys):
+    # (1,0) + (10^17 + 12345) p: the nearest member index is rounded in
+    # exact integers, so the far member finds its class
+    far = run_cli(capsys, "eigs-cf", "--p", "3,1", "--khat", "300000000000037036,100000000000012345")
+    assert far == run_cli(capsys, "eigs-cf", "--p", "3,1", "--khat", "1,0")
+    assert far[0] == 0 and json.loads(far[1])["quadruples"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["eigs-matrix", "--p=1,99999999999999999999", "--khat=1,0", "--n-matrix", "5"],
+        ["simulate", "--p=1,99999999999999999999", "--khat=1,0", "--n-window", "3", "--steps", "2"],
+    ],
+)
+def test_a_pump_past_int64_gets_an_answer(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 0 and err == ""
+    assert json.loads(out)["class"]["p"] == [1, 99999999999999999999]
+
+
 @pytest.mark.parametrize(
     "argv, digest",
     [

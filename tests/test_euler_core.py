@@ -8,7 +8,6 @@ from euler_spectra.errors import NumericalError, UsageError
 from euler_spectra.euler_core import (
     ModeSet,
     VorticityField,
-    _rep_rhs,
     _rhs_workspace,
     conserved,
     euler_rhs,
@@ -142,9 +141,9 @@ def test_rhs_scales_exactly_by_a_power_of_two(modeset, seed, j):
     # the sum is quadratic and the grid scale a power of two, so scaling the
     # state by 2^j scales the result by 4^j bit for bit
     coeffs = random_field(modeset, seed=seed).coeffs
-    got = _rep_rhs(modeset, 2.0**j * coeffs)
+    got = _rhs_workspace(modeset)(2.0**j * coeffs)
     assert got.shape == coeffs.shape
-    assert np.array_equal(got, 4.0**j * _rep_rhs(modeset, coeffs))
+    assert np.array_equal(got, 4.0**j * _rhs_workspace(modeset)(coeffs))
     if len(coeffs) <= 1:
         assert not np.any(got)
 
@@ -173,7 +172,7 @@ def test_integrate_euler_reuse_matches_a_fresh_workspace_per_call(cutoff):
     modeset = ModeSet.disk(cutoff)
     field0 = random_field(modeset, seed=7, scale=0.2)
     traj = integrate_euler(field0, dt=1e-3, steps=200, sample_every=20)
-    increment = _rk4_increment(lambda w: _rep_rhs(modeset, w), 1e-3)
+    increment = _rk4_increment(lambda w: _rhs_workspace(modeset)(w), 1e-3)
     w = field0.coeffs.copy()
     _, fresh = _rk4(lambda: increment(w), w, 1e-3, 200, 20)
     assert np.array_equal(traj.coeffs, fresh)
@@ -206,7 +205,7 @@ def test_workspace_keeps_no_state_from_a_nan_call():
     poisoned = coeffs.copy()
     poisoned[3] = np.nan
     assert np.isnan(rhs(poisoned)).any()
-    assert np.array_equal(rhs(coeffs), _rep_rhs(K5, coeffs))
+    assert np.array_equal(rhs(coeffs), _rhs_workspace(K5)(coeffs))
 
 
 def test_conserved_frozen_values():

@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from euler_spectra import lattice
+from euler_spectra.contfrac import CFParams
 from euler_spectra.errors import UsageError
 from euler_spectra.lattice import (
     RhoSequence,
@@ -17,6 +18,7 @@ from euler_spectra.lattice import (
     rho,
     triad_coeff,
 )
+from euler_spectra.matrixop import build
 
 V = WaveVector
 
@@ -71,11 +73,38 @@ def test_rho_rejects_origin_member():
         rho(V(2, 2), V(1, 1), -2)
 
 
-@pytest.mark.parametrize("khat, p", [((1, 0), (1, 1)), ((2, -1), (2, 1)), ((-3, 5), (1, -2)), ((1, 1), (2, 2))])
+def _rho_reference(khat, p, ns):
+    # the member norms as exact Python ints, fed to 1/K - 1/P
+    norms = [(khat.k1 + n * p.k1) ** 2 + (khat.k2 + n * p.k2) ** 2 for n in map(int, ns)]
+    return np.array([1.0 / K - 1.0 / p.norm2 for K in norms])
+
+
+# the last two rows are far pumps: member norms past int64 (3037000499^2
+# wraps in int64 arithmetic) and indices times 10^20 (past any C long)
+@pytest.mark.parametrize(
+    "khat, p",
+    [
+        ((1, 0), (1, 1)),
+        ((2, -1), (2, 1)),
+        ((-3, 5), (1, -2)),
+        ((1, 1), (2, 2)),
+        ((1, 0), (3, 3037000499)),
+        ((1, 0), (1, 10**20)),
+    ],
+)
 def test_rho_over_an_index_array_is_the_scalar_formula(khat, p):
+    khat, p = V(*khat), V(*p)
     ns = np.arange(-200, 201)
-    scalar = [rho(V(*khat), V(*p), int(n)) for n in ns]
-    assert rho(V(*khat), V(*p), ns).tobytes() == np.array(scalar).tobytes()
+    expected = _rho_reference(khat, p, ns).tobytes()
+    assert rho(khat, p, ns).tobytes() == expected
+    assert np.array([rho(khat, p, int(n)) for n in ns]).tobytes() == expected
+    assert np.array([rho(khat, p, np.int64(n)) for n in ns]).tobytes() == expected
+
+
+def test_section_chain_of_a_far_pump_is_a_times_the_formula():
+    params = CFParams.for_class(V(1, 0), V(3, 3037000499), 1.0)
+    chain = build("A", params, 7).chain
+    assert np.array_equal(chain, params.a * _rho_reference(V(1, 0), V(3, 3037000499), np.arange(-3, 4)))
 
 
 def test_rho_over_an_index_array_rejects_origin_member():
@@ -101,6 +130,9 @@ def test_canonical_label_tie_break_lexicographic():
     assert lab.khat == V(2, -1)
 
 
+# members 10^17 and 10^20 steps out: the nearest index must be rounded in exact integers
+@example(k=V(1, 0), p=V(3, 1), n=10**17 + 12345)
+@example(k=V(1, 0), p=V(3, 1), n=10**20 + 123457)
 @given(nonzero_vecs, nonzero_vecs, st.integers(-5, 5))
 @settings(max_examples=150)
 def test_canonical_label_constant_on_class(k, p, n):
@@ -197,6 +229,9 @@ def test_kappa_examples():
     assert (kappa(c, V(2, 1)), kappa(c, V(2, 1), +1), kappa(c, V(2, 1), -1)) == (1, 0, 1)
 
 
+# members 10^17 and 10^20 steps out: the nearest index must be rounded in exact integers
+@example(k=V(1, 0), p=V(3, 1), n=10**17 + 12345)
+@example(k=V(1, 0), p=V(3, 1), n=10**20 + 123457)
 @given(nonzero_vecs, nonzero_vecs, st.integers(-5, 5))
 @settings(max_examples=150)
 def test_kappa_counts_the_positive_rho(k, p, n):
