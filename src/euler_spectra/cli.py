@@ -36,6 +36,7 @@ __all__ = ["main"]
 # and at most 17.7 at 10000 steps.  An unstable run amplifies the noise past
 # any fixed floor, so with a real gamma every imaginary part is printed as 0.
 NOISE_UNITS = 64
+RK4_BOUND = 2.0 * np.sqrt(2.0)  # RK4's stability interval on the imaginary axis
 
 
 def _finite(value, text: str):
@@ -292,6 +293,15 @@ def cmd_simulate(config: argparse.Namespace) -> int:
         n_min=-config.n_window,
         n_max=config.n_window,
     )
+    # RK4 is stable for |dt lambda| <= RK4_BOUND on the imaginary axis, and
+    # the Gershgorin bound s of the chain bounds its spectral radius
+    _, cm, cp = spec.tables
+    s = float(np.max(np.abs(cm) + np.abs(cp)))
+    if abs(config.dt) * s > RK4_BOUND:
+        raise UsageError(
+            f"dt = {config.dt:g}: |dt| times the chain's coupling bound s = max_n(|cm_n| + |cp_n|) = {s:g} "
+            f"exceeds RK4's stability bound 2 sqrt 2 = {RK4_BOUND:g}; give |dt| <= {RK4_BOUND / s:g}"
+        )
     state = ComplexSeq.unit(spec, 0)  # n = 0 is never the excluded origin
     traj = integrate(spec, state, dt=config.dt, steps=config.steps, sample_every=max(1, config.steps // 100))
     doc = {

@@ -20,9 +20,12 @@ Every tail fraction, of the full chain and of the two half-chains of a
 class with a member on |k| = |p|, is one backward recurrence (minimal
 solutions: Gautschi, SIAM Rev. 9 (1967) 24), written once in _sweep,
 which also carries the derivative that the Newton search steps with.
-The two tails of the full chain run as the two rows of one sweep, and
-the division by rho_n is a real multiply by a table of 1/rho_n, which
-gives the same bits as numpy's complex division (see _sweep).
+Each tail at each truncation depth is one row of a sweep: a Newton step
+runs both tails at its first two depths, 64 and 128, as rows of one
+sweep (see _match and _deepen).  rho_n is read from one array per class
+(lattice.RhoSequence), and the division by rho_n is a real multiply by a
+table of 1/rho_n, which gives the same bits as numpy's complex division
+(see _sweep).
 
 All search-facing entry points work in the scale-free variable
 lambda_tilde = lambda / a, which is invariant under rescaling |Gamma|.
@@ -66,7 +69,7 @@ class CFParams:
     """Chain data entering the recurrence: class (khat, p), the pump
     amplitude Gamma, the real scale a = |Gamma| (p1 khat2 - p2 khat1) / 2,
     the class's member on the circle |k| = |p| (None when it has none) and
-    the memoized rho sequence.
+    the class's rho array (RhoSequence).
 
     rho_n vanishes only at the circle member, where the chain splits into
     two half-chains; the full-chain solvers refuse every member of such a
@@ -175,30 +178,37 @@ def _w_plus(a_t):
 # the recurrence kernel
 
 
-def _sweep(params: CFParams, lt, ns, start=None):
+def _seed(params: CFParams, lt):
+    """The constant-coefficient tail value w_plus(a_tilde), a_tilde =
+    -lt |p|^2, and its lt-derivative: the far-end start of every sweep."""
+    a_t = -lt * params.p.norm2
+    u = _w_plus(a_t)
+    return u, u * -params.p.norm2 / (2.0 * u - a_t)
+
+
+def _sweep(params: CFParams, lt, ns, start, trail: list | None = None):
     """Backward recurrence u <- lt/rho_n + 1/u over the indices ns, far end
-    first, carrying du/dlt in the same sweep; returns (u, du).
+    first, from start = (u, du), carrying du/dlt; returns (u, du).  Every
+    tail fraction is this one recurrence: the lower tail runs over
+    n = -depth..0; the upper tail over n = depth..1 in the variable
+    u = -1/w, so its ratio is -1/u.
 
-    Without a start value the sweep is seeded with the constant-coefficient
-    tail value w_plus(a_tilde), a_tilde = -lt |p|^2, and its derivative.
-    Every tail fraction is this one recurrence: the lower tail runs over
-    n = -depth..0; the upper tail runs over n = depth..1 in the variable
-    u = -1/w, so its ratio is -1/u.  lt may be a scalar or an array.
+    lt is a 1-D complex array.  ns holds indices, or index rows (shape
+    (len, rows)) run side by side from the same lt; start then has shape
+    (rows, len(lt)).  A trail list gets a copy of u after each index.
 
-    ns is a sequence of indices, or of index rows (an array of shape
-    (len, rows)) that run side by side from the same lt: _match runs both
-    tails of the full chain as the two rows of one sweep.  u and du then
-    gain a leading axis of length rows.
-
-    rho is read once per sweep into a table, and lt/rho_n is taken as the
-    real multiply of lt's float view by 1/rho_n.  That is the same number
-    that numpy's complex division by rho_n + 0j gives: Smith's formula
-    (R. L. Smith, CACM 5 (1962) 435) with a zero imaginary part multiplies
-    both parts by 1/rho_n, and only the sign of an exact zero can differ.
-    A rho_n that is exactly 0 raises NumericalError.
+    rho_n is indexed from the class's array, and lt/rho_n is a real
+    multiply of lt's float view by 1/rho_n: numpy's complex division by
+    rho_n + 0j (Smith's formula, R. L. Smith, CACM 5 (1962) 435) gives the
+    same number, but for the sign of an exact zero.  The du update reads
+    1/rho_n from a complex table and 1/u is divide(ones, u), the loops
+    numpy runs for a float or scalar operand, and each step writes into
+    buffers made once per sweep: the bits are those of
+    u, du = lt/rho_n + 1/u, 1/rho_n - du/(u*u).  A rho_n of exactly 0
+    raises NumericalError.
     """
     idx = np.asarray(ns, dtype=np.int64)
-    rho = np.fromiter(map(params.rho_seq.value, idx.ravel().tolist()), float, idx.size).reshape(idx.shape)
+    rho = params.rho_seq.take(idx)
     if not rho.all():
         n = int(idx[rho == 0][0])
         raise NumericalError(
@@ -206,21 +216,24 @@ def _sweep(params: CFParams, lt, ns, start=None):
             "the circle |k| = |p|: the continued fraction has a zero denominator there"
         )
     inv = (1.0 / rho)[..., None]
-    rows = idx.shape[1:]
-    flat = np.ascontiguousarray(lt, dtype=complex).reshape(-1)
-    if start is None:
-        a_t = -flat * params.p.norm2
-        u = _w_plus(a_t)
-        du = u * -params.p.norm2 / (2.0 * u - a_t)
-    else:
-        u, du = (np.reshape(s, (*rows, -1)) for s in start)
-    flat = flat.view(float)
-    for inv_n in inv:
-        u, du = (flat * inv_n).view(complex) + 1.0 / u, inv_n - du / (u * u)
-    return tuple(np.reshape(s, (*rows, *np.shape(lt))) for s in (u, du))
+    flat = lt.view(float)
+    shape = (*idx.shape[1:], lt.size)
+    u, du = (np.array(np.broadcast_to(s, shape)) for s in start)
+    ones, uu, lt_rho = np.ones(shape, complex), np.empty(shape, complex), np.empty(shape, complex)
+    lt_rho_f = lt_rho.view(float)
+    mul, div, add, sub = np.multiply, np.divide, np.add, np.subtract
+    for inv_n, cinv_n in zip(inv, inv.astype(complex)):
+        # du <- 1/rho_n - du/(u*u) from the old u, then u <- lt/rho_n + 1/u
+        mul(u, u, uu)
+        sub(cinv_n, div(du, uu, du), du)
+        mul(flat, inv_n, lt_rho_f)
+        add(lt_rho, div(ones, u, u), u)
+        if trail is not None:
+            trail.append(u.copy())
+    return u, du
 
 
-def _match(params: CFParams, lt, side: int, depth: int):
+def _match(params: CFParams, lt, side: int, depth):
     """Matching function at a fixed truncation depth and its lt-derivative.
 
         side  0:  f = K(-depth..0) + 1/K(depth..1)   (full chain)
@@ -228,33 +241,50 @@ def _match(params: CFParams, lt, side: int, depth: int):
         side -1:  f = K(-depth..-1)                  (half-chain n <= -1)
 
     Points on the essential band come back NaN.
+
+    depth may also be an increasing tuple, giving a list of one (f, df)
+    per depth from one sweep.  Each tail at each depth is one row: the
+    deepest rows start alone, the rows of each shallower depth join them,
+    freshly seeded, at their own far end, and the full chain's (0,) step
+    and the band mask run once.  No row reads another, so each depth gets
+    the bits of a call of its own.
     """
+    depths = (depth,) if np.ndim(depth) == 0 else tuple(depth)
+    flat = np.ascontiguousarray(lt, dtype=complex).reshape(-1)
+    tails = [-1, 1] if side == 0 else [side]
+    u, du = (np.empty((0, flat.size), complex),) * 2
     with np.errstate(divide="ignore", invalid="ignore"):
-        if side > 0:
-            f, df = _sweep(params, lt, np.arange(depth, 0, -1))
-        elif side < 0:
-            f, df = _sweep(params, lt, np.arange(-depth, 0))
+        seed = _seed(params, flat)
+        for far, near in zip(depths[::-1], (*depths[-2::-1], 0)):
+            # the rows of depth `far` join here, seeded, and every row runs on to near + 1
+            u, du = (np.concatenate((s, np.broadcast_to(w, (len(tails), flat.size)))) for s, w in zip((u, du), seed))
+            ns = np.arange(far, near, -1)[:, None] * np.tile(tails, len(u) // len(tails))
+            u, du = _sweep(params, flat, ns, (u, du))
+        u, du = (s.reshape(len(depths), len(tails), -1)[::-1] for s in (u, du))
+        if side:
+            f, df = u[:, 0], du[:, 0]
         else:
-            pairs = np.stack((np.arange(-depth, 0), np.arange(depth, 0, -1)), axis=-1)
-            (down, up), (ddown, dup) = _sweep(params, lt, pairs)
-            down, ddown = _sweep(params, lt, (0,), (down, ddown))
-            f, df = down + 1.0 / up, ddown - dup / (up * up)
-    off = band_distance(lt, params.band_halfwidth_tilde()) > 0
-    return np.where(off, f, np.nan), np.where(off, df, np.nan)
+            down, ddown = _sweep(params, flat, np.zeros((1, len(depths)), int), (u[:, 0], du[:, 0]))
+            f, df = down + 1.0 / u[:, 1], ddown - du[:, 1] / (u[:, 1] * u[:, 1])
+    off = band_distance(flat, params.band_halfwidth_tilde()) > 0
+    f, df = (np.where(off, s, np.nan).reshape(-1, *np.shape(lt)) for s in (f, df))
+    pairs = list(zip(f, df))
+    return pairs if np.ndim(depth) else pairs[0]
 
 
 def _deepen(evaluate, count: int, tol: float, rel: float = 0.0):
     """Give each of `count` points its own truncation depth.
 
-    evaluate(idx, depth) returns a tuple of arrays whose first axis runs
-    over the points idx; the first array is the one that must converge.
-    Each point starts at depth 64 and doubles on its own until that value
-    moves by less than max(tol, rel * |value|) from depth d to 2d (the
-    largest entry of a point's row counts), and then settles at 2d with
-    every array taken there.  The points still moving share one evaluate
-    call per depth.  A point whose two values are not both finite settles
-    as it is; one still moving past _MAX_DEPTH comes back NaN.  Returns
-    (depths, *arrays).
+    evaluate(idx, depths) returns, for each depth of the tuple depths, a
+    tuple of arrays whose first axis runs over the points idx; the first
+    array is the one that must converge.  Each point starts at depth 64 and
+    doubles on its own until that value moves by less than
+    max(tol, rel * |value|) from depth d to 2d (the largest entry of a
+    point's row counts), and then settles at 2d with every array taken
+    there.  The first call asks for depths 64 and 128 at once; after that,
+    the points still moving share one evaluate call per depth.  A point
+    whose two values are not both finite settles as it is; one still
+    moving past _MAX_DEPTH comes back NaN.  Returns (depths, *arrays).
     """
 
     def rowmax(x):
@@ -262,12 +292,13 @@ def _deepen(evaluate, count: int, tol: float, rel: float = 0.0):
 
     idx = np.arange(count)
     depth = 64
-    prev = evaluate(idx, depth)
+    prev, ahead = evaluate(idx, (depth, 2 * depth))
     out = [np.array(a, dtype=complex) for a in prev]
     depths = np.full(count, depth)
     while len(idx) and depth <= _MAX_DEPTH:
         depth *= 2
-        cur = evaluate(idx, depth)
+        cur = evaluate(idx, (depth,))[0] if ahead is None else ahead
+        ahead = None
         with np.errstate(invalid="ignore"):
             gap = rowmax(cur[0] - prev[0])
             moving = np.isfinite(gap) & (gap >= np.maximum(tol, rel * rowmax(cur[0])))
@@ -285,7 +316,7 @@ def _deepen(evaluate, count: int, tol: float, rel: float = 0.0):
 def _settled_value(evaluate, tol: float):
     """evaluate(depth) at one point, taken as one row of values and deepened
     by _deepen until it settles; raises NumericalError unless it is finite."""
-    value = _deepen(lambda idx, depth: (np.reshape(evaluate(depth), (1, -1)),), 1, tol)[1][0]
+    value = _deepen(lambda idx, depths: [(np.reshape(evaluate(d), (1, -1)),) for d in depths], 1, tol)[1][0]
     if not np.all(np.isfinite(value)):
         raise NumericalError("continued fraction did not converge to a finite value")
     return value
@@ -383,7 +414,7 @@ def _search(
             break
         cur = lt[active]
         depth, f, df = _deepen(
-            lambda idx, d: _match(params, cur[idx], side, d), len(cur), dtol, _DEPTH_REL_TOL
+            lambda idx, ds: _match(params, cur[idx], side, ds), len(cur), dtol, _DEPTH_REL_TOL
         )
         depths[active] = depth
         with np.errstate(divide="ignore", invalid="ignore"):
@@ -483,19 +514,17 @@ def eigenvector_window(params: CFParams, lambda_tilde: complex, n_min: int, n_ma
         raise UsageError("window must contain the matching indices 0 and 1")
     params.check_full_chain()
     _check_point(params, lambda_tilde)
+    lt = np.array([lambda_tilde], dtype=complex)
 
     def kernel_values(window: range) -> np.ndarray:
-        # K(..n) for each n of the window: the kernel runs over the tail
+        # K(..n) for each n of the window: one sweep runs over the tail
         # beyond the window edge, deepened until every value has converged,
-        # then continues one index at a time across the window
+        # and on across the window, keeping u after each index there
         def evaluate(depth):
-            edge = window[0]
-            state = _sweep(params, lambda_tilde, range(edge - window.step * depth, edge, window.step))
-            values = []
-            for n in window:
-                state = _sweep(params, lambda_tilde, (n,), state)
-                values.append(state[0])
-            return np.array(values)
+            edge, step = window[0], window.step
+            trail: list = []
+            _sweep(params, lt, range(edge - step * depth, window[-1] + step, step), _seed(params, lt), trail)
+            return np.array(trail[-len(window) :])
 
         return _settled_value(evaluate, _WINDOW_TOL)
 

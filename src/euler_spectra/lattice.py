@@ -120,21 +120,30 @@ class ClassLabel:
         return self.khat.plus(n, p=self.p)
 
 
-@dataclass
+@dataclass(eq=False)
 class RhoSequence:
-    """Memoized rho_n values for one class.  The memo stays a dict:
-    perfbench reports len(values) as the deepest index contfrac reached."""
+    """rho_n of one non-parallel class, held as one float array over
+    n = -R..R (rho_n at values[n + R]).  An index past R grows R to
+    max(|n|, 2R), and one rho call fills each growth, so a sweep indexes
+    the array with no call per index.  perfbench reports len(values),
+    2R + 1, as the span of indices contfrac reached."""
 
     khat: WaveVector
     p: WaveVector
-    values: dict[int, float] = field(default_factory=dict)
+    values: np.ndarray = field(default_factory=lambda: np.empty(0))
+
+    def take(self, n):
+        """rho at the index or index array n, read from the array."""
+        n = np.asarray(n)
+        radius = len(self.values) // 2
+        reach = int(np.abs(n).max(initial=0))
+        if 2 * reach >= len(self.values):
+            radius = max(reach, 2 * radius)
+            self.values = rho(self.khat, self.p, np.arange(-radius, radius + 1))
+        return self.values[n + radius]
 
     def value(self, n: int) -> float:
-        got = self.values.get(n)
-        if got is None:
-            got = rho(self.khat, self.p, n)
-            self.values[n] = got
-        return got
+        return float(self.take(n))
 
 
 def _near_members(k: WaveVector, p: WaveVector) -> list[WaveVector]:

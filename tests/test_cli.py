@@ -276,7 +276,7 @@ def test_verify_reports_a_check_that_raises_as_failed(monkeypatch, capsys):
     "argv, code, prefix",
     [
         (("band", "--p", "1,1"), 1, "usage error: "),
-        (("simulate", "--p", "1,1", "--khat", "1,0", "--dt", "100", "--steps", "30"), 2, "numerical failure: "),
+        (("simulate", "--p", "1,1", "--khat", "1,0", "--dt", "1", "--steps", "3000"), 2, "numerical failure: "),
     ],
 )
 def test_exit_codes_at_the_process_boundary(argv, code, prefix):
@@ -288,19 +288,37 @@ def test_exit_codes_at_the_process_boundary(argv, code, prefix):
 
 
 def test_blowups_exit_2(capsys):
-    # finite state, overflowing invariant series
-    code, out, err = run_cli(capsys, "simulate", "--p", "1,1", "--khat", "1,0", "--dt", "100", "--steps", "30")
+    # the golden class grows like e^{0.124 t}; dt = 1 lies inside RK4's
+    # stability bound (dt <= 5.67 there), so the overflow is the chain's own.
+    # Finite state, overflowing invariant series
+    code, out, err = run_cli(capsys, "simulate", "--p", "1,1", "--khat", "1,0", "--dt", "1", "--steps", "3000")
     assert code == 2 and out == "" and "drift is not finite" in err
     # non-finite state
-    code, out, err = run_cli(capsys, "simulate", "--p", "1,1", "--khat", "1,0", "--dt", "100", "--steps", "1000")
+    code, out, err = run_cli(capsys, "simulate", "--p", "1,1", "--khat", "1,0", "--dt", "1", "--steps", "6000")
     assert code == 2 and out == "" and "non-finite state" in err
     code, out, err = run_cli(capsys, "euler-sim", "--p", "1,1", "--gamma", "1e160", "--k-cutoff", "4", "--steps", "5")
     assert code == 2 and out == "" and "E drift is not finite" in err
 
 
 def test_a_chain_blow_up_names_its_first_non_finite_step(capsys):
-    code, out, err = run_cli(capsys, "simulate", "--p", "1,1", "--khat", "1,0", "--dt", "100", "--steps", "1000")
-    assert (code, out, err) == (2, "", "numerical failure: non-finite state at step 58\n")
+    # a loop that checks every step finds the state non-finite first at step 5722
+    code, out, err = run_cli(capsys, "simulate", "--p", "1,1", "--khat", "1,0", "--dt", "1", "--steps", "6000")
+    assert (code, out, err) == (2, "", "numerical failure: non-finite state at step 5722\n")
+
+
+def test_simulate_refuses_a_dt_past_rk4s_stability_bound(capsys):
+    # s = max_n(|cm_n| + |cp_n|) bounds the chain's spectral radius, and RK4
+    # is stable on the imaginary axis for |dt lambda| <= 2 sqrt 2.  This
+    # class is stable, yet at dt = 2 its run grew I by 4e10 and exited 0
+    argv = ("simulate", "--p", "1,1", "--khat", "2,-1", "--steps", "50")
+    for dt in ("2", "-2", "1.887"):
+        code, out, err = run_cli(capsys, *argv, "--dt", dt)
+        assert code == 1 and out == ""
+        assert err.startswith(f"usage error: dt = {dt}: |dt| times the chain's coupling bound ")
+        assert "s = max_n(|cm_n| + |cp_n|) = 1.49904 exceeds" in err and "2 sqrt 2 = 2.82843" in err
+        assert err.endswith("give |dt| <= 1.88683\n")
+    code, out, _ = run_cli(capsys, *argv, "--dt", "1.886")
+    assert code == 0 and json.loads(out)["summary"]["enstrophy_ratio"] == 1
 
 
 def test_a_rho_that_rounds_to_zero_exits_2(capsys):
@@ -323,7 +341,8 @@ def test_eigs_cf_of_a_far_member_is_that_of_its_class(capsys):
     "argv",
     [
         ["eigs-matrix", "--p=1,99999999999999999999", "--khat=1,0", "--n-matrix", "5"],
-        ["simulate", "--p=1,99999999999999999999", "--khat=1,0", "--n-window", "3", "--steps", "2"],
+        # s = 5e19 here, so RK4 needs dt <= 5.7e-20
+        ["simulate", "--p=1,99999999999999999999", "--khat=1,0", "--n-window", "3", "--steps", "2", "--dt", "1e-20"],
     ],
 )
 def test_a_pump_past_int64_gets_an_answer(capsys, argv):

@@ -1,3 +1,4 @@
+import dataclasses
 import re
 
 import numpy as np
@@ -5,7 +6,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from euler_spectra import cli, contfrac
+from euler_spectra import cli, contfrac, lattice
 from euler_spectra.contfrac import (
     _DEPTH_REL_TOL,
     CFParams,
@@ -52,8 +53,8 @@ class _ConstRho:
     def __init__(self, limit):
         self.limit = limit
 
-    def value(self, n):
-        return self.limit
+    def take(self, n):
+        return np.full(np.shape(n), self.limit)
 
 
 def constant_params():
@@ -154,8 +155,8 @@ def _reference_match(params, lt, side, depth):
 
 
 @st.composite
-def _chain_and_off_band_points(draw):
-    coord = st.integers(-4, 4)
+def _chain_and_off_band_points(draw, bound=4):
+    coord = st.integers(-bound, bound)
     p = draw(st.tuples(coord, coord).map(lambda t: V(*t)).filter(lambda v: not v.is_zero))
     khat = draw(st.tuples(coord, coord).map(lambda t: V(*t)).filter(lambda v: det(p, v) != 0))
     member = circle_member(khat, p)
@@ -193,14 +194,91 @@ def test_paired_table_sweep_equals_per_index_division(case):
             assert g.shape == r.shape and (g == r).all()
 
 
+class _PerIndexRho:
+    """The class's rho sequence read one index at a time from lattice.rho."""
+
+    def __init__(self, params):
+        self.params = params
+
+    def take(self, n):
+        values = [rho(self.params.khat, self.params.p, m) for m in np.ravel(n).tolist()]
+        return np.reshape(values, np.shape(n))
+
+
+def _same_bits(got, want):
+    # the same bit pattern everywhere, and NaN (of any payload) exactly
+    # where want has NaN
+    g, w = (np.asarray(x).view(float) for x in (got, want))
+    nan = np.isnan(w)
+    return g.shape == w.shape and (np.isnan(g) == nan).all() and (g[~nan].view(np.int64) == w[~nan].view(np.int64)).all()
+
+
+@given(
+    _chain_and_off_band_points(bound=6),
+    st.lists(st.integers(1, 300), min_size=2, max_size=3, unique=True).map(sorted),
+)
+@settings(max_examples=60, deadline=None)
+def test_one_sweep_over_several_depths_gives_the_bits_of_one_call_per_depth(case, depths):
+    # each depth's rows join the sweep at their own far end and read no
+    # other row; points on the band (appended) come back NaN at every depth
+    params, lt, sides, _ = case
+    half = params.band_halfwidth_tilde()
+    lt = np.append(lt, [0j, 0.5j * half, -1j * half])
+    per_index = dataclasses.replace(params, rho_seq=_PerIndexRho(params))
+    for side in sides:
+        fused = _match(params, lt, side, tuple(depths))
+        assert len(fused) == len(depths)
+        for depth, got in zip(depths, fused):
+            one = _match(params, lt, side, depth)
+            # the sweep over the class's rho array against lattice.rho per index
+            ref = _match(per_index, lt, side, depth)
+            for g, o, r in zip(got, one, ref):
+                assert _same_bits(g, o) and _same_bits(o, r)
+                assert np.isnan(g[-3:]).all()
+
+
+@pytest.mark.parametrize("k, p, side", [(V(1, 0), V(1, 1), 0), (V(2, -1), V(2, 1), -1), (V(2, -1), V(2, 1), +1)])
+def test_a_search_step_sweeps_each_index_once_and_fills_rho_once(monkeypatch, k, p, side):
+    # the default seed grid, where every seed settles at depth 128 on the
+    # first Newton step: the depth-128 rows run alone over their far 64
+    # indices, the depth-64 rows join them for the last 64, and the full
+    # chain's (0,) step runs once for both; each index row is one loop turn
+    sweep, lattice_rho = contfrac._sweep, lattice.rho
+    indices, filled = [], []
+
+    def counting_sweep(params, lt, ns, start):
+        indices.append(len(ns))
+        return sweep(params, lt, ns, start)
+
+    def counting_rho(khat, p, n):
+        filled.append(np.size(n))
+        return lattice_rho(khat, p, n)
+
+    monkeypatch.setattr(contfrac, "_sweep", counting_sweep)
+    monkeypatch.setattr(lattice, "rho", counting_rho)
+    params = CFParams.for_class(k, p, 1.0)
+    grid = np.linspace(contfrac.BAND_TUBE, 4.0, 20)
+    lt = (grid[:, None] + 1j * grid[None, :]).ravel()
+    for _ in range(2):
+        indices.clear()
+        depth, _, _ = _deepen(lambda idx, ds: _match(params, lt[idx], side, ds), len(lt), 1e-14, _DEPTH_REL_TOL)
+        assert (depth == 128).all()
+        assert sum(indices) == 128 + (side == 0)
+        # rho is one array over -128..128, filled by one call on the first step
+        assert filled == [257] and len(params.rho_seq.values) == 257
+    # an index past the array grows it to at least twice its reach, in one call
+    assert params.rho_seq.value(-129) == rho(params.khat, p, -129)
+    assert filled == [257, 513]
+
+
 class _ZeroRhoAt:
     """The class's rho sequence with rho_n replaced by 0 at one index."""
 
     def __init__(self, params, n):
         self.params, self.n = params, n
 
-    def value(self, n):
-        return 0.0 if n == self.n else rho(self.params.khat, self.params.p, n)
+    def take(self, n):
+        return np.where(n == self.n, 0.0, rho(self.params.khat, self.params.p, n))
 
 
 @pytest.mark.parametrize("n", [-3, 0, 5])
@@ -424,10 +502,13 @@ def test_deepen_gives_each_point_its_own_depth():
     # settles at once, and v(d) = d never settles and comes back NaN
     calls = {}
 
-    def evaluate(idx, depth):
-        calls[depth] = idx.tolist()
-        v = np.array([1 + 0.5**depth, 1 + 0.99**depth, np.nan, depth], dtype=complex)[idx]
-        return v, np.full(len(idx), depth, dtype=complex)
+    def evaluate(idx, depths):
+        out = []
+        for depth in depths:
+            calls[depth] = idx.tolist()
+            v = np.array([1 + 0.5**depth, 1 + 0.99**depth, np.nan, depth], dtype=complex)[idx]
+            out.append((v, np.full(len(idx), depth, dtype=complex)))
+        return out
 
     depth, v, seen = _deepen(evaluate, 4, 1e-14)
     assert depth.tolist() == [128, 8192, 128, 1 << 18]
@@ -562,7 +643,7 @@ def test_search_roots_hold_at_depth_16384(p, k1, k2):
             assert abs(deep) < 1e-12
             # the search's own rule: dtol = min(tol / 100, 1e-13) = 1e-14
             depth, own, _ = _deepen(
-                lambda idx, d: _match(params, rep[idx], side, d), 1, 1e-14, _DEPTH_REL_TOL
+                lambda idx, ds: _match(params, rep[idx], side, ds), 1, 1e-14, _DEPTH_REL_TOL
             )
             for value in (own[0], _match(params, rep, side, 2 * int(depth[0]))[0][0]):
                 assert abs(value - deep) < 1e-13
