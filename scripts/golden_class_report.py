@@ -10,9 +10,15 @@
                          writes this table)
 
     python scripts/golden_class_report.py --p 1,1 --khat 1,0 --outdir out
+
+Its flags and their defaults are
+
+    --p 1,1  --khat 1,0  --gamma 1  --n-matrix 400  --outdir out_golden
+
+Each takes one value, read by the CLI's own splitter (cli.split_argv):
+'--khat -1,1' and '--khat=-1,1' are the same, and -h or --help prints this.
 """
 
-import argparse
 import pathlib
 import sys
 
@@ -20,38 +26,44 @@ import numpy as np
 
 from euler_spectra import cli, reporting
 from euler_spectra.contfrac import CFParams
-from euler_spectra.lattice import WaveVector
+from euler_spectra.errors import UsageError
 from euler_spectra.matrixop import build
+
+DEFAULTS = {"--p": "1,1", "--khat": "1,0", "--gamma": "1", "--n-matrix": "400", "--outdir": "out_golden"}
 
 
 def main(argv=None):
-    ap = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
-    ap.add_argument("--p", default="1,1")
-    ap.add_argument("--khat", default="1,0")
-    ap.add_argument("--gamma", default="1")
-    ap.add_argument("--n-matrix", default="400")
-    ap.add_argument("--outdir", type=pathlib.Path, default=pathlib.Path("out_golden"))
-    args = ap.parse_args(cli._attach_negative_values(sys.argv[1:] if argv is None else argv))
-
-    args.outdir.mkdir(parents=True, exist_ok=True)
-    cls = [f"--p={args.p}", f"--khat={args.khat}", f"--gamma={args.gamma}"]
+    try:
+        words, given = cli.split_argv(sys.argv[1:] if argv is None else argv, DEFAULTS)
+        if "-h" in words or "--help" in words:
+            print(__doc__)
+            return 0
+        if words:
+            raise UsageError(f"unexpected argument {words[0]!r}; this script takes flags only")
+    except UsageError as exc:
+        print(f"usage error: {exc}", file=sys.stderr)
+        return 1
+    args = {**DEFAULTS, **given}
+    outdir = pathlib.Path(args["--outdir"])
+    outdir.mkdir(parents=True, exist_ok=True)
+    cls = [f"{flag}={args[flag]}" for flag in ("--p", "--khat", "--gamma")]
     simulate = ["simulate", "--n-window", "40", "--steps", "2000"]
     runs = {
         "eigs_cf.json": ["eigs-cf", "--box", "0.05,2,0.05,2"],
-        "spectrum_matrix.csv": ["eigs-matrix", f"--n-matrix={args.n_matrix}", "--format", "csv"],
+        "spectrum_matrix.csv": ["eigs-matrix", f"--n-matrix={args['--n-matrix']}", "--format", "csv"],
         "simulate.json": simulate,
         "trajectory.csv": [*simulate, "--format", "csv"],
     }
     for name, command in runs.items():
-        code = cli.main([*command, *cls, "--output", str(args.outdir / name)])
+        code = cli.main([*command, *cls, "--output", str(outdir / name)])
         if code:
             return code
 
-    p, khat = (WaveVector(*map(int, text.split(","))) for text in (args.p, args.khat))
-    entries = build("A", CFParams.for_class(khat, p, complex(args.gamma)), 60).entries
+    config = cli.build_config(args)  # the values the CLI read from the same strings
+    entries = build("A", CFParams.for_class(config.khat, config.p, config.gamma), 60).entries
     triplets = ((r + 1, c + 1, entries[r, c].real, entries[r, c].imag) for r, c in zip(*np.nonzero(entries)))
-    (args.outdir / "operator_A.csv").write_text(reporting.to_csv(("row", "col", "re", "im"), triplets))
-    print(f"wrote {args.outdir}/")
+    (outdir / "operator_A.csv").write_text(reporting.to_csv(("row", "col", "re", "im"), triplets))
+    print(f"wrote {outdir}/")
     return 0
 
 

@@ -1,6 +1,11 @@
 """Command-line driver emitting figure-ready data.
 
+    euler-spectra COMMAND [--config FILE] [--flag VALUE | --flag=VALUE ...]
+
 Commands: classes, eigs-cf, eigs-matrix, band, simulate, euler-sim, verify.
+Every flag takes exactly one value, and the token after a flag is its value
+even when it starts with '-' (``--khat -1,1``); flags are never abbreviated.
+``-h`` or ``--help`` prints this text and the flags.
 Configuration comes from an optional flat key-value file (dotted keys, e.g.
 ``sizes.N_matrix=400``) overridden by CLI flags.  JSON is the canonical
 output (deterministic: sorted keys, 15 significant digits); ``--format csv``
@@ -12,8 +17,8 @@ Exit codes: 0 success, 1 usage error, 2 numerical failure,
 
 from __future__ import annotations
 
-import argparse
 import sys
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -26,7 +31,7 @@ from .matrixop import DENSE_CAP, build, classify_band_distance, essential_band, 
 from .subsystem import ComplexSeq, SubsystemSpec, classify_stability, integrate
 from .verification import run_checks
 
-__all__ = ["main"]
+__all__ = ["main", "split_argv"]
 
 # euler-sim --format csv prints a final amplitude part below NOISE_UNITS
 # rounding units of max|w| as 0.  With a real gamma (eps is real) every
@@ -124,6 +129,28 @@ def _flag(name: str) -> str:
     return "--" + name.lower().replace("_", "-")
 
 
+_FLAGS = {"--config", *map(_flag, _OPTIONS)}
+
+
+def split_argv(argv: list[str], flags) -> tuple[list[str], dict[str, str]]:
+    """The words of argv and, by flag, the value of each flag given.  Each
+    of flags takes one value, as '--flag value' (even a value that starts
+    with '-') or '--flag=value'; the last one given wins.  '-h' and
+    '--help' are words; any other token that starts with '-' is a flag."""
+    words, values, tokens = [], {}, iter(argv)
+    for token in tokens:
+        flag, equals, value = token.partition("=")
+        if not token.startswith("-") or token in ("-h", "--help"):
+            words.append(token)
+        elif flag not in flags:
+            raise UsageError(f"unknown flag {flag!r}; flags are never abbreviated, --help lists them")
+        elif not (value := value if equals else next(tokens, "")):
+            raise UsageError(f"{flag} needs a value, as {flag} VALUE or {flag}=VALUE")
+        else:
+            values[flag] = value
+    return words, values
+
+
 def _parse(parse, raw: str, where: str):
     try:
         return parse(raw)
@@ -147,30 +174,30 @@ def load_config_file(path: str) -> dict:
                     raise UsageError(f"{path}:{lineno}: unknown key {key!r}")
                 name, parse = _BY_KEY[key]
                 values[name] = _parse(parse, raw, f"{path}:{lineno}: bad value for {key}")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise UsageError(f"cannot read config file {path}: {exc}") from exc
     return values
 
 
-def build_config(args: argparse.Namespace) -> argparse.Namespace:
-    """Each option's default, overridden from the config file, then by its flag."""
+def build_config(values: dict[str, str]) -> SimpleNamespace:
+    """Each option's default, overridden from the --config file, then by
+    its flag; values holds the raw strings that split_argv gives."""
     config = {name: default for name, (_, _, default) in _OPTIONS.items()}
-    if args.config:
-        config.update(load_config_file(args.config))
+    if "--config" in values:
+        config.update(load_config_file(values["--config"]))
     for name, (_, parse, _) in _OPTIONS.items():
-        raw = getattr(args, name)
-        if raw is not None:
-            config[name] = _parse(parse, raw, f"bad value for {_flag(name)}")
-    return argparse.Namespace(**config)
+        if (flag := _flag(name)) in values:
+            config[name] = _parse(parse, values[flag], f"bad value for {flag}")
+    return SimpleNamespace(**config)
 
 
-def _require(config: argparse.Namespace, *names: str) -> None:
+def _require(config: SimpleNamespace, *names: str) -> None:
     for name in names:
         if getattr(config, name) is None:
             raise UsageError(f"this command requires --{name}")
 
 
-def _emit(config: argparse.Namespace, doc: dict, header: tuple[str, ...], rows, stdout: bool = True) -> int:
+def _emit(config: SimpleNamespace, doc: dict, header: tuple[str, ...], rows, stdout: bool = True) -> int:
     """Write doc as canonical JSON, or with --format csv the table of header
     and rows (an iterable read only then), to --output or stdout.  A command
     whose stdout is a text report passes stdout=False: its document goes
@@ -184,14 +211,17 @@ def _emit(config: argparse.Namespace, doc: dict, header: tuple[str, ...], rows, 
     else:
         text = reporting.to_canonical_json(doc)
     if config.output:
-        with open(config.output, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(config.output, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise UsageError(f"cannot write --output {config.output}: {exc}") from exc
     else:
         sys.stdout.write(text)
     return 0
 
 
-def _params(config: argparse.Namespace) -> tuple[CFParams, dict]:
+def _params(config: SimpleNamespace) -> tuple[CFParams, dict]:
     """The chain parameters of --khat's class, and the "class" and "a"
     fields that open the document of every command about one class."""
     _require(config, "p", "khat")
@@ -200,7 +230,7 @@ def _params(config: argparse.Namespace) -> tuple[CFParams, dict]:
     return params, {"class": {"khat": label.khat, "p": label.p, "parallel": label.parallel}, "a": params.a}
 
 
-def cmd_classes(config: argparse.Namespace) -> int:
+def cmd_classes(config: SimpleNamespace) -> int:
     _require(config, "p")
     p2 = config.p.norm2
     labels = classes_meeting_disk(config.p, max(p2, int(config.scan_radius**2)))
@@ -223,7 +253,7 @@ def cmd_classes(config: argparse.Namespace) -> int:
     return _emit(config, {"p": config.p, "classes": classes}, header, rows)
 
 
-def cmd_eigs_cf(config: argparse.Namespace) -> int:
+def cmd_eigs_cf(config: SimpleNamespace) -> int:
     params, head = _params(config)
     given = dict(search_box=config.box, grid=config.grid, tol=config.root_tol)
     search = {name: value for name, value in given.items() if value is not None}
@@ -253,7 +283,7 @@ def cmd_eigs_cf(config: argparse.Namespace) -> int:
     return _emit(config, doc, header, rows)
 
 
-def cmd_eigs_matrix(config: argparse.Namespace) -> int:
+def cmd_eigs_matrix(config: SimpleNamespace) -> int:
     params, head = _params(config)
     op = build("A", params, config.N_matrix)
     ev = truncated_spectrum(op)
@@ -273,7 +303,7 @@ def cmd_eigs_matrix(config: argparse.Namespace) -> int:
     return _emit(config, doc, header, rows)
 
 
-def cmd_band(config: argparse.Namespace) -> int:
+def cmd_band(config: SimpleNamespace) -> int:
     params, head = _params(config)
     band = essential_band(params)
     doc = {
@@ -284,7 +314,7 @@ def cmd_band(config: argparse.Namespace) -> int:
     return _emit(config, doc, ("re", "im"), ((e.real, e.imag) for e in band.endpoints))
 
 
-def cmd_simulate(config: argparse.Namespace) -> int:
+def cmd_simulate(config: SimpleNamespace) -> int:
     _require(config, "p", "khat")
     spec = SubsystemSpec(
         khat=config.khat,
@@ -313,7 +343,7 @@ def cmd_simulate(config: argparse.Namespace) -> int:
     return _emit(config, doc, ("t", "n", "re", "im"), rows)
 
 
-def cmd_euler_sim(config: argparse.Namespace) -> int:
+def cmd_euler_sim(config: SimpleNamespace) -> int:
     _require(config, "p")
     modeset = ModeSet.disk(config.K_cutoff)
     field = fixed_point(config.p, config.gamma, modeset)
@@ -345,7 +375,7 @@ def cmd_euler_sim(config: argparse.Namespace) -> int:
     return _emit(config, doc, ("k1", "k2", "re", "im"), rows)
 
 
-def cmd_verify(config: argparse.Namespace) -> int:
+def cmd_verify(config: SimpleNamespace) -> int:
     results = run_checks()
     doc = {
         "criteria": [{"index": r.index, "name": r.name, "passed": r.passed} for r in results],
@@ -370,41 +400,17 @@ _COMMANDS = {
 }
 
 
-class _Parser(argparse.ArgumentParser):
-    def error(self, message):  # argparse's default exits with code 2
-        raise UsageError(message)
-
-
-def _make_parser() -> _Parser:
-    parser = _Parser(prog="euler-spectra", description=__doc__)
-    parser.add_argument("command", choices=sorted(_COMMANDS))
-    parser.add_argument("--config", help="flat dotted-key config file")
-    for name, (key, _, _) in _OPTIONS.items():
-        parser.add_argument(_flag(name), dest=name, help=f"config key {key}")
-    return parser
-
-
-def _attach_negative_values(argv: list[str]) -> list[str]:
-    """Rewrite '--khat -1,1' as '--khat=-1,1'; argparse would read the
-    value '-1,1' as an option.  Every flag takes a value, so this holds for
-    each of them."""
-    out: list[str] = []
-    for arg in argv:
-        flag = out[-1] if out else ""
-        negative = arg[:1] == "-" and (arg[1:2].isdigit() or arg[1:2] == ".")
-        if negative and flag.startswith("--") and "=" not in flag:
-            out[-1] += "=" + arg
-        else:
-            out.append(arg)
-    return out
-
-
 def main(argv: list[str] | None = None) -> int:
-    parser = _make_parser()
     try:
-        args = parser.parse_args(_attach_negative_values(sys.argv[1:] if argv is None else argv))
-        config = build_config(args)
-        return _COMMANDS[args.command](config)
+        words, values = split_argv(sys.argv[1:] if argv is None else argv, _FLAGS)
+        if "-h" in words or "--help" in words:
+            flags = [f"  {_flag(name):<14}config key {key}" for name, (key, _, _) in _OPTIONS.items()]
+            print(__doc__, "flags:", "  --config      a flat dotted-key config file", *flags, sep="\n")
+            return 0
+        if len(words) != 1 or words[0] not in _COMMANDS:
+            got = " ".join(map(repr, words)) or "none"
+            raise UsageError(f"give exactly one of the commands {', '.join(_COMMANDS)}; got {got}")
+        return _COMMANDS[words[0]](build_config(values))
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1

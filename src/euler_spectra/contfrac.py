@@ -89,11 +89,15 @@ class CFParams:
         """Raises UsageError where a = 0 (a zero gamma or a class parallel
         to p): the operator is zero and carries no spectral data; and where
         4|a|, which bounds the band width and every section eigenvalue,
-        overflows."""
+        overflows; and where |p|^2 has no float value."""
         if gamma == 0:
             raise UsageError("gamma is zero: the operator is zero, no spectral data; give a nonzero gamma")
         if khat.is_zero or p.is_zero:
             raise UsageError("khat and p must be nonzero")
+        try:
+            float(p.norm2)
+        except OverflowError:
+            raise UsageError("|p|^2 is past the float range (about 1.8e308); give a smaller pump") from None
         try:
             a = 0.5 * abs(gamma) * det(p, khat)
         except OverflowError:  # |gamma| itself overflows, though gamma is finite

@@ -93,15 +93,21 @@ def rho(khat: WaveVector, p: WaveVector, n):
     n is an int or an integer array (then rho is taken elementwise, as an
     array of n's shape); a member at the origin raises UsageError either
     way.  Each index becomes a Python int first, so the member norms are
-    exact however far the member lies.
+    exact however far the member lies; a norm past the float range (about
+    1.8e308) raises UsageError that names the member, or p.
     """
     n = np.asarray(n)
     ns = n.ravel().tolist()
     norm2 = [(khat.k1 + m * p.k1) ** 2 + (khat.k2 + m * p.k2) ** 2 for m in ns]
     if 0 in norm2:
         raise UsageError(f"khat + n p = 0 at n={ns[norm2.index(0)]}; the origin carries no mode")
-    inv_p = 1.0 / p.norm2
-    values = [1.0 / k - inv_p for k in norm2]
+    try:
+        inv_p = 1.0 / p.norm2
+        values = [1.0 / k - inv_p for k in norm2]
+    except OverflowError:
+        big, m = max(zip(norm2, ns))  # the member of largest norm overflows, or else p does
+        where = f"|khat + n p|^2 at n={m}" if big >= p.norm2 else "|p|^2"
+        raise UsageError(f"{where} is past the float range, so rho has no float value; give a smaller khat or p") from None
     return np.reshape(values, n.shape) if n.ndim else values[0]
 
 

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import euler_spectra.cli as cli
@@ -820,3 +820,130 @@ def test_refused_inputs_exit_1(tmp_path, capsys, argv, message):
     code, out, err = run_cli(capsys, *(arg.format(dir=tmp_path) for arg in argv))
     assert code == 1 and out == ""
     assert err.startswith("usage error: ") and re.search(message, err)
+
+
+COMMANDS = ("classes", "eigs-cf", "eigs-matrix", "band", "simulate", "euler-sim", "verify")
+
+
+@pytest.mark.parametrize(
+    "argv, token",
+    [
+        (("--p", "1,1", "--khat", "1,0"), "got none"),
+        (("band", "classes", "--p", "1,1", "--khat", "1,0"), "'classes'"),
+        (("bands", "--p", "1,1", "--khat", "1,0"), "'bands'"),
+        (("band", "--p", "1,1", "--q", "1,0"), "'--q'"),
+        (("band", "--p", "1,1", "--kh", "1,0"), "'--kh'"),  # flags are never abbreviated
+        (("band", "--p", "1,1", "--khat"), "--khat needs a value"),
+        (("band", "--p=", "--khat", "1,0"), "--p needs a value"),
+    ],
+)
+def test_malformed_argv_is_one_usage_error_line(capsys, argv, token):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 1 and out == ""
+    assert err.startswith("usage error: ") and err.count("\n") == 1 and err.endswith("\n")
+    assert token in err
+    if argv[0] != "band":  # no command, or an unknown one
+        assert all(command in err for command in COMMANDS)
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["-h"], ["band", "--p", "1,1", "-h"]])
+def test_help_lists_every_flag_and_returns_0(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 0 and err == ""
+    assert all(command in out for command in COMMANDS)
+    for name, (key, _, _) in cli._OPTIONS.items():
+        assert re.search(rf"^  {cli._flag(name)} +config key {re.escape(key)}$", out, re.M)
+    assert "--config" in out
+
+
+def test_help_at_the_process_boundary():
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    run = subprocess.run([sys.executable, "-m", "euler_spectra", "--help"], capture_output=True, text=True, env=env)
+    assert run.returncode == 0 and run.stderr == ""
+    assert "--khat" in run.stdout and "sizes.N_matrix" in run.stdout
+
+
+def test_the_token_after_a_flag_is_its_value(capsys):
+    # even a token that looks like a flag: '--gamma' is read as khat and refused
+    code, out, err = run_cli(capsys, "band", "--p", "1,1", "--khat", "--gamma")
+    assert code == 1 and out == ""
+    assert "bad value for --khat" in err and "'--gamma'" in err
+    # a repeated flag keeps its last value, in either form
+    assert run_cli(capsys, "band", "--p=2,1", "--khat", "1,0", "--p", "1,1") == run_cli(
+        capsys, "band", "--p", "1,1", "--khat=1,0"
+    )
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("classes", "--p", "1,1"),
+        ("eigs-cf", "--p", "1,1", "--khat", "1,0", "--grid", "2"),
+        ("eigs-matrix", "--p", "1,1", "--khat", "1,0", "--n-matrix", "10"),
+        ("band", "--p", "1,1", "--khat", "1,0"),
+        ("simulate", "--p", "1,1", "--khat", "1,0", "--steps", "10"),
+        ("euler-sim", "--p", "1,1", "--k-cutoff", "2", "--steps", "3"),
+        ("verify",),
+    ],
+)
+def test_an_unwritable_output_is_a_usage_error(tmp_path, capsys, monkeypatch, argv):
+    monkeypatch.setattr(cli, "run_checks", lambda: [CheckResult(1, "stub", True, "ok", 0.0)])
+    for path in (tmp_path / "missing" / "out.json", tmp_path):  # no such directory; a directory
+        code, out, err = run_cli(capsys, *argv, "--output", str(path))
+        assert code == 1 and out == ""
+        assert err.startswith(f"usage error: cannot write --output {path}: ") and err.count("\n") == 1
+
+
+def test_a_config_file_that_is_not_utf8_is_a_usage_error(tmp_path, capsys):
+    cfg = tmp_path / "latin1.cfg"
+    cfg.write_bytes(b"p=1,1\n# gr\xf6\xdfe\nkhat=1,0\n")
+    code, out, err = run_cli(capsys, "band", "--config", str(cfg))
+    assert code == 1 and out == ""
+    assert err.startswith(f"usage error: cannot read config file {cfg}: ") and "utf-8" in err
+
+
+@pytest.mark.parametrize("command", ["band", "eigs-cf", "eigs-matrix", "simulate"])
+def test_a_pump_whose_norm_has_no_float_value_is_a_usage_error(capsys, command):
+    # |p|^2 = 1e320 + 1 lies past the float range: refused, with no traceback
+    code, out, err = run_cli(capsys, command, f"--p=1,{10**160}", "--khat=1,0")
+    assert code == 1 and out == ""
+    assert err.startswith("usage error: ") and "is past the float range" in err and "give a smaller" in err
+
+
+_FUZZ_VALUES = [
+    str(2**63), str(10**160), "9" * 5000, "inf", "-inf", "nan", "1e300", "-1e300", "1e-300", "5e-324",
+    "", "1,", ",", "1,1,1", "1e", "0x10", "(1+2j)", "--", "-", "-1", "-0.5", "-1,1", "-0.5,1,0.05,1",
+    "1,1", "2,1", "1,0", f"1,{10**160}", "0,0", "3", "0", "64", "json", "csv",
+]  # fmt: skip
+
+
+@st.composite
+def _fuzz_argv(draw):
+    # a valid class first, most of the time, so that the fuzzed flags reach the commands
+    vectors = st.sampled_from(["1,1", "2,1", "1,0", "0,1", "-1,1", "3,-2"])
+    tokens = ["--p", draw(vectors), "--khat", draw(vectors)] if draw(st.integers(0, 3)) else []
+    flags = [cli._flag(name) for name in cli._OPTIONS if name != "output"] + ["--x"]
+    for _ in range(draw(st.integers(0, 4))):
+        flag = draw(st.sampled_from(flags))
+        value = draw(st.sampled_from(_FUZZ_VALUES) | st.text(max_size=4))
+        tokens += draw(st.sampled_from([[flag, value], [f"{flag}={value}"]]))
+    command = draw(st.sampled_from(["band", "classes"]))
+    return [command, *tokens] if draw(st.booleans()) else [*tokens, command]
+
+
+@settings(max_examples=300, deadline=None)
+@given(_fuzz_argv())
+@example(["band", f"--p=1,{10**160}", "--khat=1,0"])
+@example(["band", "--p=-4,2147483648", "--khat=1,0", "--gamma", "5e-324"])
+@example(["classes", "--p", f"1,{10**160}", "--scan-radius", "-1e300"])
+def test_any_argv_exits_0_1_or_2_without_a_traceback(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    out, err = out.getvalue(), err.getvalue()
+    assert code in (0, 1, 2)
+    if code:
+        assert out == "" and err.count("\n") == 1 and err.endswith("\n")
+        assert err.startswith("usage error: " if code == 1 else "numerical failure: ")
+    else:
+        assert not re.search(r"(?i)\b(inf|infinity|nan)\b", out)

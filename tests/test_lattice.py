@@ -112,6 +112,16 @@ def test_rho_over_an_index_array_rejects_origin_member():
         rho(V(2, 2), V(1, 1), np.arange(-5, 5))
 
 
+def test_rho_past_the_float_range_names_the_member_or_p():
+    # |p|^2 ~ 1e300 has a float value, the member 10^10 steps out does not
+    with pytest.raises(UsageError, match=r"\|khat \+ n p\|\^2 at n=-10000000000 is past the float range"):
+        rho(V(1, 0), V(1, 10**150), np.array([0, 1, -(10**10)], dtype=object))
+    with pytest.raises(UsageError, match=r"\|p\|\^2 is past the float range"):
+        rho(V(1, 0), V(1, 10**160), 0)
+    with pytest.raises(UsageError, match=r"\|p\|\^2 is past the float range"):
+        CFParams.for_class(V(1, 0), V(1, 10**160), 1.0)
+
+
 def test_canonical_label_examples():
     lab_a = canonical_label(V(2, 1), V(1, 1))
     lab_b = canonical_label(V(1, 0), V(1, 1))

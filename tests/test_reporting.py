@@ -120,6 +120,27 @@ def test_report_script_reads_negative_values_as_the_cli_does(tmp_path):
     assert json.loads((tmp_path / "eigs_cf.json").read_text())["circle_member"] == [-1, 1]
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["--kh", "1,0"], "usage error: unknown flag '--kh'"),
+        (["--khat"], "usage error: --khat needs a value"),
+        (["1,0"], "usage error: unexpected argument '1,0'"),
+    ],
+)
+def test_report_script_refuses_a_malformed_argv(tmp_path, capsys, argv, message):
+    assert load_script().main(["--outdir", str(tmp_path / "out"), *argv]) == 1
+    out = capsys.readouterr()
+    assert out.out == "" and out.err.startswith(message)
+    assert not (tmp_path / "out").exists()
+
+
+def test_report_script_help(capsys):
+    assert load_script().main(["-h"]) == 0
+    out = capsys.readouterr().out
+    assert all(flag in out for flag in ("--p", "--khat", "--gamma", "--n-matrix", "--outdir"))
+
+
 def test_field_csv_header(capsys):
     # euler-sim's table: the final amplitude of every mode; the pump fixed
     # point is exactly stationary, so it reads Gamma at +-p and 0 elsewhere
