@@ -289,8 +289,8 @@ def cmd_eigs_matrix(config: SimpleNamespace) -> int:
     ev = truncated_spectrum(op)
     iso = classify_band_distance(op, ev)
     eigenvalues = [
-        {"re": value.real, "im": value.imag, "kind": "isolated" if isolated else "band"}
-        for value, isolated in zip(ev, iso)
+        {"re": re, "im": im, "kind": "isolated" if isolated else "band"}
+        for re, im, isolated in zip(ev.real.tolist(), ev.imag.tolist(), iso.tolist())
     ]
     doc = {
         **head,
@@ -338,8 +338,12 @@ def cmd_simulate(config: SimpleNamespace) -> int:
         "class": {"khat": config.khat, "p": config.p},
         "summary": {"H_drift": traj.h_drift, "I_drift": traj.i_drift, "enstrophy_ratio": traj.enstrophy_ratio},
     }
-    ns = spec.indices()
-    rows = ((t, n, w.real, w.imag) for t, states in zip(traj.times, traj.states) for n, w in zip(ns, states))
+    ns = spec.indices().tolist()
+    rows = (
+        (t, n, re, im)
+        for t, states in zip(traj.times.tolist(), traj.states)
+        for n, re, im in zip(ns, states.real.tolist(), states.imag.tolist())
+    )
     return _emit(config, doc, ("t", "n", "re", "im"), rows)
 
 
@@ -371,7 +375,7 @@ def cmd_euler_sim(config: SimpleNamespace) -> int:
         # which holds exactly when d divides det(k, khat) = a d and det(p, k) = b d
         off = [det(k, config.khat) % d != 0 or det(config.p, k) % d != 0 for k in modeset.modes]
         re, im = (np.where(off, 0.0, part) for part in (re, im))
-    rows = ((k.k1, k.k2, r, i) for k, r, i in zip(modeset.modes, re, im))
+    rows = ((k.k1, k.k2, r, i) for k, r, i in zip(modeset.modes, re.tolist(), im.tolist()))
     return _emit(config, doc, ("k1", "k2", "re", "im"), rows)
 
 

@@ -86,10 +86,11 @@ class CFParams:
 
     @classmethod
     def for_class(cls, khat: WaveVector, p: WaveVector, gamma: complex) -> "CFParams":
-        """Raises UsageError where a = 0 (a zero gamma or a class parallel
-        to p): the operator is zero and carries no spectral data; and where
-        4|a|, which bounds the band width and every section eigenvalue,
-        overflows; and where |p|^2 has no float value."""
+        """Raises UsageError where a = 0 (a zero gamma, or det(p, khat) = 0:
+        a class parallel to p), so the operator is zero and carries no
+        spectral data; where |a| is subnormal; where 4|a|, which bounds the
+        band width and every section eigenvalue, overflows; and where |p|^2
+        has no float value."""
         if gamma == 0:
             raise UsageError("gamma is zero: the operator is zero, no spectral data; give a nonzero gamma")
         if khat.is_zero or p.is_zero:
@@ -98,12 +99,14 @@ class CFParams:
             float(p.norm2)
         except OverflowError:
             raise UsageError("|p|^2 is past the float range (about 1.8e308); give a smaller pump") from None
+        if (d := det(p, khat)) == 0:
+            raise UsageError("khat is parallel to p: trivial class, no spectral data")
         try:
-            a = 0.5 * abs(gamma) * det(p, khat)
+            a = 0.5 * abs(gamma) * d
         except OverflowError:  # |gamma| itself overflows, though gamma is finite
             a = np.inf
-        if a == 0.0:
-            raise UsageError("khat is parallel to p: trivial class, no spectral data")
+        if abs(a) < np.finfo(float).tiny:  # subnormal: a would keep fewer than 53 bits
+            raise UsageError(f"gamma = {gamma} is too small: |a| = {abs(a):g} is subnormal; give a larger gamma")
         if not np.isfinite(4.0 * abs(a)):
             raise UsageError("gamma is too large: 4|a| overflows the spectrum of this class; give a smaller gamma")
         return cls(khat, p, gamma, a, circle_member(khat, p), RhoSequence(khat, p))

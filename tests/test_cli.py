@@ -402,6 +402,53 @@ def test_simulate_and_euler_sim_output_bytes_are_pinned(capsys, argv, digest):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+_N400 = ("--n-matrix", "400")
+
+
+@pytest.mark.parametrize(
+    "argv, digest",
+    [
+        (("classes", "--p", "2,1", "--scan-radius", "3"), "44fe7aec0c5d99a870ae433197fd4f3d3dc371c267ba0b9f94b14f1d9ce10fe8"),
+        (
+            ("classes", "--p", "2,1", "--scan-radius", "3", "--format", "csv"),
+            "32064649b754de55342ddcdeaaf9d480d324de725c8cb89ee8b06ec8da7cf48a",
+        ),
+        (("band", "--p", "1,1", "--khat", "1,0"), "55c71887e2bcbd286b1a911fcc23bec4f4c80b4451dda898d29ae2da0e7a4914"),
+        # the golden class's section has a negative neighbour product: eigvals
+        (
+            ("eigs-matrix", "--p", "1,1", "--khat", "1,0", *_N400),
+            "a562a30efbf3a84f7518b1f6a704582cdb2240262f8ed0b85b50eefbe3ca5373",
+        ),
+        (
+            ("eigs-matrix", "--p", "1,1", "--khat", "1,0", *_N400, "--format", "csv"),
+            "86d28c1769c9932db130fe40d343191120ba499fde92f24c0913a1c9e236dd85",
+        ),
+        # every neighbour product of this class is positive: singular values
+        (
+            ("eigs-matrix", "--p", "1,1", "--khat", "3,0", *_N400),
+            "ba3398e5c90b97b35b805b933f560c988285e0b4d25640894fe3849704c851c0",
+        ),
+        (
+            ("eigs-matrix", "--p", "1,1", "--khat", "3,0", *_N400, "--format", "csv"),
+            "81ddb20e94d7f7a8dd30a8cab03aca55ff07c4bb76cd367be5247134a691619e",
+        ),
+    ],
+)
+def test_classes_band_and_eigs_matrix_output_bytes_are_pinned(capsys, argv, digest):
+    # digests of the output when each value was written by a chain of
+    # isinstance tests and each dict key was escaped at every use
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_verify_output_bytes_are_pinned(capsys, tmp_path):
+    path = tmp_path / "criteria.json"
+    assert run_cli(capsys, "verify", "--output", str(path))[0] == 0
+    digest = hashlib.sha256(path.read_bytes()).hexdigest()
+    assert digest == "34fc04cc3b4110084ad6dacba01dde967bdf296d859e8bb09d9d4ed5d788eb41"
+
+
 def test_negative_vectors_without_equals_sign(capsys):
     code, out, _ = run_cli(capsys, "band", "--p", "1,1", "--khat", "-1,1")
     assert code == 0
@@ -485,6 +532,23 @@ def test_gamma_past_the_float_range_is_a_usage_error(capsys):
         code, out, err = run_cli(capsys, "band", "--p", p, "--khat", khat, "--gamma", gamma)
         assert code == 1 and out == ""
         assert err.startswith("usage error: ") and "give a smaller gamma" in err
+
+
+@pytest.mark.parametrize(
+    "khat, gamma, message",
+    [
+        # a = |gamma| det(p, khat) / 2 underflows to 0, which read as a parallel class
+        ("1,0", "5e-324", "usage error: gamma = (5e-324+0j) is too small"),
+        # a is subnormal: it read -4.99994e-321, where the exact value is -5e-321
+        ("1,0", "1e-320", "usage error: gamma = (1e-320+0j) is too small"),
+        ("1,1", "5e-324", "usage error: khat is parallel to p"),
+    ],
+)
+def test_a_subnormal_a_is_refused_and_parallel_is_decided_in_integers(capsys, khat, gamma, message):
+    for command in ("band", "eigs-cf", "eigs-matrix"):
+        code, out, err = run_cli(capsys, command, "--p", "1,1", "--khat", khat, "--gamma", gamma)
+        assert code == 1 and out == ""
+        assert err.startswith(message) and err.count("\n") == 1
 
 
 @pytest.mark.parametrize(

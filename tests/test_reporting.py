@@ -1,9 +1,14 @@
+import csv
 import importlib.util
+import io
 import json
+import math
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from euler_spectra.cli import main
 from euler_spectra.contfrac import CFParams
@@ -154,3 +159,119 @@ def test_field_csv_header(capsys):
 def test_canonical_json_refuses_an_unknown_type(obj):
     with pytest.raises(UsageError, match="no canonical JSON form"):
         to_canonical_json(obj)
+
+
+def _oracle_format_float(x: float) -> str:
+    if x != x:
+        raise UsageError("refusing to serialize NaN")
+    if math.isinf(x):
+        raise UsageError("refusing to serialize an infinity")
+    if x == 0.0:
+        x = 0.0  # normalize -0.0
+    return f"{x:.15g}"
+
+
+def _oracle_emit(obj) -> str:
+    """The canonical JSON writer as it was before the one-pass dispatch:
+    a chain of isinstance tests that sorts and escapes every dict key at
+    every use.  Its bytes are the reference."""
+    if obj is None:
+        return "null"
+    if isinstance(obj, bool):
+        return "true" if obj else "false"
+    if isinstance(obj, (int, np.integer)):
+        return str(int(obj))
+    if isinstance(obj, (float, np.floating)):
+        return _oracle_format_float(float(obj))
+    if isinstance(obj, (complex, np.complexfloating)):
+        z = complex(obj)
+        return _oracle_emit({"im": z.imag, "re": z.real})
+    if isinstance(obj, str):
+        return '"' + obj.replace("\\", "\\\\").replace('"', '\\"') + '"'
+    if isinstance(obj, WaveVector):
+        return _oracle_emit([obj.k1, obj.k2])
+    if isinstance(obj, dict):
+        items = sorted(obj.items())
+        return "{" + ",".join(f"{_oracle_emit(str(k))}:{_oracle_emit(v)}" for k, v in items) + "}"
+    if isinstance(obj, (list, tuple, np.ndarray)):
+        return "[" + ",".join(_oracle_emit(v) for v in obj) + "]"
+    raise UsageError(f"no canonical JSON form for {type(obj)!r}")
+
+
+# the old writer passed control characters through raw, so the oracle
+# compares strings without them; the quote and the backslash come up often
+_PLAIN_TEXT = st.text(st.sampled_from('"\\') | st.characters(exclude_characters=[chr(c) for c in range(32)]))
+_FLOATS = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from([-0.0, 5e-324, -5e-324, 1e300, -1e300])
+_INTS = st.integers(-(2**70), 2**70)
+_COMPLEX = st.builds(complex, _FLOATS, _FLOATS)
+_LEAVES = st.one_of(
+    _FLOATS,
+    _FLOATS.map(np.float64),
+    _INTS,
+    _INTS.filter(lambda n: abs(n) < 2**63).map(np.int64),
+    st.booleans(),
+    st.none(),
+    _COMPLEX,
+    _COMPLEX.map(np.complex128),
+    _PLAIN_TEXT,
+    st.builds(WaveVector, _INTS, _INTS),
+    st.lists(_FLOATS, max_size=5).map(lambda xs: np.array(xs, dtype=float)),
+    st.lists(_COMPLEX, max_size=5).map(lambda zs: np.array(zs, dtype=complex)),
+    st.lists(_FLOATS, min_size=4, max_size=4).map(lambda xs: np.array(xs).reshape(2, 2)),
+)
+_DOCS = st.recursive(
+    _LEAVES,
+    lambda docs: st.lists(docs, max_size=4)
+    | st.lists(docs, max_size=4).map(tuple)
+    | st.dictionaries(_PLAIN_TEXT, docs, max_size=4),
+    max_leaves=20,
+)
+_NON_FINITE = st.sampled_from(
+    [math.nan, math.inf, -math.inf, np.float64(math.nan), np.float64(-math.inf), complex(0, math.inf)]
+    + [complex(math.nan, 1), np.complex128(complex(math.inf, 0)), np.array([1.0, math.nan]), np.array([math.inf])]
+)
+
+
+@settings(max_examples=300)
+@given(doc=_DOCS)
+@example(doc={'a"b': [-0.0, 5e-324, 1e300, -1e300], "c\\d": {"\\": np.int64(-7), '"': 1j}, "e": WaveVector(3, -4)})
+def test_canonical_json_is_byte_equal_to_the_isinstance_chain(doc):
+    assert to_canonical_json(doc) == _oracle_emit(doc) + "\n"
+
+
+@settings(max_examples=100)
+@given(doc=_DOCS, bad=_NON_FINITE, path=st.lists(st.sampled_from(["list", "tuple", "dict"]), max_size=3))
+def test_a_non_finite_value_anywhere_is_refused(doc, bad, path):
+    for kind in path:
+        bad = [doc, bad] if kind == "list" else (bad, doc) if kind == "tuple" else {"k": bad, "j": doc}
+    with pytest.raises(UsageError):
+        to_canonical_json(bad)
+
+
+@settings(max_examples=200)
+@given(doc=st.recursive(st.text(), lambda docs: st.lists(docs, max_size=3) | st.dictionaries(st.text(), docs, max_size=3)))
+@example(doc={"a\nb": "x\ty"})
+@example(doc=["".join(map(chr, range(32))), '"\\', "\x7f\u2028"])
+def test_canonical_json_reads_back_every_string(doc):
+    assert json.loads(to_canonical_json(doc)) == doc
+
+
+_CELLS = st.text() | st.none() | _INTS | st.booleans()
+
+
+def _cell_text(value) -> str:
+    return "" if value is None else value if isinstance(value, str) else json.dumps(value)
+
+
+def test_control_characters_are_escaped_and_separators_quoted():
+    assert to_canonical_json({"a\nb": "x\ty"}) == '{"a\\nb":"x\\ty"}\n'
+    assert to_csv(("a", "b"), [("x,y", 1.0), ('say "hi"', None)]) == 'a,b\n"x,y",1\n"say ""hi""",\n'
+
+
+@settings(max_examples=200)
+@given(data=st.data(), width=st.integers(1, 4))
+def test_csv_reads_back_every_cell_under_its_header(data, width):
+    header = tuple(data.draw(st.lists(st.text(), min_size=width, max_size=width)))
+    rows = data.draw(st.lists(st.lists(_CELLS, min_size=width, max_size=width), max_size=4))
+    parsed = list(csv.reader(io.StringIO(to_csv(header, rows), newline="")))
+    assert parsed == [list(header), *([_cell_text(v) for v in row] for row in rows)]
