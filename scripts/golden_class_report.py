@@ -40,12 +40,15 @@ def main(argv=None):
             return 0
         if words:
             raise UsageError(f"unexpected argument {words[0]!r}; this script takes flags only")
+        args = {**DEFAULTS, **given}
+        outdir = pathlib.Path(args["--outdir"])
+        try:
+            outdir.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            raise UsageError(f"cannot create --outdir {outdir}: {exc}") from exc
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
-    args = {**DEFAULTS, **given}
-    outdir = pathlib.Path(args["--outdir"])
-    outdir.mkdir(parents=True, exist_ok=True)
     cls = [f"{flag}={args[flag]}" for flag in ("--p", "--khat", "--gamma")]
     simulate = ["simulate", "--n-window", "40", "--steps", "2000"]
     runs = {

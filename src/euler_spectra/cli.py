@@ -26,7 +26,7 @@ from . import reporting
 from .contfrac import CFParams, find_eigenvalues, find_eigenvalues_half
 from .errors import NumericalError, UsageError
 from .euler_core import ModeSet, VorticityField, fixed_point, integrate_euler
-from .lattice import DISK_CAP, WaveVector, canonical_label, classes_meeting_disk, det, kappa
+from .lattice import DISK_CAP, WaveVector, canonical_label, classes_meeting_disk, det, kappa, parallel
 from .matrixop import DENSE_CAP, build, classify_band_distance, essential_band, truncated_spectrum
 from .subsystem import ComplexSeq, SubsystemSpec, classify_stability, integrate
 from .verification import run_checks
@@ -226,24 +226,24 @@ def _params(config: SimpleNamespace) -> tuple[CFParams, dict]:
     fields that open the document of every command about one class."""
     _require(config, "p", "khat")
     params = CFParams.for_class(config.khat, config.p, config.gamma)
-    label = canonical_label(config.khat, config.p)
-    return params, {"class": {"khat": label.khat, "p": label.p, "parallel": label.parallel}, "a": params.a}
+    khat = canonical_label(config.khat, config.p)
+    return params, {"class": {"khat": khat, "p": config.p, "parallel": parallel(khat, config.p)}, "a": params.a}
 
 
 def cmd_classes(config: SimpleNamespace) -> int:
     _require(config, "p")
-    p2 = config.p.norm2
-    labels = classes_meeting_disk(config.p, max(p2, int(config.scan_radius**2)))
+    p = config.p
+    members = classes_meeting_disk(p, max(p.norm2, int(config.scan_radius**2)))
     # a class meets the closed disk iff its minimal member does
     classes = [
         {
-            "khat": label.khat,
-            "parallel": label.parallel,
-            "meets_disk": label.khat.norm2 <= p2,
-            "kappa": 0 if label.parallel else kappa(label.khat, label.p),
+            "khat": khat,
+            "parallel": parallel(khat, p),
+            "meets_disk": khat.norm2 <= p.norm2,
+            "kappa": 0 if parallel(khat, p) else kappa(khat, p),
             "verdict": {"kind": verdict.kind.value, "sigma": verdict.sigma, "detail": verdict.detail},
         }
-        for label, verdict in zip(labels, map(classify_stability, labels))
+        for khat, verdict in zip(members, (classify_stability(khat, p) for khat in members))
     ]
     rows = (
         (*c["khat"].as_tuple(), c["parallel"], c["meets_disk"], c["kappa"], c["verdict"]["kind"], c["verdict"]["sigma"])

@@ -130,7 +130,7 @@ class CFParams:
         """These params counted from the class's member of minimal norm
         (lattice.canonical_label), or self when no member lies strictly
         closer to the origin: ties keep the member given."""
-        khat = canonical_label(self.khat, self.p).khat
+        khat = canonical_label(self.khat, self.p)
         return CFParams.for_class(khat, self.p, self.gamma) if self.khat.norm2 > khat.norm2 else self
 
     def band_halfwidth_tilde(self) -> float:

@@ -3,8 +3,8 @@
 A pump mode p partitions the nonzero lattice into classes
 Sigma = {khat + n*p : n in Z} \\ {0}.  This module provides the triad
 interaction coefficient, the rho coefficient sequence attached to a class,
-canonical class labels, and the disk predicates used by the stability
-classification.
+the canonical (minimal) member that names a class, and the disk predicates
+used by the stability classification.
 """
 
 from __future__ import annotations
@@ -17,7 +17,6 @@ from .errors import UsageError
 
 __all__ = [
     "WaveVector",
-    "ClassLabel",
     "RhoSequence",
     "triad_coeff",
     "rho",
@@ -111,21 +110,6 @@ def rho(khat: WaveVector, p: WaveVector, n):
     return np.reshape(values, n.shape) if n.ndim else values[0]
 
 
-@dataclass(frozen=True)
-class ClassLabel:
-    """Canonical label of one class: khat is the member of minimal |khat|^2,
-    ties resolved to the lexicographically greatest (k1, k2) so that e.g.
-    (1,0) beats (0,-1).  Parallel classes (khat || p) have trivially zero
-    dynamics and carry an explicit flag."""
-
-    khat: WaveVector
-    p: WaveVector
-    parallel: bool
-
-    def member(self, n: int) -> WaveVector:
-        return self.khat.plus(n, p=self.p)
-
-
 @dataclass(eq=False)
 class RhoSequence:
     """rho_n of one non-parallel class, held as one float array over
@@ -162,13 +146,6 @@ def _near_members(k: WaveVector, p: WaveVector) -> list[WaveVector]:
     return [k.plus(n, p) for n in range(n_star - 2, n_star + 3)]
 
 
-def _min_norm_members(k: WaveVector, p: WaveVector) -> list[WaveVector]:
-    """Members of k's class attaining the minimal squared norm."""
-    candidates = [c for c in _near_members(k, p) if not c.is_zero]
-    best = min(c.norm2 for c in candidates)
-    return sorted(c for c in candidates if c.norm2 == best)
-
-
 def circle_member(k: WaveVector, p: WaveVector) -> WaveVector | None:
     """The member of k's class on the circle |k| = |p|, if any.  A
     non-parallel class has at most one (two would make an equilateral
@@ -187,16 +164,17 @@ def kappa(khat: WaveVector, p: WaveVector, side: int = 0) -> int:
     return sum(1 for c in inside if side == 0 or side * (c - khat).dot(p) > 0)
 
 
-def canonical_label(k: WaveVector, p: WaveVector) -> ClassLabel:
-    """Label of the unique class containing k.
+def canonical_label(k: WaveVector, p: WaveVector) -> WaveVector:
+    """The member that names k's class, which p and any one member fix:
+    the member of minimal |khat|^2, ties resolved to the lexicographically
+    greatest (k1, k2) so that e.g. (1,0) beats (0,-1).
 
     Idempotent along the class: canonical_label(khat + n p, p) gives the
-    same label for every valid n.
+    same member for every valid n.
     """
     if k.is_zero or p.is_zero:
         raise UsageError("canonical_label needs nonzero k and p")
-    khat = _min_norm_members(k, p)[-1]
-    return ClassLabel(khat=khat, p=p, parallel=parallel(k, p))
+    return max((c for c in _near_members(k, p) if not c.is_zero), key=lambda c: (-c.norm2, c))
 
 
 def lattice_points_in_disk(radius2: int) -> list[WaveVector]:
@@ -210,20 +188,18 @@ def lattice_points_in_disk(radius2: int) -> list[WaveVector]:
     return sorted(out)
 
 
-def classes_meeting_disk(p: WaveVector, radius2: int) -> list[ClassLabel]:
+def classes_meeting_disk(p: WaveVector, radius2: int) -> list[WaveVector]:
     """Every distinct class with a member in the closed disk
-    {k : |k|^2 <= radius2}, by canonical label, sorted by (|khat|^2, khat).
+    {k : |k|^2 <= radius2}, by canonical member khat, sorted by
+    (|khat|^2, khat).
 
     A class meets the disk if and only if its canonical khat (a member of
     minimal norm) lies in it.  radius2 = |p|^2 gives the disk of the
-    stability theorems.  Parallel classes are included but arrive flagged.
+    stability theorems.  Parallel classes (lattice.parallel) are included.
     """
     if p.is_zero:
         raise UsageError("p must be nonzero")
     if radius2 > DISK_CAP:
         raise UsageError(f"disk is capped at |k|^2 <= DISK_CAP = {DISK_CAP}, got {radius2}")
-    seen: dict[tuple[int, int], ClassLabel] = {}
-    for k in lattice_points_in_disk(radius2):
-        label = canonical_label(k, p)
-        seen.setdefault(label.khat.as_tuple(), label)
-    return [seen[key] for key in sorted(seen, key=lambda t: (WaveVector(*t).norm2, t))]
+    members = {canonical_label(k, p) for k in lattice_points_in_disk(radius2)}
+    return sorted(members, key=lambda khat: (khat.norm2, khat))

@@ -146,10 +146,6 @@ def truncated_spectrum(op: TruncatedOperator) -> np.ndarray:
     mu, whose square root lands at about sqrt(eps) |b|, near the isolation
     threshold.
 
-    Best of 5 per section, one BLAS thread (2 cores, Python 3.11, numpy
-    2.4, OpenBLAS), against the order-N eigvals/eigvalsh it replaced: the
-    golden class 18 -> 4.8 ms at N=200, 89 -> 26 ms at N=400 and
-    563 -> 92 ms at N=800; B 2.7 -> 0.5, 11.6 -> 3.5 and 67 -> 18 ms.
     The spectrum is closed under negation and conjugation bit for bit.
     The price is the square root, which magnifies the error of a small mu:
     over the 448-section scan of classify_band_distance no eigenvalue
@@ -331,13 +327,10 @@ def classify_band_distance(op: TruncatedOperator, eigenvalues: np.ndarray) -> np
     |khat_i| <= 4 and pumps (1,1), (2,1), (1,0), (2,2), (3,1), (3,2) at
     N = 200, 400 and 1000 (448 sections each) the largest band distance is
     0, and genuine point-spectrum eigenvalues lie at least 0.164 |b| away;
-    no eigenvalue lies between 1e-8 |b| and the threshold, and at N = 200
-    and 400 each section has as many isolated eigenvalues as the order-N
-    solver gave it.  The scan takes 1.1 s at N=200, 5.2 s at N=400 and
-    54 s at N=1000 (one BLAS thread; 5.8 and 26.6 s at N=200 and 400 for
-    the order-N solver).  The threshold is fixed in advance, about 1e7
-    below the smallest genuine distance, so the split does not depend on
-    the LAPACK build or on the rest of the spectrum.
+    no eigenvalue lies between 1e-8 |b| and the threshold.  The threshold
+    is fixed in advance, about 1e7 below the smallest genuine distance, so
+    the split does not depend on the LAPACK build or on the rest of the
+    spectrum.
     """
     b = abs(op.b)
     return band_distance(eigenvalues, 2.0 * b) > ISOLATION_THRESHOLD * b

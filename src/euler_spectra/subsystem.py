@@ -22,7 +22,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import NumericalError, UsageError
-from .lattice import ClassLabel, WaveVector, canonical_label, circle_member, det, kappa, rho
+from .lattice import WaveVector, canonical_label, circle_member, det, kappa, parallel, rho
 
 __all__ = [
     "SubsystemSpec",
@@ -470,8 +470,9 @@ def _sigma_from_min_norm2(min_norm2: int, p_norm2: int) -> float:
     return min_norm2 / (min_norm2 - p_norm2)
 
 
-def classify_stability(label: ClassLabel) -> StabilityVerdict:
-    """Stability verdict for one class, by conserved-quantity arguments.
+def classify_stability(k: WaveVector, p: WaveVector) -> StabilityVerdict:
+    """Stability verdict for the class of k, any member, by
+    conserved-quantity arguments.
 
     ParallelTrivial: khat || p, zero vector field.
     StableUDT: class misses the closed disk |k| <= |p|; every trajectory
@@ -486,21 +487,21 @@ def classify_stability(label: ClassLabel) -> StabilityVerdict:
     The kind is read off lattice.kappa (members inside the open disk) and
     lattice.circle_member, the facts the solvers route on.
     """
-    label = canonical_label(label.khat, label.p)  # tolerate non-canonical input
-    p2 = label.p.norm2
-    if label.parallel:
+    khat = canonical_label(k, p)
+    p2 = p.norm2
+    if parallel(khat, p):
         return StabilityVerdict(StabilityKind.PARALLEL_TRIVIAL, None, "khat parallel to p: zero dynamics")
-    if kappa(label.khat, label.p) > 0:
+    if kappa(khat, p) > 0:
         return StabilityVerdict(StabilityKind.UNDETERMINED, None, "class meets the open disk")
-    if circle_member(label.khat, label.p) is None:
-        sigma = _sigma_from_min_norm2(label.khat.norm2, p2)
+    if circle_member(khat, p) is None:
+        sigma = _sigma_from_min_norm2(khat.norm2, p2)
         return StabilityVerdict(
             StabilityKind.STABLE_UDT, sigma, f"class misses closed disk; enstrophy bound sigma={sigma!r}"
         )
     # no member inside the disk, so the circle member is the minimal one,
     # khat; |khat + n p|^2 is convex in n with its minimum at n = 0, so each
     # half-chain's member nearest the disk is khat +/- p
-    sig = max(_sigma_from_min_norm2(label.member(side).norm2, p2) for side in (+1, -1))
+    sig = max(_sigma_from_min_norm2(khat.plus(side, p).norm2, p2) for side in (+1, -1))
     return StabilityVerdict(StabilityKind.STABLE_HALF_CLASS_BOTH, sig, "both half-chains stable; n=0 only driven")
 
 

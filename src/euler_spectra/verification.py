@@ -36,7 +36,7 @@ from .euler_core import (
     integrate_euler,
     jacobian_check,
 )
-from .lattice import WaveVector, canonical_label, classes_meeting_disk
+from .lattice import WaveVector, canonical_label, classes_meeting_disk, parallel
 from .matrixop import (
     build,
     detM_eigentest,
@@ -212,8 +212,8 @@ def check_3_essential_band():
 
 @_check(4, "disk-avoidance stability bound")
 def check_4_stability_theorems():
-    label = canonical_label(V(3, 0), V(1, 1))
-    verdict = classify_stability(label)
+    khat = canonical_label(V(3, 0), V(1, 1))
+    verdict = classify_stability(khat, V(1, 1))
     ok_kind = verdict.kind is StabilityKind.STABLE_UDT
     ok_sigma = verdict.sigma is not None and abs(verdict.sigma - 5.0 / 3.0) <= 1e-12
 
@@ -228,7 +228,7 @@ def check_4_stability_theorems():
 
     # no growing mode: the N=200 section, not the search (which answers a
     # class with no member inside the disk without looking)
-    section = build("A", CFParams.for_class(label.khat, label.p, 1.0), 200)
+    section = build("A", CFParams.for_class(khat, V(1, 1), 1.0), 200)
     growing = int(np.sum(truncated_spectrum(section).real > 1e-8 * abs(section.b)))
 
     detail = (
@@ -277,16 +277,16 @@ def check_6_spectrum_symmetry():
     # the first non-parallel classes of each pump, up to its quota
     quota = {V(1, 1): 2, V(2, 1): 2, V(1, 0): 1}
     picked = [
-        label
+        (khat, p)
         for p, want in quota.items()
-        for label in itertools.islice((c for c in classes_meeting_disk(p, p.norm2) if not c.parallel), want)
+        for khat in itertools.islice((c for c in classes_meeting_disk(p, p.norm2) if not parallel(c, p)), want)
     ]
     worst = 0.0
-    for label in picked:
-        chain = build("A", CFParams.for_class(label.khat, label.p, 1.0), 200).chain
+    for khat, p in picked:
+        chain = build("A", CFParams.for_class(khat, p, 1.0), 200).chain
         # the section is i T, T in chain order: T[n, n +- 1] = chain[n +- 1]
         worst = max(worst, _spectrum_asymmetry(np.diag(chain[1:], 1) + np.diag(chain[:-1], -1)))
-    detail = f"classes={[(l.khat.k1, l.khat.k2, l.p.k1, l.p.k2) for l in picked]}, worst asymmetry={worst:.2e}"
+    detail = f"classes={[(*khat.as_tuple(), *p.as_tuple()) for khat, p in picked]}, worst asymmetry={worst:.2e}"
     return len(picked) == 5 and worst < 1e-8, detail
 
 

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 import euler_spectra.cli as cli
 import euler_spectra.verification as verification
 from euler_spectra.cli import main
-from euler_spectra.lattice import WaveVector, canonical_label, det
+from euler_spectra.lattice import WaveVector, det
 from euler_spectra.subsystem import classify_stability
 from euler_spectra.verification import CheckResult
 
@@ -655,7 +655,7 @@ def test_class_answers_do_not_depend_on_the_member(p, k1, k2, n):
     khat = WaveVector(k1, k2)
     assume(det(p, khat) != 0)
     shifted = khat.plus(n, p)
-    verdicts = [classify_stability(canonical_label(k, p)) for k in (khat, shifted)]
+    verdicts = [classify_stability(k, p) for k in (khat, shifted)]
     assert verdicts[0] == verdicts[1]
     box = ("--box", "0.05,2,0.05,2", "--grid", "8")
     docs = [_json_of("eigs-cf", f"--p={p.k1},{p.k2}", f"--khat={k.k1},{k.k2}", *box) for k in (khat, shifted)]
@@ -981,17 +981,33 @@ _FUZZ_VALUES = [
 ]  # fmt: skip
 
 
+# the size flags: a small accepted range, which bounds each example's work,
+# and the refused values next to it
+_FUZZ_SIZES = {
+    "--n-matrix": (st.integers(5, 64), [4, 2049]),
+    "--grid": (st.integers(1, 4), [0, 257]),
+    "--steps": (st.integers(1, 50), [0, 2**20 + 1]),
+    "--n-window": (st.integers(0, 8), [-1, 2**16]),
+    "--k-cutoff": (st.integers(1, 4), [0.5, 65]),
+}
+
+
 @st.composite
 def _fuzz_argv(draw):
     # a valid class first, most of the time, so that the fuzzed flags reach the commands
     vectors = st.sampled_from(["1,1", "2,1", "1,0", "0,1", "-1,1", "3,-2"])
     tokens = ["--p", draw(vectors), "--khat", draw(vectors)] if draw(st.integers(0, 3)) else []
+    tokens += [word for flag, (accepted, _) in _FUZZ_SIZES.items() for word in (flag, str(draw(accepted)))]
     flags = [cli._flag(name) for name in cli._OPTIONS if name != "output"] + ["--x"]
     for _ in range(draw(st.integers(0, 4))):
         flag = draw(st.sampled_from(flags))
-        value = draw(st.sampled_from(_FUZZ_VALUES) | st.text(max_size=4))
+        if flag in _FUZZ_SIZES:
+            accepted, refused = _FUZZ_SIZES[flag]
+            value = str(draw(accepted | st.sampled_from(refused)))
+        else:
+            value = draw(st.sampled_from(_FUZZ_VALUES) | st.text(max_size=4))
         tokens += draw(st.sampled_from([[flag, value], [f"{flag}={value}"]]))
-    command = draw(st.sampled_from(["band", "classes"]))
+    command = draw(st.sampled_from(["band", "classes", "eigs-cf", "eigs-matrix", "simulate", "euler-sim"]))
     return [command, *tokens] if draw(st.booleans()) else [*tokens, command]
 
 
@@ -1000,6 +1016,9 @@ def _fuzz_argv(draw):
 @example(["band", f"--p=1,{10**160}", "--khat=1,0"])
 @example(["band", "--p=-4,2147483648", "--khat=1,0", "--gamma", "5e-324"])
 @example(["classes", "--p", f"1,{10**160}", "--scan-radius", "-1e300"])
+@example(["eigs-cf", "--p=-4,2147483648", "--khat=1,0"])
+@example(["eigs-matrix", f"--p=1,{10**160}", "--khat=1,0"])
+@example(["simulate", "--p", "1,1", "--khat", "2,-1", "--dt", "2", "--steps", "50"])
 def test_any_argv_exits_0_1_or_2_without_a_traceback(argv):
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):

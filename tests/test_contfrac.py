@@ -448,7 +448,7 @@ def test_search_answers_do_not_depend_on_the_member(p, khat, n):
     # the roots belong to the class: searched from a far member the search
     # reports exactly what it reports from the canonical member
     box = dict(search_box=(0.05, 2.0, 0.05, 2.0), grid=8)
-    canonical = find_eigenvalues(CFParams.for_class(canonical_label(khat, p).khat, p, 1.0), **box)
+    canonical = find_eigenvalues(CFParams.for_class(canonical_label(khat, p), p, 1.0), **box)
     assert canonical
     assert find_eigenvalues(CFParams.for_class(khat.plus(n, p), p, 1.0), **box) == canonical
 
@@ -656,7 +656,7 @@ def _class_inside_disk(draw):
     p = draw(st.tuples(st.integers(-3, 3), st.integers(-3, 3)).filter(any).map(lambda t: V(*t)))
     r = int(p.norm2**0.5)
     inside = {
-        canonical_label(k, p).khat
+        canonical_label(k, p)
         for k in (V(k1, k2) for k1 in range(-r, r + 1) for k2 in range(-r, r + 1))
         if 0 < k.norm2 < p.norm2 and det(p, k) != 0
     }

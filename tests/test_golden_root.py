@@ -114,7 +114,7 @@ def _chain_inside_the_disk(draw):
     k = draw(st.sampled_from(inside))
     c = circle_member(k, p)
     if c is None:
-        return p.as_tuple(), canonical_label(k, p).khat.as_tuple(), 0
+        return p.as_tuple(), canonical_label(k, p).as_tuple(), 0
     return p.as_tuple(), c.as_tuple(), draw(st.sampled_from([+1, -1]))
 
 

@@ -126,18 +126,18 @@ def test_canonical_label_examples():
     lab_a = canonical_label(V(2, 1), V(1, 1))
     lab_b = canonical_label(V(1, 0), V(1, 1))
     assert lab_a == lab_b
-    assert lab_b.khat == V(1, 0)
-    assert not lab_b.parallel
+    assert lab_b == V(1, 0)
+    assert not lattice.parallel(lab_b, V(1, 1))
 
     par = canonical_label(V(3, 3), V(1, 1))
-    assert par.parallel
+    assert lattice.parallel(par, V(1, 1))
 
 
 def test_canonical_label_tie_break_lexicographic():
     # class of (3,0) mod (1,1): minimal norm 5 at both (1,-2) and (2,-1);
     # the lexicographically greater member wins, matching (1,0) > (0,-1)
     lab = canonical_label(V(3, 0), V(1, 1))
-    assert lab.khat == V(2, -1)
+    assert lab == V(2, -1)
 
 
 # members 10^17 and 10^20 steps out: the nearest index must be rounded in exact integers
@@ -171,21 +171,21 @@ def test_canonical_label_partitions_lattice(p):
 
 def test_classes_meeting_disk_p11():
     labels = classes_meeting_disk(V(1, 1), V(1, 1).norm2)
-    keys = {lab.khat.as_tuple() for lab in labels}
+    keys = {lab.as_tuple() for lab in labels}
     # the two open-disk classes named in the worked example
     assert (1, 0) in keys and (0, 1) in keys
     # tangent classes touch the closed disk exactly on the circle
     assert (1, -1) in keys and (-1, 1) in keys
     # the parallel class is present but flagged
-    par = [lab for lab in labels if lab.parallel]
-    assert len(par) == 1 and par[0].khat.as_tuple() == (1, 1)
+    par = [lab for lab in labels if lattice.parallel(lab, V(1, 1))]
+    assert len(par) == 1 and par[0].as_tuple() == (1, 1)
     assert len(labels) == 5
 
 
 def test_classes_meeting_disk_p10_brute_force():
     labels = classes_meeting_disk(V(1, 0), V(1, 0).norm2)
-    brute = {canonical_label(k, V(1, 0)).khat.as_tuple() for k in lattice_points_in_disk(1)}
-    assert {lab.khat.as_tuple() for lab in labels} == brute
+    brute = {canonical_label(k, V(1, 0)).as_tuple() for k in lattice_points_in_disk(1)}
+    assert {lab.as_tuple() for lab in labels} == brute
     assert brute == {(0, 1), (0, -1), (1, 0)}
 
 
@@ -194,14 +194,14 @@ def test_classes_meeting_disk_excludes_far_class():
     far = canonical_label(V(3, 0), V(1, 1))
     assert far not in labels
     # its nearest member has |k|^2 = 5 > 2
-    assert far.khat.norm2 == 5
+    assert far.norm2 == 5
 
 
 def test_classes_meeting_disk_is_capped():
     assert lattice.DISK_CAP == 1 << 12
     labels = classes_meeting_disk(V(64, 0), lattice.DISK_CAP)
-    assert {(0, 64), (32, 0)} <= {lab.khat.as_tuple() for lab in labels}
-    assert max(lab.khat.norm2 for lab in labels) == lattice.DISK_CAP
+    assert {(0, 64), (32, 0)} <= {lab.as_tuple() for lab in labels}
+    assert max(lab.norm2 for lab in labels) == lattice.DISK_CAP
     with pytest.raises(UsageError, match="DISK_CAP = 4096, got 4097"):
         classes_meeting_disk(V(1, 1), lattice.DISK_CAP + 1)
 
@@ -223,10 +223,10 @@ def test_rho_sequence_memoizes_and_converges_to_limit():
 @settings(max_examples=100)
 def test_rho_negative_iff_class_avoids_disk(khat, p):
     lab = canonical_label(khat, p)
-    if lab.parallel:
+    if lattice.parallel(lab, p):
         return
-    avoids = lab.khat.norm2 > p.norm2
-    rhos = [rho(lab.khat, p, n) for n in range(-12, 13)]
+    avoids = lab.norm2 > p.norm2
+    rhos = [rho(lab, p, n) for n in range(-12, 13)]
     assert (max(rhos) < 0) == avoids
 
 
@@ -265,8 +265,8 @@ def test_kappa_sums_to_the_points_inside_the_disk():
     # counts every such point once
     for p in (V(p1, p2) for p1 in range(-4, 5) for p2 in range(-4, 5) if p1 or p2):
         inside = [k for k in lattice_points_in_disk(p.norm2) if k.norm2 < p.norm2 and det(p, k) != 0]
-        labels = [lab for lab in classes_meeting_disk(p, p.norm2) if not lab.parallel]
-        assert sum(kappa(lab.khat, p) for lab in labels) == len(inside), p
+        labels = [lab for lab in classes_meeting_disk(p, p.norm2) if not lattice.parallel(lab, p)]
+        assert sum(kappa(lab, p) for lab in labels) == len(inside), p
 
 
 @pytest.mark.parametrize("k, p", [(V(0, 0), V(1, 1)), (V(1, 0), V(0, 0))])

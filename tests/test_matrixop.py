@@ -506,7 +506,7 @@ def _sweep_classes():
         for k1 in range(-3, 4):
             for k2 in range(-3, 4):
                 if det(V(*p), V(k1, k2)) != 0:
-                    found.add((p, canonical_label(V(k1, k2), V(*p)).khat.as_tuple()))
+                    found.add((p, canonical_label(V(k1, k2), V(*p)).as_tuple()))
     return sorted(found)
 
 

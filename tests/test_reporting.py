@@ -140,6 +140,18 @@ def test_report_script_refuses_a_malformed_argv(tmp_path, capsys, argv, message)
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("under", ["", "sub"])
+def test_report_script_refuses_an_outdir_it_cannot_create(tmp_path, capsys, under):
+    # an existing file, and a path under one, are usage errors, not tracebacks
+    blocker = tmp_path / "F"
+    blocker.write_text("")
+    outdir = blocker / under if under else blocker
+    assert load_script().main(["--n-matrix", "60", "--outdir", str(outdir)]) == 1
+    out = capsys.readouterr()
+    assert out.out == "" and out.err.startswith(f"usage error: cannot create --outdir {outdir}: ")
+    assert blocker.read_text() == ""
+
+
 def test_report_script_help(capsys):
     assert load_script().main(["-h"]) == 0
     out = capsys.readouterr().out

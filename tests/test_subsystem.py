@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from euler_spectra.errors import NumericalError, UsageError
 from euler_spectra import subsystem
-from euler_spectra.lattice import WaveVector, canonical_label, circle_member, det, kappa, triad_coeff
+from euler_spectra.lattice import WaveVector, canonical_label, circle_member, det, kappa, parallel, triad_coeff
 from euler_spectra.subsystem import (
     ComplexSeq,
     StabilityKind,
@@ -292,17 +292,17 @@ def test_window_doubling_leaves_interior_unchanged():
 
 
 def test_classify_stability_examples():
-    assert classify_stability(canonical_label(V(2, 2), V(1, 1))).kind is StabilityKind.PARALLEL_TRIVIAL
+    assert classify_stability(V(2, 2), V(1, 1)).kind is StabilityKind.PARALLEL_TRIVIAL
 
-    udt = classify_stability(canonical_label(V(3, 0), V(1, 1)))
+    udt = classify_stability(V(3, 0), V(1, 1))
     assert udt.kind is StabilityKind.STABLE_UDT
     assert udt.sigma == pytest.approx(5.0 / 3.0, abs=1e-12)
 
-    both = classify_stability(canonical_label(V(-1, 1), V(1, 1)))
+    both = classify_stability(V(-1, 1), V(1, 1))
     assert both.kind is StabilityKind.STABLE_HALF_CLASS_BOTH
     assert both.sigma is not None and both.sigma > 0
 
-    assert classify_stability(canonical_label(V(1, 0), V(1, 1))).kind is StabilityKind.UNDETERMINED
+    assert classify_stability(V(1, 0), V(1, 1)).kind is StabilityKind.UNDETERMINED
 
 
 pumps = st.builds(V, st.integers(-6, 6), st.integers(-6, 6)).filter(lambda v: not v.is_zero)
@@ -324,13 +324,13 @@ def test_a_class_has_at_most_one_member_on_the_circle(p, data):
     assert len(on_circle) <= 1
 
     label = canonical_label(start.plus(shift, p), p)
-    verdict = classify_stability(label)
-    m = label.khat.norm2
+    verdict = classify_stability(label, p)
+    m = label.norm2
     if m == p.norm2:
         # a minimal member on the circle has both neighbours outside it
-        assert label.member(1).norm2 > p.norm2 and label.member(-1).norm2 > p.norm2
+        assert label.plus(1, p).norm2 > p.norm2 and label.plus(-1, p).norm2 > p.norm2
         assert verdict.kind is StabilityKind.STABLE_HALF_CLASS_BOTH
-        assert verdict.sigma == max(k.norm2 / (k.norm2 - p.norm2) for k in (label.member(1), label.member(-1)))
+        assert verdict.sigma == max(k.norm2 / (k.norm2 - p.norm2) for k in (label.plus(1, p), label.plus(-1, p)))
     elif m > p.norm2:
         assert not on_circle and verdict.kind is StabilityKind.STABLE_UDT
     else:
@@ -346,8 +346,8 @@ def test_verdict_kind_agrees_with_kappa_and_the_circle_member(p, khat):
     # the verdict decides disk membership from norms; kappa and
     # circle_member decide it from the class members near the disk
     label = canonical_label(khat, p)
-    kind = classify_stability(label).kind
-    if label.parallel:
+    kind = classify_stability(label, p).kind
+    if parallel(label, p):
         assert kind is StabilityKind.PARALLEL_TRIVIAL
     elif kappa(khat, p) > 0:
         assert kind is StabilityKind.UNDETERMINED
@@ -359,7 +359,7 @@ def test_verdict_kind_agrees_with_kappa_and_the_circle_member(p, khat):
 
 def test_udt_bound_holds_along_trajectories():
     spec = SubsystemSpec(khat=V(3, 0), p=V(1, 1), gamma=1.0, n_min=-12, n_max=12)
-    sigma = classify_stability(canonical_label(spec.khat, spec.p)).sigma
+    sigma = classify_stability(spec.khat, spec.p).sigma
     assert sigma == 5.0 / 3.0
     worst = 0.0
     for seed in range(5):
