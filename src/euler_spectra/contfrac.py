@@ -260,7 +260,7 @@ def _match(params: CFParams, lt, side: int, depth):
     flat = np.ascontiguousarray(lt, dtype=complex).reshape(-1)
     tails = [-1, 1] if side == 0 else [side]
     u, du = (np.empty((0, flat.size), complex),) * 2
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         seed = _seed(params, flat)
         for far, near in zip(depths[::-1], (*depths[-2::-1], 0)):
             # the rows of depth `far` join here, seeded, and every row runs on to near + 1

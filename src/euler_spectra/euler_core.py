@@ -18,9 +18,9 @@ and psi; the derivatives i k_1 and i k_2 sit in the synthesis matrices,
 and since the fields are real, the x-synthesis and the x-analysis are real
 products on the float view of the complex arrays (ModeSet.transform).
 The grid and product buffers are made once per integration or Jacobian
-check (_rhs_workspace), never per call nor per ModeSet, and every call
-returns a new array.  lattice.triad_coeff stays the pairwise oracle the
-tests and the Jacobian check compare with.
+check (_rhs_workspace), never per call nor per ModeSet; a call writes into
+its caller's buffer, or returns a new array.  lattice.triad_coeff stays
+the pairwise oracle the tests and the Jacobian check compare with.
 
 The single-pump steady states w*_{+-p} = Gamma / conj(Gamma) are fixed
 points; a Jacobian check against the two-diagonal linearized coupling,
@@ -207,41 +207,44 @@ def _embed(modeset: ModeSet, coeffs: np.ndarray) -> np.ndarray:
     return full
 
 
-def _rhs_workspace(modeset: ModeSet) -> Callable[[np.ndarray], np.ndarray]:
+def _rhs_workspace(modeset: ModeSet) -> Callable[..., np.ndarray]:
     """The right-hand side on representative amplitudes, representatives
-    out, as rhs(coeffs): -1/2 times the Fourier coefficient of
+    out, as rhs(coeffs, out=None): -1/2 times the Fourier coefficient of
     f_x psi_y - f_y psi_x, the product taken on the dealiased grid of
-    ModeSet.transform.
+    ModeSet.transform, written into out or, when out is None, a new array.
 
-    The grid and product buffers are made here, once per workspace, so an
-    integration builds one and reuses it for every stage; two workspaces
-    share no buffer.  Each call writes every scatter cell of the grid and
-    no other, so the rest stays 0, and returns a new array."""
+    The grid and product buffers are made here, once per workspace, and
+    every ufunc of a call writes into them; two workspaces share no
+    buffer.  Each call writes every scatter cell of the grid and no other,
+    so the rest stays 0.  The scale is undone by two complex divisions:
+    one multiply would keep a -0 real part that the division makes +0."""
     scatter, layers, sy, sx, dsx, ax, ay, gather = modeset.transform
-    m = sx.shape[1]
+    m, n = sx.shape[1], len(gather)
     grid = np.zeros((sy.shape[1], sx.shape[0]), dtype=complex)
     synth = np.empty((sy.shape[0], sx.shape[0]), dtype=complex)
-    # the float view of the y-synthesis, rows (y, layer): plain rows times
-    # dsx give w_x and psi_x, d/dy rows times sx give w_y and psi_y
-    ys, xsynth = synth.view(float).reshape(2, 2 * m, -1), np.stack((dsx, sx))
-    xs = np.empty((2, 2 * m, m))
-    (w_x, psi_x), (w_y, psi_y) = xs.reshape(2, m, 2, m).transpose(0, 2, 1, 3)
+    # the float view of the y-synthesis as (plain or d/dy, layer, y, x): times
+    # dsx and sx, it gives w_x, psi_x, w_y and psi_y as contiguous (m, m) arrays
+    ys = synth.view(float).reshape(2, m, 2, -1).transpose(0, 2, 1, 3)
+    xsynth, xs = np.stack((dsx, sx))[:, None], np.empty((2, 2, m, m))
+    (w_x, psi_x), (w_y, psi_y) = xs
+    cells, clayers = grid.reshape(-1), layers.astype(complex)  # l + 0j, as numpy casts it
+    parts, scaled, weighted = np.empty(2 * n), np.empty(n, dtype=complex), np.empty((n, 2), dtype=complex)
     jac, cross = np.empty((m, m)), np.empty((m, m))
     xa, ya = np.empty((m, ax.shape[1])), np.empty((ay.shape[0], ax.shape[1] // 2), dtype=complex)
+    frexp, ldexp, absolute, top = math.frexp, math.ldexp, np.absolute, np.maximum.reduce
+    mul, sub, div, matmul, take = np.multiply, np.subtract, np.divide, np.matmul, np.take
 
-    def rhs(coeffs: np.ndarray) -> np.ndarray:
+    def rhs(coeffs: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         # the sum is quadratic: a power-of-two scale is exact and keeps
         # every grid value of a finite state finite
-        scale = math.ldexp(1.0, -math.frexp(np.abs(coeffs.view(float)).max(initial=1.0))[1])
-        grid.reshape(-1)[scatter] = (scale * coeffs)[:, None] * layers
-        np.matmul(sy, grid, out=synth)
-        np.matmul(ys, xsynth, out=xs)
-        np.subtract(np.multiply(w_x, psi_y, out=jac), np.multiply(w_y, psi_x, out=cross), out=jac)
-        np.matmul(jac, ax, out=xa)
-        out = np.matmul(ay, xa.view(complex), out=ya).take(gather)
-        out /= scale
-        out /= scale
-        return out
+        scale = ldexp(1.0, -frexp(top(absolute(coeffs.view(float), out=parts), initial=1.0))[1])
+        cells[scatter] = mul(mul(scale, coeffs, out=scaled)[:, None], clayers, out=weighted)
+        matmul(sy, grid, out=synth)
+        matmul(ys, xsynth, out=xs)
+        sub(mul(w_x, psi_y, out=jac), mul(w_y, psi_x, out=cross), out=jac)
+        matmul(jac, ax, out=xa)
+        out = take(matmul(ay, xa.view(complex), out=ya), gather, out=out, mode="clip")
+        return div(div(out, scale, out=out), scale, out=out)
 
     return rhs
 
@@ -343,13 +346,12 @@ def integrate_euler(
     """Classical fixed-step 4th-order integration with E/J drift report.
 
     Each step adds the stage formula's increment (subsystem._rk4_increment)
-    in place to a copy of field0.coeffs; the state is checked for
-    finiteness at each sample, and a failed sample is replayed step by
-    step to name the first non-finite step (see subsystem._rk4)."""
+    in place to a copy of field0.coeffs and allocates nothing; the state is
+    checked for finiteness at each sample, and a failed sample is replayed
+    step by step to name the first non-finite step (see subsystem._rk4)."""
     modeset = field0.modeset
-    increment = _rk4_increment(_rhs_workspace(modeset), dt)
     w = field0.coeffs.copy()
-    times, coeffs = _rk4(lambda: increment(w), w, dt, steps, sample_every)
+    times, coeffs = _rk4(_rk4_increment(_rhs_workspace(modeset), dt, w), w, dt, steps, sample_every)
     E, J = _energy_enstrophy(modeset, _embed(modeset, coeffs))
     return EulerTrajectory(
         modeset=modeset,

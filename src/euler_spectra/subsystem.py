@@ -158,15 +158,16 @@ def _require_match(spec: SubsystemSpec, state: ComplexSeq, batch: bool = False) 
         )
 
 
-def _chain_rhs(spec: SubsystemSpec) -> Callable[[np.ndarray], np.ndarray]:
+def _chain_rhs(spec: SubsystemSpec) -> Callable[..., np.ndarray]:
     """The chain's right-hand side d/dt w_n = cm[n] w_{n-1} + cp[n] w_{n+1}
     on window arrays (see SubsystemSpec.tables), along the last axis, so a
-    (batch, width) array steps every row at once."""
+    (batch, width) array steps every row at once; into out, or a new array."""
     _, cm, cp = spec.tables
     below, above = cm[1:], cp[:-1]
 
-    def rhs(w: np.ndarray) -> np.ndarray:
-        out = np.zeros_like(w)
+    def rhs(w: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        out = np.empty_like(w) if out is None else out
+        out[...] = 0
         out[..., 1:] += below * w[..., :-1]
         out[..., :-1] += above * w[..., 1:]
         return out
@@ -287,26 +288,28 @@ def _rel_drift(name: str, series: np.ndarray, bound: float | np.ndarray = 0.0):
     return _finite(f"{name} drift", np.max(np.abs(series - ref), axis=-1) / scale)
 
 
-def _rk4_increment(rhs: Callable[[np.ndarray], np.ndarray], dt: float) -> Callable[[np.ndarray], np.ndarray]:
-    """The classical 4th-order Runge-Kutta increment w(t + dt) - w(t) of
-    d/dt w = rhs(w), taken stage by stage:
+def _rk4_increment(rhs: Callable[..., np.ndarray], dt: float, w: np.ndarray) -> Callable[[], np.ndarray]:
+    """increment(), the classical 4th-order Runge-Kutta increment
+    w(t + dt) - w(t) of d/dt w = rhs(w) at the state buffer w holds, taken
+    stage by stage, rhs(x, out) writing into out:
 
         (dt / 6) (k1 + 2 k2 + 2 k3 + k4),  k1 = rhs(w),
         k2 = rhs(w + dt/2 k1),  k3 = rhs(w + dt/2 k2),  k4 = rhs(w + dt k3).
 
     The stage sum is added up left to right as the stages come, which
-    rounds as the sum written out does and holds two stages at a time.
+    rounds as the sum written out does, in three buffers made once here:
+    a call allocates nothing, leaves w alone and returns the same buffer.
     """
+    total, stage, k = (np.empty_like(w) for _ in range(3))
+    add, mul, half, sixth = np.add, np.multiply, 0.5 * dt, dt / 6.0
 
-    def increment(w: np.ndarray) -> np.ndarray:
-        k = rhs(w)
-        total = k
-        k = rhs(w + 0.5 * dt * k)
-        total = total + 2.0 * k
-        k = rhs(w + 0.5 * dt * k)
-        total = total + 2.0 * k
-        k = rhs(w + dt * k)
-        return (dt / 6.0) * (total + k)
+    def increment() -> np.ndarray:
+        rhs(w, total)
+        rhs(add(w, mul(half, total, out=stage), out=stage), k)
+        for h in (half, dt):
+            add(total, mul(2.0, k, out=stage), out=total)
+            rhs(add(w, mul(h, k, out=stage), out=stage), k)
+        return mul(sixth, add(total, k, out=total), out=total)
 
     return increment
 
@@ -320,7 +323,7 @@ def _rk4(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Fixed-step integration w += increment() in place, w being a buffer
     the caller owns and increment() one step of size dt at the state that
-    buffer holds (see _rk4_increment).
+    buffer holds, which may reuse one result buffer (see _rk4_increment).
 
     Returns (times, samples): t = 0 and every sample_every-th step, plus
     the last step; samples has shape (len(times),) + w.shape.
@@ -372,7 +375,7 @@ def _chain_band(spec: SubsystemSpec, dt: float) -> np.ndarray:
     span = 2 * _REACH + 1
     idx = np.arange(spec.width)
     probes = (idx % span == np.arange(span)[:, None]).astype(complex)
-    response = _rk4_increment(_chain_rhs(spec), dt)(probes)
+    response = _rk4_increment(_chain_rhs(spec), dt, probes)()
     src = idx + np.arange(span)[:, None] - _REACH  # the index band[k, i] weighs
     return np.where((src >= 0) & (src < spec.width), response[src % span, idx], 0)
 

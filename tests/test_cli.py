@@ -287,6 +287,19 @@ def test_exit_codes_at_the_process_boundary(argv, code, prefix):
     assert run.stderr.startswith(prefix)
 
 
+@pytest.mark.parametrize("box", ["-1e300,1e300,-1e300,1e300", "-1e200,1,-1e200,1"], ids=["both_far", "one_far"])
+def test_a_box_past_the_float_range_warns_nothing_at_the_process_boundary(box):
+    # a seed whose tail value overflows is dropped as non-finite; a
+    # RuntimeWarning would end in a traceback under -W error
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    argv = ["eigs-cf", "--p", "1,1", "--khat", "1,0", "--grid", "4", f"--box={box}"]
+    run = subprocess.run([sys.executable, "-W", "error", "-m", "euler_spectra", *argv], capture_output=True, text=True, env=env)
+    assert (run.returncode, run.stderr) == (0, "")
+    quads = json.loads(run.stdout)["quadruples"]
+    if box.endswith(",1"):  # the golden root lies inside the box with one far corner
+        assert [q["re"] + 1j * q["im"] for q in quads] == pytest.approx([0.24822302 + 0.35172077j], abs=1e-6)
+
+
 def test_blowups_exit_2(capsys):
     # the golden class grows like e^{0.124 t}; dt = 1 lies inside RK4's
     # stability bound (dt <= 5.67 there), so the overflow is the chain's own.

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -26,6 +28,23 @@ def random_field(modeset, seed=0, scale=0.1):
     rng = np.random.default_rng(seed)
     n = len(modeset.representatives)
     return VorticityField(modeset, scale * (rng.normal(size=n) + 1j * rng.normal(size=n)))
+
+
+def stage_formula(rhs, dt):
+    """The classical RK4 increment of d/dt w = rhs(w), each stage a new
+    array, as written out: the oracle of subsystem._rk4_increment."""
+
+    def increment(w):
+        k = rhs(w)
+        total = k
+        k = rhs(w + 0.5 * dt * k)
+        total = total + 2.0 * k
+        k = rhs(w + 0.5 * dt * k)
+        total = total + 2.0 * k
+        k = rhs(w + dt * k)
+        return (dt / 6.0) * (total + k)
+
+    return increment
 
 
 def test_modeset_disk_counts():
@@ -155,8 +174,8 @@ def test_rhs_of_a_strided_coefficient_view():
 
 
 def test_workspace_returns_a_new_array_each_call():
-    # _rk4_increment keeps the first stage as its running total, so a
-    # later call must leave an earlier result alone
+    # without out, each call returns a new array: euler_rhs and
+    # jacobian_check hold a result while later calls run
     rhs = _rhs_workspace(K5)
     c1, c2 = (random_field(K5, seed=s).coeffs for s in (5, 6))
     r1 = rhs(c1)
@@ -172,10 +191,88 @@ def test_integrate_euler_reuse_matches_a_fresh_workspace_per_call(cutoff):
     modeset = ModeSet.disk(cutoff)
     field0 = random_field(modeset, seed=7, scale=0.2)
     traj = integrate_euler(field0, dt=1e-3, steps=200, sample_every=20)
-    increment = _rk4_increment(lambda w: _rhs_workspace(modeset)(w), 1e-3)
+    increment = stage_formula(lambda w: _rhs_workspace(modeset)(w), 1e-3)
     w = field0.coeffs.copy()
     _, fresh = _rk4(lambda: increment(w), w, 1e-3, 200, 20)
     assert np.array_equal(traj.coeffs, fresh)
+
+
+def oracle_workspace(modeset):
+    """The transform right-hand side as it was before it wrote into its
+    caller's buffer, kept as the oracle of _rhs_workspace: each call
+    returns a new array, and the x-synthesis leaves w_x, psi_x, w_y and
+    psi_y as views of every other row."""
+    scatter, layers, sy, sx, dsx, ax, ay, gather = modeset.transform
+    m = sx.shape[1]
+    grid = np.zeros((sy.shape[1], sx.shape[0]), dtype=complex)
+    synth = np.empty((sy.shape[0], sx.shape[0]), dtype=complex)
+    ys, xsynth = synth.view(float).reshape(2, 2 * m, -1), np.stack((dsx, sx))
+    xs = np.empty((2, 2 * m, m))
+    (w_x, psi_x), (w_y, psi_y) = xs.reshape(2, m, 2, m).transpose(0, 2, 1, 3)
+    jac, cross = np.empty((m, m)), np.empty((m, m))
+    xa, ya = np.empty((m, ax.shape[1])), np.empty((ay.shape[0], ax.shape[1] // 2), dtype=complex)
+
+    def rhs(coeffs):
+        scale = math.ldexp(1.0, -math.frexp(np.abs(coeffs.view(float)).max(initial=1.0))[1])
+        grid.reshape(-1)[scatter] = (scale * coeffs)[:, None] * layers
+        np.matmul(sy, grid, out=synth)
+        np.matmul(ys, xsynth, out=xs)
+        np.subtract(np.multiply(w_x, psi_y, out=jac), np.multiply(w_y, psi_x, out=cross), out=jac)
+        np.matmul(jac, ax, out=xa)
+        out = np.matmul(ay, xa.view(complex), out=ya).take(gather)
+        out /= scale
+        out /= scale
+        return out
+
+    return rhs
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def oracle_run(field0, dt, steps, sample_every):
+    """(samples, E drift, J drift) of a run, or the start of its
+    NumericalError message, by a loop that steps w = w + increment(w) with
+    the oracle right-hand side and stage formula and checks every step."""
+    increment = stage_formula(oracle_workspace(field0.modeset), dt)
+    w = field0.coeffs
+    samples = [w]
+    for step in range(1, steps + 1):
+        w = w + increment(w)
+        if not np.isfinite(w).all():
+            return f"non-finite state at step {step}$"
+        if step % sample_every == 0 or step == steps:
+            samples.append(w)
+    series = np.array([conserved(VorticityField(field0.modeset, c))[:2] for c in samples])
+    drifts = np.max(np.abs(series - series[0]), axis=0) / np.maximum(np.abs(series[0]), 1e-300)
+    for name, drift in zip("EJ", drifts):
+        if not np.isfinite(drift):
+            return f"{name} drift is not finite"
+    return np.array(samples), drifts[0], drifts[1]
+
+
+@example(ModeSet.disk(8.0), 0, 0, 1e-2, 7, 40)
+@example(ModeSet.disk(12.0), 1, 0, 1e-2, 7, 40)
+@example(ModeSet.disk(5.0), 2, 250, 0.1, 1, 10)  # overflows at step 2
+@given(
+    mode_sets(),
+    st.integers(0, 2**32 - 1),
+    st.integers(-300, 250),
+    st.sampled_from([1e-3, 1e-2, 0.1]),
+    st.integers(1, 20),
+    st.integers(1, 40),
+)
+@settings(max_examples=40, deadline=None)
+def test_in_place_triad_steps_equal_the_allocating_loop_bit_for_bit(modeset, seed, j, dt, sample_every, steps):
+    # integrate_euler steps in place through buffers made once per call;
+    # the oracle allocates every stage and checks every step
+    field0 = VorticityField(modeset, 2.0**j * random_field(modeset, seed=seed, scale=0.2).coeffs)
+    want = oracle_run(field0, dt, steps, sample_every)
+    if isinstance(want, str):
+        with pytest.raises(NumericalError, match=f"^{want}"):
+            integrate_euler(field0, dt=dt, steps=steps, sample_every=sample_every)
+        return
+    traj = integrate_euler(field0, dt=dt, steps=steps, sample_every=sample_every)
+    assert np.array_equal(traj.coeffs, want[0])
+    assert (traj.e_drift, traj.j_drift) == want[1:]
 
 
 @pytest.mark.parametrize("sample_every", [1, 7, 10, 1000])
@@ -185,7 +282,7 @@ def test_a_triad_blow_up_names_the_step_a_check_per_step_names(sample_every):
     field0 = fixed_point(V(1, 1), 1.0, K5)
     rng = np.random.default_rng(0)
     field0.coeffs += 0.3 * (rng.normal(size=len(field0.coeffs)) + 1j * rng.normal(size=len(field0.coeffs)))
-    increment, w = _rk4_increment(_rhs_workspace(K5), 0.8), field0.coeffs
+    increment, w = stage_formula(_rhs_workspace(K5), 0.8), field0.coeffs
     with np.errstate(over="ignore", invalid="ignore"):
         for step in range(1, 1001):
             w = w + increment(w)
@@ -206,6 +303,30 @@ def test_workspace_keeps_no_state_from_a_nan_call():
     poisoned[3] = np.nan
     assert np.isnan(rhs(poisoned)).any()
     assert np.array_equal(rhs(coeffs), _rhs_workspace(K5)(coeffs))
+    out = np.empty_like(coeffs)
+    assert np.isnan(rhs(poisoned, out)).any()
+    assert rhs(coeffs, out).tobytes() == _rhs_workspace(K5)(coeffs).tobytes()
+
+
+@pytest.mark.parametrize("cutoff", [1.0, 5.0, 12.0])
+def test_workspace_writes_into_out_the_bits_it_returns_without(cutoff):
+    modeset = ModeSet.disk(cutoff)
+    rhs = _rhs_workspace(modeset)
+    for seed, j in ((9, 0), (10, -200), (11, 200)):
+        coeffs = 2.0**j * random_field(modeset, seed=seed).coeffs
+        out = np.full_like(coeffs, np.nan)
+        assert rhs(coeffs, out) is out
+        assert out.tobytes() == rhs(coeffs).tobytes()
+
+
+def test_in_place_increment_leaves_the_state_alone_and_reuses_its_buffer():
+    w = random_field(ModeSet.disk(8.0), seed=12, scale=0.2).coeffs
+    kept = w.copy()
+    increment = _rk4_increment(_rhs_workspace(ModeSet.disk(8.0)), 0.02, w)
+    first = increment()
+    assert np.array_equal(w, kept)
+    assert np.array_equal(first, stage_formula(_rhs_workspace(ModeSet.disk(8.0)), 0.02)(kept))
+    assert increment() is first
 
 
 def test_conserved_frozen_values():

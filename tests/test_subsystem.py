@@ -459,8 +459,21 @@ def test_spec_tables_are_read_only_and_built_once(monkeypatch):
 
 
 def _stagewise(spec, dt):
-    """The chain's RK4 increment stage by stage: the oracle of the band."""
-    return subsystem._rk4_increment(subsystem._chain_rhs(spec), dt)
+    """The chain's RK4 increment stage by stage, each stage a new array, as
+    written out: the oracle of the band."""
+    rhs = subsystem._chain_rhs(spec)
+
+    def increment(w):
+        k = rhs(w)
+        total = k
+        k = rhs(w + 0.5 * dt * k)
+        total = total + 2.0 * k
+        k = rhs(w + 0.5 * dt * k)
+        total = total + 2.0 * k
+        k = rhs(w + dt * k)
+        return (dt / 6.0) * (total + k)
+
+    return increment
 
 
 def _window(khat, p, gamma, width, offset):
@@ -500,6 +513,17 @@ def test_banded_increment_is_the_stage_formula(p, khat, gamma, width, offset, se
     increment, _ = subsystem._chain_increment(spec, dt, w)
     got = increment()
     assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want))
+
+
+@given(**chain_windows)
+@settings(max_examples=50, deadline=None)
+def test_chain_rhs_writes_into_out_what_it_returns_without(p, khat, gamma, width, offset, seed):
+    spec = _window(khat, p, gamma, width, offset)
+    w = _random_rows(spec, seed)
+    rhs = subsystem._chain_rhs(spec)
+    out = np.full_like(w, np.nan)
+    assert rhs(w, out) is out
+    assert out.tobytes() == rhs(w).tobytes()
 
 
 @given(**chain_windows)
