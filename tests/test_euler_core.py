@@ -320,12 +320,13 @@ def test_workspace_writes_into_out_the_bits_it_returns_without(cutoff):
 
 
 def test_in_place_increment_leaves_the_state_alone_and_reuses_its_buffer():
-    w = random_field(ModeSet.disk(8.0), seed=12, scale=0.2).coeffs
+    modeset = ModeSet.disk(8.0)
+    w = random_field(modeset, seed=12, scale=0.2).coeffs
     kept = w.copy()
-    increment = _rk4_increment(_rhs_workspace(ModeSet.disk(8.0)), 0.02, w)
+    increment = _rk4_increment(_rhs_workspace(modeset), 0.02, w)
     first = increment()
     assert np.array_equal(w, kept)
-    assert np.array_equal(first, stage_formula(_rhs_workspace(ModeSet.disk(8.0)), 0.02)(kept))
+    assert np.array_equal(first, stage_formula(_rhs_workspace(modeset), 0.02)(kept))
     assert increment() is first
 
 
