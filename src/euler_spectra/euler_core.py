@@ -229,22 +229,22 @@ def _rhs_workspace(modeset: ModeSet) -> Callable[..., np.ndarray]:
     (w_x, psi_x), (w_y, psi_y) = xs
     cells, clayers = grid.reshape(-1), layers.astype(complex)  # l + 0j, as numpy casts it
     parts, scaled, weighted = np.empty(2 * n), np.empty(n, dtype=complex), np.empty((n, 2), dtype=complex)
-    jac, cross = np.empty((m, m)), np.empty((m, m))
+    jac, cross, scale = np.empty((m, m)), np.empty((m, m)), np.empty((), dtype=complex)
     xa, ya = np.empty((m, ax.shape[1])), np.empty((ay.shape[0], ax.shape[1] // 2), dtype=complex)
     frexp, ldexp, absolute, top = math.frexp, math.ldexp, np.absolute, np.maximum.reduce
     mul, sub, div, matmul, take = np.multiply, np.subtract, np.divide, np.matmul, np.take
 
     def rhs(coeffs: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-        # the sum is quadratic: a power-of-two scale is exact and keeps
-        # every grid value of a finite state finite
-        scale = ldexp(1.0, -frexp(top(absolute(coeffs.view(float), out=parts), initial=1.0))[1])
-        cells[scatter] = mul(mul(scale, coeffs, out=scaled)[:, None], clayers, out=weighted)
-        matmul(sy, grid, out=synth)
-        matmul(ys, xsynth, out=xs)
-        sub(mul(w_x, psi_y, out=jac), mul(w_y, psi_x, out=cross), out=jac)
-        matmul(jac, ax, out=xa)
-        out = take(matmul(ay, xa.view(complex), out=ya), gather, out=out, mode="clip")
-        return div(div(out, scale, out=out), scale, out=out)
+        # the sum is quadratic: a power-of-two scale, held as the s + 0j numpy
+        # makes of a float, is exact and keeps every grid value of a finite state finite
+        scale[()] = ldexp(1.0, -frexp(top(absolute(coeffs.view(float), parts), initial=1.0))[1])
+        cells[scatter] = mul(mul(scale, coeffs, scaled)[:, None], clayers, weighted)
+        matmul(sy, grid, synth)
+        matmul(ys, xsynth, xs)
+        sub(mul(w_x, psi_y, jac), mul(w_y, psi_x, cross), jac)
+        matmul(jac, ax, xa)
+        out = take(matmul(ay, xa.view(complex), ya), gather, out=out, mode="clip")
+        return div(div(out, scale, out), scale, out)
 
     return rhs
 

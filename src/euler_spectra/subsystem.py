@@ -301,15 +301,17 @@ def _rk4_increment(rhs: Callable[..., np.ndarray], dt: float, w: np.ndarray) -> 
     a call allocates nothing, leaves w alone and returns the same buffer.
     """
     total, stage, k = (np.empty_like(w) for _ in range(3))
-    add, mul, half, sixth = np.add, np.multiply, 0.5 * dt, dt / 6.0
+    # 0-d arrays of w's type: the operands numpy makes of float scalars
+    half, two, whole, sixth = (np.array(c, dtype=w.dtype) for c in (0.5 * dt, 2.0, dt, dt / 6.0))
+    add, mul = np.add, np.multiply
 
     def increment() -> np.ndarray:
         rhs(w, total)
-        rhs(add(w, mul(half, total, out=stage), out=stage), k)
-        for h in (half, dt):
-            add(total, mul(2.0, k, out=stage), out=total)
-            rhs(add(w, mul(h, k, out=stage), out=stage), k)
-        return mul(sixth, add(total, k, out=total), out=total)
+        rhs(add(w, mul(half, total, stage), stage), k)
+        for h in (half, whole):
+            add(total, mul(two, k, stage), total)
+            rhs(add(w, mul(h, k, stage), stage), k)
+        return mul(sixth, add(total, k, total), total)
 
     return increment
 
