@@ -24,8 +24,10 @@ Each tail at each truncation depth is one row of a sweep: a Newton step
 runs both tails at its first two depths, 64 and 128, as rows of one
 sweep (see _match and _deepen).  rho_n is read from one array per class
 (lattice.RhoSequence), and the division by rho_n is a real multiply by a
-table of 1/rho_n, which gives the same bits as numpy's complex division
-(see _sweep).
+table of 1/rho_n, which gives the same bits as numpy's complex division.
+That multiply fills a table of lambda_tilde/rho_n for a block of indices
+at a time, and each index costs four ufunc calls: one of them divides
+(du, 1) by (u*u, u) in place (see _sweep).
 
 All search-facing entry points work in the scale-free variable
 lambda_tilde = lambda / a, which is invariant under rescaling |Gamma|.
@@ -207,12 +209,14 @@ def _sweep(params: CFParams, lt, ns, start, trail: list | None = None):
     rho_n is indexed from the class's array, and lt/rho_n is a real
     multiply of lt's float view by 1/rho_n: numpy's complex division by
     rho_n + 0j (Smith's formula, R. L. Smith, CACM 5 (1962) 435) gives the
-    same number, but for the sign of an exact zero.  The du update reads
-    1/rho_n from a complex table and 1/u is divide(ones, u), the loops
-    numpy runs for a float or scalar operand, and each step writes into
-    buffers made once per sweep: the bits are those of
-    u, du = lt/rho_n + 1/u, 1/rho_n - du/(u*u).  A rho_n of exactly 0
-    raises NumericalError.
+    same number, but for the sign of an exact zero.  That multiply fills a
+    table of lt/rho_n for a block of indices at a time, at most 64 kB.
+    Each index then costs four ufunc calls into buffers made once per
+    sweep: u*u; one division in place of the stacked rows (du, 1) by
+    (u*u, u), which gives du/(u*u) and 1/u; 1/rho_n, read from a complex
+    table, minus the first; and the block's row of lt/rho_n plus the
+    second.  The bits are those of u, du = lt/rho_n + 1/u,
+    1/rho_n - du/(u*u).  A rho_n of exactly 0 raises NumericalError.
     """
     idx = np.asarray(ns, dtype=np.int64)
     rho = params.rho_seq.take(idx)
@@ -223,20 +227,31 @@ def _sweep(params: CFParams, lt, ns, start, trail: list | None = None):
             "the circle |k| = |p|: the continued fraction has a zero denominator there"
         )
     inv = (1.0 / rho)[..., None]
-    flat = lt.view(float)
+    cinv, flat = inv.astype(complex), lt.view(float)
     shape = (*idx.shape[1:], lt.size)
-    u, du = (np.array(np.broadcast_to(s, shape)) for s in start)
-    ones, uu, lt_rho = np.ones(shape, complex), np.empty(shape, complex), np.empty(shape, complex)
-    lt_rho_f = lt_rho.view(float)
-    mul, div, add, sub = np.multiply, np.divide, np.add, np.subtract
-    for inv_n, cinv_n in zip(inv, inv.astype(complex)):
-        # du <- 1/rho_n - du/(u*u) from the old u, then u <- lt/rho_n + 1/u
-        mul(u, u, uu)
-        sub(cinv_n, div(du, uu, du), du)
-        mul(flat, inv_n, lt_rho_f)
-        add(lt_rho, div(ones, u, u), u)
-        if trail is not None:
-            trail.append(u.copy())
+    # the rows (du, 1) over (u*u, u): one division in place gives du/(u*u) and 1/u
+    num, den = np.empty((2, *shape), complex), np.empty((2, *shape), complex)
+    (du, ones), (uu, u) = num, den
+    u[...], du[...], ones[...] = *start, 1.0
+    # lt/rho_n for a block of indices, at most 64 kB: the block's 1/rho_n
+    # rows copied in and multiplied in place by lt's float view, so numpy
+    # buffers one broadcast operand of the multiply, not two
+    table = np.empty((max(1, min(len(idx), (1 << 16) // max(u.nbytes, 1))), *shape), complex)
+    table_f, block = table.view(float), len(table)
+    mul, div, add, sub, copyto = np.multiply, np.divide, np.add, np.subtract, np.copyto
+    for j in range(0, len(idx), block):
+        rows = inv[j : j + block]
+        fill = table_f[: len(rows)]
+        copyto(fill, rows)
+        mul(fill, flat, fill)
+        for cinv_n, lt_rho in zip(cinv[j : j + block], table):
+            # du <- 1/rho_n - du/(u*u) from the old u, and u <- lt/rho_n + 1/u
+            mul(u, u, uu)
+            div(num, den, den)
+            sub(cinv_n, uu, du)
+            add(lt_rho, u, u)
+            if trail is not None:
+                trail.append(u.copy())
     return u, du
 
 
@@ -530,7 +545,8 @@ def eigenvector_window(params: CFParams, lambda_tilde: complex, n_min: int, n_ma
         def evaluate(depth):
             edge, step = window[0], window.step
             trail: list = []
-            _sweep(params, lt, range(edge - step * depth, window[-1] + step, step), _seed(params, lt), trail)
+            with np.errstate(divide="ignore", invalid="ignore", over="ignore"):  # a NaN fails to settle
+                _sweep(params, lt, range(edge - step * depth, window[-1] + step, step), _seed(params, lt), trail)
             return np.array(trail[-len(window) :])
 
         return _settled_value(evaluate, _WINDOW_TOL)

@@ -232,7 +232,7 @@ def _rhs_workspace(modeset: ModeSet) -> Callable[..., np.ndarray]:
     jac, cross, scale = np.empty((m, m)), np.empty((m, m)), np.empty((), dtype=complex)
     xa, ya = np.empty((m, ax.shape[1])), np.empty((ay.shape[0], ax.shape[1] // 2), dtype=complex)
     frexp, ldexp, absolute, top = math.frexp, math.ldexp, np.absolute, np.maximum.reduce
-    mul, sub, div, matmul, take = np.multiply, np.subtract, np.divide, np.matmul, np.take
+    mul, sub, div, matmul = np.multiply, np.subtract, np.divide, np.matmul
 
     def rhs(coeffs: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         # the sum is quadratic: a power-of-two scale, held as the s + 0j numpy
@@ -243,7 +243,7 @@ def _rhs_workspace(modeset: ModeSet) -> Callable[..., np.ndarray]:
         matmul(ys, xsynth, xs)
         sub(mul(w_x, psi_y, jac), mul(w_y, psi_x, cross), jac)
         matmul(jac, ax, xa)
-        out = take(matmul(ay, xa.view(complex), ya), gather, out=out, mode="clip")
+        out = matmul(ay, xa.view(complex), ya).take(gather, None, out, "clip")
         return div(div(out, scale, out), scale, out)
 
     return rhs

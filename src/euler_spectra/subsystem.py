@@ -399,8 +399,8 @@ def _chain_increment(spec: SubsystemSpec, dt: float, w0: np.ndarray) -> tuple[Ca
     prod, inc = np.empty(windows.shape, dtype=complex), np.empty(w.shape, dtype=complex)
 
     def increment() -> np.ndarray:
-        np.multiply(windows, band, out=prod)
-        return np.add.reduce(prod, axis=-2, out=inc)
+        np.multiply(windows, band, prod)
+        return np.add.reduce(prod, -2, None, inc)
 
     return increment, w
 

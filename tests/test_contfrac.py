@@ -1,5 +1,6 @@
 import dataclasses
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -292,6 +293,113 @@ def test_a_zero_rho_in_the_sweep_raises_numerical_error(n):
         f_eigen(params, 0.3 + 0.4j)
     with pytest.raises(NumericalError, match=member):
         eigenvector_window(params, 0.3 + 0.4j, -8, 8)
+
+
+def _six_call_sweep(params, lt, ns, start, trail=None):
+    """_sweep's loop as it stood at six ufunc calls per index: two complex
+    divisions into separate buffers and lt/rho_n filled one index at a time."""
+    idx = np.asarray(ns, dtype=np.int64)
+    inv = (1.0 / params.rho_seq.take(idx))[..., None]
+    flat = lt.view(float)
+    shape = (*idx.shape[1:], lt.size)
+    u, du = (np.array(np.broadcast_to(s, shape)) for s in start)
+    ones, uu, lt_rho = np.ones(shape, complex), np.empty(shape, complex), np.empty(shape, complex)
+    lt_rho_f = lt_rho.view(float)
+    for inv_n, cinv_n in zip(inv, inv.astype(complex)):
+        np.multiply(u, u, uu)
+        np.subtract(cinv_n, np.divide(du, uu, du), du)
+        np.multiply(flat, inv_n, lt_rho_f)
+        np.add(lt_rho, np.divide(ones, u, u), u)
+        if trail is not None:
+            trail.append(u.copy())
+    return u, du
+
+
+def _sweep_indices(params, count, signs):
+    # count indices per row, far end first, toward 1 (or 0 on a full chain,
+    # where rho_0 is nonzero); 1-D for signs None, else one row per sign
+    near = 0 if params.circle is None else 1
+    run = np.arange(count + near - 1, near - 1, -1)
+    return run if signs is None else run[:, None] * np.asarray(signs)
+
+
+def _assert_sweeps_agree(params, lt, ns, start, trail):
+    got_trail, want_trail = ([] if trail else None), ([] if trail else None)
+    with np.errstate(all="ignore"):
+        got = contfrac._sweep(params, lt, ns, start, got_trail)
+        want = _six_call_sweep(params, lt, ns, start, want_trail)
+    if trail:
+        assert len(got_trail) == len(want_trail) == len(ns)
+        got, want = (*got, *got_trail), (*want, *want_trail)
+    # the six-call loop keeps a 1-D start's broadcast layout: compare in C order
+    assert all(_same_bits(g, np.ascontiguousarray(w)) for g, w in zip(got, want))
+
+
+@given(
+    _chain_and_off_band_points(),
+    st.one_of(st.none(), st.lists(st.sampled_from([1, -1]), min_size=1, max_size=4)),
+    st.lists(st.complex_numbers(max_magnitude=4.0), min_size=4, max_size=4),
+    st.booleans(),
+)
+@settings(max_examples=60, deadline=None)
+def test_four_call_sweep_gives_the_bits_of_the_six_call_loop(case, signs, factors, trail):
+    # real, imaginary and complex points, points at the band tube, and
+    # points on the band and NaN, appended; 2-D index rows each get a start
+    # row of their own
+    params, lt, _, count = case
+    half = params.band_halfwidth_tilde()
+    lt = np.append(lt, [0j, 0.5j * half, -1j * half, complex(np.nan, 0.0)])
+    ns = _sweep_indices(params, count, signs)
+    with np.errstate(all="ignore"):
+        seed = contfrac._seed(params, lt)
+        start = seed if signs is None else tuple(np.outer(factors[: len(signs)], s) for s in seed)
+    _assert_sweeps_agree(params, lt, ns, start, trail)
+
+
+@pytest.mark.parametrize("seeds", [1, 9, 144, 400])
+@pytest.mark.parametrize("signs", [None, [-1, 1, -1, 1]])
+def test_four_call_sweep_gives_the_bits_of_the_six_call_loop_at_search_seed_counts(seeds, signs):
+    # at a search's seed counts, over two and a half blocks of lt/rho_n, so
+    # that the last block is a partial one
+    grid = np.linspace(contfrac.BAND_TUBE, 4.0, int(np.sqrt(seeds)))
+    lt = (grid[:, None] + 1j * grid[None, :]).ravel()
+    block = (1 << 16) // (16 * lt.size * (1 if signs is None else len(signs)))
+    ns = _sweep_indices(GOLDEN, 2 * block + block // 2 + 1, signs)
+    with np.errstate(all="ignore"):
+        start = contfrac._seed(GOLDEN, lt)
+    for trail in (False, True):
+        _assert_sweeps_agree(GOLDEN, lt, ns, start, trail)
+
+
+def test_a_sweep_peaks_within_one_block_table_of_the_six_call_loop():
+    # 64 indices x 4 rows x 400 seeds: the stacked buffers replace the
+    # six-call loop's own, and the lt/rho_n table adds at most 64 kB
+    grid = np.linspace(contfrac.BAND_TUBE, 4.0, 20)
+    lt = (grid[:, None] + 1j * grid[None, :]).ravel()
+    ns = _sweep_indices(GOLDEN, 64, [-1, 1, -1, 1])
+    start = contfrac._seed(GOLDEN, lt)
+    GOLDEN.rho_seq.take(ns)  # the rho array reaches the sweep's indices before either run
+    peaks = []
+    tracemalloc.start()
+    try:
+        for sweep in (_six_call_sweep, contfrac._sweep):
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            sweep(GOLDEN, lt, ns, start)
+            peaks.append(tracemalloc.get_traced_memory()[1] - base)
+    finally:
+        tracemalloc.stop()
+    assert peaks[1] <= peaks[0] + (1 << 16)
+
+
+@pytest.mark.parametrize("solver", [eigenvector_window, mode_amplitudes])
+def test_eigenvector_solvers_fail_cleanly_where_the_fraction_overflows(solver):
+    # f_eigen raises NumericalError here; the window solvers raise it too,
+    # with no overflow warning from the seed or the sweep on the way
+    with pytest.raises(NumericalError, match="did not converge to a finite value"):
+        f_eigen(GOLDEN, 1e200 + 1e200j)
+    with pytest.raises(NumericalError, match="did not converge to a finite value"):
+        solver(GOLDEN, 1e200 + 1e200j, -2, 2)
 
 
 def test_cf_tail_cauchy_in_tol():
