@@ -20,8 +20,10 @@ Every tail fraction, of the full chain and of the two half-chains of a
 class with a member on |k| = |p|, is one backward recurrence (minimal
 solutions: Gautschi, SIAM Rev. 9 (1967) 24), written once in _sweep,
 which also carries the derivative that the Newton search steps with.
-Each tail at each truncation depth is one row of a sweep: a Newton step
-runs both tails at its first two depths, 64 and 128, as rows of one
+Each tail at each truncation depth is one row of a sweep, and every
+settled value goes through one depth loop, _deepen: each iterate of the
+Newton search, f_eigen at its one point and each slot of
+eigenvector_window.  Its first step runs depths 64 and 128 as rows of one
 sweep (see _match and _deepen).  rho_n is read from one array per class
 (lattice.RhoSequence), and the division by rho_n is a real multiply by a
 table of 1/rho_n, which gives the same bits as numpy's complex division.
@@ -195,7 +197,7 @@ def _seed(params: CFParams, lt):
     return u, u * -params.p.norm2 / (2.0 * u - a_t)
 
 
-def _sweep(params: CFParams, lt, ns, start, trail: list | None = None):
+def _sweep(params: CFParams, lt, ns, start):
     """Backward recurrence u <- lt/rho_n + 1/u over the indices ns, far end
     first, from start = (u, du), carrying du/dlt; returns (u, du).  Every
     tail fraction is this one recurrence: the lower tail runs over
@@ -204,7 +206,7 @@ def _sweep(params: CFParams, lt, ns, start, trail: list | None = None):
 
     lt is a 1-D complex array.  ns holds indices, or index rows (shape
     (len, rows)) run side by side from the same lt; start then has shape
-    (rows, len(lt)).  A trail list gets a copy of u after each index.
+    (rows, len(lt)), and each row's u and du come back at its last index.
 
     rho_n is indexed from the class's array, and lt/rho_n is a real
     multiply of lt's float view by 1/rho_n: numpy's complex division by
@@ -250,8 +252,6 @@ def _sweep(params: CFParams, lt, ns, start, trail: list | None = None):
             div(num, den, den)
             sub(cinv_n, uu, du)
             add(lt_rho, u, u)
-            if trail is not None:
-                trail.append(u.copy())
     return u, du
 
 
@@ -304,7 +304,8 @@ def _deepen(evaluate, count: int, tol: float, rel: float = 0.0):
     max(tol, rel * |value|) from depth d to 2d (the largest entry of a
     point's row counts), and then settles at 2d with every array taken
     there.  The first call asks for depths 64 and 128 at once; after that,
-    the points still moving share one evaluate call per depth.  A point
+    the points still moving share one evaluate call per depth.  The search,
+    f_eigen and eigenvector_window all settle through this loop.  A point
     whose two values are not both finite settles as it is; one still
     moving past _MAX_DEPTH comes back NaN.  Returns (depths, *arrays).
     """
@@ -314,13 +315,11 @@ def _deepen(evaluate, count: int, tol: float, rel: float = 0.0):
 
     idx = np.arange(count)
     depth = 64
-    prev, ahead = evaluate(idx, (depth, 2 * depth))
+    prev, cur = evaluate(idx, (depth, 2 * depth))
     out = [np.array(a, dtype=complex) for a in prev]
     depths = np.full(count, depth)
-    while len(idx) and depth <= _MAX_DEPTH:
+    while True:
         depth *= 2
-        cur = evaluate(idx, (depth,))[0] if ahead is None else ahead
-        ahead = None
         with np.errstate(invalid="ignore"):
             gap = rowmax(cur[0] - prev[0])
             moving = np.isfinite(gap) & (gap >= np.maximum(tol, rel * rowmax(cur[0])))
@@ -328,17 +327,19 @@ def _deepen(evaluate, count: int, tol: float, rel: float = 0.0):
         depths[done] = depth
         for a, c in zip(out, cur):
             a[done] = c[~moving]
-        idx = idx[moving]
-        prev = tuple(c[moving] for c in cur)
+        idx, prev = idx[moving], tuple(c[moving] for c in cur)
+        if not len(idx) or depth > _MAX_DEPTH:
+            break
+        cur = evaluate(idx, (2 * depth,))[0]
     depths[idx] = depth
     out[0][idx] = np.nan
     return (depths, *out)
 
 
-def _settled_value(evaluate, tol: float):
-    """evaluate(depth) at one point, taken as one row of values and deepened
-    by _deepen until it settles; raises NumericalError unless it is finite."""
-    value = _deepen(lambda idx, depths: [(np.reshape(evaluate(d), (1, -1)),) for d in depths], 1, tol)[1][0]
+def _settled_value(evaluate, count: int, tol: float):
+    """The first array of _deepen(evaluate, count, tol); raises
+    NumericalError unless every entry is finite."""
+    value = _deepen(evaluate, count, tol)[1]
     if not np.all(np.isfinite(value)):
         raise NumericalError("continued fraction did not converge to a finite value")
     return value
@@ -355,12 +356,15 @@ def f_eigen(params: CFParams, lambda_tilde: complex, tol: float = 1e-13) -> comp
         f = a_0 + [lower-tail fraction] + [upper-tail fraction]
 
     evaluated at lambda = a * lambda_tilde; defined off the essential band
-    only.  Kept public as a test oracle: the search steps with _match at
-    fixed depths, and the tests hold its roots to this settled value.
+    only.  It settles through _deepen over _match as one iterate of the
+    search does, at rel = 0, so its first step runs depths 64 and 128 as
+    rows of one sweep.  Kept public as a test oracle: the search steps with
+    _match at fixed depths, and the tests hold its roots to this settled
+    value.
     """
     params.check_full_chain()
     _check_point(params, lambda_tilde)
-    return complex(_settled_value(lambda d: _match(params, lambda_tilde, 0, d)[0], tol)[0])
+    return complex(_settled_value(lambda idx, ds: _match(params, np.array([lambda_tilde])[idx], 0, ds), 1, tol)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -523,39 +527,40 @@ def find_eigenvalues_half(
 
 def eigenvector_window(params: CFParams, lambda_tilde: complex, n_min: int, n_max: int) -> np.ndarray:
     """Recurrence solution z_n over [n_min, n_max] built from the tail
-    ratios, normalized to z_0 = 1; each tail value is deepened until it
-    settles to within _WINDOW_TOL.
+    ratios, normalized to z_0 = 1.
 
-    Below the matching index the ratios come from the lower-tail fraction,
-    above it from the upper one; at a true root of f the two agree and the
+    Each slot n of the window is one point of _deepen, settled to within
+    _WINDOW_TOL: its tail value at depth d is one row of a sweep over
+    n - d..n (the lower tail, n <= 0) or n + d..n (the upper tail, n >= 1),
+    and one sweep per depth runs every slot still moving.  Below the
+    matching index the ratios come from the lower-tail fraction, above it
+    from the upper one; at a true root of f the two agree and the
     assembled z solves a_n z_n + z_{n-1} - z_{n+1} = 0 on the whole window,
-    decaying in both directions.  Kept public as a test oracle: the tests
-    check that recurrence on z, before mode_amplitudes rescales it.
+    decaying in both directions.  Where the product of lower ratios passes
+    the float range, far from the band, z is 0.  Kept public as a test
+    oracle: the tests check that recurrence on z, before mode_amplitudes
+    rescales it.
     """
     if n_min > 0 or n_max < 1:
         raise UsageError("window must contain the matching indices 0 and 1")
     params.check_full_chain()
     _check_point(params, lambda_tilde)
     lt = np.array([lambda_tilde], dtype=complex)
+    slots = np.arange(n_min, n_max + 1)
+    away = np.where(slots <= 0, -1, 1)
 
-    def kernel_values(window: range) -> np.ndarray:
-        # K(..n) for each n of the window: one sweep runs over the tail
-        # beyond the window edge, deepened until every value has converged,
-        # and on across the window, keeping u after each index there
-        def evaluate(depth):
-            edge, step = window[0], window.step
-            trail: list = []
-            with np.errstate(divide="ignore", invalid="ignore", over="ignore"):  # a NaN fails to settle
-                _sweep(params, lt, range(edge - step * depth, window[-1] + step, step), _seed(params, lt), trail)
-            return np.array(trail[-len(window) :])
+    def evaluate(idx, depths):
+        ends, start = slots[idx], [np.broadcast_to(s, (len(idx), 1)) for s in _seed(params, lt)]
+        return [(_sweep(params, lt, ends + away[idx] * np.arange(d, -1, -1)[:, None], start)[0],) for d in depths]
 
-        return _settled_value(evaluate, _WINDOW_TOL)
-
-    lower = kernel_values(range(n_min, 1))  # z_{m+1}/z_m, m = n_min..0
-    upper = -1.0 / kernel_values(range(n_max, 0, -1))  # z_n/z_{n-1}, n = n_max..1
-    # z_1/z_0 is the lower tail's w_1; the upper one at n = 1 goes unused
-    right = np.cumprod(np.concatenate([lower[-1:], upper[-2::-1]]))  # z_1..z_{n_max}
-    left = 1.0 / np.cumprod(lower[-2::-1])  # z_{-1}..z_{n_min}
+    # a NaN fails to settle; at a far point the lower products overflow to inf
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        # the lower tail gives z_{m+1}/z_m, m = n_min..0; the upper one z_n/z_{n-1} = -1/K(..n), n = 1..n_max
+        lower, upper = np.split(_settled_value(evaluate, len(slots), _WINDOW_TOL)[:, 0], [1 - n_min])
+        # z_1/z_0 is the lower tail's w_1; the upper one at n = 1 goes unused
+        right = np.cumprod(np.concatenate([lower[-1:], -1.0 / upper[1:]]))  # z_1..z_{n_max}
+        span = np.cumprod(lower[-2::-1])
+        left = np.where(np.isfinite(span), 1.0 / span, 0.0)  # z_{-1}..z_{n_min}
     return np.concatenate([left[::-1], [1.0 + 0.0j], right])
 
 

@@ -511,7 +511,7 @@ def classify_stability(k: WaveVector, p: WaveVector) -> StabilityVerdict:
 
 
 def fit_growth_rate(times: np.ndarray, series: np.ndarray) -> float:
-    """Least-squares slope of log(series) over the trailing third of the
+    """Least-squares slope of log(series) over the last third of the
     samples (transients decay out of the fit window)."""
     times = np.asarray(times, dtype=float)
     series = np.asarray(series, dtype=float)

@@ -1,6 +1,7 @@
 import dataclasses
 import re
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -272,6 +273,21 @@ def test_a_search_step_sweeps_each_index_once_and_fills_rho_once(monkeypatch, k,
     assert filled == [257, 513]
 
 
+def test_f_eigen_runs_its_first_step_as_one_fused_sweep(monkeypatch):
+    # f_eigen settles through _deepen over _match as a search step does:
+    # depths 64 and 128 as rows of one sweep (64 + 64 indices) and the
+    # (0,) step once, where one call per depth ran 65 + 129 indices
+    sweep, indices = contfrac._sweep, []
+
+    def counting_sweep(params, lt, ns, start):
+        indices.append(len(ns))
+        return sweep(params, lt, ns, start)
+
+    monkeypatch.setattr(contfrac, "_sweep", counting_sweep)
+    f_eigen(GOLDEN, 2 + 1j)
+    assert (sum(indices), len(indices)) == (129, 3)
+
+
 class _ZeroRhoAt:
     """The class's rho sequence with rho_n replaced by 0 at one index."""
 
@@ -295,7 +311,7 @@ def test_a_zero_rho_in_the_sweep_raises_numerical_error(n):
         eigenvector_window(params, 0.3 + 0.4j, -8, 8)
 
 
-def _six_call_sweep(params, lt, ns, start, trail=None):
+def _six_call_sweep(params, lt, ns, start):
     """_sweep's loop as it stood at six ufunc calls per index: two complex
     divisions into separate buffers and lt/rho_n filled one index at a time."""
     idx = np.asarray(ns, dtype=np.int64)
@@ -310,8 +326,6 @@ def _six_call_sweep(params, lt, ns, start, trail=None):
         np.subtract(cinv_n, np.divide(du, uu, du), du)
         np.multiply(flat, inv_n, lt_rho_f)
         np.add(lt_rho, np.divide(ones, u, u), u)
-        if trail is not None:
-            trail.append(u.copy())
     return u, du
 
 
@@ -323,14 +337,10 @@ def _sweep_indices(params, count, signs):
     return run if signs is None else run[:, None] * np.asarray(signs)
 
 
-def _assert_sweeps_agree(params, lt, ns, start, trail):
-    got_trail, want_trail = ([] if trail else None), ([] if trail else None)
+def _assert_sweeps_agree(params, lt, ns, start):
     with np.errstate(all="ignore"):
-        got = contfrac._sweep(params, lt, ns, start, got_trail)
-        want = _six_call_sweep(params, lt, ns, start, want_trail)
-    if trail:
-        assert len(got_trail) == len(want_trail) == len(ns)
-        got, want = (*got, *got_trail), (*want, *want_trail)
+        got = contfrac._sweep(params, lt, ns, start)
+        want = _six_call_sweep(params, lt, ns, start)
     # the six-call loop keeps a 1-D start's broadcast layout: compare in C order
     assert all(_same_bits(g, np.ascontiguousarray(w)) for g, w in zip(got, want))
 
@@ -339,10 +349,9 @@ def _assert_sweeps_agree(params, lt, ns, start, trail):
     _chain_and_off_band_points(),
     st.one_of(st.none(), st.lists(st.sampled_from([1, -1]), min_size=1, max_size=4)),
     st.lists(st.complex_numbers(max_magnitude=4.0), min_size=4, max_size=4),
-    st.booleans(),
 )
 @settings(max_examples=60, deadline=None)
-def test_four_call_sweep_gives_the_bits_of_the_six_call_loop(case, signs, factors, trail):
+def test_four_call_sweep_gives_the_bits_of_the_six_call_loop(case, signs, factors):
     # real, imaginary and complex points, points at the band tube, and
     # points on the band and NaN, appended; 2-D index rows each get a start
     # row of their own
@@ -353,7 +362,7 @@ def test_four_call_sweep_gives_the_bits_of_the_six_call_loop(case, signs, factor
     with np.errstate(all="ignore"):
         seed = contfrac._seed(params, lt)
         start = seed if signs is None else tuple(np.outer(factors[: len(signs)], s) for s in seed)
-    _assert_sweeps_agree(params, lt, ns, start, trail)
+    _assert_sweeps_agree(params, lt, ns, start)
 
 
 @pytest.mark.parametrize("seeds", [1, 9, 144, 400])
@@ -367,8 +376,7 @@ def test_four_call_sweep_gives_the_bits_of_the_six_call_loop_at_search_seed_coun
     ns = _sweep_indices(GOLDEN, 2 * block + block // 2 + 1, signs)
     with np.errstate(all="ignore"):
         start = contfrac._seed(GOLDEN, lt)
-    for trail in (False, True):
-        _assert_sweeps_agree(GOLDEN, lt, ns, start, trail)
+    _assert_sweeps_agree(GOLDEN, lt, ns, start)
 
 
 def test_a_sweep_peaks_within_one_block_table_of_the_six_call_loop():
@@ -400,6 +408,65 @@ def test_eigenvector_solvers_fail_cleanly_where_the_fraction_overflows(solver):
         f_eigen(GOLDEN, 1e200 + 1e200j)
     with pytest.raises(NumericalError, match="did not converge to a finite value"):
         solver(GOLDEN, 1e200 + 1e200j, -2, 2)
+
+
+@pytest.mark.parametrize("solver", [eigenvector_window, mode_amplitudes])
+@pytest.mark.parametrize("far", [1e100, 1e150])
+def test_eigenvector_solvers_give_zero_where_the_far_products_pass_the_float_range(solver, far):
+    # the lower ratios are about far, so their product overflows: 1/inf is
+    # NaN in complex arithmetic, and the entry is 0 with no warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        z = solver(GOLDEN, complex(far, far), -12, 12)
+    assert np.isfinite(z).all()
+    assert (z[:2] == 0).all() and (z[-2:] == 0).all()
+
+
+def _trail_sweep(params, lt, ns, u):
+    # u after each index of the recurrence u <- lt/rho_n + 1/u
+    trail = []
+    for n in ns:
+        u = lt * (1.0 / params.rho_seq.value(n)) + 1.0 / u
+        trail.append(u)
+    return trail
+
+
+def _trail_window(params, lambda_tilde, n_min, n_max):
+    """eigenvector_window as it stood with a trail of the sweep: per side,
+    one sweep per depth runs from beyond the window edge across the window,
+    keeping u after each index, and the side settles as one row."""
+    lt = np.array([lambda_tilde], dtype=complex)
+
+    def kernel_values(window):
+        def evaluate(idx, depths):
+            out = []
+            for depth in depths:
+                ns = range(window[0] - window.step * depth, window[-1] + window.step, window.step)
+                with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+                    trail = _trail_sweep(params, lt, ns, contfrac._seed(params, lt)[0])
+                out.append((np.reshape(trail[-len(window) :], (1, -1)),))
+            return out
+
+        value = _deepen(evaluate, 1, contfrac._WINDOW_TOL)[1][0]
+        assert np.isfinite(value).all()
+        return value
+
+    lower = kernel_values(range(n_min, 1))
+    upper = -1.0 / kernel_values(range(n_max, 0, -1))
+    right = np.cumprod(np.concatenate([lower[-1:], upper[-2::-1]]))
+    left = 1.0 / np.cumprod(lower[-2::-1])
+    return np.concatenate([left[::-1], [1.0 + 0.0j], right])
+
+
+@given(_chain_and_off_band_points(), st.integers(-30, 0), st.integers(1, 30))
+@settings(max_examples=30, deadline=None)
+def test_window_slots_agree_with_one_trail_per_side(case, n_min, n_max):
+    # each slot settled on its own against the whole side settled as one row
+    params, lt, sides, _ = case
+    assume(0 in sides)
+    for z in lt[band_distance(lt, params.band_halfwidth_tilde()) >= contfrac.BAND_TUBE]:
+        got, want = eigenvector_window(params, z, n_min, n_max), _trail_window(params, z, n_min, n_max)
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
 
 def test_cf_tail_cauchy_in_tol():
