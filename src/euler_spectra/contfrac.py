@@ -18,18 +18,21 @@ are the point-spectrum values, reported as symmetry quadruples
 
 Every tail fraction, of the full chain and of the two half-chains of a
 class with a member on |k| = |p|, is one backward recurrence (minimal
-solutions: Gautschi, SIAM Rev. 9 (1967) 24), written once in _sweep,
-which also carries the derivative that the Newton search steps with.
+solutions: Gautschi, SIAM Rev. 9 (1967) 24), written once in _sweep.
 Each tail at each truncation depth is one row of a sweep, and every
 settled value goes through one depth loop, _deepen: each iterate of the
 Newton search, f_eigen at its one point and each slot of
 eigenvector_window.  Its first step runs depths 64 and 128 as rows of one
-sweep (see _match and _deepen).  rho_n is read from one array per class
-(lattice.RhoSequence), and the division by rho_n is a real multiply by a
-table of 1/rho_n, which gives the same bits as numpy's complex division.
-That multiply fills a table of lambda_tilde/rho_n for a block of indices
-at a time, and each index costs four ufunc calls: one of them divides
-(du, 1) by (u*u, u) in place (see _sweep).
+sweep (see _match and _deepen).  Only the Newton step reads a derivative,
+and only at the depth a point settles at, so only the rows of a call's
+deepest depth carry du/dlambda_tilde; a step's depth-64 rows, which feed
+only the convergence test, the search's residual check, f_eigen and
+eigenvector_window run the value recurrence alone.  rho_n is read from one
+array per class (lattice.RhoSequence), and the division by rho_n is a real
+multiply by a table of 1/rho_n, which gives the same bits as numpy's
+complex division.  That multiply fills a table of lambda_tilde/rho_n for a
+block of indices at a time, and each index costs four ufunc calls: one of
+them divides (du, 1...1) by (u*u, u...u) in place (see _sweep).
 
 All search-facing entry points work in the scale-free variable
 lambda_tilde = lambda / a, which is invariant under rescaling |Gamma|.
@@ -37,6 +40,7 @@ lambda_tilde = lambda / a, which is invariant under rescaling |Gamma|.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -199,14 +203,19 @@ def _seed(params: CFParams, lt):
 
 def _sweep(params: CFParams, lt, ns, start):
     """Backward recurrence u <- lt/rho_n + 1/u over the indices ns, far end
-    first, from start = (u, du), carrying du/dlt; returns (u, du).  Every
-    tail fraction is this one recurrence: the lower tail runs over
-    n = -depth..0; the upper tail over n = depth..1 in the variable
-    u = -1/w, so its ratio is -1/u.
+    first, from start = (u, du), carrying du/dlt on the rows whose
+    derivative is read; returns (u, du).  Every tail fraction is this one
+    recurrence: the lower tail runs over n = -depth..0; the upper tail over
+    n = depth..1 in the variable u = -1/w, so its ratio is -1/u.
 
     lt is a 1-D complex array.  ns holds indices, or index rows (shape
     (len, rows)) run side by side from the same lt; start then has shape
     (rows, len(lt)), and each row's u and du come back at its last index.
+    A du with a row axis and fewer rows than u, (k, len(lt)), is a leading
+    block: only the first k rows carry du, the rest run the value
+    recurrence alone, and du comes back as those k rows (k may be 0).  A
+    1-D du, like a 1-D u, stands for every row.  No row reads another, so
+    a row's bits do not depend on which other rows run or carry du.
 
     rho_n is indexed from the class's array, and lt/rho_n is a real
     multiply of lt's float view by 1/rho_n: numpy's complex division by
@@ -214,10 +223,11 @@ def _sweep(params: CFParams, lt, ns, start):
     same number, but for the sign of an exact zero.  That multiply fills a
     table of lt/rho_n for a block of indices at a time, at most 64 kB.
     Each index then costs four ufunc calls into buffers made once per
-    sweep: u*u; one division in place of the stacked rows (du, 1) by
-    (u*u, u), which gives du/(u*u) and 1/u; 1/rho_n, read from a complex
-    table, minus the first; and the block's row of lt/rho_n plus the
-    second.  The bits are those of u, du = lt/rho_n + 1/u,
+    sweep: u*u over the derivative rows; one division in place of the
+    stacked rows (du, 1...1) by (u*u, u...u), which gives du/(u*u) and 1/u
+    on every row; 1/rho_n, read from a complex table, minus the first,
+    over the derivative rows; and the block's row of lt/rho_n plus 1/u,
+    over every row.  The bits are those of u, du = lt/rho_n + 1/u,
     1/rho_n - du/(u*u).  A rho_n of exactly 0 raises NumericalError.
     """
     idx = np.asarray(ns, dtype=np.int64)
@@ -228,35 +238,39 @@ def _sweep(params: CFParams, lt, ns, start):
             f"rho_{n} = 0 in floating point at the member {params.khat.plus(n, params.p).as_tuple()}, off "
             "the circle |k| = |p|: the continued fraction has a zero denominator there"
         )
-    inv = (1.0 / rho)[..., None]
-    cinv, flat = inv.astype(complex), lt.view(float)
-    shape = (*idx.shape[1:], lt.size)
-    # the rows (du, 1) over (u*u, u): one division in place gives du/(u*u) and 1/u
-    num, den = np.empty((2, *shape), complex), np.empty((2, *shape), complex)
-    (du, ones), (uu, u) = num, den
+    rows = math.prod(idx.shape[1:])  # index rows run side by side: 1 for a 1-D ns
+    k = len(start[1]) if np.ndim(start[1]) == 2 else rows  # rows that carry du
+    inv = (1.0 / rho).reshape(len(idx), rows, 1)
+    cinv, flat = inv[:, :k].astype(complex), lt.view(float)
+    # the rows (du, 1...1) over (u*u, u...u): one division in place gives du/(u*u) and 1/u
+    num, den = np.empty((2, k + rows, lt.size), complex)
+    du, ones, uu, u = num[:k], num[k:], den[:k], den[k:]
     u[...], du[...], ones[...] = *start, 1.0
+    lead = u[:k]
     # lt/rho_n for a block of indices, at most 64 kB: the block's 1/rho_n
     # rows copied in and multiplied in place by lt's float view, so numpy
     # buffers one broadcast operand of the multiply, not two
-    table = np.empty((max(1, min(len(idx), (1 << 16) // max(u.nbytes, 1))), *shape), complex)
+    table = np.empty((max(1, min(len(idx), (1 << 16) // max(u.nbytes, 1))), *u.shape), complex)
     table_f, block = table.view(float), len(table)
     mul, div, add, sub, copyto = np.multiply, np.divide, np.add, np.subtract, np.copyto
     for j in range(0, len(idx), block):
-        rows = inv[j : j + block]
-        fill = table_f[: len(rows)]
-        copyto(fill, rows)
+        inv_block = inv[j : j + block]
+        fill = table_f[: len(inv_block)]
+        copyto(fill, inv_block)
         mul(fill, flat, fill)
         for cinv_n, lt_rho in zip(cinv[j : j + block], table):
             # du <- 1/rho_n - du/(u*u) from the old u, and u <- lt/rho_n + 1/u
-            mul(u, u, uu)
+            mul(lead, lead, uu)
             div(num, den, den)
             sub(cinv_n, uu, du)
             add(lt_rho, u, u)
-    return u, du
+    shape = (*idx.shape[1:], lt.size)
+    return u.reshape(shape), du.reshape(shape) if k == rows else du
 
 
-def _match(params: CFParams, lt, side: int, depth):
-    """Matching function at a fixed truncation depth and its lt-derivative.
+def _match(params: CFParams, lt, side: int, depth, derivative: bool = True):
+    """Matching function at a fixed truncation depth and its lt-derivative:
+    (f, df), or (f,) where derivative is False.
 
         side  0:  f = K(-depth..0) + 1/K(depth..1)   (full chain)
         side +1:  f = K(depth..1)                    (half-chain n >= 1)
@@ -264,34 +278,43 @@ def _match(params: CFParams, lt, side: int, depth):
 
     Points on the essential band come back NaN.
 
-    depth may also be an increasing tuple, giving a list of one (f, df)
-    per depth from one sweep.  Each tail at each depth is one row: the
-    deepest rows start alone, the rows of each shallower depth join them,
-    freshly seeded, at their own far end, and the full chain's (0,) step
-    and the band mask run once.  No row reads another, so each depth gets
-    the bits of a call of its own.
+    depth may also be an increasing tuple, giving a list of one tuple per
+    depth from one sweep: (f,) at every depth but the deepest, which gives
+    (f, df), or (f,) where derivative is False.  Each tail at each depth is
+    one row: the deepest rows start alone and lead, carrying du, the rows
+    of each shallower depth join them, freshly seeded, at their own far end
+    and run the value recurrence only, and the full chain's (0,) step and
+    the band mask run once.  A Newton step reads df at the depth it
+    settles at, and _deepen settles at the deepest depth of a call, so the
+    shallower rows need no derivative.  No row reads another, so each
+    depth gets the bits of a call of its own.
     """
     depths = (depth,) if np.ndim(depth) == 0 else tuple(depth)
     flat = np.ascontiguousarray(lt, dtype=complex).reshape(-1)
     tails = [-1, 1] if side == 0 else [side]
-    u, du = (np.empty((0, flat.size), complex),) * 2
+    tail_rows = (len(tails), flat.size)  # the rows of one depth
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        seed = _seed(params, flat)
+        seed, dseed = _seed(params, flat)
+        seed = np.broadcast_to(seed, tail_rows)
+        u, du = np.empty((0, flat.size), complex), np.broadcast_to(dseed, (len(tails) * derivative, flat.size))
         for far, near in zip(depths[::-1], (*depths[-2::-1], 0)):
             # the rows of depth `far` join here, seeded, and every row runs on to near + 1
-            u, du = (np.concatenate((s, np.broadcast_to(w, (len(tails), flat.size)))) for s, w in zip((u, du), seed))
-            ns = np.arange(far, near, -1)[:, None] * np.tile(tails, len(u) // len(tails))
+            u = np.concatenate((u, seed))
+            ns = np.arange(far, near, -1)[:, None] * (tails * (len(u) // len(tails)))
             u, du = _sweep(params, flat, ns, (u, du))
-        u, du = (s.reshape(len(depths), len(tails), -1)[::-1] for s in (u, du))
+        # (depth, tail, point), deepest first: du is the leading depth's, or empty
+        u, du = u.reshape(-1, *tail_rows), du.reshape(-1, *tail_rows)
         if side:
             f, df = u[:, 0], du[:, 0]
         else:
             down, ddown = _sweep(params, flat, np.zeros((1, len(depths)), int), (u[:, 0], du[:, 0]))
-            f, df = down + 1.0 / u[:, 1], ddown - du[:, 1] / (u[:, 1] * u[:, 1])
+            lead = u[: len(du), 1]
+            f, df = down + 1.0 / u[:, 1], ddown - du[:, 1] / (lead * lead)
     off = band_distance(flat, params.band_halfwidth_tilde()) > 0
     f, df = (np.where(off, s, np.nan).reshape(-1, *np.shape(lt)) for s in (f, df))
-    pairs = list(zip(f, df))
-    return pairs if np.ndim(depth) else pairs[0]
+    values = [(v,) for v in f[::-1]]
+    values[-1] += tuple(df)  # the deepest depth's df, or nothing
+    return values if np.ndim(depth) else values[0]
 
 
 def _deepen(evaluate, count: int, tol: float, rel: float = 0.0):
@@ -304,10 +327,15 @@ def _deepen(evaluate, count: int, tol: float, rel: float = 0.0):
     max(tol, rel * |value|) from depth d to 2d (the largest entry of a
     point's row counts), and then settles at 2d with every array taken
     there.  The first call asks for depths 64 and 128 at once; after that,
-    the points still moving share one evaluate call per depth.  The search,
+    the points still moving share one evaluate call per depth.  A point
+    settles only at the deepest depth of a call, and at every other depth
+    only the first array is read, so evaluate need give the other arrays
+    (the search's derivative) only at a call's deepest depth.  The search,
     f_eigen and eigenvector_window all settle through this loop.  A point
     whose two values are not both finite settles as it is; one still
-    moving past _MAX_DEPTH comes back NaN.  Returns (depths, *arrays).
+    moving past _MAX_DEPTH comes back NaN in every array.  Returns
+    (depths, *arrays), the arrays shaped as at the first call's deepest
+    depth.
     """
 
     def rowmax(x):
@@ -315,24 +343,23 @@ def _deepen(evaluate, count: int, tol: float, rel: float = 0.0):
 
     idx = np.arange(count)
     depth = 64
-    prev, cur = evaluate(idx, (depth, 2 * depth))
-    out = [np.array(a, dtype=complex) for a in prev]
+    (prev, *_), cur = evaluate(idx, (depth, 2 * depth))
+    out = [np.full(np.shape(c), np.nan, complex) for c in cur]
     depths = np.full(count, depth)
     while True:
         depth *= 2
         with np.errstate(invalid="ignore"):
-            gap = rowmax(cur[0] - prev[0])
+            gap = rowmax(cur[0] - prev)
             moving = np.isfinite(gap) & (gap >= np.maximum(tol, rel * rowmax(cur[0])))
         done = idx[~moving]
         depths[done] = depth
         for a, c in zip(out, cur):
             a[done] = c[~moving]
-        idx, prev = idx[moving], tuple(c[moving] for c in cur)
+        idx, prev = idx[moving], cur[0][moving]
         if not len(idx) or depth > _MAX_DEPTH:
             break
         cur = evaluate(idx, (2 * depth,))[0]
     depths[idx] = depth
-    out[0][idx] = np.nan
     return (depths, *out)
 
 
@@ -358,13 +385,14 @@ def f_eigen(params: CFParams, lambda_tilde: complex, tol: float = 1e-13) -> comp
     evaluated at lambda = a * lambda_tilde; defined off the essential band
     only.  It settles through _deepen over _match as one iterate of the
     search does, at rel = 0, so its first step runs depths 64 and 128 as
-    rows of one sweep.  Kept public as a test oracle: the search steps with
-    _match at fixed depths, and the tests hold its roots to this settled
-    value.
+    rows of one sweep; it reads no derivative, so no row carries one.
+    Kept public as a test oracle: the search steps with _match at fixed
+    depths, and the tests hold its roots to this settled value.
     """
     params.check_full_chain()
     _check_point(params, lambda_tilde)
-    return complex(_settled_value(lambda idx, ds: _match(params, np.array([lambda_tilde])[idx], 0, ds), 1, tol)[0])
+    lt = np.array([lambda_tilde])
+    return complex(_settled_value(lambda idx, ds: _match(params, lt[idx], 0, ds, derivative=False), 1, tol)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -399,10 +427,10 @@ def _search(
     (|re|, |im|).  A candidate whose representative lies within 10 tol of
     an earlier root is a duplicate.  Any other candidate is kept exactly
     when its residual, |f| at the representative at twice the depth the
-    point last settled at, is below tol.  Both radii must stay inside the
-    band tube, so tol must be below BAND_TUBE / 10 = 1e-4: a larger
-    radius can snap a root onto the band, where it is dropped (the golden
-    root (0.248, 0.352) at tol = 0.03).  Below ROOT_TOL_FLOOR = 1e-14 no
+    point last settled at (a value-only _match), is below tol.  Both radii
+    must stay inside the band tube, so tol must be below BAND_TUBE / 10 =
+    1e-4: a larger radius can snap a root onto the band, where it is
+    dropped (the golden root (0.248, 0.352) at tol = 0.03).  Below ROOT_TOL_FLOOR = 1e-14 no
     residual can be trusted to meet tol, since |f| at a root carries
     rounding error of a few 1e-16 (at 3e-17 the golden root is missed).
     A tol outside [ROOT_TOL_FLOOR, BAND_TUBE / 10) raises UsageError.
@@ -465,7 +493,7 @@ def _search(
         rep = complex(*(0.0 if abs(x) <= eps else abs(x) for x in (z.real, z.imag)))
         if any(abs(rep - q.lambda_tilde) < eps for q in quads):
             continue
-        residual = abs(_match(params, np.array([rep]), side, int(depth))[0][0])
+        residual = abs(_match(params, np.array([rep]), side, int(depth), derivative=False)[0][0])
         if residual < tol:
             quads.append(EigenQuadruple(lambda_tilde=rep, members=_quadruple_members(rep), residual=float(residual)))
     quads.sort(key=lambda q: (abs(q.lambda_tilde), q.lambda_tilde.real, q.lambda_tilde.imag))
@@ -531,13 +559,15 @@ def eigenvector_window(params: CFParams, lambda_tilde: complex, n_min: int, n_ma
 
     Each slot n of the window is one point of _deepen, settled to within
     _WINDOW_TOL: its tail value at depth d is one row of a sweep over
-    n - d..n (the lower tail, n <= 0) or n + d..n (the upper tail, n >= 1),
-    and one sweep per depth runs every slot still moving.  Below the
-    matching index the ratios come from the lower-tail fraction, above it
-    from the upper one; at a true root of f the two agree and the
-    assembled z solves a_n z_n + z_{n-1} - z_{n+1} = 0 on the whole window,
-    decaying in both directions.  Where the product of lower ratios passes
-    the float range, far from the band, z is 0.  Kept public as a test
+    n - d..n (the lower tail, n <= 0) or n + d..n (the upper tail, n >= 2),
+    and one sweep per depth runs every slot still moving, value-only.
+    z_1/z_0 is the lower tail's ratio at slot 0, so there is no upper-tail
+    slot at n = 1.  Below the matching index the ratios come from the
+    lower-tail fraction, above it from the upper one; at a true root of f
+    the two agree and the assembled z solves
+    a_n z_n + z_{n-1} - z_{n+1} = 0 on the whole window, decaying in both
+    directions.  Where the product of lower ratios passes the float range,
+    far from the band, z is 0.  Kept public as a test
     oracle: the tests check that recurrence on z, before mode_amplitudes
     rescales it.
     """
@@ -546,19 +576,19 @@ def eigenvector_window(params: CFParams, lambda_tilde: complex, n_min: int, n_ma
     params.check_full_chain()
     _check_point(params, lambda_tilde)
     lt = np.array([lambda_tilde], dtype=complex)
-    slots = np.arange(n_min, n_max + 1)
+    # z_1/z_0 is the lower tail's w_1, so the upper tail has no slot at n = 1
+    slots = np.r_[n_min:1, 2 : n_max + 1]
     away = np.where(slots <= 0, -1, 1)
 
     def evaluate(idx, depths):
-        ends, start = slots[idx], [np.broadcast_to(s, (len(idx), 1)) for s in _seed(params, lt)]
+        ends, start = slots[idx], (_seed(params, lt)[0], np.empty((0, 1), complex))
         return [(_sweep(params, lt, ends + away[idx] * np.arange(d, -1, -1)[:, None], start)[0],) for d in depths]
 
     # a NaN fails to settle; at a far point the lower products overflow to inf
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        # the lower tail gives z_{m+1}/z_m, m = n_min..0; the upper one z_n/z_{n-1} = -1/K(..n), n = 1..n_max
+        # the lower tail gives z_{m+1}/z_m, m = n_min..0; the upper one z_n/z_{n-1} = -1/K(..n), n = 2..n_max
         lower, upper = np.split(_settled_value(evaluate, len(slots), _WINDOW_TOL)[:, 0], [1 - n_min])
-        # z_1/z_0 is the lower tail's w_1; the upper one at n = 1 goes unused
-        right = np.cumprod(np.concatenate([lower[-1:], -1.0 / upper[1:]]))  # z_1..z_{n_max}
+        right = np.cumprod(np.concatenate([lower[-1:], -1.0 / upper]))  # z_1..z_{n_max}
         span = np.cumprod(lower[-2::-1])
         left = np.where(np.isfinite(span), 1.0 / span, 0.0)  # z_{-1}..z_{n_min}
     return np.concatenate([left[::-1], [1.0 + 0.0j], right])

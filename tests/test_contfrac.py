@@ -222,21 +222,25 @@ def _same_bits(got, want):
 @settings(max_examples=60, deadline=None)
 def test_one_sweep_over_several_depths_gives_the_bits_of_one_call_per_depth(case, depths):
     # each depth's rows join the sweep at their own far end and read no
-    # other row; points on the band (appended) come back NaN at every depth
+    # other row; f comes back at every depth and df at the deepest only;
+    # points on the band (appended) come back NaN at every depth
     params, lt, sides, _ = case
     half = params.band_halfwidth_tilde()
     lt = np.append(lt, [0j, 0.5j * half, -1j * half])
     per_index = dataclasses.replace(params, rho_seq=_PerIndexRho(params))
     for side in sides:
         fused = _match(params, lt, side, tuple(depths))
-        assert len(fused) == len(depths)
-        for depth, got in zip(depths, fused):
+        assert [len(got) for got in fused] == [1] * (len(depths) - 1) + [2]
+        values = _match(params, lt, side, tuple(depths), derivative=False)
+        for depth, got, (value,) in zip(depths, fused, values):
             one = _match(params, lt, side, depth)
             # the sweep over the class's rho array against lattice.rho per index
             ref = _match(per_index, lt, side, depth)
+            assert len(one) == len(ref) == 2
             for g, o, r in zip(got, one, ref):
                 assert _same_bits(g, o) and _same_bits(o, r)
                 assert np.isnan(g[-3:]).all()
+            assert _same_bits(value, one[0])
 
 
 @pytest.mark.parametrize("k, p, side", [(V(1, 0), V(1, 1), 0), (V(2, -1), V(2, 1), -1), (V(2, -1), V(2, 1), +1)])
@@ -271,6 +275,59 @@ def test_a_search_step_sweeps_each_index_once_and_fills_rho_once(monkeypatch, k,
     # an index past the array grows it to at least twice its reach, in one call
     assert params.rho_seq.value(-129) == rho(params.khat, p, -129)
     assert filled == [257, 513]
+
+
+def test_only_the_rows_whose_derivative_is_read_carry_one(monkeypatch):
+    # a search step: the depth-128 rows of both tails lead and carry du, the
+    # depth-64 rows join value-only, and the (0,) step carries the lower
+    # tail's du at depth 128 alone; f_eigen and the window read no derivative
+    sweep, calls = contfrac._sweep, []
+
+    def recording(params, lt, ns, start):
+        # (index rows, rows that carry du)
+        rows = int(np.prod(np.shape(ns)[1:]))
+        calls.append((rows, len(start[1]) if np.ndim(start[1]) == 2 else rows))
+        return sweep(params, lt, ns, start)
+
+    monkeypatch.setattr(contfrac, "_sweep", recording)
+    lt = np.array([2 + 1j, 0.3 + 0.5j])
+    _deepen(lambda idx, ds: _match(GOLDEN, lt[idx], 0, ds), len(lt), 1e-14, _DEPTH_REL_TOL)
+    assert calls[:3] == [(2, 2), (4, 2), (2, 1)]
+    calls.clear()
+    f_eigen(GOLDEN, 2 + 1j)
+    eigenvector_window(GOLDEN, POLISHED_ROOT, -6, 6)
+    assert calls and all(k == 0 for _, k in calls)
+
+
+def test_the_search_checks_residuals_value_only(monkeypatch):
+    # the Newton steps ask _match for depth tuples and read df; the residual
+    # check asks for one depth and reads f alone
+    match, calls = contfrac._match, []
+
+    def recording(params, lt, side, depth, derivative=True):
+        calls.append((np.ndim(depth), derivative))
+        return match(params, lt, side, depth, derivative)
+
+    monkeypatch.setattr(contfrac, "_match", recording)
+    assert len(find_eigenvalues(GOLDEN, grid=6)) == 1
+    assert set(calls) == {(1, True), (0, False)}
+
+
+def test_the_window_evaluates_no_upper_tail_slot_at_one(monkeypatch):
+    # z_1/z_0 comes from the lower tail at slot 0: every other slot of the
+    # window ends a sweep row, n = 1 none
+    ends = []
+    sweep = contfrac._sweep
+
+    def recording(params, lt, ns, start):
+        ends.extend(np.asarray(ns)[-1].tolist())
+        return sweep(params, lt, ns, start)
+
+    monkeypatch.setattr(contfrac, "_sweep", recording)
+    for n_min, n_max in ((-6, 6), (0, 1), (-3, 2)):
+        ends.clear()
+        eigenvector_window(GOLDEN, POLISHED_ROOT, n_min, n_max)
+        assert set(ends) == set(range(n_min, n_max + 1)) - {1}
 
 
 def test_f_eigen_runs_its_first_step_as_one_fused_sweep(monkeypatch):
@@ -363,6 +420,33 @@ def test_four_call_sweep_gives_the_bits_of_the_six_call_loop(case, signs, factor
         seed = contfrac._seed(params, lt)
         start = seed if signs is None else tuple(np.outer(factors[: len(signs)], s) for s in seed)
     _assert_sweeps_agree(params, lt, ns, start)
+
+
+@given(
+    _chain_and_off_band_points(),
+    st.one_of(st.none(), st.lists(st.sampled_from([1, -1]), min_size=1, max_size=4)),
+    st.lists(st.complex_numbers(max_magnitude=4.0), min_size=4, max_size=4),
+)
+@settings(max_examples=60, deadline=None)
+def test_value_only_rows_give_the_bits_of_rows_run_with_a_derivative(case, signs, factors):
+    # a leading block of k rows carries du, for every k from 0 rows to all:
+    # every row keeps the u bits of the sweep where all rows carry du, and
+    # the block keeps its du bits; points on the band and NaN appended
+    params, lt, _, count = case
+    half = params.band_halfwidth_tilde()
+    lt = np.append(lt, [0j, 0.5j * half, -1j * half, complex(np.nan, 0.0)])
+    ns = _sweep_indices(params, count, signs)
+    rows = 1 if signs is None else len(signs)
+    with np.errstate(all="ignore"):
+        seed = contfrac._seed(params, lt)
+        start = seed if signs is None else tuple(np.outer(factors[:rows], s) for s in seed)
+        u_all, du_all = contfrac._sweep(params, lt, ns, start)
+        for k in range(rows + 1):
+            du_start = np.broadcast_to(start[1], (rows, lt.size))[:k]
+            u, du = contfrac._sweep(params, lt, ns, (start[0], du_start))
+            assert _same_bits(u, u_all)
+            assert du.shape == (du_all.shape if k == rows else (k, lt.size))
+            assert _same_bits(du.reshape(k, lt.size), du_all.reshape(rows, lt.size)[:k])
 
 
 @pytest.mark.parametrize("seeds", [1, 9, 144, 400])
@@ -692,6 +776,19 @@ def test_deepen_gives_each_point_its_own_depth():
     assert calls[256] == [1, 3]
     # a relative tolerance stops the slowly converging point early
     assert _deepen(evaluate, 2, 1e-14, 1e-2)[0].tolist() == [128, 1024]
+
+
+def test_deepen_reads_the_other_arrays_only_where_a_point_settles():
+    # the second array comes only at the deepest depth of each call, as the
+    # search's df does; a point that never settles is NaN in every array
+    def evaluate(idx, depths):
+        v = [np.array([1 + 0.5**d, d], dtype=complex)[idx] for d in depths]
+        return [(x,) for x in v[:-1]] + [(v[-1], np.full(len(idx), depths[-1], dtype=complex))]
+
+    depth, v, seen = _deepen(evaluate, 2, 1e-14)
+    assert depth.tolist() == [128, 1 << 18]
+    assert v[0] == 1 + 0.5**128 and seen[0] == 128
+    assert np.isnan(v[1]) and np.isnan(seen[1])
 
 
 def test_half_chain_default_box_finds_real_pair():
