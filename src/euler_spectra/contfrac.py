@@ -23,11 +23,11 @@ Each tail at each truncation depth is one row of a sweep, and every
 settled value goes through one depth loop, _deepen: each iterate of the
 Newton search, f_eigen at its one point and each slot of
 eigenvector_window.  Its first step runs depths 64 and 128 as rows of one
-sweep (see _match and _deepen).  Only the Newton step reads a derivative,
-and only at the depth a point settles at, so only the rows of a call's
-deepest depth carry du/dlambda_tilde; a step's depth-64 rows, which feed
-only the convergence test, the search's residual check, f_eigen and
-eigenvector_window run the value recurrence alone.  rho_n is read from one
+sweep (see _match and _deepen).  A point settles only at the deepest
+depth of a call, so only the rows of that depth carry du/dlambda_tilde,
+which the Newton search steps with; a step's depth-64 rows, which feed
+only the convergence test, and eigenvector_window run the value
+recurrence alone.  rho_n is read from one
 array per class (lattice.RhoSequence), and the division by rho_n is a real
 multiply by a table of 1/rho_n, which gives the same bits as numpy's
 complex division.  That multiply fills a table of lambda_tilde/rho_n for a
@@ -211,11 +211,12 @@ def _sweep(params: CFParams, lt, ns, start):
     lt is a 1-D complex array.  ns holds indices, or index rows (shape
     (len, rows)) run side by side from the same lt; start then has shape
     (rows, len(lt)), and each row's u and du come back at its last index.
-    A du with a row axis and fewer rows than u, (k, len(lt)), is a leading
-    block: only the first k rows carry du, the rest run the value
-    recurrence alone, and du comes back as those k rows (k may be 0).  A
-    1-D du, like a 1-D u, stands for every row.  No row reads another, so
-    a row's bits do not depend on which other rows run or carry du.
+    A du with a row axis, (k, len(lt)), is a leading block of k <= rows
+    rows, never broadcast across rows: only the first k rows carry du, the
+    rest run the value recurrence alone, and du comes back as those k rows
+    (k may be 0); more rows than u raises ValueError.  A 1-D du, like a
+    1-D u, stands for every row.  No row reads another, so a row's bits do
+    not depend on which other rows run or carry du.
 
     rho_n is indexed from the class's array, and lt/rho_n is a real
     multiply of lt's float view by 1/rho_n: numpy's complex division by
@@ -240,6 +241,8 @@ def _sweep(params: CFParams, lt, ns, start):
         )
     rows = math.prod(idx.shape[1:])  # index rows run side by side: 1 for a 1-D ns
     k = len(start[1]) if np.ndim(start[1]) == 2 else rows  # rows that carry du
+    if k > rows:
+        raise ValueError(f"du has {k} rows, more than the {rows} index rows")
     inv = (1.0 / rho).reshape(len(idx), rows, 1)
     cinv, flat = inv[:, :k].astype(complex), lt.view(float)
     # the rows (du, 1...1) over (u*u, u...u): one division in place gives du/(u*u) and 1/u
@@ -268,9 +271,9 @@ def _sweep(params: CFParams, lt, ns, start):
     return u.reshape(shape), du.reshape(shape) if k == rows else du
 
 
-def _match(params: CFParams, lt, side: int, depth, derivative: bool = True):
-    """Matching function at a fixed truncation depth and its lt-derivative:
-    (f, df), or (f,) where derivative is False.
+def _match(params: CFParams, lt, side: int, depth):
+    """Matching function at a fixed truncation depth and its
+    lt-derivative, (f, df).
 
         side  0:  f = K(-depth..0) + 1/K(depth..1)   (full chain)
         side +1:  f = K(depth..1)                    (half-chain n >= 1)
@@ -278,16 +281,15 @@ def _match(params: CFParams, lt, side: int, depth, derivative: bool = True):
 
     Points on the essential band come back NaN.
 
-    depth may also be an increasing tuple, giving a list of one tuple per
-    depth from one sweep: (f,) at every depth but the deepest, which gives
-    (f, df), or (f,) where derivative is False.  Each tail at each depth is
-    one row: the deepest rows start alone and lead, carrying du, the rows
-    of each shallower depth join them, freshly seeded, at their own far end
-    and run the value recurrence only, and the full chain's (0,) step and
-    the band mask run once.  A Newton step reads df at the depth it
-    settles at, and _deepen settles at the deepest depth of a call, so the
-    shallower rows need no derivative.  No row reads another, so each
-    depth gets the bits of a call of its own.
+    depth may also be an increasing tuple: f then has a leading axis, one
+    entry per depth, from one sweep, and df is the deepest depth's.  Each
+    tail at each depth is one row: the deepest rows start alone and lead,
+    carrying du, the rows of each shallower depth join them, freshly
+    seeded, at their own far end and run the value recurrence only, and
+    the full chain's (0,) step and the band mask run once.  A Newton step
+    reads df at the depth it settles at, and _deepen settles at the
+    deepest depth of a call, so the shallower rows need no derivative.  No
+    row reads another, so each depth gets the bits of a call of its own.
     """
     depths = (depth,) if np.ndim(depth) == 0 else tuple(depth)
     flat = np.ascontiguousarray(lt, dtype=complex).reshape(-1)
@@ -296,46 +298,42 @@ def _match(params: CFParams, lt, side: int, depth, derivative: bool = True):
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         seed, dseed = _seed(params, flat)
         seed = np.broadcast_to(seed, tail_rows)
-        u, du = np.empty((0, flat.size), complex), np.broadcast_to(dseed, (len(tails) * derivative, flat.size))
+        u, du = np.empty((0, flat.size), complex), np.broadcast_to(dseed, tail_rows)
         for far, near in zip(depths[::-1], (*depths[-2::-1], 0)):
             # the rows of depth `far` join here, seeded, and every row runs on to near + 1
             u = np.concatenate((u, seed))
             ns = np.arange(far, near, -1)[:, None] * (tails * (len(u) // len(tails)))
             u, du = _sweep(params, flat, ns, (u, du))
-        # (depth, tail, point), deepest first: du is the leading depth's, or empty
-        u, du = u.reshape(-1, *tail_rows), du.reshape(-1, *tail_rows)
+        # u as (depth, tail, point), deepest first; du as (tail, point), the deepest depth's
+        u = u.reshape(-1, *tail_rows)
         if side:
-            f, df = u[:, 0], du[:, 0]
+            f, df = u[:, 0], du[0]
         else:
-            down, ddown = _sweep(params, flat, np.zeros((1, len(depths)), int), (u[:, 0], du[:, 0]))
-            lead = u[: len(du), 1]
-            f, df = down + 1.0 / u[:, 1], ddown - du[:, 1] / (lead * lead)
+            down, ddown = _sweep(params, flat, np.zeros((1, len(depths)), int), (u[:, 0], du[:1]))
+            f, df = down + 1.0 / u[:, 1], ddown[0] - du[1] / (u[0, 1] * u[0, 1])
     off = band_distance(flat, params.band_halfwidth_tilde()) > 0
-    f, df = (np.where(off, s, np.nan).reshape(-1, *np.shape(lt)) for s in (f, df))
-    values = [(v,) for v in f[::-1]]
-    values[-1] += tuple(df)  # the deepest depth's df, or nothing
-    return values if np.ndim(depth) else values[0]
+    f = np.where(off, f, np.nan)[::-1].reshape(-1, *np.shape(lt))
+    df = np.where(off, df, np.nan).reshape(np.shape(lt))
+    return (f, df) if np.ndim(depth) else (f[0], df)
 
 
 def _deepen(evaluate, count: int, tol: float, rel: float = 0.0):
     """Give each of `count` points its own truncation depth.
 
-    evaluate(idx, depths) returns, for each depth of the tuple depths, a
-    tuple of arrays whose first axis runs over the points idx; the first
-    array is the one that must converge.  Each point starts at depth 64 and
-    doubles on its own until that value moves by less than
-    max(tol, rel * |value|) from depth d to 2d (the largest entry of a
-    point's row counts), and then settles at 2d with every array taken
-    there.  The first call asks for depths 64 and 128 at once; after that,
-    the points still moving share one evaluate call per depth.  A point
-    settles only at the deepest depth of a call, and at every other depth
-    only the first array is read, so evaluate need give the other arrays
-    (the search's derivative) only at a call's deepest depth.  The search,
-    f_eigen and eigenvector_window all settle through this loop.  A point
-    whose two values are not both finite settles as it is; one still
-    moving past _MAX_DEPTH comes back NaN in every array.  Returns
-    (depths, *arrays), the arrays shaped as at the first call's deepest
-    depth.
+    evaluate(idx, depths) returns (values, *arrays): values holds one
+    array per depth of the tuple depths, the value that must converge, and
+    each further array (the search's derivative) is taken at the deepest
+    of those depths; the first axis of every array runs over the points
+    idx.  Each point starts at depth 64 and doubles on its own until its
+    value moves by less than max(tol, rel * |value|) from depth d to 2d
+    (the largest entry of a point's row counts), and then settles at 2d,
+    the deepest depth of that call, with every array taken there.  The
+    first call asks for depths 64 and 128 at once; after that, the points
+    still moving share one evaluate call per depth.  The search, f_eigen
+    and eigenvector_window all settle through this loop.  A point whose
+    two values are not both finite settles as it is; one still moving past
+    _MAX_DEPTH comes back NaN in every array.  Returns (depths, value,
+    *arrays).
     """
 
     def rowmax(x):
@@ -343,7 +341,8 @@ def _deepen(evaluate, count: int, tol: float, rel: float = 0.0):
 
     idx = np.arange(count)
     depth = 64
-    (prev, *_), cur = evaluate(idx, (depth, 2 * depth))
+    (prev, value), *arrays = evaluate(idx, (depth, 2 * depth))
+    cur = (value, *arrays)
     out = [np.full(np.shape(c), np.nan, complex) for c in cur]
     depths = np.full(count, depth)
     while True:
@@ -358,7 +357,8 @@ def _deepen(evaluate, count: int, tol: float, rel: float = 0.0):
         idx, prev = idx[moving], cur[0][moving]
         if not len(idx) or depth > _MAX_DEPTH:
             break
-        cur = evaluate(idx, (2 * depth,))[0]
+        (value,), *arrays = evaluate(idx, (2 * depth,))
+        cur = (value, *arrays)
     depths[idx] = depth
     return (depths, *out)
 
@@ -385,14 +385,13 @@ def f_eigen(params: CFParams, lambda_tilde: complex, tol: float = 1e-13) -> comp
     evaluated at lambda = a * lambda_tilde; defined off the essential band
     only.  It settles through _deepen over _match as one iterate of the
     search does, at rel = 0, so its first step runs depths 64 and 128 as
-    rows of one sweep; it reads no derivative, so no row carries one.
-    Kept public as a test oracle: the search steps with _match at fixed
+    rows of one sweep.  Kept public as a test oracle: the search steps with _match at fixed
     depths, and the tests hold its roots to this settled value.
     """
     params.check_full_chain()
     _check_point(params, lambda_tilde)
     lt = np.array([lambda_tilde])
-    return complex(_settled_value(lambda idx, ds: _match(params, lt[idx], 0, ds, derivative=False), 1, tol)[0])
+    return complex(_settled_value(lambda idx, ds: _match(params, lt[idx], 0, ds), 1, tol)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -427,10 +426,10 @@ def _search(
     (|re|, |im|).  A candidate whose representative lies within 10 tol of
     an earlier root is a duplicate.  Any other candidate is kept exactly
     when its residual, |f| at the representative at twice the depth the
-    point last settled at (a value-only _match), is below tol.  Both radii
-    must stay inside the band tube, so tol must be below BAND_TUBE / 10 =
-    1e-4: a larger radius can snap a root onto the band, where it is
-    dropped (the golden root (0.248, 0.352) at tol = 0.03).  Below ROOT_TOL_FLOOR = 1e-14 no
+    point last settled at, is below tol.  Both radii must stay inside the
+    band tube, so tol must be below BAND_TUBE / 10 = 1e-4: a larger
+    radius can snap a root onto the band, where it is dropped (the golden
+    root (0.248, 0.352) at tol = 0.03).  Below ROOT_TOL_FLOOR = 1e-14 no
     residual can be trusted to meet tol, since |f| at a root carries
     rounding error of a few 1e-16 (at 3e-17 the golden root is missed).
     A tol outside [ROOT_TOL_FLOOR, BAND_TUBE / 10) raises UsageError.
@@ -493,7 +492,7 @@ def _search(
         rep = complex(*(0.0 if abs(x) <= eps else abs(x) for x in (z.real, z.imag)))
         if any(abs(rep - q.lambda_tilde) < eps for q in quads):
             continue
-        residual = abs(_match(params, np.array([rep]), side, int(depth), derivative=False)[0][0])
+        residual = abs(_match(params, np.array([rep]), side, int(depth))[0][0])
         if residual < tol:
             quads.append(EigenQuadruple(lambda_tilde=rep, members=_quadruple_members(rep), residual=float(residual)))
     quads.sort(key=lambda q: (abs(q.lambda_tilde), q.lambda_tilde.real, q.lambda_tilde.imag))
@@ -582,7 +581,7 @@ def eigenvector_window(params: CFParams, lambda_tilde: complex, n_min: int, n_ma
 
     def evaluate(idx, depths):
         ends, start = slots[idx], (_seed(params, lt)[0], np.empty((0, 1), complex))
-        return [(_sweep(params, lt, ends + away[idx] * np.arange(d, -1, -1)[:, None], start)[0],) for d in depths]
+        return ([_sweep(params, lt, ends + away[idx] * np.arange(d, -1, -1)[:, None], start)[0] for d in depths],)
 
     # a NaN fails to settle; at a far point the lower products overflow to inf
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):

@@ -229,18 +229,15 @@ def test_one_sweep_over_several_depths_gives_the_bits_of_one_call_per_depth(case
     lt = np.append(lt, [0j, 0.5j * half, -1j * half])
     per_index = dataclasses.replace(params, rho_seq=_PerIndexRho(params))
     for side in sides:
-        fused = _match(params, lt, side, tuple(depths))
-        assert [len(got) for got in fused] == [1] * (len(depths) - 1) + [2]
-        values = _match(params, lt, side, tuple(depths), derivative=False)
-        for depth, got, (value,) in zip(depths, fused, values):
+        fs, df = _match(params, lt, side, tuple(depths))
+        assert fs.shape == (len(depths), lt.size) and df.shape == lt.shape
+        for depth, f in zip(depths, fs):
             one = _match(params, lt, side, depth)
             # the sweep over the class's rho array against lattice.rho per index
             ref = _match(per_index, lt, side, depth)
-            assert len(one) == len(ref) == 2
-            for g, o, r in zip(got, one, ref):
-                assert _same_bits(g, o) and _same_bits(o, r)
-                assert np.isnan(g[-3:]).all()
-            assert _same_bits(value, one[0])
+            assert _same_bits(f, one[0]) and _same_bits(one[0], ref[0]) and _same_bits(one[1], ref[1])
+            assert np.isnan(f[-3:]).all()
+        assert _same_bits(df, one[1]) and np.isnan(df[-3:]).all()
 
 
 @pytest.mark.parametrize("k, p, side", [(V(1, 0), V(1, 1), 0), (V(2, -1), V(2, 1), -1), (V(2, -1), V(2, 1), +1)])
@@ -278,9 +275,10 @@ def test_a_search_step_sweeps_each_index_once_and_fills_rho_once(monkeypatch, k,
 
 
 def test_only_the_rows_whose_derivative_is_read_carry_one(monkeypatch):
-    # a search step: the depth-128 rows of both tails lead and carry du, the
-    # depth-64 rows join value-only, and the (0,) step carries the lower
-    # tail's du at depth 128 alone; f_eigen and the window read no derivative
+    # a first step of _deepen over _match: the depth-128 rows of both tails
+    # lead and carry du, the depth-64 rows join value-only, and the (0,)
+    # step carries the lower tail's du at depth 128 alone; the window reads
+    # no derivative
     sweep, calls = contfrac._sweep, []
 
     def recording(params, lt, ns, start):
@@ -295,22 +293,20 @@ def test_only_the_rows_whose_derivative_is_read_carry_one(monkeypatch):
     assert calls[:3] == [(2, 2), (4, 2), (2, 1)]
     calls.clear()
     f_eigen(GOLDEN, 2 + 1j)
+    assert calls[:3] == [(2, 2), (4, 2), (2, 1)]
+    calls.clear()
     eigenvector_window(GOLDEN, POLISHED_ROOT, -6, 6)
     assert calls and all(k == 0 for _, k in calls)
 
 
-def test_the_search_checks_residuals_value_only(monkeypatch):
-    # the Newton steps ask _match for depth tuples and read df; the residual
-    # check asks for one depth and reads f alone
-    match, calls = contfrac._match, []
-
-    def recording(params, lt, side, depth, derivative=True):
-        calls.append((np.ndim(depth), derivative))
-        return match(params, lt, side, depth, derivative)
-
-    monkeypatch.setattr(contfrac, "_match", recording)
-    assert len(find_eigenvalues(GOLDEN, grid=6)) == 1
-    assert set(calls) == {(1, True), (0, False)}
+def test_a_derivative_block_with_more_rows_than_the_sweep_raises():
+    # a 2-D du is a leading block of rows, never broadcast across them
+    lt = np.array([2 + 1j])
+    u, du = (np.broadcast_to(s, (2, 1)) for s in contfrac._seed(GOLDEN, lt))
+    ns = np.array([[5, -5], [4, -4]])
+    assert contfrac._sweep(GOLDEN, lt, ns, (u, du[:1]))[1].shape == (1, 1)
+    with pytest.raises(ValueError, match="more than the 2 index rows"):
+        contfrac._sweep(GOLDEN, lt, ns, (u, np.concatenate((du, du))))
 
 
 def test_the_window_evaluates_no_upper_tail_slot_at_one(monkeypatch):
@@ -528,8 +524,8 @@ def _trail_window(params, lambda_tilde, n_min, n_max):
                 ns = range(window[0] - window.step * depth, window[-1] + window.step, window.step)
                 with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
                     trail = _trail_sweep(params, lt, ns, contfrac._seed(params, lt)[0])
-                out.append((np.reshape(trail[-len(window) :], (1, -1)),))
-            return out
+                out.append(np.reshape(trail[-len(window) :], (1, -1)))
+            return (out,)
 
         value = _deepen(evaluate, 1, contfrac._WINDOW_TOL)[1][0]
         assert np.isfinite(value).all()
@@ -765,9 +761,8 @@ def test_deepen_gives_each_point_its_own_depth():
         out = []
         for depth in depths:
             calls[depth] = idx.tolist()
-            v = np.array([1 + 0.5**depth, 1 + 0.99**depth, np.nan, depth], dtype=complex)[idx]
-            out.append((v, np.full(len(idx), depth, dtype=complex)))
-        return out
+            out.append(np.array([1 + 0.5**depth, 1 + 0.99**depth, np.nan, depth], dtype=complex)[idx])
+        return out, np.full(len(idx), depths[-1], dtype=complex)
 
     depth, v, seen = _deepen(evaluate, 4, 1e-14)
     assert depth.tolist() == [128, 8192, 128, 1 << 18]
@@ -778,12 +773,11 @@ def test_deepen_gives_each_point_its_own_depth():
     assert _deepen(evaluate, 2, 1e-14, 1e-2)[0].tolist() == [128, 1024]
 
 
-def test_deepen_reads_the_other_arrays_only_where_a_point_settles():
+def test_deepen_gives_a_point_that_never_settles_nan_in_every_array():
     # the second array comes only at the deepest depth of each call, as the
-    # search's df does; a point that never settles is NaN in every array
+    # search's df does, and a point still moving past _MAX_DEPTH has none
     def evaluate(idx, depths):
-        v = [np.array([1 + 0.5**d, d], dtype=complex)[idx] for d in depths]
-        return [(x,) for x in v[:-1]] + [(v[-1], np.full(len(idx), depths[-1], dtype=complex))]
+        return [np.array([1 + 0.5**d, d], dtype=complex)[idx] for d in depths], np.full(len(idx), depths[-1], complex)
 
     depth, v, seen = _deepen(evaluate, 2, 1e-14)
     assert depth.tolist() == [128, 1 << 18]
