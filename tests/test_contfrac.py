@@ -299,16 +299,6 @@ def test_only_the_rows_whose_derivative_is_read_carry_one(monkeypatch):
     assert calls and all(k == 0 for _, k in calls)
 
 
-def test_a_derivative_block_with_more_rows_than_the_sweep_raises():
-    # a 2-D du is a leading block of rows, never broadcast across them
-    lt = np.array([2 + 1j])
-    u, du = (np.broadcast_to(s, (2, 1)) for s in contfrac._seed(GOLDEN, lt))
-    ns = np.array([[5, -5], [4, -4]])
-    assert contfrac._sweep(GOLDEN, lt, ns, (u, du[:1]))[1].shape == (1, 1)
-    with pytest.raises(ValueError, match="more than the 2 index rows"):
-        contfrac._sweep(GOLDEN, lt, ns, (u, np.concatenate((du, du))))
-
-
 def test_the_window_evaluates_no_upper_tail_slot_at_one(monkeypatch):
     # z_1/z_0 comes from the lower tail at slot 0: every other slot of the
     # window ends a sweep row, n = 1 none
@@ -427,7 +417,8 @@ def test_four_call_sweep_gives_the_bits_of_the_six_call_loop(case, signs, factor
 def test_value_only_rows_give_the_bits_of_rows_run_with_a_derivative(case, signs, factors):
     # a leading block of k rows carries du, for every k from 0 rows to all:
     # every row keeps the u bits of the sweep where all rows carry du, and
-    # the block keeps its du bits; points on the band and NaN appended
+    # the block keeps its du bits; points on the band and NaN appended; a
+    # block of more rows than the sweep raises
     params, lt, _, count = case
     half = params.band_halfwidth_tilde()
     lt = np.append(lt, [0j, 0.5j * half, -1j * half, complex(np.nan, 0.0)])
@@ -443,6 +434,9 @@ def test_value_only_rows_give_the_bits_of_rows_run_with_a_derivative(case, signs
             assert _same_bits(u, u_all)
             assert du.shape == (du_all.shape if k == rows else (k, lt.size))
             assert _same_bits(du.reshape(k, lt.size), du_all.reshape(rows, lt.size)[:k])
+        # a block is never broadcast across rows, so one row too many raises
+        with pytest.raises(ValueError, match=f"more than the {rows} index rows"):
+            contfrac._sweep(params, lt, ns, (start[0], np.broadcast_to(start[1], (rows, lt.size))[[*range(rows), 0]]))
 
 
 @pytest.mark.parametrize("seeds", [1, 9, 144, 400])
