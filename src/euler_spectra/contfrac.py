@@ -27,7 +27,11 @@ sweep (see _match and _deepen).  A point settles only at the deepest
 depth of a call, so only the rows of that depth carry du/dlambda_tilde,
 which the Newton search steps with; a step's depth-64 rows, which feed
 only the convergence test, and eigenvector_window run the value
-recurrence alone.  rho_n is read from one
+recurrence alone.  The kernel has one calling convention over n points
+lt (1-D): _sweep runs index rows of shape (len, rows) from u, broadcast
+to (rows, n), and du, a (k, n) block of the leading rows, and returns
+both in those shapes; _match takes a tuple of depths and returns f as
+(len(depths), n) and df as (n,).  rho_n is read from one
 array per class (lattice.RhoSequence), and the division by rho_n is a real
 multiply by a table of 1/rho_n, which gives the same bits as numpy's
 complex division.  That multiply fills a table of lambda_tilde/rho_n for a
@@ -40,7 +44,6 @@ lambda_tilde = lambda / a, which is invariant under rescaling |Gamma|.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -202,20 +205,19 @@ def _seed(params: CFParams, lt):
 
 
 def _sweep(params: CFParams, lt, ns, start):
-    """Backward recurrence u <- lt/rho_n + 1/u over the indices ns, far end
-    first, from start = (u, du), carrying du/dlt on the rows whose
+    """Backward recurrence u <- lt/rho_n + 1/u over the index rows ns, far
+    end first, from start = (u, du), carrying du/dlt on the rows whose
     derivative is read; returns (u, du).  Every tail fraction is this one
     recurrence: the lower tail runs over n = -depth..0; the upper tail over
     n = depth..1 in the variable u = -1/w, so its ratio is -1/u.
 
-    lt is a 1-D complex array.  ns holds indices, or index rows (shape
-    (len, rows)) run side by side from the same lt; start then has shape
-    (rows, len(lt)), and each row's u and du come back at its last index.
-    A du with a row axis, (k, len(lt)), is a leading block of k <= rows
-    rows, never broadcast across rows: only the first k rows carry du, the
-    rest run the value recurrence alone, and du comes back as those k rows
-    (k may be 0); more rows than u raises ValueError.  A 1-D du, like a
-    1-D u, stands for every row.  No row reads another, so a row's bits do
+    lt is a 1-D complex array of n points, and ns has shape (len, rows):
+    rows index runs side by side from the same lt.  u broadcasts to
+    (rows, n); du is a (k, n) block of the leading k <= rows rows, never
+    broadcast across rows: only those rows carry du, the rest run the value
+    recurrence alone (k may be 0), and more rows than ns has raises
+    ValueError.  Each row's u and du come back at its last index, with
+    shapes (rows, n) and (k, n).  No row reads another, so a row's bits do
     not depend on which other rows run or carry du.
 
     rho_n is indexed from the class's array, and lt/rho_n is a real
@@ -239,11 +241,10 @@ def _sweep(params: CFParams, lt, ns, start):
             f"rho_{n} = 0 in floating point at the member {params.khat.plus(n, params.p).as_tuple()}, off "
             "the circle |k| = |p|: the continued fraction has a zero denominator there"
         )
-    rows = math.prod(idx.shape[1:])  # index rows run side by side: 1 for a 1-D ns
-    k = len(start[1]) if np.ndim(start[1]) == 2 else rows  # rows that carry du
+    rows, k = idx.shape[1], len(start[1])  # k leading rows carry du
     if k > rows:
         raise ValueError(f"du has {k} rows, more than the {rows} index rows")
-    inv = (1.0 / rho).reshape(len(idx), rows, 1)
+    inv = (1.0 / rho)[..., None]
     cinv, flat = inv[:, :k].astype(complex), lt.view(float)
     # the rows (du, 1...1) over (u*u, u...u): one division in place gives du/(u*u) and 1/u
     num, den = np.empty((2, k + rows, lt.size), complex)
@@ -267,54 +268,49 @@ def _sweep(params: CFParams, lt, ns, start):
             div(num, den, den)
             sub(cinv_n, uu, du)
             add(lt_rho, u, u)
-    shape = (*idx.shape[1:], lt.size)
-    return u.reshape(shape), du.reshape(shape) if k == rows else du
+    return u, du
 
 
-def _match(params: CFParams, lt, side: int, depth):
-    """Matching function at a fixed truncation depth and its
-    lt-derivative, (f, df).
+def _match(params: CFParams, lt, side: int, depths: tuple[int, ...]):
+    """Matching function at each truncation depth of the increasing tuple
+    depths, and its lt-derivative at the deepest: (f, df).
 
         side  0:  f = K(-depth..0) + 1/K(depth..1)   (full chain)
         side +1:  f = K(depth..1)                    (half-chain n >= 1)
         side -1:  f = K(-depth..-1)                  (half-chain n <= -1)
 
-    Points on the essential band come back NaN.
-
-    depth may also be an increasing tuple: f then has a leading axis, one
-    entry per depth, from one sweep, and df is the deepest depth's.  Each
-    tail at each depth is one row: the deepest rows start alone and lead,
-    carrying du, the rows of each shallower depth join them, freshly
-    seeded, at their own far end and run the value recurrence only, and
-    the full chain's (0,) step and the band mask run once.  A Newton step
-    reads df at the depth it settles at, and _deepen settles at the
-    deepest depth of a call, so the shallower rows need no derivative.  No
-    row reads another, so each depth gets the bits of a call of its own.
+    lt is a 1-D array of n points; f has shape (len(depths), n), one entry
+    per depth, and df shape (n,).  Points on the essential band come back
+    NaN.  One sweep runs every depth.  Each tail at each depth is one row:
+    the deepest rows start alone and lead, carrying du, the rows of each
+    shallower depth join them, freshly seeded, at their own far end and run
+    the value recurrence only, and the full chain's (0,) step and the band
+    mask run once.  A Newton step reads df at the depth it settles at, and
+    _deepen settles at the deepest depth of a call, so the shallower rows
+    need no derivative.  No row reads another, so each depth gets the bits
+    of a call of its own.
     """
-    depths = (depth,) if np.ndim(depth) == 0 else tuple(depth)
-    flat = np.ascontiguousarray(lt, dtype=complex).reshape(-1)
+    lt = np.ascontiguousarray(lt, dtype=complex)
     tails = [-1, 1] if side == 0 else [side]
-    tail_rows = (len(tails), flat.size)  # the rows of one depth
+    tail_rows = (len(tails), lt.size)  # the rows of one depth
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        seed, dseed = _seed(params, flat)
+        seed, dseed = _seed(params, lt)
         seed = np.broadcast_to(seed, tail_rows)
-        u, du = np.empty((0, flat.size), complex), np.broadcast_to(dseed, tail_rows)
+        u, du = np.empty((0, lt.size), complex), np.broadcast_to(dseed, tail_rows)
         for far, near in zip(depths[::-1], (*depths[-2::-1], 0)):
             # the rows of depth `far` join here, seeded, and every row runs on to near + 1
             u = np.concatenate((u, seed))
             ns = np.arange(far, near, -1)[:, None] * (tails * (len(u) // len(tails)))
-            u, du = _sweep(params, flat, ns, (u, du))
+            u, du = _sweep(params, lt, ns, (u, du))
         # u as (depth, tail, point), deepest first; du as (tail, point), the deepest depth's
         u = u.reshape(-1, *tail_rows)
         if side:
             f, df = u[:, 0], du[0]
         else:
-            down, ddown = _sweep(params, flat, np.zeros((1, len(depths)), int), (u[:, 0], du[:1]))
+            down, ddown = _sweep(params, lt, np.zeros((1, len(depths)), int), (u[:, 0], du[:1]))
             f, df = down + 1.0 / u[:, 1], ddown[0] - du[1] / (u[0, 1] * u[0, 1])
-    off = band_distance(flat, params.band_halfwidth_tilde()) > 0
-    f = np.where(off, f, np.nan)[::-1].reshape(-1, *np.shape(lt))
-    df = np.where(off, df, np.nan).reshape(np.shape(lt))
-    return (f, df) if np.ndim(depth) else (f[0], df)
+    off = band_distance(lt, params.band_halfwidth_tilde()) > 0
+    return np.where(off, f, np.nan)[::-1], np.where(off, df, np.nan)
 
 
 def _deepen(evaluate, count: int, tol: float, rel: float = 0.0):
@@ -492,7 +488,7 @@ def _search(
         rep = complex(*(0.0 if abs(x) <= eps else abs(x) for x in (z.real, z.imag)))
         if any(abs(rep - q.lambda_tilde) < eps for q in quads):
             continue
-        residual = abs(_match(params, np.array([rep]), side, int(depth))[0][0])
+        residual = abs(_match(params, np.array([rep]), side, (int(depth),))[0][0, 0])
         if residual < tol:
             quads.append(EigenQuadruple(lambda_tilde=rep, members=_quadruple_members(rep), residual=float(residual)))
     quads.sort(key=lambda q: (abs(q.lambda_tilde), q.lambda_tilde.real, q.lambda_tilde.imag))

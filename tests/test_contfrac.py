@@ -124,9 +124,9 @@ def test_cf_tail_constant_chain_hits_exact_roots():
     w_plus = (3 + np.sqrt(13)) / 2
     # each tail is seeded at its fixed point w_plus, so it stays there
     for side in (+1, -1):
-        assert _match(params, lt, side, 64)[0][0] == pytest.approx(w_plus, abs=1e-13)
+        assert _match(params, lt, side, (64,))[0][0, 0] == pytest.approx(w_plus, abs=1e-13)
     # lower tail w_plus plus 1/(upper tail) 1/w_plus: w_plus - w_minus
-    assert _match(params, lt, 0, 64)[0][0] == pytest.approx(np.sqrt(13), abs=1e-13)
+    assert _match(params, lt, 0, (64,))[0][0, 0] == pytest.approx(np.sqrt(13), abs=1e-13)
     # K(1/3) as the positive fixed point of x = 1/(3 + x)
     k = w_plus - 3.0
     assert k == pytest.approx((np.sqrt(13) - 3) / 2, abs=1e-13)
@@ -191,8 +191,8 @@ def test_paired_table_sweep_equals_per_index_division(case):
     # by rho + 0j gives the same numbers, so the match is exact, not approx
     params, lt, sides, depth = case
     for side in sides:
-        got, ref = _match(params, lt, side, depth), _reference_match(params, lt, side, depth)
-        for g, r in zip(got, ref):
+        (f,), df = _match(params, lt, side, (depth,))
+        for g, r in zip((f, df), _reference_match(params, lt, side, depth)):
             assert g.shape == r.shape and (g == r).all()
 
 
@@ -232,10 +232,10 @@ def test_one_sweep_over_several_depths_gives_the_bits_of_one_call_per_depth(case
         fs, df = _match(params, lt, side, tuple(depths))
         assert fs.shape == (len(depths), lt.size) and df.shape == lt.shape
         for depth, f in zip(depths, fs):
-            one = _match(params, lt, side, depth)
+            one = _match(params, lt, side, (depth,))
             # the sweep over the class's rho array against lattice.rho per index
-            ref = _match(per_index, lt, side, depth)
-            assert _same_bits(f, one[0]) and _same_bits(one[0], ref[0]) and _same_bits(one[1], ref[1])
+            ref = _match(per_index, lt, side, (depth,))
+            assert _same_bits(f, one[0][0]) and _same_bits(one[0], ref[0]) and _same_bits(one[1], ref[1])
             assert np.isnan(f[-3:]).all()
         assert _same_bits(df, one[1]) and np.isnan(df[-3:]).all()
 
@@ -283,8 +283,7 @@ def test_only_the_rows_whose_derivative_is_read_carry_one(monkeypatch):
 
     def recording(params, lt, ns, start):
         # (index rows, rows that carry du)
-        rows = int(np.prod(np.shape(ns)[1:]))
-        calls.append((rows, len(start[1]) if np.ndim(start[1]) == 2 else rows))
+        calls.append((np.shape(ns)[1], len(start[1])))
         return sweep(params, lt, ns, start)
 
     monkeypatch.setattr(contfrac, "_sweep", recording)
@@ -347,7 +346,7 @@ def test_a_zero_rho_in_the_sweep_raises_numerical_error(n):
     params.rho_seq = _ZeroRhoAt(params, n)
     member = re.escape(f"rho_{n} = 0 in floating point at the member {V(1, 0).plus(n, V(1, 1)).as_tuple()}")
     with pytest.raises(NumericalError, match=member):
-        _match(params, np.array([0.3 + 0.4j, 1.0]), 0, 64)
+        _match(params, np.array([0.3 + 0.4j, 1.0]), 0, (64,))
     with pytest.raises(NumericalError, match=member):
         f_eigen(params, 0.3 + 0.4j)
     with pytest.raises(NumericalError, match=member):
@@ -374,10 +373,9 @@ def _six_call_sweep(params, lt, ns, start):
 
 def _sweep_indices(params, count, signs):
     # count indices per row, far end first, toward 1 (or 0 on a full chain,
-    # where rho_0 is nonzero); 1-D for signs None, else one row per sign
+    # where rho_0 is nonzero), one row per sign
     near = 0 if params.circle is None else 1
-    run = np.arange(count + near - 1, near - 1, -1)
-    return run if signs is None else run[:, None] * np.asarray(signs)
+    return np.arange(count + near - 1, near - 1, -1)[:, None] * np.asarray(signs)
 
 
 def _assert_sweeps_agree(params, lt, ns, start):
@@ -390,27 +388,26 @@ def _assert_sweeps_agree(params, lt, ns, start):
 
 @given(
     _chain_and_off_band_points(),
-    st.one_of(st.none(), st.lists(st.sampled_from([1, -1]), min_size=1, max_size=4)),
+    st.lists(st.sampled_from([1, -1]), min_size=1, max_size=4),
     st.lists(st.complex_numbers(max_magnitude=4.0), min_size=4, max_size=4),
 )
 @settings(max_examples=60, deadline=None)
 def test_four_call_sweep_gives_the_bits_of_the_six_call_loop(case, signs, factors):
     # real, imaginary and complex points, points at the band tube, and
-    # points on the band and NaN, appended; 2-D index rows each get a start
-    # row of their own
+    # points on the band and NaN, appended; index rows each get a start row
+    # of their own
     params, lt, _, count = case
     half = params.band_halfwidth_tilde()
     lt = np.append(lt, [0j, 0.5j * half, -1j * half, complex(np.nan, 0.0)])
     ns = _sweep_indices(params, count, signs)
     with np.errstate(all="ignore"):
-        seed = contfrac._seed(params, lt)
-        start = seed if signs is None else tuple(np.outer(factors[: len(signs)], s) for s in seed)
+        start = tuple(np.outer(factors[: len(signs)], s) for s in contfrac._seed(params, lt))
     _assert_sweeps_agree(params, lt, ns, start)
 
 
 @given(
     _chain_and_off_band_points(),
-    st.one_of(st.none(), st.lists(st.sampled_from([1, -1]), min_size=1, max_size=4)),
+    st.lists(st.sampled_from([1, -1]), min_size=1, max_size=4),
     st.lists(st.complex_numbers(max_magnitude=4.0), min_size=4, max_size=4),
 )
 @settings(max_examples=60, deadline=None)
@@ -423,10 +420,9 @@ def test_value_only_rows_give_the_bits_of_rows_run_with_a_derivative(case, signs
     half = params.band_halfwidth_tilde()
     lt = np.append(lt, [0j, 0.5j * half, -1j * half, complex(np.nan, 0.0)])
     ns = _sweep_indices(params, count, signs)
-    rows = 1 if signs is None else len(signs)
+    rows = len(signs)
     with np.errstate(all="ignore"):
-        seed = contfrac._seed(params, lt)
-        start = seed if signs is None else tuple(np.outer(factors[:rows], s) for s in seed)
+        start = tuple(np.outer(factors[:rows], s) for s in contfrac._seed(params, lt))
         u_all, du_all = contfrac._sweep(params, lt, ns, start)
         for k in range(rows + 1):
             du_start = np.broadcast_to(start[1], (rows, lt.size))[:k]
@@ -440,16 +436,16 @@ def test_value_only_rows_give_the_bits_of_rows_run_with_a_derivative(case, signs
 
 
 @pytest.mark.parametrize("seeds", [1, 9, 144, 400])
-@pytest.mark.parametrize("signs", [None, [-1, 1, -1, 1]])
+@pytest.mark.parametrize("signs", [[1], [-1, 1, -1, 1]])
 def test_four_call_sweep_gives_the_bits_of_the_six_call_loop_at_search_seed_counts(seeds, signs):
     # at a search's seed counts, over two and a half blocks of lt/rho_n, so
     # that the last block is a partial one
     grid = np.linspace(contfrac.BAND_TUBE, 4.0, int(np.sqrt(seeds)))
     lt = (grid[:, None] + 1j * grid[None, :]).ravel()
-    block = (1 << 16) // (16 * lt.size * (1 if signs is None else len(signs)))
+    block = (1 << 16) // (16 * lt.size * len(signs))
     ns = _sweep_indices(GOLDEN, 2 * block + block // 2 + 1, signs)
     with np.errstate(all="ignore"):
-        start = contfrac._seed(GOLDEN, lt)
+        start = tuple(np.broadcast_to(s, (len(signs), lt.size)) for s in contfrac._seed(GOLDEN, lt))
     _assert_sweeps_agree(GOLDEN, lt, ns, start)
 
 
@@ -459,7 +455,7 @@ def test_a_sweep_peaks_within_one_block_table_of_the_six_call_loop():
     grid = np.linspace(contfrac.BAND_TUBE, 4.0, 20)
     lt = (grid[:, None] + 1j * grid[None, :]).ravel()
     ns = _sweep_indices(GOLDEN, 64, [-1, 1, -1, 1])
-    start = contfrac._seed(GOLDEN, lt)
+    start = tuple(np.broadcast_to(s, (4, lt.size)) for s in contfrac._seed(GOLDEN, lt))
     GOLDEN.rho_seq.take(ns)  # the rho array reaches the sweep's indices before either run
     peaks = []
     tracemalloc.start()
@@ -554,7 +550,7 @@ def test_cf_tail_converges_in_both_corollary_regimes():
     # off-axis lambda (Re a_tilde != 0) and imaginary lambda beyond the band
     lt = np.array([0.3 + 0.5j, -0.7 + 0.1j, 1.5j, -2.5j])
     for side in (0, +1, -1):
-        assert np.isfinite(_match(GOLDEN, lt, side, 4096)[0]).all()
+        assert np.isfinite(_match(GOLDEN, lt, side, (4096,))[0]).all()
     for z in lt:
         assert np.isfinite(f_eigen(GOLDEN, z, 1e-12))
 
@@ -721,7 +717,7 @@ def test_half_chain_solver_on_circle_class():
     circle = CFParams.for_class(V(-1, 1), V(1, 1), 1.0)
     # matching functions evaluate off the band...
     for side in (+1, -1):
-        assert np.isfinite(_match(circle, np.array([0.4 + 0.6j]), side, 4096)[0]).all()
+        assert np.isfinite(_match(circle, np.array([0.4 + 0.6j]), side, (4096,))[0]).all()
     # ...and find no roots: both half-chains are stable
     for side in (+1, -1):
         assert find_eigenvalues_half(circle, side, search_box=(0.05, 2.0, 0.05, 2.0), grid=6) == []
@@ -741,8 +737,8 @@ def test_kernel_derivative_matches_central_difference():
     pts = np.array([0.3 + 0.5j, 1.2 + 0.1j, 0.05 + 1.5j, -0.7 + 0.2j, 0.25 + 0.35j])
     h = 1e-5
     for params, side in ((GOLDEN, 0), (STABLE, 0), (CIRCLE, +1), (CIRCLE, -1)):
-        _, df = _match(params, pts, side, 256)
-        fd = (_match(params, pts + h, side, 256)[0] - _match(params, pts - h, side, 256)[0]) / (2 * h)
+        _, df = _match(params, pts, side, (256,))
+        fd = (_match(params, pts + h, side, (256,))[0][0] - _match(params, pts - h, side, (256,))[0][0]) / (2 * h)
         assert np.all(np.abs(df - fd) < 1e-7 * np.abs(df)), (params.khat, side)
 
 
@@ -899,13 +895,13 @@ def test_search_roots_hold_at_depth_16384(p, k1, k2):
     for side, quads in runs:
         for q in quads:
             rep = np.array([q.lambda_tilde])
-            deep = _match(params, rep, side, 1 << 14)[0][0]
+            deep = _match(params, rep, side, (1 << 14,))[0][0, 0]
             assert abs(deep) < 1e-12
             # the search's own rule: dtol = min(tol / 100, 1e-13) = 1e-14
             depth, own, _ = _deepen(
                 lambda idx, ds: _match(params, rep[idx], side, ds), 1, 1e-14, _DEPTH_REL_TOL
             )
-            for value in (own[0], _match(params, rep, side, 2 * int(depth[0]))[0][0]):
+            for value in (own[0], _match(params, rep, side, (2 * int(depth[0]),))[0][0, 0]):
                 assert abs(value - deep) < 1e-13
 
 
