@@ -83,8 +83,8 @@ def _positive(text: str) -> float:
 
 def _scan_radius(text: str) -> float:
     value = _real(text)
-    if not abs(value) <= DISK_CAP**0.5:  # checked before squaring: 1e300**2 overflows
-        raise ValueError(f"scan radius is capped at sqrt(DISK_CAP) = {DISK_CAP**0.5:g}, got {text!r}")
+    if not 0 <= value <= DISK_CAP**0.5:  # checked before squaring: 1e300**2 overflows
+        raise ValueError(f"scan radius must lie in [0, sqrt(DISK_CAP) = {DISK_CAP**0.5:g}], got {text!r}")
     return value
 
 

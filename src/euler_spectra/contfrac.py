@@ -230,8 +230,10 @@ def _sweep(params: CFParams, lt, ns, start):
     stacked rows (du, 1...1) by (u*u, u...u), which gives du/(u*u) and 1/u
     on every row; 1/rho_n, read from a complex table, minus the first,
     over the derivative rows; and the block's row of lt/rho_n plus 1/u,
-    over every row.  The bits are those of u, du = lt/rho_n + 1/u,
-    1/rho_n - du/(u*u).  A rho_n of exactly 0 raises NumericalError.
+    over every row.  Where k is 0 the first and third are bound to a no-op
+    once per sweep, so an index costs two ufunc calls.  The bits are those
+    of u, du = lt/rho_n + 1/u, 1/rho_n - du/(u*u).  A rho_n of exactly 0
+    raises NumericalError.
     """
     idx = np.asarray(ns, dtype=np.int64)
     rho = params.rho_seq.take(idx)
@@ -256,7 +258,9 @@ def _sweep(params: CFParams, lt, ns, start):
     # buffers one broadcast operand of the multiply, not two
     table = np.empty((max(1, min(len(idx), (1 << 16) // max(u.nbytes, 1))), *u.shape), complex)
     table_f, block = table.view(float), len(table)
-    mul, div, add, sub, copyto = np.multiply, np.divide, np.add, np.subtract, np.copyto
+    mul, div, add, copyto = np.multiply, np.divide, np.add, np.copyto
+    # the two derivative-row calls, bound to a no-op where no row carries du
+    square, sub = (mul, np.subtract) if k else (_skip, _skip)
     for j in range(0, len(idx), block):
         inv_block = inv[j : j + block]
         fill = table_f[: len(inv_block)]
@@ -264,11 +268,15 @@ def _sweep(params: CFParams, lt, ns, start):
         mul(fill, flat, fill)
         for cinv_n, lt_rho in zip(cinv[j : j + block], table):
             # du <- 1/rho_n - du/(u*u) from the old u, and u <- lt/rho_n + 1/u
-            mul(lead, lead, uu)
+            square(lead, lead, uu)
             div(num, den, den)
             sub(cinv_n, uu, du)
             add(lt_rho, u, u)
     return u, du
+
+
+def _skip(*_):
+    """A derivative-row call of a sweep whose rows carry no du."""
 
 
 def _match(params: CFParams, lt, side: int, depths: tuple[int, ...]):
@@ -428,7 +436,8 @@ def _search(
     root (0.248, 0.352) at tol = 0.03).  Below ROOT_TOL_FLOOR = 1e-14 no
     residual can be trusted to meet tol, since |f| at a root carries
     rounding error of a few 1e-16 (at 3e-17 the golden root is missed).
-    A tol outside [ROOT_TOL_FLOOR, BAND_TUBE / 10) raises UsageError.
+    A tol outside [ROOT_TOL_FLOOR, BAND_TUBE / 10) raises UsageError, and
+    so does a box with a bound that is not finite or that is empty.
 
     A chain with no member inside the disk (kappa 0) has no root at all
     (see find_eigenvalues); once the arguments pass their checks, it gets
@@ -445,6 +454,8 @@ def _search(
             "tolerance of an axis or of each other are merged; give a tolerance in that range"
         )
     re_min, re_max, im_min, im_max = search_box
+    if not np.isfinite(search_box).all():
+        raise UsageError(f"search box {tuple(search_box)} is not finite; give four finite bounds")
     if re_max <= re_min or im_max <= im_min:
         raise UsageError("degenerate search box")
     if kappa(params.khat, params.p, side) == 0:

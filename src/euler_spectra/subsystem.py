@@ -512,12 +512,27 @@ def classify_stability(k: WaveVector, p: WaveVector) -> StabilityVerdict:
 
 def fit_growth_rate(times: np.ndarray, series: np.ndarray) -> float:
     """Least-squares slope of log(series) over the last third of the
-    samples (transients decay out of the fit window)."""
+    samples (transients decay out of the fit window).
+
+    Raises UsageError unless times and series are 1-D and of one length,
+    every value is finite, every series value is positive, and the window
+    holds at least 2 samples, which takes 4 samples in all."""
     times = np.asarray(times, dtype=float)
     series = np.asarray(series, dtype=float)
+    if times.ndim != 1 or times.shape != series.shape:
+        raise UsageError(
+            f"growth-rate fit needs 1-D times and series of one length, got shapes {times.shape} and {series.shape}"
+        )
+    if not (np.isfinite(times).all() and np.isfinite(series).all()):
+        raise UsageError("growth-rate fit needs finite times and series")
     if np.any(series <= 0):
         raise UsageError("growth-rate fit needs a positive series")
     start = 2 * len(times) // 3
+    if len(times) - start < 2:
+        raise UsageError(
+            f"growth-rate fit needs at least 2 samples in its window, the last third; got {len(times)} "
+            "samples in all, give at least 4"
+        )
     t = times[start:]
     y = np.log(series[start:])
     slope = np.polyfit(t, y, 1)[0]

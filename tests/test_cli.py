@@ -190,6 +190,8 @@ def test_usage_errors_exit_1(capsys):
         (("euler-sim", "--p", "1,1", "--steps=2147483648"), "STEPS_CAP = 1048576"),
         (("classes", "--p", "1,1", "--scan-radius", "1e300"), "DISK_CAP"),
         (("classes", "--p", "64,1"), "DISK_CAP = 4096"),
+        # a negative radius once scanned the disk of its absolute value
+        (("classes", "--p", "1,1", "--scan-radius", "-3"), "must lie in [0, sqrt(DISK_CAP) = 64]"),
     ],
 )
 def test_sizes_past_their_cap_are_usage_errors(capsys, argv, cap):

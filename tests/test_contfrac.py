@@ -315,6 +315,22 @@ def test_the_window_evaluates_no_upper_tail_slot_at_one(monkeypatch):
         assert set(ends) == set(range(n_min, n_max + 1)) - {1}
 
 
+def test_a_value_only_sweep_binds_its_derivative_calls_to_a_no_op(monkeypatch):
+    # with no row carrying du, u*u and 1/rho_n - du/(u*u) over zero rows
+    # become no-op calls bound once per sweep, two per index; a sweep with
+    # a derivative row makes none
+    skipped = []
+    monkeypatch.setattr(contfrac, "_skip", lambda *args: skipped.append(len(args)))
+    lt = np.array([0.3 + 0.5j, 2 + 1j])
+    ns = _sweep_indices(GOLDEN, 10, [-1, 1])
+    u, du = contfrac._seed(GOLDEN, lt)
+    value_only = contfrac._sweep(GOLDEN, lt, ns, (u, np.empty((0, lt.size), complex)))[0]
+    assert skipped == [3] * 20
+    skipped.clear()
+    assert _same_bits(contfrac._sweep(GOLDEN, lt, ns, (u, du[None]))[0], value_only)
+    assert skipped == []
+
+
 def test_f_eigen_runs_its_first_step_as_one_fused_sweep(monkeypatch):
     # f_eigen settles through _deepen over _match as a search step does:
     # depths 64 and 128 as rows of one sweep (64 + 64 indices) and the
@@ -711,6 +727,19 @@ def test_searches_refuse_a_tolerance_past_the_band_tube(tol):
         with pytest.raises(UsageError, match="0.0001"):
             find_eigenvalues_half(CIRCLE, side, tol=tol, **box)
     assert len(find_eigenvalues(GOLDEN, tol=9e-5, **box)) == 1
+
+
+@pytest.mark.parametrize("box", [(np.nan,) * 4, (0.1, np.inf, 0.1, 1.0), (-np.inf, 1.0, 0.1, 1.0)])
+def test_searches_refuse_a_box_that_is_not_finite(box):
+    # refused before the empty-box test, which a NaN bound passes: the NaN
+    # box returned [] and an infinite bound warned in the seed grid
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(UsageError, match="is not finite; give four finite bounds"):
+            find_eigenvalues(GOLDEN, search_box=box, grid=4)
+        for side in (+1, -1):
+            with pytest.raises(UsageError, match="is not finite; give four finite bounds"):
+                find_eigenvalues_half(CIRCLE, side, search_box=box, grid=4)
 
 
 def test_half_chain_solver_on_circle_class():

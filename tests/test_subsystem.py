@@ -387,6 +387,40 @@ def test_fit_growth_rate_recovers_exponential():
         fit_growth_rate(t, series - 10.0)
 
 
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_fit_growth_rate_refuses_a_window_of_fewer_than_two_samples(n):
+    # the window is the last third: 1, 2 or 3 samples leave one point in
+    # it, where the fit returned 0.25 for exp(0.5 t) (2 and 3 samples) or
+    # warned (1 sample); 4 samples are the fewest it fits
+    t = np.linspace(0.0, 1.0, n)
+    with pytest.raises(UsageError, match="at least 2 samples in its window"):
+        fit_growth_rate(t, np.exp(0.5 * t))
+    t = np.linspace(0.0, 1.0, 4)
+    assert fit_growth_rate(t, np.exp(0.5 * t)) == pytest.approx(0.5, rel=1e-12)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("where", ["times", "series"])
+def test_fit_growth_rate_refuses_a_value_that_is_not_finite(where, bad):
+    # a value past the float range in the fit window returned nan
+    arrays = {"times": np.linspace(0.0, 10.0, 30)}
+    arrays["series"] = np.exp(0.5 * arrays["times"])
+    arrays[where][-1] = bad
+    with pytest.raises(UsageError, match="needs finite times and series"):
+        fit_growth_rate(arrays["times"], arrays["series"])
+
+
+@pytest.mark.parametrize(
+    "times, series",
+    [(np.linspace(0.0, 1.0, 10), np.ones(9)), (np.ones((3, 4)), np.ones((3, 4)))],
+    ids=["unequal_lengths", "two_dimensional"],
+)
+def test_fit_growth_rate_refuses_inputs_of_the_wrong_shape(times, series):
+    # both raised numpy's TypeError from the fit
+    with pytest.raises(UsageError, match="1-D times and series of one length"):
+        fit_growth_rate(times, series)
+
+
 def test_unstable_class_enstrophy_growth_rate():
     # time-domain oracle for the dominant eigenvalue magnitude: the
     # enstrophy of a generic state grows like exp(2 * 0.5 * 0.2482230 t)
