@@ -215,8 +215,8 @@ def _sweep(params: CFParams, lt, ns, start):
     rows index runs side by side from the same lt.  u broadcasts to
     (rows, n); du is a (k, n) block of the leading k <= rows rows, never
     broadcast across rows: only those rows carry du, the rest run the value
-    recurrence alone (k may be 0), and more rows than ns has raises
-    ValueError.  Each row's u and du come back at its last index, with
+    recurrence alone (k may be 0), and a du that is not 2-D or has more
+    rows than ns raises ValueError.  Each row's u and du come back at its last index, with
     shapes (rows, n) and (k, n).  No row reads another, so a row's bits do
     not depend on which other rows run or carry du.
 
@@ -243,7 +243,7 @@ def _sweep(params: CFParams, lt, ns, start):
             f"rho_{n} = 0 in floating point at the member {params.khat.plus(n, params.p).as_tuple()}, off "
             "the circle |k| = |p|: the continued fraction has a zero denominator there"
         )
-    rows, k = idx.shape[1], len(start[1])  # k leading rows carry du
+    rows, (k, _) = idx.shape[1], np.shape(start[1])  # k leading rows carry du; a 1-D du raises
     if k > rows:
         raise ValueError(f"du has {k} rows, more than the {rows} index rows")
     inv = (1.0 / rho)[..., None]

@@ -515,8 +515,9 @@ def fit_growth_rate(times: np.ndarray, series: np.ndarray) -> float:
     samples (transients decay out of the fit window).
 
     Raises UsageError unless times and series are 1-D and of one length,
-    every value is finite, every series value is positive, and the window
-    holds at least 2 samples, which takes 4 samples in all."""
+    every value is finite, the times strictly increase, every series value
+    is positive, and the window holds at least 2 samples, which takes 4
+    samples in all."""
     times = np.asarray(times, dtype=float)
     series = np.asarray(series, dtype=float)
     if times.ndim != 1 or times.shape != series.shape:
@@ -525,6 +526,8 @@ def fit_growth_rate(times: np.ndarray, series: np.ndarray) -> float:
         )
     if not (np.isfinite(times).all() and np.isfinite(series).all()):
         raise UsageError("growth-rate fit needs finite times and series")
+    if np.any(np.diff(times) <= 0):
+        raise UsageError("growth-rate fit needs strictly increasing times")
     if np.any(series <= 0):
         raise UsageError("growth-rate fit needs a positive series")
     start = 2 * len(times) // 3

@@ -449,6 +449,9 @@ def test_value_only_rows_give_the_bits_of_rows_run_with_a_derivative(case, signs
         # a block is never broadcast across rows, so one row too many raises
         with pytest.raises(ValueError, match=f"more than the {rows} index rows"):
             contfrac._sweep(params, lt, ns, (start[0], np.broadcast_to(start[1], (rows, lt.size))[[*range(rows), 0]]))
+        # a 1-D du is no block of rows
+        with pytest.raises(ValueError):
+            contfrac._sweep(params, lt, ns, (start[0], start[1][0]))
 
 
 @pytest.mark.parametrize("seeds", [1, 9, 144, 400])
@@ -727,19 +730,6 @@ def test_searches_refuse_a_tolerance_past_the_band_tube(tol):
         with pytest.raises(UsageError, match="0.0001"):
             find_eigenvalues_half(CIRCLE, side, tol=tol, **box)
     assert len(find_eigenvalues(GOLDEN, tol=9e-5, **box)) == 1
-
-
-@pytest.mark.parametrize("box", [(np.nan,) * 4, (0.1, np.inf, 0.1, 1.0), (-np.inf, 1.0, 0.1, 1.0)])
-def test_searches_refuse_a_box_that_is_not_finite(box):
-    # refused before the empty-box test, which a NaN bound passes: the NaN
-    # box returned [] and an infinite bound warned in the seed grid
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        with pytest.raises(UsageError, match="is not finite; give four finite bounds"):
-            find_eigenvalues(GOLDEN, search_box=box, grid=4)
-        for side in (+1, -1):
-            with pytest.raises(UsageError, match="is not finite; give four finite bounds"):
-                find_eigenvalues_half(CIRCLE, side, search_box=box, grid=4)
 
 
 def test_half_chain_solver_on_circle_class():
@@ -1049,6 +1039,10 @@ def test_grid_is_capped():
         (lambda: eigenvector_window(GOLDEN, POLISHED_ROOT, 2, 6), UsageError, "indices 0 and 1"),
         # cut at 128 levels (_MAX_DEPTH = 64), a tail this near the band has not settled
         (lambda: f_eigen(GOLDEN, 0.01 + 0.3j), NumericalError, "did not converge"),
+        # a box bound that is not finite, refused before the empty-box test, which a NaN passes
+        (lambda: find_eigenvalues(GOLDEN, search_box=(np.nan,) * 4), UsageError, r"box \(nan, nan, nan, nan\) is not"),
+        (lambda: find_eigenvalues_half(CIRCLE, 1, search_box=(0.1, np.inf, 0.1, 1.0)), UsageError, r"box \(0.1, inf, 0.1"),
+        (lambda: find_eigenvalues_half(CIRCLE, -1, search_box=(-np.inf, 1.0, 0.1, 1.0)), UsageError, r"box \(-inf, 1.0"),
     ],
 )
 def test_contfrac_refusals(monkeypatch, call, error, message):

@@ -421,6 +421,13 @@ def test_fit_growth_rate_refuses_inputs_of_the_wrong_shape(times, series):
         fit_growth_rate(times, series)
 
 
+@pytest.mark.parametrize("times", [np.zeros(6), np.array([0.0, 1.0, 2.0, 3.0, 3.0, 3.0]), np.arange(6.0)[::-1]])
+def test_fit_growth_rate_refuses_times_that_do_not_increase(times):
+    # equal times raised LinAlgError from LAPACK, or warned and returned a slope
+    with pytest.raises(UsageError, match="strictly increasing times"):
+        fit_growth_rate(times, np.exp(np.arange(6.0)))
+
+
 def test_unstable_class_enstrophy_growth_rate():
     # time-domain oracle for the dominant eigenvalue magnitude: the
     # enstrophy of a generic state grows like exp(2 * 0.5 * 0.2482230 t)
