@@ -383,49 +383,37 @@ def test_fit_growth_rate_recovers_exponential():
     t = np.linspace(0.0, 10.0, 200)
     series = 3.0 * np.exp(0.37 * t)
     assert fit_growth_rate(t, series) == pytest.approx(0.37, rel=1e-10)
+    # 4 samples, 2 of them in the window, are the fewest it fits
+    assert fit_growth_rate(t[:4], series[:4]) == pytest.approx(0.37, rel=1e-10)
     with pytest.raises(UsageError, match="needs a positive series"):
         fit_growth_rate(t, series - 10.0)
 
 
-@pytest.mark.parametrize("n", [1, 2, 3])
-def test_fit_growth_rate_refuses_a_window_of_fewer_than_two_samples(n):
-    # the window is the last third: 1, 2 or 3 samples leave one point in
-    # it, where the fit returned 0.25 for exp(0.5 t) (2 and 3 samples) or
-    # warned (1 sample); 4 samples are the fewest it fits
-    t = np.linspace(0.0, 1.0, n)
-    with pytest.raises(UsageError, match="at least 2 samples in its window"):
-        fit_growth_rate(t, np.exp(0.5 * t))
-    t = np.linspace(0.0, 1.0, 4)
-    assert fit_growth_rate(t, np.exp(0.5 * t)) == pytest.approx(0.5, rel=1e-12)
-
-
-@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
-@pytest.mark.parametrize("where", ["times", "series"])
-def test_fit_growth_rate_refuses_a_value_that_is_not_finite(where, bad):
-    # a value past the float range in the fit window returned nan
-    arrays = {"times": np.linspace(0.0, 10.0, 30)}
-    arrays["series"] = np.exp(0.5 * arrays["times"])
-    arrays[where][-1] = bad
-    with pytest.raises(UsageError, match="needs finite times and series"):
-        fit_growth_rate(arrays["times"], arrays["series"])
+_FIT_T = np.linspace(0.0, 10.0, 30)
+_FIT_S = np.exp(0.5 * _FIT_T)
 
 
 @pytest.mark.parametrize(
-    "times, series",
-    [(np.linspace(0.0, 1.0, 10), np.ones(9)), (np.ones((3, 4)), np.ones((3, 4)))],
-    ids=["unequal_lengths", "two_dimensional"],
+    "times, series, message",
+    [
+        # the window is the last third, where 1 to 3 samples leave one point:
+        # the fit returned 0.25 for exp(0.5 t) at 2 and 3 samples and warned at 1
+        *[(_FIT_T[:n], _FIT_S[:n], "at least 2 samples in its window") for n in (1, 2, 3)],
+        # a value that is not finite in the window returned nan
+        *[(np.r_[_FIT_T[:-1], bad], _FIT_S, "finite times and series") for bad in (np.nan, np.inf)],
+        *[(_FIT_T, np.r_[_FIT_S[:-1], bad], "finite times and series") for bad in (np.nan, np.inf, -np.inf)],
+        # equal times raised LAPACK's LinAlgError, or warned and returned a slope
+        (np.zeros(30), _FIT_S, "strictly increasing times"),
+        (np.r_[_FIT_T[:-2], _FIT_T[-3], _FIT_T[-3]], _FIT_S, "strictly increasing times"),
+        (_FIT_T[::-1], _FIT_S, "strictly increasing times"),
+        # both raised numpy's TypeError
+        (_FIT_T, _FIT_S[:-1], "1-D times and series of one length"),
+        (np.ones((3, 4)), np.ones((3, 4)), "1-D times and series of one length"),
+    ],
 )
-def test_fit_growth_rate_refuses_inputs_of_the_wrong_shape(times, series):
-    # both raised numpy's TypeError from the fit
-    with pytest.raises(UsageError, match="1-D times and series of one length"):
+def test_fit_growth_rate_refuses_a_series_it_cannot_fit(times, series, message):
+    with pytest.raises(UsageError, match=message):
         fit_growth_rate(times, series)
-
-
-@pytest.mark.parametrize("times", [np.zeros(6), np.array([0.0, 1.0, 2.0, 3.0, 3.0, 3.0]), np.arange(6.0)[::-1]])
-def test_fit_growth_rate_refuses_times_that_do_not_increase(times):
-    # equal times raised LinAlgError from LAPACK, or warned and returned a slope
-    with pytest.raises(UsageError, match="strictly increasing times"):
-        fit_growth_rate(times, np.exp(np.arange(6.0)))
 
 
 def test_unstable_class_enstrophy_growth_rate():
