@@ -214,11 +214,12 @@ def _sweep(params: CFParams, lt, ns, start):
     lt is a 1-D complex array of n points, and ns has shape (len, rows):
     rows index runs side by side from the same lt.  u broadcasts to
     (rows, n); du is a (k, n) block of the leading k <= rows rows, never
-    broadcast across rows: only those rows carry du, the rest run the value
-    recurrence alone (k may be 0), and a du that is not 2-D or has more
-    rows than ns raises ValueError.  Each row's u and du come back at its last index, with
-    shapes (rows, n) and (k, n).  No row reads another, so a row's bits do
-    not depend on which other rows run or carry du.
+    broadcast across rows or points: only those rows carry du, the rest run
+    the value recurrence alone (k may be 0), and a du that is not 2-D, has
+    more rows than ns or has other than n columns raises ValueError.  Each
+    row's u and du come back at its last index, with shapes (rows, n) and
+    (k, n).  No row reads another, so a row's bits do not depend on which
+    other rows run or carry du.
 
     rho_n is indexed from the class's array, and lt/rho_n is a real
     multiply of lt's float view by 1/rho_n: numpy's complex division by
@@ -243,9 +244,11 @@ def _sweep(params: CFParams, lt, ns, start):
             f"rho_{n} = 0 in floating point at the member {params.khat.plus(n, params.p).as_tuple()}, off "
             "the circle |k| = |p|: the continued fraction has a zero denominator there"
         )
-    rows, (k, _) = idx.shape[1], np.shape(start[1])  # k leading rows carry du; a 1-D du raises
+    rows, (k, points) = idx.shape[1], np.shape(start[1])  # k leading rows carry du; a 1-D du raises
     if k > rows:
         raise ValueError(f"du has {k} rows, more than the {rows} index rows")
+    if points != lt.size:
+        raise ValueError(f"du has {points} columns, not one for each of the {lt.size} points")
     inv = (1.0 / rho)[..., None]
     cinv, flat = inv[:, :k].astype(complex), lt.view(float)
     # the rows (du, 1...1) over (u*u, u...u): one division in place gives du/(u*u) and 1/u

@@ -11,8 +11,10 @@ published 14-digit REFERENCE_ROOT, which is kept verbatim although it is
 import numpy as np
 import pytest
 
-from euler_spectra import verification
-from euler_spectra.verification import CHECKS
+from euler_spectra import cli, verification
+from euler_spectra.euler_core import ModeSet
+from euler_spectra.lattice import triad_coeff
+from euler_spectra.verification import CHECKS, V
 
 
 @pytest.mark.parametrize("check", CHECKS, ids=lambda fn: fn.__name__)
@@ -23,7 +25,7 @@ def test_acceptance_criterion(check):
     assert result.passed, f"criterion {result.index}: {result.detail}"
 
 
-@pytest.mark.parametrize("check", CHECKS[:2], ids=lambda fn: fn.__name__)
+@pytest.mark.parametrize("check", CHECKS, ids=lambda fn: fn.__name__)
 def test_check_detail_is_reproducible(check):
     # wall-clock times stay out of the detail, so two verify runs print the same
     first, second = check().detail, check().detail
@@ -82,3 +84,67 @@ def test_check_6_fails_on_an_asymmetric_section(monkeypatch):
     result = verification.check_6_spectrum_symmetry()
     assert not result.passed
     assert float(result.detail.rsplit("=", 1)[1]) >= golden
+
+
+def _coupling_bound(p, modeset):
+    """Largest row sum of the moduli of the coupling linearized at the pump
+    fixed point with Gamma = 1, the matrix jacobian_check compares with."""
+    modes = modeset.modes
+    coupling = np.zeros((len(modes), len(modes)), dtype=complex)
+    for r, k in enumerate(modes):
+        km, kp = k - p, k + p
+        if not km.is_zero and km in modeset:
+            coupling[r, modeset.index(km)] += triad_coeff(p, km)
+        if not kp.is_zero and kp in modeset:
+            coupling[r, modeset.index(kp)] += triad_coeff(-p, kp)
+    return float(np.max(np.sum(np.abs(coupling), axis=1)))
+
+
+def test_check_8_step_gives_the_rate_of_the_five_times_finer_step(monkeypatch):
+    # check 8 at its own step and at dt = 0.02 (3000 steps, a sample every
+    # 30): the same sample times, rates within 1e-9 relative, and its step
+    # inside RK4's imaginary-axis bound for the K = 8 coupling
+    runs, fits = [], []
+    integrate_euler, fit = verification.integrate_euler, verification.fit_growth_rate
+
+    def recording(times, series):
+        rate = fit(times, series)
+        fits.append((times, rate))
+        return rate
+
+    def stepping(field0, dt, steps, sample_every=1):
+        runs.append((dt, steps, sample_every))
+        return integrate_euler(field0, dt=dt, steps=steps, sample_every=sample_every)
+
+    monkeypatch.setattr(verification, "fit_growth_rate", recording)
+    monkeypatch.setattr(verification, "integrate_euler", stepping)
+    assert verification.check_8_linearization().passed
+    monkeypatch.setattr(verification, "integrate_euler", lambda field0, **_: stepping(field0, 0.02, 3000, 30))
+    assert verification.check_8_linearization().passed
+
+    (dt, *_), fine = runs
+    assert fine == (0.02, 3000, 30)
+    (times, rate), (fine_times, fine_rate) = fits
+    assert len(times) == len(fine_times) == 101
+    # step * dt rounds differently at the two steps, in the last bits only
+    np.testing.assert_allclose(times, fine_times, rtol=0, atol=1e-12)
+    assert abs(rate - fine_rate) <= 1e-9 * abs(fine_rate)
+    assert dt * _coupling_bound(V(1, 1), ModeSet.disk(8.0)) <= cli.RK4_BOUND
+
+
+def test_check_8_fails_on_a_weakened_pump(monkeypatch):
+    # 0.9 Gamma on the pump slows the growth to 0.9 times the rate, 10% off
+    # the target and outside the check's 5% tolerance
+    fixed_point = verification.fixed_point
+    assert verification.check_8_linearization().passed
+    monkeypatch.setattr(verification, "fixed_point", lambda p, gamma, modeset: fixed_point(p, 0.9 * gamma, modeset))
+    result = verification.check_8_linearization()
+    assert not result.passed
+    assert "nonlinear growth rate=0.222286 " in result.detail
+
+
+def test_check_8_detail_is_pinned():
+    assert verification.check_8_linearization().detail == (
+        "jacobian max deviation=5.55e-16; nonlinear growth rate=0.246963 "
+        "vs 2|Re(a*root)|=0.248223 (0.51%)"
+    )

@@ -431,7 +431,8 @@ def test_value_only_rows_give_the_bits_of_rows_run_with_a_derivative(case, signs
     # a leading block of k rows carries du, for every k from 0 rows to all:
     # every row keeps the u bits of the sweep where all rows carry du, and
     # the block keeps its du bits; points on the band and NaN appended; a
-    # block of more rows than the sweep raises
+    # block of more rows than the sweep, or of one column for several
+    # points, raises
     params, lt, _, count = case
     half = params.band_halfwidth_tilde()
     lt = np.append(lt, [0j, 0.5j * half, -1j * half, complex(np.nan, 0.0)])
@@ -452,6 +453,9 @@ def test_value_only_rows_give_the_bits_of_rows_run_with_a_derivative(case, signs
         # a 1-D du is no block of rows
         with pytest.raises(ValueError):
             contfrac._sweep(params, lt, ns, (start[0], start[1][0]))
+        # nor is it broadcast across points: one column for several raises
+        with pytest.raises(ValueError, match=f"not one for each of the {lt.size} points"):
+            contfrac._sweep(params, lt, ns, (start[0], start[1][:, :1]))
 
 
 @pytest.mark.parametrize("seeds", [1, 9, 144, 400])
