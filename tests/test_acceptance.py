@@ -104,7 +104,7 @@ def test_check_8_step_gives_the_rate_of_the_five_times_finer_step(monkeypatch):
     # check 8 at its own step and at dt = 0.02 (3000 steps, a sample every
     # 30): the same sample times, rates within 1e-9 relative, and its step
     # inside RK4's imaginary-axis bound for the K = 8 coupling
-    runs, fits = [], []
+    dts, fits = [], []
     integrate_euler, fit = verification.integrate_euler, verification.fit_growth_rate
 
     def recording(times, series):
@@ -113,17 +113,16 @@ def test_check_8_step_gives_the_rate_of_the_five_times_finer_step(monkeypatch):
         return rate
 
     def stepping(field0, dt, steps, sample_every=1):
-        runs.append((dt, steps, sample_every))
+        dts.append(dt)
         return integrate_euler(field0, dt=dt, steps=steps, sample_every=sample_every)
 
     monkeypatch.setattr(verification, "fit_growth_rate", recording)
     monkeypatch.setattr(verification, "integrate_euler", stepping)
     assert verification.check_8_linearization().passed
-    monkeypatch.setattr(verification, "integrate_euler", lambda field0, **_: stepping(field0, 0.02, 3000, 30))
+    monkeypatch.setattr(verification, "integrate_euler", lambda field0, **_: integrate_euler(field0, 0.02, 3000, 30))
     assert verification.check_8_linearization().passed
 
-    (dt, *_), fine = runs
-    assert fine == (0.02, 3000, 30)
+    (dt,) = dts
     (times, rate), (fine_times, fine_rate) = fits
     assert len(times) == len(fine_times) == 101
     # step * dt rounds differently at the two steps, in the last bits only
